@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <vector>
 
 #include "algo/driver.hpp"
 #include "graph/generators.hpp"
@@ -243,19 +244,16 @@ void BM_SilenceScan(benchmark::State& state) {
   // scan_ns and the lane bytes each sweep touches.
   const auto ports = static_cast<std::size_t>(state.range(0));
   const auto halted_permille = static_cast<std::uint64_t>(state.range(1));
-  eds::runtime::MessageLanes lanes;
-  lanes.assign_silence(ports);
+  std::vector<std::int32_t> tags(ports, 0);
   eds::Rng rng(0x5CA7 + ports + halted_permille);
   for (std::size_t q = 0; q < ports; ++q) {
     const bool halted = rng.next_u64() % 1000 < halted_permille;
-    if (!halted) {
-      lanes.store(q, eds::runtime::msg(static_cast<std::int32_t>(q + 1)));
-    }
+    if (!halted) tags[q] = static_cast<std::int32_t>(q + 1);
   }
   std::uint64_t scan_ns = 0;
   for (auto _ : state) {
     const auto t0 = std::chrono::steady_clock::now();
-    const auto live = eds::runtime::count_nonsilence(lanes.tags(), ports);
+    const auto live = eds::runtime::count_nonsilence(tags.data(), ports);
     const auto t1 = std::chrono::steady_clock::now();
     scan_ns += static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)

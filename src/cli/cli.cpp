@@ -622,6 +622,12 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
              "drop --loss/--dup/--crash or pass --synchronizer off\n";
       return 2;
     }
+    try {
+      runtime::check_tick_bounds(async_base);
+    } catch (const Error& e) {
+      err << "sweep: " << e.what() << '\n';
+      return 2;
+    }
   }
 
   // --shards N swaps the in-process pool for `edsim worker` subprocesses;

@@ -31,6 +31,30 @@
 // (which only parallelizes *across* runs at the batch layer, never within
 // one).
 //
+// The timeline is a calendar queue over the integer clock: a ring with one
+// bucket per tick, as wide as the furthest any push reaches (the delay
+// matrix's maximum plus demote_ticks, or the round timeout; at most 2^14
+// buckets), and a small overflow heap for events beyond it — crash times,
+// overridden slow links — which move into their bucket once the ring
+// reaches their tick.  The order stays exact:
+//
+//  * No push lands in the tick being drained: every delay and timeout is at
+//    least one tick, and every tick-valued input is capped at kMaxTicks
+//    (runtime/fault.hpp), so now + offset can never wrap into the past.
+//  * A bucket fills in push order (overflow events migrate, in push order,
+//    before any push can reach their tick), so position is seq.
+//  * One stable sort of the bucket on a packed (priority, node, port) key
+//    then yields the full order.
+//
+// Inputs wait in flat (round mod 2) × total_ports message slots, and
+// receive() reads its node's segment in place.  Two rounds of slots
+// suffice in both modes: no receiver is ever two rounds behind a sender.
+// Under the α-synchronizer a sender needs the receiver's message to
+// advance; free-running, a sender can only run ahead by timing out, and
+// the receiver's own deadline, of the same length, keeps it within one
+// round.  All of it lives in a per-thread workspace reused across runs; a
+// run started from inside a program's receive() gets a private one.
+//
 // The ordering hook: AsyncOptions::schedule (runtime/fault.hpp) injects an
 // adversarial perturbation into that order.  A non-empty Schedule stamps
 // each event with a PCT-style per-node priority (splicing ahead of the
@@ -96,8 +120,9 @@ class AsyncPolicy {
   /// Executes `programs` (one per plan node) under the event loop.  Throws
   /// InvalidArgument for inconsistent options (synchronizer with a non-empty
   /// FaultPlan, probabilities outside [0, 1], crash of an out-of-range
-  /// node, zero max_rounds) and ExecutionError when a node exceeds
-  /// RunOptions::max_rounds, mirroring the synchronous engine's contract.
+  /// node, zero max_rounds, a tick-valued input above kMaxTicks) and
+  /// ExecutionError when a node exceeds RunOptions::max_rounds, mirroring
+  /// the synchronous engine's contract.
   [[nodiscard]] AsyncResult run(
       const ExecutionPlan& plan,
       std::vector<std::unique_ptr<NodeProgram>>& programs,

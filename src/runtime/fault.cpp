@@ -48,7 +48,8 @@ DelayModel parse_delay_model(const std::string& spec) {
              parts[0] == "geometric") {
     model.kind = DelayKind::kGeometric;
     model.a = parse_ticks(parts[1], spec);
-    model.b = parts.size() == 3 ? parse_ticks(parts[2], spec) : 8 * model.a;
+    model.b = parts.size() == 3 ? parse_ticks(parts[2], spec)
+                                : std::min(8 * model.a, kMaxTicks);
   } else {
     throw InvalidArgument(
         "parse_delay_model: expected fixed:T, uniform:LO:HI or "
@@ -59,11 +60,45 @@ DelayModel parse_delay_model(const std::string& spec) {
     throw InvalidArgument("parse_delay_model: delays must be >= 1 in '" +
                           spec + "'");
   }
+  if (model.a > kMaxTicks || model.b > kMaxTicks) {
+    throw InvalidArgument("parse_delay_model: delays must be <= 2^32 in '" +
+                          spec + "'");
+  }
   if (model.a > model.b) {
     throw InvalidArgument("parse_delay_model: lower bound exceeds upper in '" +
                           spec + "'");
   }
   return model;
+}
+
+std::uint64_t effective_round_timeout(const AsyncOptions& options) {
+  return options.round_timeout != 0 ? options.round_timeout
+                                    : 8 * options.delay.max_delay();
+}
+
+void check_tick_bounds(const AsyncOptions& options) {
+  const auto reject = [](const std::string& what, std::uint64_t ticks) {
+    throw InvalidArgument("async options: " + what + " of " +
+                          std::to_string(ticks) +
+                          " ticks exceeds the 2^32-tick limit");
+  };
+  const DelayModel& delay = options.delay;
+  if (delay.a > kMaxTicks || delay.b > kMaxTicks) {
+    reject("delay bound", std::max(delay.a, delay.b));
+  }
+  for (const DelayOverride& o : options.schedule.delay_overrides) {
+    if (o.ticks > kMaxTicks) reject("delay override", o.ticks);
+  }
+  if (options.schedule.demote_ticks > kMaxTicks) {
+    reject("demote_ticks", options.schedule.demote_ticks);
+  }
+  if (options.round_timeout > kMaxTicks) {
+    reject("round timeout", options.round_timeout);
+  }
+  const std::uint64_t timeout = effective_round_timeout(options);
+  if (!options.synchronizer && timeout > kMaxTicks) {
+    reject("derived round timeout (8 x max delay)", timeout);
+  }
 }
 
 std::string format_delay_model(const DelayModel& model) {
@@ -264,6 +299,7 @@ ReplayFile decode_replay(const std::string& text) {
   if (replay.algorithm.empty()) {
     throw InvalidArgument("decode_replay: missing 'algorithm' record");
   }
+  check_tick_bounds(replay.options);
   return replay;
 }
 

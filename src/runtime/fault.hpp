@@ -56,9 +56,17 @@ struct DelayModel {
   [[nodiscard]] bool operator==(const DelayModel&) const = default;
 };
 
+/// The largest value a tick-valued input may take: delay bounds, delay
+/// overrides, demote_ticks and round timeouts (explicit or derived).  The
+/// engine adds a few of these to the clock per event; capping each at 2^32
+/// keeps every such sum far below 2^64, so wrap-around can never schedule
+/// an event at or before the tick that caused it.
+inline constexpr std::uint64_t kMaxTicks = std::uint64_t{1} << 32;
+
 /// Parses a delay specification: "fixed:T", "uniform:LO:HI" or
-/// "geometric:MEAN[:CAP]" (CAP defaults to 8×MEAN).  Throws InvalidArgument
-/// on malformed specs, zero delays or inverted bounds.
+/// "geometric:MEAN[:CAP]" (CAP defaults to 8×MEAN, at most kMaxTicks).
+/// Throws InvalidArgument on malformed specs, zero delays, inverted bounds
+/// or bounds above kMaxTicks.
 [[nodiscard]] DelayModel parse_delay_model(const std::string& spec);
 
 /// Renders a DelayModel back into its canonical specification string.
@@ -214,14 +222,25 @@ struct AsyncOptions {
   [[nodiscard]] bool operator==(const AsyncOptions&) const = default;
 };
 
+/// The round timeout a run uses: AsyncOptions::round_timeout, or 8 ×
+/// the delay model's maximum when that is 0.
+[[nodiscard]] std::uint64_t effective_round_timeout(
+    const AsyncOptions& options);
+
+/// Throws InvalidArgument when a tick-valued input of `options` exceeds
+/// kMaxTicks: the delay bounds, a delay override, demote_ticks, the
+/// explicit round timeout, or — free-running only, where it is used — the
+/// derived one.  AsyncPolicy::run, decode_replay and the CLI share it.
+void check_tick_bounds(const AsyncOptions& options);
+
 /// A versioned, self-contained replay file: everything needed to re-execute
 /// one adversarial async run bit-identically — the instance (embedded in
 /// the portgraph text format), the algorithm, the full AsyncOptions
 /// including the Schedule, and the worst metrics the search recorded so a
 /// replay can verify the run still exhibits them.  The codec is line-based
 /// ("edsched 1" header, `key value...` records, the graph after a `graph`
-/// marker); decode_replay rejects unknown schema versions and malformed
-/// records with InvalidArgument.
+/// marker); decode_replay rejects unknown schema versions, malformed
+/// records and ticks above kMaxTicks with InvalidArgument.
 struct ReplayFile {
   std::string strategy = "random";  ///< adversary strategy token (bookkeeping)
   std::string algorithm;            ///< algo::algorithm_token vocabulary

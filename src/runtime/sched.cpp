@@ -160,12 +160,13 @@ AdversarialScheduler::AdversarialScheduler(AdversaryStrategy strategy,
   // The delay-bounded envelope: with an explicit round timeout a forced
   // delay may exceed it (that is the interesting region — a late message
   // becomes silence at the receiver), otherwise twice the model's maximum
-  // (reordering and stretching without starving the auto timeout).
+  // (reordering and stretching without starving the auto timeout), never
+  // past the engine's tick cap.
   const std::uint64_t max_delay = base_.delay.max_delay();
   delay_bound_ = base_.round_timeout != 0
                      ? base_.round_timeout + max_delay
                      : 2 * max_delay;
-  delay_bound_ = std::max<std::uint64_t>(delay_bound_, 1);
+  delay_bound_ = std::clamp<std::uint64_t>(delay_bound_, 1, kMaxTicks);
 }
 
 AsyncOptions AdversarialScheduler::propose(std::size_t step) const {

@@ -16,9 +16,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
+#include <span>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -32,6 +37,7 @@
 #include "runtime/batch.hpp"
 #include "runtime/outputs.hpp"
 #include "runtime/runner.hpp"
+#include "runtime/sched.hpp"
 #include "runtime/shard.hpp"
 #include "util/rng.hpp"
 #include "invariants.hpp"
@@ -437,6 +443,388 @@ TEST(AsyncDeterminism, ByteIdenticalAcrossBatchThreadCounts) {
   }
 }
 
+// --- Pinned event order ------------------------------------------------------
+//
+// The α-synchronizer oracle cannot see same-tick event order (its outputs are
+// schedule-independent by design), and the determinism tests above compare a
+// run only with itself, so a timeline that popped ties in a different order
+// would pass both.  The digests below pin that order: thousands of runs
+// across graphs, programs, faults and schedules hash to one value each, and
+// any reordering of a tie changes a transcript, a fault log or a counter.
+// Seeds are constants, not make_rng, so EDS_FUZZ_SEED leaves them alone.  A
+// deliberate change to the event semantics re-pins the values; a rewrite of
+// the timeline's data structures must not move them.
+
+/// Order-sensitive 64-bit digest (splitmix64 chaining: portable across
+/// compilers and standard libraries, unlike std::hash).
+class Digest {
+ public:
+  void add(std::uint64_t x) noexcept {
+    std::uint64_t s = state_ ^ x;
+    state_ = splitmix64(s);
+  }
+  void add(const std::string& text) noexcept {
+    std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a over the bytes
+    for (const char c : text) {
+      h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
+    }
+    add(text.size());
+    add(h);
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return state_; }
+
+ private:
+  std::uint64_t state_ = 0;
+};
+
+void add_message(Digest& d, const Message& m) {
+  d.add(static_cast<std::uint32_t>(m.tag));
+  for (const std::int32_t a : m.arg) d.add(static_cast<std::uint32_t>(a));
+}
+
+/// Everything an async run reports, in the order the engine produced it:
+/// the message log is digested unsorted, so delivery order counts.
+void add_result(Digest& d, const AsyncResult& a) {
+  const RunResult& r = a.run;
+  d.add(r.message_log.size());
+  for (const DeliveredMessage& m : r.message_log) {
+    d.add(m.round);
+    d.add(m.from.node);
+    d.add(m.from.port);
+    d.add(m.to.node);
+    d.add(m.to.port);
+    add_message(d, m.payload);
+  }
+  d.add(format_transcript(r));
+  d.add(r.stats.rounds);
+  d.add(r.stats.messages_sent);
+  d.add(r.stats.ports_served);
+  for (const RoundTrace& t : r.trace) {
+    d.add(t.round);
+    d.add(t.messages);
+    d.add(t.halted_nodes);
+  }
+  for (const auto& ports : r.outputs) {
+    d.add(ports.size());
+    for (const Port p : ports) d.add(p);
+  }
+  d.add(a.fault_log.size());
+  for (const FaultEvent& f : a.fault_log) {
+    d.add(f.time);
+    d.add(static_cast<std::uint64_t>(f.kind));
+    d.add(f.node);
+    d.add(f.port);
+    d.add(f.round);
+  }
+  const AsyncStats& s = a.async;
+  for (const std::uint64_t x : {s.virtual_time, s.delivered, s.acks, s.lost,
+                                s.duplicated, s.stale, s.timeouts, s.events}) {
+    d.add(x);
+  }
+  for (const std::uint8_t c : a.crashed) d.add(c);
+}
+
+/// The full configuration, through the replay codec's canonical text.
+void add_options(Digest& d, const AsyncOptions& options) {
+  ReplayFile file;
+  file.algorithm = "digest";
+  file.options = options;
+  d.add(encode_replay(file));
+}
+
+/// One run's result, or the type of the error it threw.
+void add_run(Digest& d, const PortGraph& g, const ProgramFactory& factory,
+             const RunOptions& options, const AsyncOptions& async) {
+  try {
+    add_result(d, run_asynchronous(g, factory, options, async));
+  } catch (const InvalidArgument&) {
+    d.add(0xE1);
+  } catch (const ExecutionError&) {
+    d.add(0xE2);
+  } catch (const Error&) {
+    d.add(0xE3);
+  }
+}
+
+/// A tick count in [1, hi], log-uniform-ish: small values (where ties are
+/// dense) as often as values near `hi`.
+std::uint64_t spread_ticks(Rng& rng, std::uint64_t hi) {
+  const auto bits = static_cast<std::uint64_t>(std::bit_width(hi));
+  const std::uint64_t cap = std::uint64_t{1} << rng.below(bits + 1);
+  return 1 + rng.below(std::min(hi, cap));
+}
+
+struct GoldenCase {
+  PortGraph graph;
+  std::unique_ptr<ProgramFactory> factory;
+  AsyncOptions async;
+};
+
+/// One golden case drawn from `rng`: a random multigraph (loops, parallel
+/// edges, fixed points), a program (relay, echo or a paper algorithm), a
+/// delay model, and — free-running only — faults and a timeout, plus an
+/// optional schedule on either mode.
+GoldenCase golden_case(Rng& rng, bool synchronizer) {
+  static const std::vector<Algorithm> algorithms = {
+      Algorithm::kAllEdges, Algorithm::kPortOne, Algorithm::kBoundedDegree,
+      Algorithm::kDoubleCover, Algorithm::kOddRegular};
+  const std::uint64_t program = rng.below(2 + algorithms.size());
+  const std::size_t n = 2 + rng.below(11);
+  std::vector<Port> degrees;
+  std::unique_ptr<ProgramFactory> factory;
+  if (program == 0) {
+    degrees = random_degrees(rng, n, 4);
+    factory = std::make_unique<RelayFactory>(1 + rng.below(4));
+  } else if (program == 1) {
+    degrees = random_degrees(rng, n, 4);
+    factory = std::make_unique<EchoFactory>(1 + rng.below(6));
+  } else {
+    const Algorithm alg = algorithms[program - 2];
+    Port param = 0;
+    if (alg == Algorithm::kOddRegular) {
+      param = rng.below(2) == 0 ? 1 : 3;
+      degrees.assign(n, param);
+    } else {
+      degrees = random_degrees(rng, n, 4);
+      if (alg == Algorithm::kBoundedDegree || alg == Algorithm::kDoubleCover) {
+        param = std::max<Port>(
+            1, *std::max_element(degrees.begin(), degrees.end()));
+      }
+    }
+    factory = algo::make_factory(alg, param);
+  }
+  auto g = port::random_port_graph(degrees, rng, 0.15);
+
+  AsyncOptions async;
+  async.synchronizer = synchronizer;
+  async.seed = rng.next_u64();
+  switch (rng.below(4)) {
+    case 0:
+      async.delay = {DelayKind::kFixed, 1, 1};
+      break;
+    case 1: {
+      const std::uint64_t t = 1 + rng.below(5);
+      async.delay = {DelayKind::kFixed, t, t};
+      break;
+    }
+    case 2: {
+      const std::uint64_t lo = 1 + rng.below(3);
+      async.delay = {DelayKind::kUniform, lo, lo + rng.below(9)};
+      break;
+    }
+    default: {
+      const std::uint64_t mean = 2 + rng.below(4);
+      async.delay = {DelayKind::kGeometric, mean, 8 * mean};
+      break;
+    }
+  }
+  if (!synchronizer) {
+    static const double kLoss[] = {0.0, 0.0, 0.05, 0.3};
+    static const double kDup[] = {0.0, 0.0, 0.1, 1.0};
+    async.faults.loss = kLoss[rng.below(4)];
+    async.faults.duplicate = kDup[rng.below(4)];
+    for (std::uint64_t k = rng.below(3); k > 0; --k) {
+      const auto node = static_cast<port::NodeId>(rng.below(n));
+      async.faults.crashes.push_back({node, spread_ticks(rng, 1000000)});
+    }
+    async.round_timeout = rng.below(3) == 0 ? 0 : spread_ticks(rng, 5000);
+  }
+  Schedule& s = async.schedule;
+  if (rng.below(2) == 0) {
+    s.prio_seed = rng.next_u64() | 1;
+    s.demote_ticks = rng.below(4) == 0 ? 0 : spread_ticks(rng, 100000);
+    for (std::uint64_t k = rng.below(5); k > 0; --k) {
+      s.change_points.push_back(1 + rng.below(300));
+    }
+  }
+  if (g.num_ports() > 0 && rng.below(3) == 0) {
+    for (std::uint64_t k = 1 + rng.below(3); k > 0; --k) {
+      s.delay_overrides.push_back(
+          {static_cast<std::uint32_t>(rng.below(g.num_ports())),
+           spread_ticks(rng, 5000000)});
+    }
+  }
+  return {std::move(g), std::move(factory), std::move(async)};
+}
+
+std::string hex(std::uint64_t x) {
+  std::ostringstream os;
+  os << "0x" << std::hex << std::uppercase << x;
+  return os.str();
+}
+
+TEST(AsyncGolden, FreeRunningEventOrderIsPinned) {
+  RunOptions options;
+  options.max_rounds = 500;
+  options.collect_trace = true;
+  options.collect_messages = true;
+  Rng rng(0x601DE4);
+  Digest d;
+  for (int i = 0; i < 3000; ++i) {
+    const GoldenCase c = golden_case(rng, /*synchronizer=*/false);
+    add_options(d, c.async);
+    add_run(d, c.graph, *c.factory, options, c.async);
+  }
+  EXPECT_EQ(hex(d.value()), "0x2D0F68294C05C212");
+}
+
+TEST(AsyncGolden, SynchronizedEventOrderIsPinned) {
+  // The oracle normalizes the message log and ignores AsyncStats; under a
+  // schedule both still depend on the tie order, so they are pinned here.
+  RunOptions options;
+  options.max_rounds = 500;
+  options.collect_trace = true;
+  options.collect_messages = true;
+  Rng rng(0x601DE5);
+  Digest d;
+  for (int i = 0; i < 500; ++i) {
+    const GoldenCase c = golden_case(rng, /*synchronizer=*/true);
+    add_options(d, c.async);
+    add_run(d, c.graph, *c.factory, options, c.async);
+  }
+  EXPECT_EQ(hex(d.value()), "0x3A7B53A2C5A51240");
+}
+
+TEST(AsyncGolden, AdversarySearchesAndShrinksArePinned) {
+  // One search per strategy plus the shrink of its headline witness, on the
+  // BENCHMARKS.md attack fixture and on a lossy variant of it.
+  Rng rng(0xADF1C7ULL);
+  const auto g = port::random_port_graph(std::vector<Port>(8, 3), rng, 0.1);
+  const auto factory = algo::make_factory(Algorithm::kPortOne);
+  AsyncOptions base;
+  base.synchronizer = false;
+  base.delay = {DelayKind::kFixed, 1, 1};
+  base.round_timeout = 2;
+  base.seed = 99;
+  AsyncOptions lossy = base;
+  lossy.delay = {DelayKind::kUniform, 1, 4};
+  lossy.faults.loss = 0.1;
+  lossy.round_timeout = 0;
+  Digest d;
+  for (const AsyncOptions& env : {base, lossy}) {
+    for (const auto strategy :
+         {AdversaryStrategy::kRandom, AdversaryStrategy::kPct,
+          AdversaryStrategy::kDelay, AdversaryStrategy::kClimb}) {
+      const auto report =
+          adversary_search(g, *factory, strategy, env, 128, 0xD1CE);
+      d.add(report.evaluated);
+      d.add(report.failures);
+      for (const ScheduleWitness* w :
+           {&report.worst_rounds, &report.worst_time, &report.worst_selected,
+            &report.worst_inconsistent}) {
+        add_options(d, w->options);
+        add_result(d, w->result);
+      }
+      const auto shrunk = shrink_witness(g, *factory, report.primary(),
+                                         report.primary_metric());
+      add_options(d, shrunk.options);
+      add_result(d, shrunk.result);
+    }
+  }
+  EXPECT_EQ(hex(d.value()), "0x1DB0F0C3DD64D2C7");
+}
+
+// --- Workspace lease ---------------------------------------------------------
+
+/// The run every NestingRelay starts from inside receive(), and what it
+/// must produce: the same run made at top level.
+struct NestedRun {
+  const PortGraph* graph = nullptr;
+  AsyncOptions async;
+  AsyncResult expected;
+  std::atomic<int> runs{0};
+  std::atomic<int> mismatches{0};
+};
+
+/// A relay whose receive() first runs a whole nested async simulation on
+/// the same thread, then relays the round's inputs.  Had the nested run
+/// reused the outer run's pooled workspace, the input span receive() holds
+/// would point into overwritten (or freed) slots by the time it is relayed.
+class NestingRelay final : public NodeProgram {
+ public:
+  NestingRelay(Round base, NestedRun& nested)
+      : relay_(base), nested_(nested) {}
+  void start(Port degree) override { relay_.start(degree); }
+  void send(Round round, std::span<Message> out) override {
+    relay_.send(round, out);
+  }
+  void receive(Round round, std::span<const Message> in) override {
+    RunOptions options;
+    options.collect_messages = true;
+    const AsyncResult got = run_asynchronous(*nested_.graph, RelayFactory(2),
+                                             options, nested_.async);
+    ++nested_.runs;
+    if (!(got == nested_.expected)) ++nested_.mismatches;
+    relay_.receive(round, in);
+  }
+  [[nodiscard]] bool halted() const override { return relay_.halted(); }
+  [[nodiscard]] std::vector<Port> output() const override {
+    return relay_.output();
+  }
+
+ private:
+  test::RelayProgram relay_;
+  NestedRun& nested_;
+};
+
+class NestingRelayFactory final : public ProgramFactory {
+ public:
+  NestingRelayFactory(Round base, NestedRun& nested)
+      : base_(base), nested_(nested) {}
+  [[nodiscard]] std::unique_ptr<NodeProgram> create() const override {
+    return std::make_unique<NestingRelay>(base_, nested_);
+  }
+  [[nodiscard]] std::string name() const override { return "nesting-relay"; }
+
+ private:
+  Round base_;
+  NestedRun& nested_;
+};
+
+TEST(AsyncWorkspace, NestedRunsGetAPrivateWorkspace) {
+  Rng rng(0x1EA5E);
+  const auto inner = port::random_port_graph(random_degrees(rng, 8, 4), rng);
+  NestedRun nested;
+  nested.graph = &inner;
+  nested.async.synchronizer = false;
+  nested.async.delay = {DelayKind::kUniform, 1, 5};
+  nested.async.seed = 17;
+  nested.async.faults.loss = 0.1;
+  nested.async.faults.duplicate = 0.1;
+  nested.async.faults.crashes = {{2, 6}};
+  RunOptions options;
+  options.collect_messages = true;
+  nested.expected =
+      run_asynchronous(inner, RelayFactory(2), options, nested.async);
+
+  const auto outer = loops_and_stagger_graph();
+  AsyncOptions outer_async;
+  outer_async.delay = {DelayKind::kUniform, 1, 7};
+  outer_async.seed = 5;
+  const RunResult plain =
+      run_asynchronous(outer, RelayFactory(3), options, outer_async).run;
+  const NestingRelayFactory nesting(3, nested);
+  EXPECT_EQ(run_asynchronous(outer, nesting, options, outer_async).run, plain);
+
+  // One outer run per batch job, so every lane's pooled workspace is busy
+  // with an outer run while that lane's nested runs execute.
+  std::vector<BatchJob> jobs(16);
+  for (auto& job : jobs) {
+    job.graph = &outer;
+    job.factory = &nesting;
+    job.options = options;
+    job.options.exec.async = outer_async;
+  }
+  for (const unsigned threads : test::policy_thread_counts()) {
+    const auto results = BatchRunner(threads).run(jobs);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ(results[i], plain) << "threads=" << threads << " job " << i;
+    }
+  }
+  EXPECT_GT(nested.runs.load(), 0);
+  EXPECT_EQ(nested.mismatches.load(), 0);
+}
+
 TEST(AsyncFaults, CrashedRunsVerifyOnSurvivingSubgraph) {
   // Fixed Rng: the per-node crash assertions are about this exact
   // deterministic scenario, so the instance must not follow EDS_FUZZ_SEED.
@@ -627,9 +1015,114 @@ TEST(AsyncValidation, DelaySpecsParseAndRoundTrip) {
     EXPECT_EQ(parse_delay_model(format_delay_model(spec)), spec);
   }
   for (const char* bad : {"", "fixed", "fixed:0", "uniform:5:2", "uniform:1",
-                          "exponential:3", "fixed:abc", "fixed:1:2"}) {
+                          "exponential:3", "fixed:abc", "fixed:1:2",
+                          "fixed:2305843009213693952",
+                          "uniform:1:4294967297"}) {
     EXPECT_THROW((void)parse_delay_model(bad), InvalidArgument) << bad;
   }
+  // kMaxTicks itself is a valid delay, and the default geometric cap
+  // stops there instead of failing.
+  EXPECT_EQ(parse_delay_model("fixed:4294967296").a, kMaxTicks);
+  EXPECT_EQ(parse_delay_model("geometric:1073741824").b, kMaxTicks);
+}
+
+// --- The tick cap ------------------------------------------------------------
+//
+// Each tick-valued input is added to the clock; above kMaxTicks the sums
+// could wrap past 2^64 and schedule events in the past or at the current
+// tick, silently losing messages of a fault-free run.  One test per input
+// (parse_delay_model's share is in DelaySpecsParseAndRoundTrip).
+
+/// A replay file carrying `options`, for the decode_replay half of a test.
+std::string replay_text(const AsyncOptions& options) {
+  ReplayFile file;
+  file.algorithm = "port-one";
+  file.options = options;
+  file.graph_text = "ports 0\n";
+  return encode_replay(file);
+}
+
+constexpr std::uint64_t kNearWrap = ~std::uint64_t{0} - 1;
+
+TEST(AsyncValidation, DelayAboveTheTickCapIsRejected) {
+  const auto g = test::figure2_multigraph_m();
+  AsyncOptions async;
+  async.synchronizer = false;
+  async.delay = {DelayKind::kFixed, std::uint64_t{1} << 61,
+                 std::uint64_t{1} << 61};
+  EXPECT_THROW((void)run_asynchronous(g, EchoFactory(2), {}, async),
+               InvalidArgument);
+  EXPECT_THROW((void)decode_replay(replay_text(async)), InvalidArgument);
+}
+
+TEST(AsyncValidation, TimeoutAboveTheTickCapIsRejected) {
+  const auto g = test::figure2_multigraph_m();
+  AsyncOptions explicit_timeout;
+  explicit_timeout.synchronizer = false;
+  explicit_timeout.round_timeout = ~std::uint64_t{0};
+  EXPECT_THROW((void)run_asynchronous(g, EchoFactory(2), {}, explicit_timeout),
+               InvalidArgument);
+  EXPECT_THROW((void)decode_replay(replay_text(explicit_timeout)),
+               InvalidArgument);
+
+  // The derived timeout, 8 x max delay, counts too — where it is used.
+  AsyncOptions derived;
+  derived.synchronizer = false;
+  derived.delay = {DelayKind::kFixed, std::uint64_t{1} << 30,
+                   std::uint64_t{1} << 30};
+  EXPECT_THROW((void)run_asynchronous(g, EchoFactory(2), {}, derived),
+               InvalidArgument);
+  derived.synchronizer = true;  // no deadlines, so no derived timeout
+  EXPECT_NO_THROW((void)run_asynchronous(g, EchoFactory(2), {}, derived));
+}
+
+TEST(AsyncValidation, DemoteTicksAboveTheTickCapAreRejected) {
+  const auto g = test::figure2_multigraph_m();
+  AsyncOptions async;
+  async.synchronizer = false;
+  async.schedule.prio_seed = 7;
+  async.schedule.demote_ticks = kNearWrap;
+  async.schedule.change_points = {1};
+  EXPECT_THROW((void)run_asynchronous(g, EchoFactory(2), {}, async),
+               InvalidArgument);
+  EXPECT_THROW((void)decode_replay(replay_text(async)), InvalidArgument);
+}
+
+TEST(AsyncValidation, OverrideTicksAboveTheTickCapAreRejected) {
+  const auto g = test::figure2_multigraph_m();
+  AsyncOptions async;
+  async.synchronizer = false;
+  async.schedule.delay_overrides = {{0, kNearWrap}};
+  EXPECT_THROW((void)run_asynchronous(g, EchoFactory(2), {}, async),
+               InvalidArgument);
+  EXPECT_THROW((void)decode_replay(replay_text(async)), InvalidArgument);
+}
+
+TEST(AsyncValidation, TicksAtTheCapRunLikeTheRoundEngine) {
+  // Ticks this large never fit the ring, so every event of this run goes
+  // through the overflow heap; a fault-free free-running run whose timeout
+  // outlasts its delays must still match the synchronous engine.
+  const auto g = loops_and_stagger_graph();
+  AsyncOptions async;
+  async.synchronizer = false;
+  async.delay = {DelayKind::kUniform, std::uint64_t{1} << 29,
+                 std::uint64_t{1} << 30};
+  async.round_timeout = kMaxTicks;  // > every delay + demote_ticks
+  async.schedule.prio_seed = 3;
+  async.schedule.demote_ticks = std::uint64_t{1} << 30;
+  async.schedule.change_points = {2, 9};
+  async.schedule.delay_overrides = {{1, std::uint64_t{1} << 30}};
+  const RelayFactory factory(3);
+  RunOptions options;
+  options.collect_messages = true;
+  const RunResult sync = run_synchronous(g, factory, options);
+  const AsyncResult a = run_asynchronous(g, factory, options, async);
+  auto log = a.run.message_log;
+  sort_by_sender(log);
+  EXPECT_EQ(a.async.timeouts, 0u);
+  EXPECT_EQ(a.run.stats, sync.stats);
+  EXPECT_EQ(log, sync.message_log);
+  EXPECT_GT(a.async.virtual_time, kMaxTicks);
 }
 
 TEST(AsyncValidation, MakeFaultPlanIsSeededAndClamped) {

@@ -630,6 +630,43 @@ TEST(Cli, SweepModelAsyncRejections) {
   EXPECT_EQ(fails({"--model", "async", "--synchronizer", "sideways"}), 2);
 }
 
+/// A free-running async port-one sweep on one 16-node 3-regular instance,
+/// the fault-free setting where any lost message shows as inconsistency.
+std::vector<std::string> free_running_port_one(
+    std::vector<std::string> extra) {
+  std::vector<std::string> args{"sweep",       "regular",  "--min",
+                                "16",          "--max",    "16",
+                                "--d",         "3",        "--repeat",
+                                "1",           "--algorithm", "port-one",
+                                "--model",     "async",    "--synchronizer",
+                                "off",         "--ndjson"};
+  args.insert(args.end(), extra.begin(), extra.end());
+  return args;
+}
+
+TEST(Cli, SweepAsyncDelayAboveTheTickCapExits2) {
+  // fixed:2^61 made the derived timeout 8 x 2^61 wrap to 0: every deadline
+  // fired at its own send tick and the fault-free run came out
+  // inconsistent.  A delay the clock can hold stays consistent.
+  const auto ok = invoke(free_running_port_one({"--delay", "fixed:1000000"}));
+  ASSERT_EQ(ok.code, 0) << ok.err;
+  EXPECT_EQ(json_field(lines_of(ok.out).front(), "consistent"), "true");
+  const auto wrapped =
+      invoke(free_running_port_one({"--delay", "fixed:2305843009213693952"}));
+  EXPECT_EQ(wrapped.code, 2);
+  EXPECT_NE(wrapped.err.find("2^32"), std::string::npos) << wrapped.err;
+}
+
+TEST(Cli, SweepAsyncTimeoutAboveTheTickCapExits2) {
+  const auto wrapped =
+      invoke(free_running_port_one({"--timeout", "18446744073709551615"}));
+  EXPECT_EQ(wrapped.code, 2);
+  EXPECT_NE(wrapped.err.find("2^32"), std::string::npos) << wrapped.err;
+  const auto at_cap =
+      invoke(free_running_port_one({"--timeout", "4294967296"}));
+  EXPECT_EQ(at_cap.code, 0) << at_cap.err;
+}
+
 TEST(Cli, SweepAdversaryEchoesConfigAndEmitsWorstCaseRows) {
   // One instance, one search: a row with the full worst-case metric set and
   // a summary echoing the adversary configuration.

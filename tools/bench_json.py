@@ -2,16 +2,18 @@
 """Convert google-benchmark JSON into the BENCH_runtime.json schema, and
 compare two such files for regressions.
 
-Convert mode (default) reads a `--benchmark_format=json` report on stdin
-(or a file argument) and writes one record per benchmark:
+Convert mode (default) reads `--benchmark_format=json` reports (files
+given as arguments, merged in order, or stdin) and writes one record per
+benchmark:
 
     {"name": ..., "n": ..., "rounds": ..., "ns_per_op": ..., "counters": {...}}
 
-plus a `context` block (host, date, threads) so the perf trajectory is
-comparable across CI runs.  `n`/`rounds` come from the benchmark's exported
-counters and are null for benchmarks that don't export them; every *other*
-user counter (plan_hits, ws_growths, lanes, ...) lands in `counters`;
-`ns_per_op` is wall time per iteration in nanoseconds.
+plus a `context` block (host, date, threads; taken from the first report)
+so the perf trajectory is comparable across CI runs.  `n`/`rounds` come
+from the benchmark's exported counters and are null for benchmarks that
+don't export them; every *other* user counter (plan_hits, ws_growths,
+lanes, ...) lands in `counters`; `ns_per_op` is wall time per iteration
+in nanoseconds.
 
 Compare mode diffs two converted files per benchmark and per counter, and
 fails (exit 2) when wall time regresses beyond the threshold:
@@ -21,6 +23,7 @@ fails (exit 2) when wall time regresses beyond the threshold:
 Usage:
     bench/bench_micro_runtime --benchmark_format=json | tools/bench_json.py \
         > BENCH_runtime.json
+    tools/bench_json.py runtime.json async.json > BENCH_runtime.json
 """
 import argparse
 import json
@@ -179,8 +182,9 @@ def compare(old_path: str, new_path: str, threshold: float) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(
         description="BENCH_runtime.json converter / comparator")
-    parser.add_argument("input", nargs="?",
-                        help="google-benchmark JSON (default: stdin)")
+    parser.add_argument("inputs", nargs="*",
+                        help="google-benchmark JSON reports, merged in "
+                             "order (default: stdin)")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                         help="diff two converted BENCH_runtime.json files")
     parser.add_argument("--threshold", type=float, default=0.10,
@@ -191,10 +195,17 @@ def main() -> int:
     if args.compare:
         return compare(args.compare[0], args.compare[1], args.threshold)
 
-    source = open(args.input) if args.input else sys.stdin
-    with source:
-        report = json.load(source)
-    json.dump(convert(report), sys.stdout, indent=2)
+    if args.inputs:
+        reports = []
+        for path in args.inputs:
+            with open(path) as f:
+                reports.append(json.load(f))
+    else:
+        reports = [json.load(sys.stdin)]
+    merged = convert(reports[0])
+    for report in reports[1:]:
+        merged["benchmarks"] += convert(report)["benchmarks"]
+    json.dump(merged, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
 
