@@ -36,7 +36,9 @@ int main() {
                inst.forced_ratio.str(),
                ratio == inst.forced_ratio ? "EQUAL" : "no",
                covering_ok ? "yes" : "NO",
-               eds::runtime::all_outputs_identical(raw) ? "yes" : "no"});
+               eds::runtime::all_outputs_identical(inst.ported.ports(), raw)
+                   ? "yes"
+                   : "no"});
   }
 
   table.print(std::cout);

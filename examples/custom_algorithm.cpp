@@ -9,8 +9,11 @@
 //   1. derive from runtime::NodeProgram,
 //   2. drive a fixed round schedule from the family parameter,
 //   3. exchange messages only through the ports,
-//   4. announce output ports and halt,
-//   5. run through run_synchronous + validated_edge_set and verify with the
+//   4. halt, then announce the output ports by selecting each one on the
+//      OutputSink the engine passes to output(),
+//   5. optionally build all programs of a run contiguously in the engine's
+//      ProgramArena (ProgramFactory::create_all),
+//   6. run through run_synchronous + validated_edge_set and verify with the
 //      analysis toolbox.
 //
 // The example then compares it against the paper's algorithms: the naive
@@ -65,8 +68,8 @@ class NaivePortMatcher final : public eds::runtime::NodeProgram {
   }
 
   [[nodiscard]] bool halted() const override { return halted_; }
-  [[nodiscard]] std::vector<Port> output() const override {
-    return matched_ == 0 ? std::vector<Port>{} : std::vector<Port>{matched_};
+  void output(eds::runtime::OutputSink& out) const override {
+    if (matched_ != 0) out.select(matched_);
   }
 
  private:
@@ -83,6 +86,12 @@ class NaivePortMatcherFactory final : public eds::runtime::ProgramFactory {
   [[nodiscard]] std::unique_ptr<eds::runtime::NodeProgram> create()
       const override {
     return std::make_unique<NaivePortMatcher>(delta_);
+  }
+  // Optional: without this override the engine adopts n create() results;
+  // with it, the run's programs sit in one block of the run's arena.
+  void create_all(std::size_t n,
+                  eds::runtime::ProgramArena& arena) const override {
+    arena.emplace<NaivePortMatcher>(n, delta_);
   }
   [[nodiscard]] std::string name() const override {
     return "naive-port-matcher";

@@ -34,7 +34,9 @@ void tour_even(eds::port::Port d) {
   const auto factory = eds::algo::make_factory(eds::algo::Algorithm::kPortOne);
   const auto raw = eds::runtime::run_synchronous(inst.ported.ports(), *factory);
   std::cout << "all nodes output the same port set: "
-            << (eds::runtime::all_outputs_identical(raw) ? "yes" : "no")
+            << (eds::runtime::all_outputs_identical(inst.ported.ports(), raw)
+                    ? "yes"
+                    : "no")
             << " (the covering-map symmetry argument in action)\n\n";
 }
 

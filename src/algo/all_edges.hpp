@@ -19,10 +19,8 @@ class AllEdgesProgram final : public runtime::NodeProgram {
   void send(runtime::Round, std::span<runtime::Message>) override {}
   void receive(runtime::Round, std::span<const runtime::Message>) override {}
   [[nodiscard]] bool halted() const override { return halted_; }
-  [[nodiscard]] std::vector<port::Port> output() const override {
-    std::vector<port::Port> out;
-    for (port::Port i = 1; i <= degree_; ++i) out.push_back(i);
-    return out;
+  void output(runtime::OutputSink& out) const override {
+    for (port::Port i = 1; i <= degree_; ++i) out.select(i);
   }
 
  private:
@@ -34,6 +32,9 @@ class AllEdgesFactory final : public runtime::ProgramFactory {
  public:
   [[nodiscard]] std::unique_ptr<runtime::NodeProgram> create() const override {
     return std::make_unique<AllEdgesProgram>();
+  }
+  void create_all(std::size_t n, runtime::ProgramArena& arena) const override {
+    arena.emplace<AllEdgesProgram>(n);
   }
   [[nodiscard]] std::string name() const override { return "all-edges"; }
 };

@@ -233,11 +233,9 @@ void BoundedDegreeProgram::receive(runtime::Round round,
   }
 }
 
-std::vector<port::Port> BoundedDegreeProgram::output() const {
-  std::vector<port::Port> out;
-  if (m_port_ != 0) out.push_back(m_port_);
-  for (const port::Port p : engine_.p_ports()) out.push_back(p);
-  return out;
+void BoundedDegreeProgram::output(runtime::OutputSink& out) const {
+  if (m_port_ != 0) out.select(m_port_);
+  for (const port::Port p : engine_.p_ports()) out.select(p);
 }
 
 }  // namespace eds::algo

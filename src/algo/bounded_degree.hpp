@@ -62,7 +62,7 @@ class BoundedDegreeProgram final : public runtime::NodeProgram {
   void receive(runtime::Round round,
                std::span<const runtime::Message> in) override;
   [[nodiscard]] bool halted() const override { return halted_; }
-  [[nodiscard]] std::vector<port::Port> output() const override;
+  void output(runtime::OutputSink& out) const override;
 
   /// The normalised (odd) parameter ∆' = 2k+1.
   [[nodiscard]] static port::Port normalised_delta(port::Port max_degree) {
@@ -125,6 +125,9 @@ class BoundedDegreeFactory final : public runtime::ProgramFactory {
       : max_degree_(max_degree), sink_(std::move(sink)) {}
   [[nodiscard]] std::unique_ptr<runtime::NodeProgram> create() const override {
     return std::make_unique<BoundedDegreeProgram>(max_degree_, sink_);
+  }
+  void create_all(std::size_t n, runtime::ProgramArena& arena) const override {
+    arena.emplace<BoundedDegreeProgram>(n, max_degree_, sink_);
   }
   [[nodiscard]] std::string name() const override {
     return "bounded-degree(delta=" + std::to_string(max_degree_) + ")";

@@ -101,8 +101,8 @@ void DoubleCoverProgram::receive(runtime::Round round,
   if (round >= schedule_length(max_degree_)) halted_ = true;
 }
 
-std::vector<port::Port> DoubleCoverProgram::output() const {
-  return {engine_.p_ports().begin(), engine_.p_ports().end()};
+void DoubleCoverProgram::output(runtime::OutputSink& out) const {
+  for (const port::Port p : engine_.p_ports()) out.select(p);
 }
 
 }  // namespace eds::algo

@@ -74,7 +74,7 @@ class DoubleCoverProgram final : public runtime::NodeProgram {
   void receive(runtime::Round round,
                std::span<const runtime::Message> in) override;
   [[nodiscard]] bool halted() const override { return halted_; }
-  [[nodiscard]] std::vector<port::Port> output() const override;
+  void output(runtime::OutputSink& out) const override;
 
   [[nodiscard]] static runtime::Round schedule_length(port::Port max_degree) {
     return 2 * DoubleCoverEngine::slots_for(max_degree);
@@ -92,6 +92,9 @@ class DoubleCoverFactory final : public runtime::ProgramFactory {
       : max_degree_(max_degree) {}
   [[nodiscard]] std::unique_ptr<runtime::NodeProgram> create() const override {
     return std::make_unique<DoubleCoverProgram>(max_degree_);
+  }
+  void create_all(std::size_t n, runtime::ProgramArena& arena) const override {
+    arena.emplace<DoubleCoverProgram>(n, max_degree_);
   }
   [[nodiscard]] std::string name() const override {
     return "double-cover-2-matching(max_deg=" + std::to_string(max_degree_) +

@@ -143,10 +143,6 @@ PreparedBatch prepare_batch(const std::vector<BatchItem>& items,
   PreparedBatch batch;
   batch.factories.reserve(items.size());
   batch.jobs.reserve(items.size());
-  // Sweeps with --repeat enqueue the same instance many times; the memo
-  // pays the O(ports) structural-hash walk once per distinct graph, not
-  // once per job.
-  runtime::StructuralHashMemo hash_memo;
   for (const auto& item : items) {
     if (item.graph == nullptr) {
       throw InvalidArgument("run_batch: item requires a graph");
@@ -158,7 +154,7 @@ PreparedBatch prepare_batch(const std::vector<BatchItem>& items,
     runtime::JobSpec spec;
     spec.algorithm = algorithm_token(item.algorithm);
     spec.param = param;
-    spec.group = hash_memo.get(item.graph->ports());
+    spec.group = runtime::structural_hash(item.graph->ports());
     batch.jobs.push_back({&item.graph->ports(), batch.factories.back().get(),
                           options, std::move(spec)});
   }

@@ -147,8 +147,8 @@ void OddRegularProgram::receive(runtime::Round round,
   if (round >= schedule_length(d_)) halted_ = true;
 }
 
-std::vector<port::Port> OddRegularProgram::output() const {
-  return {d_ports_.begin(), d_ports_.end()};
+void OddRegularProgram::output(runtime::OutputSink& out) const {
+  for (const port::Port p : d_ports_) out.select(p);
 }
 
 }  // namespace eds::algo

@@ -54,7 +54,7 @@ class OddRegularProgram final : public runtime::NodeProgram {
   void receive(runtime::Round round,
                std::span<const runtime::Message> in) override;
   [[nodiscard]] bool halted() const override { return halted_; }
-  [[nodiscard]] std::vector<port::Port> output() const override;
+  void output(runtime::OutputSink& out) const override;
 
   /// Total rounds the schedule takes for parameter d.
   [[nodiscard]] static runtime::Round schedule_length(port::Port d) {
@@ -86,6 +86,9 @@ class OddRegularFactory final : public runtime::ProgramFactory {
       : d_(d), order_(order) {}
   [[nodiscard]] std::unique_ptr<runtime::NodeProgram> create() const override {
     return std::make_unique<OddRegularProgram>(d_, order_);
+  }
+  void create_all(std::size_t n, runtime::ProgramArena& arena) const override {
+    arena.emplace<OddRegularProgram>(n, d_, order_);
   }
   [[nodiscard]] std::string name() const override {
     return "odd-regular(d=" + std::to_string(d_) + ")";

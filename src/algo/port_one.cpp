@@ -4,6 +4,7 @@ namespace eds::algo {
 
 void PortOneProgram::start(port::Port degree) {
   degree_ = degree;
+  output_.reserve(degree_);  // the one allocation: at most every port
   if (degree_ == 0) halted_ = true;  // isolated node: empty output
 }
 

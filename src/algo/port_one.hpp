@@ -8,6 +8,9 @@
 // every edge; |D| <= |V| = 2|E|/d and |E| <= (2d−1)|D*| give the ratio.
 #pragma once
 
+#include <memory_resource>
+#include <vector>
+
 #include "algo/common.hpp"
 #include "runtime/program.hpp"
 
@@ -15,25 +18,33 @@ namespace eds::algo {
 
 class PortOneProgram final : public runtime::NodeProgram {
  public:
+  PortOneProgram() = default;
+  /// Keeps the output list in `memory` (a ProgramArena's resource).
+  explicit PortOneProgram(std::pmr::memory_resource* memory)
+      : output_(memory) {}
+
   void start(port::Port degree) override;
   void send(runtime::Round round, std::span<runtime::Message> out) override;
   void receive(runtime::Round round,
                std::span<const runtime::Message> in) override;
   [[nodiscard]] bool halted() const override { return halted_; }
-  [[nodiscard]] std::vector<port::Port> output() const override {
-    return output_;
+  void output(runtime::OutputSink& out) const override {
+    for (const port::Port i : output_) out.select(i);
   }
 
  private:
   port::Port degree_ = 0;
   bool halted_ = false;
-  std::vector<port::Port> output_;
+  std::pmr::vector<port::Port> output_;
 };
 
 class PortOneFactory final : public runtime::ProgramFactory {
  public:
   [[nodiscard]] std::unique_ptr<runtime::NodeProgram> create() const override {
     return std::make_unique<PortOneProgram>();
+  }
+  void create_all(std::size_t n, runtime::ProgramArena& arena) const override {
+    arena.emplace<PortOneProgram>(n, arena.resource());
   }
   [[nodiscard]] std::string name() const override { return "port-one"; }
 };

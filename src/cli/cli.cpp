@@ -408,7 +408,9 @@ int cmd_run_portgraph(const Args& args, std::istream& in, std::ostream& out,
         << "  selected edges: " << selected << '\n';
     for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
       out << v << ':';
-      for (const auto p : result.outputs[v]) out << ' ' << p;
+      for (const auto p : runtime::selected_ports(g, result, v)) {
+        out << ' ' << p;
+      }
       out << '\n';
     }
     return 0;
@@ -497,7 +499,9 @@ int cmd_sweep_replay(const Args& args, std::ostream& out, std::ostream& err) {
   out << "outputs:\n";
   for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
     out << v << ':';
-    for (const auto p : result.run.outputs[v]) out << ' ' << p;
+    for (const auto p : runtime::selected_ports(g, result.run, v)) {
+      out << ' ' << p;
+    }
     out << '\n';
   }
   if (drift) {
@@ -976,9 +980,6 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
         runtime::JobSpec spec;
         spec.algorithm = algo::algorithm_token(algorithm);
         spec.param = resolved_param;
-        // One O(ports) hash walk per instance, shared by all --repeat
-        // jobs below (the simple-graph families get the same guarantee
-        // from prepare_batch's StructuralHashMemo).
         spec.group = runtime::structural_hash(g);
         for (std::size_t r = 0; r < repeat; ++r) {
           runtime::RunOptions job_options = options;

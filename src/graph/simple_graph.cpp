@@ -1,60 +1,82 @@
 #include "graph/simple_graph.hpp"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 #include <utility>
 
 namespace eds::graph {
 
-SimpleGraph::SimpleGraph(std::size_t n) : adjacency_(n) {}
+SimpleGraph::SimpleGraph(std::size_t n) : first_(n + 1, 0) {}
 
 SimpleGraph SimpleGraph::from_edges(std::size_t n, std::vector<Edge> edges) {
-  SimpleGraph g(n);
-  std::set<std::pair<NodeId, NodeId>> seen;
-  g.edges_.reserve(edges.size());
-  for (auto e : edges) {
-    if (e.u >= n || e.v >= n) {
-      throw InvalidStructure("SimpleGraph: edge endpoint out of range");
-    }
-    if (e.u == e.v) {
-      throw InvalidStructure("SimpleGraph: loops are not allowed");
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    Edge& e = edges[k];
+    const bool out_of_range = e.u >= n || e.v >= n;
+    if (out_of_range || e.u == e.v) {
+      // Errors are reported for the first offending edge in input order: a
+      // parallel pair among the earlier edges wins over this one.
+      edges.resize(k);
+      static_cast<void>(from_edges(n, std::move(edges)));
+      throw InvalidStructure(out_of_range
+                                 ? "SimpleGraph: edge endpoint out of range"
+                                 : "SimpleGraph: loops are not allowed");
     }
     if (e.u > e.v) std::swap(e.u, e.v);
-    if (!seen.emplace(e.u, e.v).second) {
+  }
+
+  SimpleGraph g(n);
+  for (const auto& e : edges) {
+    ++g.first_[e.u + 1];
+    ++g.first_[e.v + 1];
+  }
+  for (std::size_t v = 0; v < n; ++v) g.first_[v + 1] += g.first_[v];
+  g.adjacency_.resize(2 * edges.size());
+  std::vector<std::size_t> fill(g.first_.begin(), g.first_.end() - 1);
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    const auto id = static_cast<EdgeId>(k);
+    g.adjacency_[fill[edges[k].u]++] = {edges[k].v, id};
+    g.adjacency_[fill[edges[k].v]++] = {edges[k].u, id};
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto begin = g.adjacency_.begin() +
+                       static_cast<std::ptrdiff_t>(g.first_[v]);
+    const auto end = g.adjacency_.begin() +
+                     static_cast<std::ptrdiff_t>(g.first_[v + 1]);
+    std::sort(begin, end, [](const Incidence& a, const Incidence& b) {
+      return std::pair(a.neighbour, a.edge) < std::pair(b.neighbour, b.edge);
+    });
+    // Sorted by neighbour, so parallel edges sit next to each other.
+    if (std::adjacent_find(begin, end,
+                           [](const Incidence& a, const Incidence& b) {
+                             return a.neighbour == b.neighbour;
+                           }) != end) {
       throw InvalidStructure("SimpleGraph: parallel edges are not allowed");
     }
-    const auto id = static_cast<EdgeId>(g.edges_.size());
-    g.edges_.push_back(e);
-    g.adjacency_[e.u].push_back({e.v, id});
-    g.adjacency_[e.v].push_back({e.u, id});
   }
-  for (auto& inc : g.adjacency_) {
-    std::sort(inc.begin(), inc.end(),
-              [](const Incidence& a, const Incidence& b) {
-                return std::pair(a.neighbour, a.edge) <
-                       std::pair(b.neighbour, b.edge);
-              });
-  }
+  g.edges_ = std::move(edges);
   return g;
 }
 
 std::size_t SimpleGraph::max_degree() const noexcept {
   std::size_t best = 0;
-  for (const auto& inc : adjacency_) best = std::max(best, inc.size());
+  for (std::size_t v = 0; v < num_nodes(); ++v) {
+    best = std::max(best, first_[v + 1] - first_[v]);
+  }
   return best;
 }
 
 std::size_t SimpleGraph::min_degree() const noexcept {
-  if (adjacency_.empty()) return 0;
-  std::size_t best = adjacency_.front().size();
-  for (const auto& inc : adjacency_) best = std::min(best, inc.size());
+  if (num_nodes() == 0) return 0;
+  std::size_t best = first_[1];
+  for (std::size_t v = 0; v < num_nodes(); ++v) {
+    best = std::min(best, first_[v + 1] - first_[v]);
+  }
   return best;
 }
 
 bool SimpleGraph::is_regular(std::size_t d) const noexcept {
-  for (const auto& inc : adjacency_) {
-    if (inc.size() != d) return false;
+  for (std::size_t v = 0; v < num_nodes(); ++v) {
+    if (first_[v + 1] - first_[v] != d) return false;
   }
   return true;
 }
@@ -66,7 +88,7 @@ std::optional<EdgeId> SimpleGraph::find_edge(NodeId u, NodeId v) const {
   // Search the smaller adjacency list.
   const NodeId probe = degree(u) <= degree(v) ? u : v;
   const NodeId target = probe == u ? v : u;
-  for (const auto& inc : adjacency_[probe]) {
+  for (const auto& inc : incidences(probe)) {
     if (inc.neighbour == target) return inc.edge;
   }
   return std::nullopt;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,8 @@ struct Incidence {
 };
 
 /// An immutable simple undirected graph (no loops, no parallel edges).
+/// Adjacency is stored as CSR: one flat incidence array, node v's list at
+/// [first_[v], first_[v + 1]).
 class SimpleGraph {
  public:
   /// Empty graph with `n` isolated nodes.
@@ -61,19 +64,24 @@ class SimpleGraph {
   [[nodiscard]] static SimpleGraph from_edges(std::size_t n,
                                               std::vector<Edge> edges);
 
-  [[nodiscard]] std::size_t num_nodes() const noexcept { return adjacency_.size(); }
+  [[nodiscard]] std::size_t num_nodes() const noexcept {
+    return first_.empty() ? 0 : first_.size() - 1;
+  }
   [[nodiscard]] std::size_t num_edges() const noexcept { return edges_.size(); }
 
   [[nodiscard]] const Edge& edge(EdgeId e) const { return edges_.at(e); }
   [[nodiscard]] std::span<const Edge> edges() const noexcept { return edges_; }
 
-  /// Adjacency list of `v`, ordered by (neighbour, edge id).
+  /// Adjacency list of `v`, ordered by (neighbour, edge id).  Throws
+  /// std::out_of_range for a node out of range.
   [[nodiscard]] std::span<const Incidence> incidences(NodeId v) const {
-    return adjacency_.at(v);
+    check_node(v);
+    return {adjacency_.data() + first_[v], first_[v + 1] - first_[v]};
   }
 
   [[nodiscard]] std::size_t degree(NodeId v) const {
-    return adjacency_.at(v).size();
+    check_node(v);
+    return first_[v + 1] - first_[v];
   }
 
   /// Largest node degree; 0 for an edgeless graph.
@@ -97,8 +105,15 @@ class SimpleGraph {
   [[nodiscard]] std::string summary() const;
 
  private:
+  void check_node(NodeId v) const {
+    if (v >= num_nodes()) {
+      throw std::out_of_range("SimpleGraph: node out of range");
+    }
+  }
+
   std::vector<Edge> edges_;
-  std::vector<std::vector<Incidence>> adjacency_;
+  std::vector<std::size_t> first_;    // CSR offsets, num_nodes() + 1 entries
+  std::vector<Incidence> adjacency_;  // 2 * num_edges() incidences
 };
 
 /// Convenience helper for building edge lists incrementally with validation

@@ -55,9 +55,8 @@ class ForestMatchingProgram final : public runtime::NodeProgram {
   void receive(Round round, std::span<const Message> in) override;
 
   [[nodiscard]] bool halted() const override { return halted_; }
-  [[nodiscard]] std::vector<Port> output() const override {
-    return matched_port_ == 0 ? std::vector<Port>{}
-                              : std::vector<Port>{matched_port_};
+  void output(runtime::OutputSink& out) const override {
+    if (matched_port_ != 0) out.select(matched_port_);
   }
 
  private:

@@ -5,7 +5,38 @@
 #include <sstream>
 #include <utility>
 
+#include "util/rng.hpp"
+
 namespace eds::port {
+
+PortGraph::PortGraph(PortGraph&& other) noexcept {
+  *this = std::move(other);
+}
+
+PortGraph& PortGraph::operator=(PortGraph&& other) noexcept {
+  // The source is left a valid empty graph, hash included.
+  degrees_ = std::exchange(other.degrees_, {});
+  offsets_ = std::exchange(other.offsets_, {});
+  partner_ = std::exchange(other.partner_, {});
+  hash_ = std::exchange(other.hash_, hash_structure({}, {}));
+  return *this;
+}
+
+std::uint64_t PortGraph::hash_structure(std::span<const Port> degrees,
+                                        std::span<const PortRef> partner) {
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  auto mix = [&state](std::uint64_t value) {
+    state ^= value + 0x9e3779b97f4a7c15ULL + (state << 6) + (state >> 2);
+    std::uint64_t sm = state;
+    state = splitmix64(sm);
+  };
+  mix(degrees.size());
+  for (const auto deg : degrees) mix(deg);
+  for (const auto& dst : partner) {
+    mix((static_cast<std::uint64_t>(dst.node) << 32) | dst.port);
+  }
+  return state;
+}
 
 std::vector<PortEdge> PortGraph::port_edges() const {
   std::vector<PortEdge> out;
@@ -113,6 +144,10 @@ PortGraphBuilder& PortGraphBuilder::fix(PortRef a) {
 }
 
 PortGraph PortGraphBuilder::build() {
+  if (built_) {
+    throw InvalidArgument(
+        "PortGraphBuilder::build: the graph was already built");
+  }
   for (std::size_t idx = 0; idx < assigned_.size(); ++idx) {
     if (!assigned_[idx]) {
       std::ostringstream os;
@@ -121,9 +156,10 @@ PortGraph PortGraphBuilder::build() {
       throw InvalidStructure(os.str());
     }
   }
-  PortGraph out = g_;
-  out.validate();
-  return out;
+  g_.validate();
+  g_.hash_ = PortGraph::hash_structure(g_.degrees_, g_.partner_);
+  built_ = true;
+  return std::move(g_);
 }
 
 }  // namespace eds::port

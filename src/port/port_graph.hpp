@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,9 +45,17 @@ struct PortEdge {
 };
 
 /// An immutable port-numbered (multi)graph: degrees plus the involution p.
+///
+/// The structural hash (see structural_hash()) is computed once, when
+/// PortGraphBuilder::build() produces the graph, and travels with it through
+/// copies and moves; a moved-from graph is left empty, hash included.
 class PortGraph {
  public:
   PortGraph() = default;
+  PortGraph(const PortGraph&) = default;
+  PortGraph& operator=(const PortGraph&) = default;
+  PortGraph(PortGraph&& other) noexcept;
+  PortGraph& operator=(PortGraph&& other) noexcept;
 
   [[nodiscard]] std::size_t num_nodes() const noexcept {
     return degrees_.size();
@@ -81,9 +90,22 @@ class PortGraph {
   }
 
   /// The involution as a flat array indexed by flat port index (ports of
-  /// node v start at offset Σ_{u<v} d(u)); companion of degree_sequence().
+  /// node v start at offset(v)); companion of degree_sequence().
   [[nodiscard]] const std::vector<PortRef>& partner_table() const noexcept {
     return partner_;
+  }
+
+  /// Flat index of port (v, 1), i.e. Σ_{u<v} d(u); port (v, i) has flat
+  /// index offset(v) + i - 1.  Unchecked: v must be a node.
+  [[nodiscard]] std::size_t offset(NodeId v) const noexcept {
+    return offsets_[v];
+  }
+
+  /// A 64-bit hash of the structure (node count, degree sequence, flat
+  /// involution), computed once at build().  Equal structures hash equal;
+  /// collisions are possible, so a cache must still compare the tables.
+  [[nodiscard]] std::uint64_t structural_hash() const noexcept {
+    return hash_;
   }
 
   /// All structural edges: one entry per unordered port pair {(v,i),(u,j)}
@@ -111,9 +133,15 @@ class PortGraph {
     return offsets_[v] + (i - 1);
   }
 
+  /// The hash walk: splitmix64 mixing over the node count, the degree
+  /// sequence, then the involution as (node << 32 | port) per flat port.
+  [[nodiscard]] static std::uint64_t hash_structure(
+      std::span<const Port> degrees, std::span<const PortRef> partner);
+
   std::vector<Port> degrees_;
   std::vector<std::size_t> offsets_;  // prefix sums of degrees
   std::vector<PortRef> partner_;      // involution, indexed by flat port index
+  std::uint64_t hash_ = hash_structure({}, {});
 };
 
 /// Incremental construction of a PortGraph.  Every port must be assigned
@@ -131,7 +159,9 @@ class PortGraphBuilder {
   /// Declares the fixed point p(a) = a (a directed loop).
   PortGraphBuilder& fix(PortRef a);
 
-  /// Validates that every port was assigned and returns the graph.
+  /// Validates that every port was assigned, hashes the structure and moves
+  /// the graph out; the builder is spent afterwards (a second build()
+  /// throws InvalidArgument).
   [[nodiscard]] PortGraph build();
 
  private:
@@ -139,6 +169,7 @@ class PortGraphBuilder {
 
   PortGraph g_;
   std::vector<bool> assigned_;
+  bool built_ = false;
 };
 
 }  // namespace eds::port

@@ -1,6 +1,5 @@
 #include "port/ported_graph.hpp"
 
-#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -8,55 +7,64 @@ namespace eds::port {
 
 PortedGraph::PortedGraph(
     SimpleGraph graph, const std::vector<std::vector<EdgeId>>& order_per_node)
-    : graph_(std::move(graph)), edge_at_port_(order_per_node) {
+    : graph_(std::move(graph)) {
   const std::size_t n = graph_.num_nodes();
+  const std::size_t m = graph_.num_edges();
   if (order_per_node.size() != n) {
     throw InvalidArgument("PortedGraph: order_per_node size mismatch");
   }
-  // Validate each node's list is a permutation of its incident edge ids.
+  // Validate that each node's list is a permutation of its incident edge
+  // ids (right length, every entry a distinct incident edge), recording the
+  // port each edge takes at its u and v ends on the way.
+  std::vector<Port> port_at_u(m, 0);
+  std::vector<Port> port_at_v(m, 0);
+  std::vector<Port> degrees(n);
+  edge_at_port_.reserve(2 * m);
   for (NodeId v = 0; v < n; ++v) {
-    std::vector<EdgeId> expected;
-    expected.reserve(graph_.degree(v));
-    for (const auto& inc : graph_.incidences(v)) expected.push_back(inc.edge);
-    std::vector<EdgeId> got = order_per_node[v];
-    std::sort(expected.begin(), expected.end());
-    std::sort(got.begin(), got.end());
-    if (expected != got) {
+    const auto& order = order_per_node[v];
+    bool ok = order.size() == graph_.degree(v);
+    for (std::size_t k = 0; ok && k < order.size(); ++k) {
+      const EdgeId e = order[k];
+      Port* slot = nullptr;
+      if (e < m && graph_.edge(e).u == v) slot = &port_at_u[e];
+      if (e < m && graph_.edge(e).v == v) slot = &port_at_v[e];
+      ok = slot != nullptr && *slot == 0;
+      if (ok) *slot = static_cast<Port>(k + 1);
+    }
+    if (!ok) {
       std::ostringstream os;
       os << "PortedGraph: port order of node " << v
          << " is not a permutation of its incident edges";
       throw InvalidStructure(os.str());
     }
+    degrees[v] = static_cast<Port>(order.size());
+    edge_at_port_.insert(edge_at_port_.end(), order.begin(), order.end());
   }
 
-  std::vector<Port> degrees(n);
-  for (NodeId v = 0; v < n; ++v) {
-    degrees[v] = static_cast<Port>(graph_.degree(v));
-  }
   PortGraphBuilder builder(std::move(degrees));
   // Connect port i of v to the port of the other endpoint carrying the same
   // edge.  Iterate over edges so each connection is made exactly once.
-  for (EdgeId e = 0; e < graph_.num_edges(); ++e) {
+  for (EdgeId e = 0; e < m; ++e) {
     const auto& edge = graph_.edge(e);
-    builder.connect({edge.u, port_of(edge.u, e)}, {edge.v, port_of(edge.v, e)});
+    builder.connect({edge.u, port_at_u[e]}, {edge.v, port_at_v[e]});
   }
   ports_ = builder.build();
 }
 
 EdgeId PortedGraph::edge_at(NodeId v, Port i) const {
-  if (v >= edge_at_port_.size() || i < 1 || i > edge_at_port_[v].size()) {
+  if (v >= ports_.num_nodes() || i < 1 || i > ports_.degree(v)) {
     throw InvalidArgument("PortedGraph::edge_at: port out of range");
   }
-  return edge_at_port_[v][i - 1];
+  return edge_at_port_[ports_.offset(v) + i - 1];
 }
 
 Port PortedGraph::port_of(NodeId v, EdgeId e) const {
-  if (v >= edge_at_port_.size()) {
+  if (v >= ports_.num_nodes()) {
     throw InvalidArgument("PortedGraph::port_of: node out of range");
   }
-  const auto& order = edge_at_port_[v];
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    if (order[k] == e) return static_cast<Port>(k + 1);
+  const auto* first = edge_at_port_.data() + ports_.offset(v);
+  for (Port k = 0; k < ports_.degree(v); ++k) {
+    if (first[k] == e) return k + 1;
   }
   throw InvalidArgument("PortedGraph::port_of: node is not an endpoint");
 }

@@ -33,6 +33,11 @@ class PortedGraph {
   /// The edge connected to port i of node v.
   [[nodiscard]] EdgeId edge_at(NodeId v, Port i) const;
 
+  /// The edge connected to flat port q (see PortGraph::offset); unchecked.
+  [[nodiscard]] EdgeId edge_at_flat(std::size_t q) const noexcept {
+    return edge_at_port_[q];
+  }
+
   /// The port of node v on edge e; throws if v is not an endpoint of e.
   [[nodiscard]] Port port_of(NodeId v, EdgeId e) const;
 
@@ -42,7 +47,7 @@ class PortedGraph {
  private:
   SimpleGraph graph_;
   PortGraph ports_;
-  std::vector<std::vector<EdgeId>> edge_at_port_;  // [v][i-1] -> edge id
+  std::vector<EdgeId> edge_at_port_;  // flat port index -> edge id
 };
 
 /// Ports assigned in adjacency-list order (deterministic).

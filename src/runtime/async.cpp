@@ -363,6 +363,13 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
                              std::vector<std::unique_ptr<NodeProgram>>& programs,
                              const RunOptions& options,
                              const std::string& name) const {
+  return run(plan, borrow_programs(programs), options, name);
+}
+
+AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
+                             std::span<NodeProgram* const> programs,
+                             const RunOptions& options,
+                             const std::string& name) const {
   const std::size_t n = plan.num_nodes();
   if (options.max_rounds == 0) {
     throw InvalidArgument(
@@ -746,23 +753,12 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
     }
   }
 
-  result.outputs.resize(n);
+  result.selected.assign(total_ports, 0);
   for (std::size_t v = 0; v < n; ++v) {
     if (st[v].halt_round == kNoHalt) continue;  // crashed: empty output
-    auto ports = programs[v]->output();
-    std::sort(ports.begin(), ports.end());
-    const Port deg = plan.degree(v);
-    for (const Port p : ports) {
-      if (p < 1 || p > deg) {
-        throw ExecutionError(
-            "run_asynchronous: node output contains an invalid port number");
-      }
-    }
-    if (std::adjacent_find(ports.begin(), ports.end()) != ports.end()) {
-      throw ExecutionError(
-          "run_asynchronous: node output contains a duplicate port");
-    }
-    result.outputs[v] = std::move(ports);
+    OutputSink sink({result.selected.data() + plan.offset(v), plan.degree(v)},
+                    "run_asynchronous");
+    programs[v]->output(sink);
   }
   return out;
 }
@@ -789,14 +785,9 @@ AsyncResult run_asynchronous(const port::PortGraph& g,
                              const ProgramFactory& factory,
                              const RunOptions& options,
                              const AsyncOptions& async) {
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  programs.reserve(g.num_nodes());
-  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
-    programs.push_back(factory.create());
-    if (!programs.back()) {
-      throw ExecutionError("run_asynchronous: factory returned null program");
-    }
-  }
+  ProgramArena arena(g.num_nodes());
+  const auto programs =
+      create_programs(factory, g.num_nodes(), arena, "run_asynchronous");
   std::shared_ptr<const ExecutionPlan> shared;
   std::optional<ExecutionPlan> local;
   const ExecutionPlan& plan =

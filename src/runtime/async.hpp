@@ -96,8 +96,9 @@ struct AsyncStats {
 /// Outcome of an asynchronous run.  `run` carries exactly what the
 /// synchronous engine would produce (and is what the dispatching
 /// run_synchronous returns); the remaining fields are the async-only
-/// observables.  Crashed nodes never halt, so their `run.outputs` entry is
-/// empty and `crashed[v]` distinguishes "crashed" from "selected nothing".
+/// observables.  Crashed nodes never halt, so their segment of
+/// `run.selected` is all zeros and `crashed[v]` distinguishes "crashed"
+/// from "selected nothing".
 struct AsyncResult {
   RunResult run;
   AsyncStats async;
@@ -123,6 +124,12 @@ class AsyncPolicy {
   /// node, zero max_rounds, a tick-valued input above kMaxTicks) and
   /// ExecutionError when a node exceeds RunOptions::max_rounds, mirroring
   /// the synchronous engine's contract.
+  [[nodiscard]] AsyncResult run(const ExecutionPlan& plan,
+                                std::span<NodeProgram* const> programs,
+                                const RunOptions& options,
+                                const std::string& name) const;
+
+  /// run() over caller-owned heap programs.
   [[nodiscard]] AsyncResult run(
       const ExecutionPlan& plan,
       std::vector<std::unique_ptr<NodeProgram>>& programs,

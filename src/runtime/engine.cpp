@@ -8,8 +8,19 @@
 
 namespace eds::runtime {
 
-ExecutionPlan::ExecutionPlan(const port::PortGraph& g)
-    : degrees_(g.degree_sequence()), partner_ref_(g.partner_table()) {
+void check_plan_ports(std::uint64_t total_ports) {
+  if (total_ports > kMaxPlanPorts) {
+    throw InvalidArgument(
+        "ExecutionPlan: the graph has " + std::to_string(total_ports) +
+        " ports; flat port indices are 32-bit, so at most " +
+        std::to_string(kMaxPlanPorts) + " are supported");
+  }
+}
+
+ExecutionPlan::ExecutionPlan(const port::PortGraph& g) {
+  check_plan_ports(g.num_ports());
+  degrees_ = g.degree_sequence();
+  partner_ref_ = g.partner_table();
   constructed_.fetch_add(1, std::memory_order_relaxed);
   const std::size_t n = degrees_.size();
   offsets_.resize(n);
@@ -280,6 +291,13 @@ void engine_stage_stats_reset() noexcept {
 
 RunResult run_plan(const ExecutionPlan& plan,
                    std::vector<std::unique_ptr<NodeProgram>>& programs,
+                   const RunOptions& options, const std::string& name,
+                   ExecutionPolicy& policy) {
+  return run_plan(plan, borrow_programs(programs), options, name, policy);
+}
+
+RunResult run_plan(const ExecutionPlan& plan,
+                   std::span<NodeProgram* const> programs,
                    const RunOptions& options, const std::string& name,
                    ExecutionPolicy& policy) {
   if (options.max_rounds == 0) {
@@ -564,9 +582,15 @@ RunResult run_plan(const ExecutionPlan& plan,
     // the send target at round r + 1, so either copy would ghost into a
     // later round's gathers once the node stops overwriting it.  After
     // this, a halted node's partners read silence from it forever.
+    // When every active node halted, nothing reads either buffer again
+    // (the next run resets the workspace), so the fills are skipped.
     ProfileClock::time_point merge_start;
     if (profile) merge_start = ProfileClock::now();
-    bool any_halted = false;
+    std::size_t halting = 0;
+    for (std::size_t s = 0; s < shards; ++s) {
+      halting += scratch[s].newly_halted.size();
+    }
+    const bool all_halted = halting == active.size();
     for (std::size_t s = 0; s < shards; ++s) {
       const ShardScratch& sc = scratch[s];
       stats.ports_served += sc.ports_served;
@@ -577,8 +601,8 @@ RunResult run_plan(const ExecutionPlan& plan,
       receive_ns += sc.receive_ns;
       exchange_ns += sc.exchange_ns;
       scatter_ns += sc.scatter_ns;
+      if (all_halted) continue;
       for (const std::size_t v : sc.newly_halted) {
-        any_halted = true;
         const Port deg = plan.degree(v);
         const std::size_t off = plan.offset(v);
         for (OutboxBuffer* buf : {cur, nxt}) {
@@ -587,7 +611,9 @@ RunResult run_plan(const ExecutionPlan& plan,
         }
       }
     }
-    if (any_halted) {
+    if (all_halted) {
+      active.clear();
+    } else if (halting != 0) {
       std::erase_if(active, [&](std::size_t v) { return halted[v] != 0; });
     }
 
@@ -619,22 +645,11 @@ RunResult run_plan(const ExecutionPlan& plan,
   }
 
   stats.rounds = round;
-  result.outputs.resize(n);
+  result.selected.assign(total_ports, 0);
   for (std::size_t v = 0; v < n; ++v) {
-    auto ports = programs[v]->output();
-    std::sort(ports.begin(), ports.end());
-    const Port deg = plan.degree(v);
-    for (const Port p : ports) {
-      if (p < 1 || p > deg) {
-        throw ExecutionError(
-            "run_synchronous: node output contains an invalid port number");
-      }
-    }
-    if (std::adjacent_find(ports.begin(), ports.end()) != ports.end()) {
-      throw ExecutionError(
-          "run_synchronous: node output contains a duplicate port");
-    }
-    result.outputs[v] = std::move(ports);
+    OutputSink sink({result.selected.data() + plan.offset(v), plan.degree(v)},
+                    "run_synchronous");
+    programs[v]->output(sink);
   }
   return result;
 }

@@ -55,11 +55,21 @@
 
 namespace eds::runtime {
 
+/// Largest port count an ExecutionPlan can index: flat partner indices are
+/// stored as uint32.
+inline constexpr std::uint64_t kMaxPlanPorts = 0xFFFFFFFFULL;
+
+/// Throws InvalidArgument when a graph of `total_ports` ports is too large
+/// for an ExecutionPlan (more than kMaxPlanPorts), so flat indices can never
+/// wrap.  ExecutionPlan's constructor calls it before allocating anything.
+void check_plan_ports(std::uint64_t total_ports);
+
 /// Immutable, flat-array view of a PortGraph, precomputed once per run (or
 /// shared across many runs on the same graph).  All accessors are unchecked
-/// hot-path lookups; the constructor performs no validation of its own and
-/// relies on the PortGraph invariants (PortGraphBuilder::build and
-/// read_port_graph both verify the involution before a graph exists).
+/// hot-path lookups; apart from the port-count bound (check_plan_ports) the
+/// constructor performs no validation of its own and relies on the
+/// PortGraph invariants (PortGraphBuilder::build and read_port_graph both
+/// verify the involution before a graph exists).
 class ExecutionPlan {
  public:
   explicit ExecutionPlan(const port::PortGraph& g);
@@ -81,7 +91,7 @@ class ExecutionPlan {
   /// Flat index of the involution partner of flat port q (unchecked).
   /// Stored as uint32 — the table is swept once per round by the receive
   /// gather, so halving its bytes is a straight hot-loop bandwidth win
-  /// (total_ports above 2^32 is far beyond this simulator's reach).
+  /// (check_plan_ports rejects graphs whose indices would not fit).
   [[nodiscard]] std::size_t partner_flat(std::size_t q) const noexcept {
     return partner_flat_[q];
   }
@@ -96,11 +106,11 @@ class ExecutionPlan {
   /// candidates, matches() proves the identification.
   [[nodiscard]] bool matches(const port::PortGraph& g) const;
 
-  /// Approximate heap footprint of the flat arrays, for cache accounting.
+  /// Heap footprint of the flat arrays, for cache accounting.
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return degrees_.capacity() * sizeof(Port) +
            offsets_.capacity() * sizeof(std::size_t) +
-           partner_flat_.capacity() * sizeof(std::size_t) +
+           partner_flat_.capacity() * sizeof(std::uint32_t) +
            partner_ref_.capacity() * sizeof(port::PortRef);
   }
 
@@ -173,8 +183,10 @@ class ParallelPolicy final : public ExecutionPolicy {
 
 /// Drives `programs` (one per node, already constructed, not yet started)
 /// over the plan's graph until every node halts, scheduling stages with
-/// `policy`.  This is the engine core under run_synchronous; call it
+/// `policy`, then collects every node's output into the result's flat
+/// selection mask.  This is the engine core under run_synchronous; call it
 /// directly to reuse a plan or a policy (and its thread pool) across runs.
+/// The programs stay owned by the caller (e.g. a ProgramArena).
 ///
 /// Message transport is pooled: both outbox buffers (message slots + tag
 /// lane each), the worklist and the per-shard scratch all live in a
@@ -184,6 +196,13 @@ class ParallelPolicy final : public ExecutionPolicy {
 /// graph seen.  The double buffer costs a second total_ports-sized slot
 /// array + tag lane of pooled bytes — the price of running each round
 /// behind a single barrier.
+[[nodiscard]] RunResult run_plan(const ExecutionPlan& plan,
+                                 std::span<NodeProgram* const> programs,
+                                 const RunOptions& options,
+                                 const std::string& name,
+                                 ExecutionPolicy& policy);
+
+/// run_plan over caller-owned heap programs.
 [[nodiscard]] RunResult run_plan(
     const ExecutionPlan& plan,
     std::vector<std::unique_ptr<NodeProgram>>& programs,

@@ -1,94 +1,123 @@
 #include "runtime/outputs.hpp"
 
-#include <algorithm>
 #include <sstream>
+#include <string>
 
 namespace eds::runtime {
 
+namespace {
+
+void check_mask(const port::PortGraph& g, const RunResult& result,
+                const char* who) {
+  if (result.selected.size() != g.num_ports()) {
+    throw ExecutionError(std::string(who) +
+                         ": selection mask does not match the graph's port "
+                         "count");
+  }
+}
+
+/// The one consistency sweep, in flat port order (node by node, port by
+/// port): calls on_edge(q) for every structural edge selected from both
+/// sides, at its lower flat port q (a directed loop at its only port), and
+/// on_one_sided(v, i, p(v, i)) for every claim whose partner port is not
+/// selected.
+template <class OnEdge, class OnOneSided>
+void sweep_selection(const port::PortGraph& g, const RunResult& result,
+                     const char* who, OnEdge&& on_edge,
+                     OnOneSided&& on_one_sided) {
+  check_mask(g, result, who);
+  const std::uint8_t* const sel = result.selected.data();
+  const auto& degrees = g.degree_sequence();
+  const auto& partner = g.partner_table();
+  for (port::NodeId v = 0; v < degrees.size(); ++v) {
+    const std::size_t off = g.offset(v);
+    for (Port i = 1; i <= degrees[v]; ++i) {
+      const std::size_t q = off + i - 1;
+      if (sel[q] == 0) continue;
+      const port::PortRef there = partner[q];
+      const std::size_t p = g.offset(there.node) + there.port - 1;
+      if (sel[p] == 0) {
+        on_one_sided(v, i, there);
+      } else if (q <= p) {
+        on_edge(q);
+      }
+    }
+  }
+}
+
+}  // namespace
+
+std::vector<Port> selected_ports(const port::PortGraph& g,
+                                 const RunResult& result, port::NodeId v) {
+  check_mask(g, result, "selected_ports");
+  if (v >= g.num_nodes()) {
+    throw InvalidArgument("selected_ports: node out of range");
+  }
+  std::vector<Port> out;
+  const std::uint8_t* const seg = result.selected.data() + g.offset(v);
+  for (Port i = 1; i <= g.degree(v); ++i) {
+    if (seg[i - 1] != 0) out.push_back(i);
+  }
+  return out;
+}
+
 graph::EdgeSet validated_edge_set(const port::PortedGraph& pg,
                                   const RunResult& result) {
-  const auto& g = pg.graph();
-  if (result.outputs.size() != g.num_nodes()) {
-    throw ExecutionError("validated_edge_set: node count mismatch");
-  }
-
-  // Membership lookup: claimed[v] is the sorted port list of v.
-  const auto& claimed = result.outputs;
-  auto claims = [&claimed](port::NodeId v, port::Port p) {
-    return std::binary_search(claimed[v].begin(), claimed[v].end(), p);
-  };
-
-  graph::EdgeSet out(g.num_edges());
-  for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (const port::Port i : claimed[v]) {
-      const auto there = pg.ports().partner(v, i);
-      if (!claims(there.node, there.port)) {
+  graph::EdgeSet out(pg.graph().num_edges());
+  sweep_selection(
+      pg.ports(), result, "validated_edge_set",
+      [&](std::size_t q) { out.insert(pg.edge_at_flat(q)); },
+      [](port::NodeId v, Port i, port::PortRef there) {
         std::ostringstream os;
         os << "validated_edge_set: inconsistent output — node " << v
            << " claims port " << i << " but node " << there.node
            << " does not claim port " << there.port;
         throw ExecutionError(os.str());
-      }
-      out.insert(pg.edge_at(v, i));
-    }
-  }
+      });
   return out;
 }
 
-bool all_outputs_identical(const RunResult& result) {
-  if (result.outputs.empty()) return true;
-  const auto& first = result.outputs.front();
-  return std::all_of(result.outputs.begin(), result.outputs.end(),
-                     [&first](const auto& x) { return x == first; });
+bool all_outputs_identical(const port::PortGraph& g,
+                           const RunResult& result) {
+  check_mask(g, result, "all_outputs_identical");
+  if (g.num_nodes() == 0) return true;
+  const auto first = selected_ports(g, result, 0);
+  for (port::NodeId v = 1; v < g.num_nodes(); ++v) {
+    if (selected_ports(g, result, v) != first) return false;
+  }
+  return true;
+}
+
+SelectionCounts count_selection(const port::PortGraph& g,
+                                const RunResult& result, const char* who) {
+  SelectionCounts counts;
+  sweep_selection(
+      g, result, who, [&](std::size_t) { ++counts.selected; },
+      [&](port::NodeId, Port, port::PortRef) { ++counts.inconsistent; });
+  return counts;
 }
 
 std::size_t validated_selection_size(const port::PortGraph& g,
                                      const RunResult& result) {
-  if (result.outputs.size() != g.num_nodes()) {
-    throw ExecutionError("validated_selection_size: node count mismatch");
-  }
-  const auto& claimed = result.outputs;
-  auto claims = [&claimed](port::NodeId v, port::Port p) {
-    return std::binary_search(claimed[v].begin(), claimed[v].end(), p);
-  };
-
   std::size_t selected = 0;
-  for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (const port::Port i : claimed[v]) {
-      const auto there = g.partner(v, i);
-      if (!claims(there.node, there.port)) {
+  sweep_selection(
+      g, result, "validated_selection_size",
+      [&](std::size_t) { ++selected; },
+      [](port::NodeId v, Port i, port::PortRef) {
         std::ostringstream os;
         os << "validated_selection_size: inconsistent output at node " << v
            << " port " << i;
         throw ExecutionError(os.str());
-      }
-      // Count each structural edge once: from its lexicographically first
-      // port (fixed points count from themselves).
-      if (std::pair(v, i) <= std::pair(there.node, there.port)) ++selected;
-    }
-  }
+      });
   return selected;
 }
 
 std::optional<std::size_t> consistent_selection_size(const port::PortGraph& g,
                                                      const RunResult& result) {
-  if (result.outputs.size() != g.num_nodes()) {
-    throw ExecutionError("consistent_selection_size: node count mismatch");
-  }
-  const auto& claimed = result.outputs;
-  auto claims = [&claimed](port::NodeId v, port::Port p) {
-    return std::binary_search(claimed[v].begin(), claimed[v].end(), p);
-  };
-
-  std::size_t selected = 0;
-  for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (const port::Port i : claimed[v]) {
-      const auto there = g.partner(v, i);
-      if (!claims(there.node, there.port)) return std::nullopt;
-      if (std::pair(v, i) <= std::pair(there.node, there.port)) ++selected;
-    }
-  }
-  return selected;
+  const auto counts =
+      count_selection(g, result, "consistent_selection_size");
+  if (counts.inconsistent != 0) return std::nullopt;
+  return counts.selected;
 }
 
 }  // namespace eds::runtime

@@ -3,35 +3,8 @@
 #include <algorithm>
 
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace eds::runtime {
-
-std::uint64_t structural_hash(const port::PortGraph& g) {
-  // splitmix64 as a mixing function over the canonical structure walk:
-  // node count, then the flat degree sequence, then the flat involution
-  // table.  Equal structures produce equal walks by definition; the walk
-  // reads the graph's contiguous arrays, so hashing costs one linear scan
-  // (the cache's hit path must stay well under a plan compilation).
-  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
-  auto mix = [&state](std::uint64_t value) {
-    state ^= value + 0x9e3779b97f4a7c15ULL + (state << 6) + (state >> 2);
-    std::uint64_t sm = state;
-    state = splitmix64(sm);
-  };
-  mix(g.num_nodes());
-  for (const auto deg : g.degree_sequence()) mix(deg);
-  for (const auto& dst : g.partner_table()) {
-    mix((static_cast<std::uint64_t>(dst.node) << 32) | dst.port);
-  }
-  return state;
-}
-
-std::uint64_t StructuralHashMemo::get(const port::PortGraph& g) {
-  const auto [it, inserted] = hashes_.try_emplace(&g, 0);
-  if (inserted) it->second = structural_hash(g);
-  return it->second;
-}
 
 PlanCache::PlanCache(std::size_t capacity, std::size_t max_bytes)
     : capacity_(std::max<std::size_t>(capacity, 1)), max_bytes_(max_bytes) {}

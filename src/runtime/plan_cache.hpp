@@ -5,9 +5,9 @@
 // execute hundreds to thousands of jobs on a handful of distinct graphs.
 // Compiling an ExecutionPlan is O(total ports) time *and* four array
 // allocations per run; at 100k+ nodes the compilation churn rivals the
-// round loop itself.  The cache keys plans by a structural hash of the
-// graph (degree sequence + involution) and verifies candidates field by
-// field before sharing them, so two graphs ever share a plan only when
+// round loop itself.  The cache keys plans by the structural hash stored on
+// the graph (degree sequence + involution, computed once at build) and
+// verifies candidates field by field before sharing them, so two graphs ever share a plan only when
 // their port structure is literally identical — a different port numbering
 // of the same underlying graph changes the involution and therefore gets
 // its own plan.  Sharing is safe because ExecutionPlan is deeply immutable
@@ -104,24 +104,12 @@ class PlanCache {
   Stats stats_;
 };
 
-/// The cache key: a 64-bit hash over the degree sequence and the flat
-/// involution of `g`.  Collisions are possible (and handled by structural
-/// verification in the cache); equal structures always hash equal.
-[[nodiscard]] std::uint64_t structural_hash(const port::PortGraph& g);
-
-/// Memoizes structural_hash by graph *object* for the duration of one
-/// batch-construction pass: a `--repeat R` sweep enqueues the same
-/// instance R times, and the O(ports) hash walk should be paid once per
-/// instance, not once per job.  Keyed by address, so the memo is valid
-/// only while the graphs outlive it (PortGraphs are immutable, so a live
-/// address can never alias a different structure).  Not thread-safe;
-/// batch construction is single-threaded by design.
-class StructuralHashMemo {
- public:
-  [[nodiscard]] std::uint64_t get(const port::PortGraph& g);
-
- private:
-  std::unordered_map<const port::PortGraph*, std::uint64_t> hashes_;
-};
+/// The cache key: the 64-bit structural hash PortGraphBuilder::build()
+/// stored on `g` (degree sequence and flat involution).  Collisions are
+/// possible (and handled by structural verification in the cache); equal
+/// structures always hash equal.
+[[nodiscard]] inline std::uint64_t structural_hash(const port::PortGraph& g) {
+  return g.structural_hash();
+}
 
 }  // namespace eds::runtime

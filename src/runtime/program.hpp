@@ -7,10 +7,22 @@
 //    per port;
 //  * at any point after a receive it may halt and expose its output
 //    X(v) ⊆ {1, ..., degree} (the ports of its chosen edges).
+//
+// Programs of one run live in a ProgramArena: factories construct them
+// contiguously there, and per-node state that lives exactly as long as the
+// run can take its memory from the arena's monotonic resource.  Outputs go
+// through an OutputSink straight into the run's flat per-port mask
+// (RunResult::selected), so no per-node output container exists.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <memory_resource>
+#include <new>
 #include <span>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "port/port_graph.hpp"
@@ -22,6 +34,31 @@ using port::Port;
 
 /// 1-based round counter.
 using Round = std::uint32_t;
+
+/// A halted node's view of the run's flat selection mask: its own segment,
+/// one byte per port.  select(i) puts port i into X(v).
+class OutputSink {
+ public:
+  /// `segment` is the node's slice of the mask (degree bytes, all zero);
+  /// `engine` prefixes error messages ("run_synchronous").
+  OutputSink(std::span<std::uint8_t> segment, const char* engine) noexcept
+      : segment_(segment), engine_(engine) {}
+
+  /// Adds port i (1-based) to X(v).  Throws ExecutionError for a port
+  /// outside 1..degree or a port selected twice.
+  void select(Port i) {
+    if (i < 1 || i > segment_.size()) fail(/*duplicate=*/false);
+    std::uint8_t& slot = segment_[i - 1];
+    if (slot != 0) fail(/*duplicate=*/true);
+    slot = 1;
+  }
+
+ private:
+  [[noreturn]] void fail(bool duplicate) const;
+
+  std::span<std::uint8_t> segment_;
+  const char* engine_;
+};
 
 /// One anonymous node's state machine.
 class NodeProgram {
@@ -43,9 +80,65 @@ class NodeProgram {
   /// True once the node has stopped and announced its output.
   [[nodiscard]] virtual bool halted() const = 0;
 
-  /// The announced output X(v): a set of 1-based port numbers.
-  /// Only meaningful once halted() is true.
-  [[nodiscard]] virtual std::vector<Port> output() const = 0;
+  /// Announces X(v) by selecting each of its ports once on `out`, in any
+  /// order.  Called once, after the node halted.
+  virtual void output(OutputSink& out) const = 0;
+};
+
+/// Owns the programs of one run.  Factories construct programs in
+/// contiguous blocks (emplace) or hand over heap programs (adopt);
+/// programs() lists them in node order.  resource() is a monotonic memory
+/// resource for per-node state that lives as long as the run: nothing is
+/// freed before the arena is destroyed, so state that is reassigned round
+/// after round belongs on the heap instead.
+class ProgramArena {
+ public:
+  /// Sized for a run over `n` nodes.
+  explicit ProgramArena(std::size_t n);
+  ~ProgramArena();
+  ProgramArena(const ProgramArena&) = delete;
+  ProgramArena& operator=(const ProgramArena&) = delete;
+
+  /// Constructs `count` programs P(args...) in one contiguous block and
+  /// appends them to programs().
+  template <class P, class... Args>
+  void emplace(std::size_t count, const Args&... args) {
+    static_assert(std::is_base_of_v<NodeProgram, P>);
+    if (count == 0) return;
+    programs_.reserve(programs_.size() + count);  // push_back cannot throw
+    auto* block = static_cast<P*>(memory_.allocate(count * sizeof(P),
+                                                   alignof(P)));
+    blocks_.push_back({programs_.size(), 0});
+    for (std::size_t k = 0; k < count; ++k) {
+      programs_.push_back(::new (static_cast<void*>(block + k)) P(args...));
+      ++blocks_.back().count;
+    }
+  }
+
+  /// Appends a heap program and takes ownership of it.  A null program is
+  /// appended as null; the engines reject it.
+  void adopt(std::unique_ptr<NodeProgram> program);
+
+  /// The programs, in the order they were added (node order).
+  [[nodiscard]] std::span<NodeProgram* const> programs() const noexcept {
+    return programs_;
+  }
+
+  /// Monotonic memory released with the arena.
+  [[nodiscard]] std::pmr::memory_resource* resource() noexcept {
+    return &memory_;
+  }
+
+ private:
+  struct Block {
+    std::size_t first = 0;  // index of the block's first program
+    std::size_t count = 0;  // programs constructed so far
+  };
+
+  std::pmr::monotonic_buffer_resource memory_;
+  std::vector<NodeProgram*> programs_;
+  std::vector<Block> blocks_;  // arena-constructed ranges of programs_
+  std::vector<std::unique_ptr<NodeProgram>> owned_;  // adopted programs
 };
 
 /// Creates identical programs for every node — anonymity means the factory
@@ -55,8 +148,25 @@ class ProgramFactory {
   virtual ~ProgramFactory() = default;
   [[nodiscard]] virtual std::unique_ptr<NodeProgram> create() const = 0;
 
+  /// Adds programs for `n` nodes to `arena`.  The default adopts n create()
+  /// results; an override must build the same programs create() would, so
+  /// both paths give bit-identical runs.
+  virtual void create_all(std::size_t n, ProgramArena& arena) const;
+
   /// Short human-readable algorithm name (for tables and traces).
   [[nodiscard]] virtual std::string name() const = 0;
 };
+
+/// Builds the programs of an n-node run through factory.create_all and
+/// checks them: exactly n, none null (ExecutionError prefixed with
+/// `engine` otherwise).
+[[nodiscard]] std::span<NodeProgram* const> create_programs(
+    const ProgramFactory& factory, std::size_t n, ProgramArena& arena,
+    const char* engine);
+
+/// Borrowed raw pointers to caller-owned programs, for the engine entry
+/// points that take std::span<NodeProgram* const>.
+[[nodiscard]] std::vector<NodeProgram*> borrow_programs(
+    const std::vector<std::unique_ptr<NodeProgram>>& programs);
 
 }  // namespace eds::runtime

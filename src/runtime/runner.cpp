@@ -59,14 +59,9 @@ RunResult run_synchronous(const port::PortGraph& g,
     // event-driven engine (see runtime/async.hpp for the full result).
     return run_asynchronous(g, factory, options, *options.exec.async).run;
   }
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  programs.reserve(g.num_nodes());
-  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
-    programs.push_back(factory.create());
-    if (!programs.back()) {
-      throw ExecutionError("run_synchronous: factory returned null program");
-    }
-  }
+  ProgramArena arena(g.num_nodes());
+  const auto programs =
+      create_programs(factory, g.num_nodes(), arena, "run_synchronous");
   std::shared_ptr<const ExecutionPlan> shared;
   std::optional<ExecutionPlan> local;
   const ExecutionPlan& plan = resolve_plan(g, options.exec, shared, local);

@@ -126,7 +126,10 @@ struct RoundTrace {
 
 /// Execution outcome: every node's announced output plus statistics.
 struct RunResult {
-  std::vector<std::vector<Port>> outputs;  ///< X(v), sorted, per node
+  /// The announced outputs as one flat per-port mask: selected[q] is 1
+  /// when flat port q = PortGraph::offset(v) + i - 1 is in X(v), else 0.
+  /// selected_ports() (runtime/outputs.hpp) reads one node's X(v).
+  std::vector<std::uint8_t> selected;
   RunStats stats;
   std::vector<RoundTrace> trace;
   std::vector<DeliveredMessage> message_log;
@@ -144,7 +147,9 @@ struct RunResult {
 /// instead of printing an empty transcript.
 [[nodiscard]] std::string format_transcript(const RunResult& result);
 
-/// Runs `factory`'s program on every node of `g` until all halt.
+/// Runs `factory`'s program on every node of `g` until all halt.  The
+/// programs are built through ProgramFactory::create_all into one
+/// ProgramArena, which lives for the duration of the call.
 [[nodiscard]] RunResult run_synchronous(const port::PortGraph& g,
                                         const ProgramFactory& factory,
                                         const RunOptions& options = {});

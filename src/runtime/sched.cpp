@@ -1,8 +1,8 @@
 #include "runtime/sched.hpp"
 
 #include <algorithm>
-#include <tuple>
 
+#include "runtime/outputs.hpp"
 #include "util/rng.hpp"
 
 namespace eds::runtime {
@@ -100,30 +100,17 @@ std::uint64_t metric_value(const ScheduleMetrics& metrics,
 
 ScheduleMetrics measure_schedule(const port::PortGraph& g,
                                  const AsyncResult& result) {
-  if (result.run.outputs.size() != g.num_nodes()) {
+  if (result.run.selected.size() != g.num_ports()) {
     throw InvalidArgument(
-        "measure_schedule: result does not match the graph's node count");
+        "measure_schedule: result does not match the graph's port count");
   }
+  const SelectionCounts counts =
+      count_selection(g, result.run, "measure_schedule");
   ScheduleMetrics m;
   m.rounds = result.run.stats.rounds;
   m.virtual_time = result.async.virtual_time;
-  for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (const Port i : result.run.outputs[v]) {
-      const port::PortRef partner = g.partner(v, i);
-      if (partner.node == v && partner.port == i) {
-        ++m.selected;  // directed loop: trivially self-consistent
-        continue;
-      }
-      const auto& other = result.run.outputs[partner.node];
-      const bool claimed =
-          std::binary_search(other.begin(), other.end(), partner.port);
-      if (!claimed) {
-        ++m.inconsistent;
-      } else if (std::tie(v, i) < std::tie(partner.node, partner.port)) {
-        ++m.selected;  // count each two-sided edge once, from the low side
-      }
-    }
-  }
+  m.selected = counts.selected;
+  m.inconsistent = counts.inconsistent;
   return m;
 }
 

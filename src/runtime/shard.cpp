@@ -413,7 +413,7 @@ std::string encode_wire_result(std::size_t index, const RunResult& result,
                                int schema) {
   check_schema_encodable(schema);
   std::string out;
-  out.reserve(64 + result.outputs.size() * 4);
+  out.reserve(64 + result.selected.size());
   append_prefix(out, schema);
   out += "\"result\":{\"index\":";
   out += std::to_string(index);
@@ -423,17 +423,9 @@ std::string encode_wire_result(std::size_t index, const RunResult& result,
   out += std::to_string(result.stats.messages_sent);
   out += ",\"ports_served\":";
   out += std::to_string(result.stats.ports_served);
-  out += ",\"outputs\":[";
-  for (std::size_t v = 0; v < result.outputs.size(); ++v) {
-    if (v != 0) out += ',';
-    out += '[';
-    for (std::size_t k = 0; k < result.outputs[v].size(); ++k) {
-      if (k != 0) out += ',';
-      out += std::to_string(result.outputs[v][k]);
-    }
-    out += ']';
-  }
-  out += "]}}";
+  out += ",\"selected\":\"";
+  for (const std::uint8_t bit : result.selected) out += bit != 0 ? '1' : '0';
+  out += "\"}}";
   return out;
 }
 
@@ -491,31 +483,16 @@ WorkerLine decode_worker_line(const std::string& line) {
     parsed.result.stats.messages_sent = c.uint();
     c.lit(",\"ports_served\":");
     parsed.result.stats.ports_served = c.uint();
-    c.lit(",\"outputs\":[");
-    if (!c.peek(']')) {
-      while (true) {
-        c.lit("[");
-        std::vector<Port> ports;
-        if (!c.peek(']')) {
-          while (true) {
-            ports.push_back(static_cast<Port>(c.uint()));
-            if (c.peek(',')) {
-              c.lit(",");
-              continue;
-            }
-            break;
-          }
-        }
-        c.lit("]");
-        parsed.result.outputs.push_back(std::move(ports));
-        if (c.peek(',')) {
-          c.lit(",");
-          continue;
-        }
-        break;
+    c.lit(",\"selected\":\"");
+    while (!c.peek('"')) {
+      if (c.try_lit("0")) {
+        parsed.result.selected.push_back(0);
+      } else {
+        c.lit("1");
+        parsed.result.selected.push_back(1);
       }
     }
-    c.lit("]}}");
+    c.lit("\"}}");
     c.end();
     return parsed;
   }

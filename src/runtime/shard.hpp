@@ -47,7 +47,7 @@
 //                       ["async":{…},]"graph":"…"}}
 //                      {"schema":2,"batch_end":{"batch":B}}
 //   worker -> parent:  {"schema":2,"result":{"index":I,"rounds":R,
-//                       "messages":M,"ports_served":S,"outputs":[[…],…]}}
+//                       "messages":M,"ports_served":S,"selected":"0110…"}}
 //                      {"schema":2,"error":{"index":I,"message":"…"}}
 //                      {"schema":2,"worker_summary":{"batch":B,"jobs":J,
 //                       "plans_compiled":C,"plan_hits":H,"total_jobs":TJ,
@@ -127,7 +127,7 @@ struct WorkerLine {
   Kind kind = Kind::kResult;
   int schema = kWireSchemaVersion;  ///< version the worker spoke
   std::size_t index = 0;   ///< kResult / kError
-  RunResult result;        ///< kResult (outputs + stats; no trace/log)
+  RunResult result;        ///< kResult (mask + stats; no trace/log)
   std::string message;     ///< kError
   WorkerSummary summary;   ///< kSummary
 };

@@ -89,12 +89,12 @@ TEST(MeasureSchedule, CountsTwoSidedOneSidedAndLoops) {
   const auto g = b.build();
 
   AsyncResult result;
-  result.run.outputs = {{1}, {1}, {1}};
+  result.run.selected = {1, 1, 1};
   auto m = measure_schedule(g, result);
   EXPECT_EQ(m.selected, 2u);  // the edge (counted once) + the loop
   EXPECT_EQ(m.inconsistent, 0u);
 
-  result.run.outputs = {{1}, {}, {}};
+  result.run.selected = {1, 0, 0};
   m = measure_schedule(g, result);
   EXPECT_EQ(m.selected, 0u);
   EXPECT_EQ(m.inconsistent, 1u);  // node 0's claim is unreciprocated
@@ -105,7 +105,7 @@ TEST(MeasureSchedule, RejectsNodeCountMismatch) {
   b.connect({0, 1}, {1, 1});
   const auto g = b.build();
   AsyncResult result;
-  result.run.outputs = {{1}};
+  result.run.selected = {1};
   EXPECT_THROW((void)measure_schedule(g, result), InvalidArgument);
 }
 
@@ -207,7 +207,7 @@ TEST(EngineSchedule, SynchronizerAbsorbsSchedules) {
   options.schedule.change_points = {1, 2, 30};
   options.schedule.delay_overrides = {{0, 9}, {3, 7}, {8, 4}};
   const auto a = run_asynchronous(h.ports(), *factory, {}, options);
-  EXPECT_EQ(a.run.outputs, sync.outputs);
+  EXPECT_EQ(a.run.selected, sync.selected);
   EXPECT_EQ(a.run.stats, sync.stats);
 }
 

@@ -155,5 +155,40 @@ TEST(Ratio, MonotoneInDelta) {
   }
 }
 
+TEST(Verify, EdgeDominationMatchesDominatedEdgesOnRandomSets) {
+  // is_edge_dominating_set stops at the first undominated edge instead of
+  // building dominated_edges; results and exceptions must not change.
+  auto rng = test::make_rng(31);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto g = graph::random_bounded_degree(14, 4, 20, rng);
+    const std::size_t m = g.num_edges();
+    std::vector<graph::EdgeId> members;
+    const double density = rng.uniform01();
+    for (graph::EdgeId e = 0; e < m; ++e) {
+      if (rng.chance(density)) members.push_back(e);
+    }
+    const EdgeSet s(m, members);
+    EXPECT_EQ(is_edge_dominating_set(g, s),
+              dominated_edges(g, s).size() == m)
+        << "trial " << trial;
+  }
+}
+
+TEST(Verify, EdgeDominationRejectsMemberIdsBeyondTheGraph) {
+  const auto g = p4();
+  for (const std::size_t universe : {std::size_t{3}, std::size_t{5}}) {
+    EdgeSet s(universe);
+    s.insert(static_cast<graph::EdgeId>(universe - 1));
+    if (universe > g.num_edges()) {
+      EXPECT_THROW((void)dominated_edges(g, s), std::out_of_range);
+      EXPECT_THROW((void)is_edge_dominating_set(g, s), std::out_of_range);
+    } else {
+      EXPECT_FALSE(is_edge_dominating_set(g, s));  // {2,3} misses {0,1}
+    }
+  }
+  // A smaller universe with valid ids is fine either way.
+  EXPECT_TRUE(is_edge_dominating_set(g, EdgeSet(2, {1})));
+}
+
 }  // namespace
 }  // namespace eds::analysis

@@ -129,7 +129,7 @@ void sort_by_sender(std::vector<DeliveredMessage>& log) {
   auto log = a.run.message_log;
   sort_by_sender(log);
 
-  const bool ok = a.run.outputs == sync.outputs && a.run.stats == sync.stats &&
+  const bool ok = a.run.selected == sync.selected && a.run.stats == sync.stats &&
                   a.run.trace == sync.trace && log == sync.message_log &&
                   a.fault_log.empty();
   EXPECT_TRUE(ok) << context << ": async run diverged from the synchronous "
@@ -484,7 +484,7 @@ void add_message(Digest& d, const Message& m) {
 
 /// Everything an async run reports, in the order the engine produced it:
 /// the message log is digested unsorted, so delivery order counts.
-void add_result(Digest& d, const AsyncResult& a) {
+void add_result(Digest& d, const PortGraph& g, const AsyncResult& a) {
   const RunResult& r = a.run;
   d.add(r.message_log.size());
   for (const DeliveredMessage& m : r.message_log) {
@@ -504,7 +504,8 @@ void add_result(Digest& d, const AsyncResult& a) {
     d.add(t.messages);
     d.add(t.halted_nodes);
   }
-  for (const auto& ports : r.outputs) {
+  for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto ports = selected_ports(g, r, v);
     d.add(ports.size());
     for (const Port p : ports) d.add(p);
   }
@@ -536,7 +537,7 @@ void add_options(Digest& d, const AsyncOptions& options) {
 void add_run(Digest& d, const PortGraph& g, const ProgramFactory& factory,
              const RunOptions& options, const AsyncOptions& async) {
   try {
-    add_result(d, run_asynchronous(g, factory, options, async));
+    add_result(d, g, run_asynchronous(g, factory, options, async));
   } catch (const InvalidArgument&) {
     d.add(0xE1);
   } catch (const ExecutionError&) {
@@ -713,12 +714,12 @@ TEST(AsyncGolden, AdversarySearchesAndShrinksArePinned) {
            {&report.worst_rounds, &report.worst_time, &report.worst_selected,
             &report.worst_inconsistent}) {
         add_options(d, w->options);
-        add_result(d, w->result);
+        add_result(d, g, w->result);
       }
       const auto shrunk = shrink_witness(g, *factory, report.primary(),
                                          report.primary_metric());
       add_options(d, shrunk.options);
-      add_result(d, shrunk.result);
+      add_result(d, g, shrunk.result);
     }
   }
   EXPECT_EQ(hex(d.value()), "0x1DB0F0C3DD64D2C7");
@@ -758,9 +759,7 @@ class NestingRelay final : public NodeProgram {
     relay_.receive(round, in);
   }
   [[nodiscard]] bool halted() const override { return relay_.halted(); }
-  [[nodiscard]] std::vector<Port> output() const override {
-    return relay_.output();
-  }
+  void output(OutputSink& out) const override { relay_.output(out); }
 
  private:
   test::RelayProgram relay_;
@@ -853,19 +852,19 @@ TEST(AsyncFaults, CrashedRunsVerifyOnSurvivingSubgraph) {
   for (std::size_t v = 0; v < n; ++v) {
     EXPECT_EQ(a.crashed[v] != 0, alive[v] == 0) << "node " << v;
     if (!alive[v]) {
-      EXPECT_TRUE(a.run.outputs[v].empty()) << "node " << v;
+      EXPECT_TRUE(selected_ports(pg.ports(), a.run, v).empty())
+          << "node " << v;
     }
   }
 
   // Selected edges: claimed consistently from both (surviving) sides.
   const auto claims = [&](port::NodeId v, Port p) {
-    return std::binary_search(a.run.outputs[v].begin(),
-                              a.run.outputs[v].end(), p);
+    return a.run.selected[pg.ports().offset(v) + p - 1] != 0;
   };
   graph::EdgeSet selected(sg.num_edges());
   for (port::NodeId v = 0; v < n; ++v) {
     if (!alive[v]) continue;
-    for (const Port i : a.run.outputs[v]) {
+    for (const Port i : selected_ports(pg.ports(), a.run, v)) {
       const auto there = pg.ports().partner(v, i);
       if (alive[there.node] && claims(there.node, there.port)) {
         selected.insert(pg.edge_at(v, i));
@@ -934,7 +933,7 @@ TEST(AsyncFaults, DuplicatedDeliveryIsIdempotent) {
   const EchoFactory factory(5);
   const RunResult sync = run_synchronous(g, factory, {});
   const AsyncResult a = run_asynchronous(g, factory, {}, async);
-  EXPECT_EQ(a.run.outputs, sync.outputs);
+  EXPECT_EQ(a.run.selected, sync.selected);
   EXPECT_EQ(a.run.stats, sync.stats);
   EXPECT_GT(a.async.duplicated, 0u);
   EXPECT_GT(a.async.stale, 0u);  // every duplicate was suppressed
@@ -1204,7 +1203,7 @@ TEST(AsyncStatsCounters, SynchronizerAccountsAcksAndVirtualTime) {
   async.synchronizer = false;
   const AsyncResult b = run_asynchronous(g, EchoFactory(3), {}, async);
   EXPECT_EQ(b.async.acks, 0u);
-  EXPECT_EQ(b.run.outputs, a.run.outputs);
+  EXPECT_EQ(b.run.selected, a.run.selected);
 }
 
 }  // namespace

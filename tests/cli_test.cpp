@@ -371,8 +371,8 @@ TEST(Cli, WorkerSpeaksTheWireProtocol) {
   ASSERT_EQ(parsed[0].kind, runtime::WorkerLine::Kind::kResult);
   EXPECT_EQ(parsed[0].index, 0u);
   // all-edges: both endpoints select their single port.
-  const std::vector<std::vector<runtime::Port>> want{{1}, {1}};
-  EXPECT_EQ(parsed[0].result.outputs, want);
+  const std::vector<std::uint8_t> want{1, 1};
+  EXPECT_EQ(parsed[0].result.selected, want);
   ASSERT_EQ(parsed[1].kind, runtime::WorkerLine::Kind::kResult);
   EXPECT_EQ(parsed[1].index, 1u);
   ASSERT_EQ(parsed[2].kind, runtime::WorkerLine::Kind::kSummary);

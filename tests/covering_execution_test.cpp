@@ -10,6 +10,7 @@
 #include "lb/lower_bounds.hpp"
 #include "port/covering.hpp"
 #include "port/ported_graph.hpp"
+#include "runtime/outputs.hpp"
 #include "runtime/runner.hpp"
 #include "util/rng.hpp"
 
@@ -23,9 +24,10 @@ void expect_lifts(const port::PortGraph& cover, const port::PortGraph& base,
   ASSERT_TRUE(port::is_covering_map(cover, base, f));
   const auto on_cover = runtime::run_synchronous(cover, factory);
   const auto on_base = runtime::run_synchronous(base, factory);
-  ASSERT_EQ(on_cover.outputs.size(), cover.num_nodes());
+  ASSERT_EQ(on_cover.selected.size(), cover.num_ports());
   for (graph::NodeId v = 0; v < cover.num_nodes(); ++v) {
-    EXPECT_EQ(on_cover.outputs[v], on_base.outputs[f[v]])
+    EXPECT_EQ(runtime::selected_ports(cover, on_cover, v),
+              runtime::selected_ports(base, on_base, f[v]))
         << "node " << v << " (image " << f[v] << ") diverged from its image";
   }
   // Round counts coincide as well: the executions are locally identical.

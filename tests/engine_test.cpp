@@ -45,7 +45,7 @@ class NeverHaltFactory final : public ProgramFactory {
     void send(Round, std::span<Message>) override {}
     void receive(Round, std::span<const Message>) override {}
     [[nodiscard]] bool halted() const override { return false; }
-    [[nodiscard]] std::vector<Port> output() const override { return {}; }
+    void output(OutputSink&) const override {}
   };
 
  public:
@@ -338,7 +338,7 @@ TEST(Engine, EmptyGraphAndImmediateHalt) {
     options.exec.threads = threads;
     const auto result = run_synchronous(empty, EchoFactory(3), options);
     EXPECT_EQ(result.stats.rounds, 0u);
-    EXPECT_TRUE(result.outputs.empty());
+    EXPECT_TRUE(result.selected.empty());
   }
 }
 

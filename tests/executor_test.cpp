@@ -80,7 +80,7 @@ TEST(WireCodec, JobRoundTripsIncludingGraphText) {
 
 TEST(WireCodec, ResultRoundTripsOutputsAndStats) {
   RunResult result;
-  result.outputs = {{1, 2}, {}, {3}};
+  result.selected = {1, 1, 0, 0, 1};
   result.stats.rounds = 7;
   result.stats.messages_sent = 1234567890123ull;
   result.stats.ports_served = 42;

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "graph/edge_set.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/properties.hpp"
 #include "graph/simple_graph.hpp"
+#include "util/rng.hpp"
 
 namespace eds::graph {
 namespace {
@@ -296,6 +299,52 @@ TEST(Io, MalformedHeaderThrows) {
 
 TEST(Io, OutOfRangeEndpointThrows) {
   EXPECT_THROW((void)from_edge_list_string("2 1\n0 5\n"), InvalidStructure);
+}
+
+TEST(SimpleGraph, ReportsTheFirstOffendingEdgeInInputOrder) {
+  const auto message = [](std::size_t n, std::vector<Edge> edges) {
+    try {
+      (void)SimpleGraph::from_edges(n, std::move(edges));
+    } catch (const InvalidStructure& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::string parallel = "SimpleGraph: parallel edges are not allowed";
+  const std::string loop = "SimpleGraph: loops are not allowed";
+  const std::string range = "SimpleGraph: edge endpoint out of range";
+  EXPECT_EQ(message(3, {{0, 1}, {1, 0}, {2, 2}}), parallel);
+  EXPECT_EQ(message(3, {{0, 1}, {2, 2}, {1, 0}}), loop);
+  EXPECT_EQ(message(3, {{0, 5}, {0, 1}, {1, 0}}), range);
+  EXPECT_EQ(message(3, {{1, 2}, {0, 1}, {2, 1}, {0, 9}}), parallel);
+  EXPECT_EQ(message(3, {{1, 2}, {0, 1}, {0, 9}, {2, 1}}), range);
+  EXPECT_EQ(message(3, {{1, 2}, {0, 1}}), "");
+}
+
+TEST(SimpleGraph, CsrAdjacencyMatchesTheEdgeList) {
+  Rng rng(5);
+  const auto g = random_bounded_degree(40, 5, 70, rng);
+  std::size_t incidences = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto inc = g.incidences(v);
+    EXPECT_EQ(inc.size(), g.degree(v));
+    incidences += inc.size();
+    for (std::size_t k = 0; k < inc.size(); ++k) {
+      EXPECT_EQ(g.edge(inc[k].edge).other(v), inc[k].neighbour);
+      if (k > 0) {
+        EXPECT_LT(inc[k - 1].neighbour, inc[k].neighbour);
+      }
+    }
+  }
+  EXPECT_EQ(incidences, 2 * g.num_edges());
+  EXPECT_THROW((void)g.incidences(40), std::out_of_range);
+  EXPECT_THROW((void)g.degree(40), std::out_of_range);
+  // A moved-from graph is empty, not a graph with 2^64 - 1 nodes.
+  SimpleGraph a = g;
+  const SimpleGraph b = std::move(a);
+  EXPECT_EQ(b.num_edges(), g.num_edges());
+  EXPECT_EQ(a.num_nodes(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.max_degree(), 0u);  // NOLINT(bugprone-use-after-move)
 }
 
 }  // namespace

@@ -12,6 +12,9 @@
 #include "algo/driver.hpp"
 #include "algo/port_one.hpp"
 #include "graph/generators.hpp"
+#include "lb/lower_bounds.hpp"
+#include "port/io.hpp"
+#include "port/lift.hpp"
 #include "port/ported_graph.hpp"
 #include "port/random_port_graph.hpp"
 #include "runtime/batch.hpp"
@@ -235,6 +238,85 @@ TEST(PlanCache, GlobalCacheServesRunAlgorithm) {
   EXPECT_EQ(ExecutionPlan::constructed_count(), baseline)
       << "the second run must reuse the globally cached plan";
   EXPECT_EQ(first.solution, second.solution);
+}
+
+/// The structural-hash walk, recomputed here independently of the
+/// library: splitmix64-mixed node count, degrees, then (node << 32 | port)
+/// for every flat port's partner.
+std::uint64_t walk_hash(const PortGraph& g) {
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  auto mix = [&state](std::uint64_t value) {
+    state ^= value + 0x9e3779b97f4a7c15ULL + (state << 6) + (state >> 2);
+    std::uint64_t sm = state;
+    state = splitmix64(sm);
+  };
+  mix(g.num_nodes());
+  for (port::NodeId v = 0; v < g.num_nodes(); ++v) mix(g.degree(v));
+  for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (Port i = 1; i <= g.degree(v); ++i) {
+      const auto dst = g.partner(v, i);
+      mix((static_cast<std::uint64_t>(dst.node) << 32) | dst.port);
+    }
+  }
+  return state;
+}
+
+TEST(StructuralHash, StoredHashMatchesTheWalkForEveryConstruction) {
+  Rng rng(41);
+  const auto pg = test::random_ported_regular(20, 4, rng);
+  const auto lb = lb::even_lower_bound(4);
+  const auto multigraph = port::random_port_graph({3, 0, 2, 5, 1}, rng, 0.3);
+  const std::vector<std::pair<std::string, PortGraph>> built = {
+      {"builder", test::figure2_multigraph_m()},
+      {"random involution", multigraph},
+      {"with_random_ports", pg.ports()},
+      {"with_canonical_ports",
+       port::with_canonical_ports(graph::petersen()).ports()},
+      {"cyclic_lift", port::cyclic_lift(multigraph, 3, rng)},
+      {"covering base", lb.covering_base},
+      {"lower-bound cover", lb.ported.ports()},
+      {"read_port_graph",
+       port::from_port_graph_string(port::to_port_graph_string(multigraph))},
+      {"default", PortGraph{}},
+  };
+  for (const auto& [how, g] : built) {
+    EXPECT_EQ(structural_hash(g), walk_hash(g)) << how;
+  }
+
+  PortGraph copy = pg.ports();
+  EXPECT_EQ(structural_hash(copy), walk_hash(copy));
+  PortGraph moved = std::move(copy);
+  EXPECT_EQ(structural_hash(moved), walk_hash(pg.ports()));
+  // NOLINTNEXTLINE(bugprone-use-after-move): the source is left empty.
+  EXPECT_EQ(copy.num_nodes(), 0u);
+  EXPECT_EQ(structural_hash(copy), walk_hash(PortGraph{}));
+  copy = multigraph;
+  EXPECT_EQ(structural_hash(copy), walk_hash(multigraph));
+  moved = std::move(copy);
+  EXPECT_EQ(structural_hash(moved), walk_hash(multigraph));
+  EXPECT_EQ(structural_hash(copy), walk_hash(PortGraph{}));
+  EXPECT_NE(walk_hash(multigraph), walk_hash(pg.ports()));
+}
+
+TEST(ExecutionPlan, MemoryBytesCountsTheFlatArraysExactly) {
+  Rng rng(43);
+  for (const auto& g :
+       {test::random_ported_regular(64, 4, rng).ports(),
+        port::random_port_graph({3, 0, 2, 5, 1, 4}, rng, 0.3), PortGraph{}}) {
+    const ExecutionPlan plan(g);
+    const std::size_t n = g.num_nodes();
+    const std::size_t ports = g.num_ports();
+    EXPECT_EQ(plan.memory_bytes(),
+              n * (sizeof(Port) + sizeof(std::size_t)) +
+                  ports * (sizeof(std::uint32_t) + sizeof(port::PortRef)));
+  }
+}
+
+TEST(ExecutionPlan, RejectsPortCountsBeyondThirtyTwoBits) {
+  EXPECT_NO_THROW(check_plan_ports(0));
+  EXPECT_NO_THROW(check_plan_ports(kMaxPlanPorts));
+  EXPECT_THROW(check_plan_ports(kMaxPlanPorts + 1), InvalidArgument);
+  EXPECT_THROW(check_plan_ports(std::uint64_t{1} << 40), Error);
 }
 
 }  // namespace

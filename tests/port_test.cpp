@@ -302,5 +302,40 @@ TEST(PortGraph, DegreeOutOfRangeThrows) {
   EXPECT_THROW((void)m.partner(0, 9), InvalidArgument);
 }
 
+TEST(PortGraphBuilder, BuildMovesTheGraphOutOnce) {
+  PortGraphBuilder b({1, 1});
+  b.connect({0, 1}, {1, 1});
+  const auto g = b.build();
+  EXPECT_EQ(g.num_ports(), 2u);
+  EXPECT_THROW((void)b.build(), InvalidArgument);
+}
+
+TEST(PortedGraph, FlatEdgeTableMatchesPerPortLookups) {
+  Rng rng(17);
+  const auto pg = test::random_ported_bounded(30, 5, 50, rng);
+  const auto& g = pg.ports();
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (Port i = 1; i <= g.degree(v); ++i) {
+      const EdgeId e = pg.edge_at(v, i);
+      EXPECT_EQ(pg.edge_at_flat(g.offset(v) + i - 1), e);
+      EXPECT_EQ(pg.port_of(v, e), i);
+    }
+  }
+  EXPECT_THROW((void)pg.edge_at(30, 1), InvalidArgument);
+  EXPECT_THROW((void)pg.edge_at(0, 0), InvalidArgument);
+  EXPECT_THROW((void)pg.port_of(30, 0), InvalidArgument);
+}
+
+TEST(PortedGraph, RejectsRepeatedOrForeignEdges) {
+  const auto g = SimpleGraph::from_edges(3, {{0, 1}, {1, 2}});
+  // Node 1 lists edge 0 twice, then a non-incident edge, then too few.
+  for (const std::vector<EdgeId>& order1 :
+       {std::vector<EdgeId>{0, 0}, std::vector<EdgeId>{0, 7},
+        std::vector<EdgeId>{1}}) {
+    EXPECT_THROW((void)PortedGraph(g, {{0}, order1, {1}}), InvalidStructure);
+  }
+  EXPECT_THROW((void)PortedGraph(g, {{1}, {0, 1}, {1}}), InvalidStructure);
+}
+
 }  // namespace
 }  // namespace eds::port

@@ -26,10 +26,8 @@ class ClaimAllFactory final : public ProgramFactory {
     void send(Round, std::span<Message>) override {}
     void receive(Round, std::span<const Message>) override { halted_ = true; }
     [[nodiscard]] bool halted() const override { return halted_; }
-    [[nodiscard]] std::vector<Port> output() const override {
-      std::vector<Port> out;
-      for (Port i = 1; i <= degree_; ++i) out.push_back(i);
-      return out;
+    void output(OutputSink& out) const override {
+      for (Port i = 1; i <= degree_; ++i) out.select(i);
     }
 
    private:
@@ -52,8 +50,8 @@ class ClaimPortOneOnlyFactory final : public ProgramFactory {
     void send(Round, std::span<Message>) override {}
     void receive(Round, std::span<const Message>) override { halted_ = true; }
     [[nodiscard]] bool halted() const override { return halted_; }
-    [[nodiscard]] std::vector<Port> output() const override {
-      return degree_ >= 1 ? std::vector<Port>{1} : std::vector<Port>{};
+    void output(OutputSink& out) const override {
+      if (degree_ >= 1) out.select(1);
     }
 
    private:
@@ -76,7 +74,7 @@ class NeverHaltFactory final : public ProgramFactory {
     void send(Round, std::span<Message>) override {}
     void receive(Round, std::span<const Message>) override {}
     [[nodiscard]] bool halted() const override { return false; }
-    [[nodiscard]] std::vector<Port> output() const override { return {}; }
+    void output(OutputSink&) const override {}
   };
 
  public:
@@ -94,7 +92,7 @@ class BadOutputFactory final : public ProgramFactory {
     void send(Round, std::span<Message>) override {}
     void receive(Round, std::span<const Message>) override { halted_ = true; }
     [[nodiscard]] bool halted() const override { return halted_; }
-    [[nodiscard]] std::vector<Port> output() const override { return {99}; }
+    void output(OutputSink& out) const override { out.select(99); }
 
    private:
     bool halted_ = false;
@@ -165,7 +163,7 @@ TEST(Runner, ImmediateHaltTakesZeroRounds) {
     void send(Round, std::span<Message>) override {}
     void receive(Round, std::span<const Message>) override {}
     [[nodiscard]] bool halted() const override { return true; }
-    [[nodiscard]] std::vector<Port> output() const override { return {}; }
+    void output(OutputSink&) const override {}
   };
   class HaltAtStartFactory final : public ProgramFactory {
    public:
@@ -204,8 +202,8 @@ TEST(Runner, DirectedLoopDeliversToSelf) {
       halted_ = true;
     }
     [[nodiscard]] bool halted() const override { return halted_; }
-    [[nodiscard]] std::vector<Port> output() const override {
-      return heard_self_ ? std::vector<Port>{1} : std::vector<Port>{};
+    void output(OutputSink& out) const override {
+      if (heard_self_) out.select(1);
     }
 
    private:
@@ -224,7 +222,7 @@ TEST(Runner, DirectedLoopDeliversToSelf) {
   b.fix({0, 1});
   const auto g = b.build();
   const auto result = run_synchronous(g, LoopFactory());
-  EXPECT_EQ(result.outputs[0], std::vector<Port>{1});
+  EXPECT_EQ(selected_ports(g, result, 0), std::vector<Port>{1});
 }
 
 TEST(Runner, UndirectedLoopRoutesBetweenOwnPorts) {
@@ -241,8 +239,11 @@ TEST(Runner, UndirectedLoopRoutesBetweenOwnPorts) {
       halted_ = true;
     }
     [[nodiscard]] bool halted() const override { return halted_; }
-    [[nodiscard]] std::vector<Port> output() const override {
-      return ok_ ? std::vector<Port>{1, 2} : std::vector<Port>{};
+    void output(OutputSink& out) const override {
+      if (ok_) {
+        out.select(1);
+        out.select(2);
+      }
     }
 
    private:
@@ -261,7 +262,7 @@ TEST(Runner, UndirectedLoopRoutesBetweenOwnPorts) {
   b.connect({0, 1}, {0, 2});
   const auto g = b.build();
   const auto result = run_synchronous(g, CrossFactory());
-  EXPECT_EQ(result.outputs[0], (std::vector<Port>{1, 2}));
+  EXPECT_EQ(selected_ports(g, result, 0), (std::vector<Port>{1, 2}));
 }
 
 TEST(Outputs, ValidatedEdgeSetAcceptsConsistent) {
@@ -281,7 +282,7 @@ TEST(Outputs, ValidatedEdgeSetRejectsOneSidedClaims) {
 TEST(Outputs, AllOutputsIdenticalDetectsSymmetry) {
   const auto pg = port::with_canonical_ports(graph::cycle(4));
   const auto all = run_synchronous(pg.ports(), ClaimAllFactory());
-  EXPECT_TRUE(all_outputs_identical(all));
+  EXPECT_TRUE(all_outputs_identical(pg.ports(), all));
 }
 
 TEST(Runner, UnwrittenPortsSendSilenceEachRound) {
@@ -305,11 +306,9 @@ TEST(Runner, UnwrittenPortsSendSilenceEachRound) {
       }
     }
     [[nodiscard]] bool halted() const override { return halted_; }
-    [[nodiscard]] std::vector<Port> output() const override {
-      std::vector<Port> out;
-      if (saw_message_) out.push_back(1);
-      if (saw_ghost_) out.push_back(2);
-      return out;
+    void output(OutputSink& out) const override {
+      if (saw_message_) out.select(1);
+      if (saw_ghost_) out.select(2);
     }
 
    private:
@@ -327,8 +326,8 @@ TEST(Runner, UnwrittenPortsSendSilenceEachRound) {
 
   const auto pg = port::with_canonical_ports(graph::cycle(4));
   const auto result = run_synchronous(pg.ports(), WriteOnceFactory());
-  for (const auto& output : result.outputs) {
-    EXPECT_EQ(output, std::vector<Port>{1})
+  for (port::NodeId v = 0; v < pg.ports().num_nodes(); ++v) {
+    EXPECT_EQ(selected_ports(pg.ports(), result, v), std::vector<Port>{1})
         << "round-1 message missing or a ghost message leaked into round 2";
   }
 }

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <memory>
 #include <span>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -48,7 +49,7 @@ class EchoProgram final : public runtime::NodeProgram {
     if (round >= rounds_) halted_ = true;
   }
   [[nodiscard]] bool halted() const override { return halted_; }
-  [[nodiscard]] std::vector<port::Port> output() const override { return {}; }
+  void output(runtime::OutputSink&) const override {}
 
   std::int64_t sum_ = 0;
 
@@ -96,7 +97,7 @@ class RelayProgram final : public runtime::NodeProgram {
     if (round >= base_ + degree_) halted_ = true;
   }
   [[nodiscard]] bool halted() const override { return halted_; }
-  [[nodiscard]] std::vector<port::Port> output() const override { return {}; }
+  void output(runtime::OutputSink&) const override {}
 
  private:
   runtime::Round base_;
@@ -230,7 +231,7 @@ inline runtime::RunResult reference_run(const port::PortGraph& g,
     std::fill(outbox.begin(), outbox.end(), kSilence);
     for (std::size_t v = 0; v < n; ++v) {
       const auto deg = g.degree(static_cast<port::NodeId>(v));
-      const std::span<Message> out(&outbox[offset[v]], deg);
+      const std::span<Message> out(outbox.data() + offset[v], deg);
       if (halted[v]) continue;
       programs[v]->send(round, out);
       result.stats.ports_served += deg;
@@ -257,7 +258,7 @@ inline runtime::RunResult reference_run(const port::PortGraph& g,
     for (std::size_t v = 0; v < n; ++v) {
       if (halted[v]) continue;
       const auto deg = g.degree(static_cast<port::NodeId>(v));
-      const std::span<const Message> in(&inbox[offset[v]], deg);
+      const std::span<const Message> in(inbox.data() + offset[v], deg);
       programs[v]->receive(round, in);
       if (programs[v]->halted()) {
         halted[v] = true;
@@ -269,13 +270,66 @@ inline runtime::RunResult reference_run(const port::PortGraph& g,
     }
   }
   result.stats.rounds = round;
-  result.outputs.resize(n);
+  result.selected.assign(total_ports, 0);
   for (std::size_t v = 0; v < n; ++v) {
-    auto ports = programs[v]->output();
-    std::sort(ports.begin(), ports.end());
-    result.outputs[v] = std::move(ports);
+    runtime::OutputSink sink(
+        {result.selected.data() + offset[v],
+         g.degree(static_cast<port::NodeId>(v))},
+        "reference_run");
+    programs[v]->output(sink);
   }
   return result;
+}
+
+/// Per-node reference for the output sweep of runtime/outputs.hpp: the
+/// validators as they were before outputs became a flat mask, walking each
+/// X(v) list and binary-searching the partner's list for every claim.
+/// `claimed[v]` is X(v), ascending.
+struct ReferenceSelection {
+  std::size_t selected = 0;      ///< two-sided edges once, directed loops
+  std::size_t inconsistent = 0;  ///< claims the partner does not return
+  bool has_one_sided = false;
+  port::PortRef first_claim;     ///< first one-sided claim, (node, port) order
+  port::PortRef first_partner;   ///< the port that failed to claim it back
+};
+
+inline ReferenceSelection reference_selection(
+    const port::PortGraph& g,
+    const std::vector<std::vector<port::Port>>& claimed) {
+  ReferenceSelection ref;
+  const auto claims = [&claimed](port::NodeId v, port::Port p) {
+    return std::binary_search(claimed[v].begin(), claimed[v].end(), p);
+  };
+  for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (const port::Port i : claimed[v]) {
+      const auto there = g.partner(v, i);
+      if (!claims(there.node, there.port)) {
+        ++ref.inconsistent;
+        if (!ref.has_one_sided) {
+          ref.has_one_sided = true;
+          ref.first_claim = {v, i};
+          ref.first_partner = there;
+        }
+      } else if (std::pair(v, i) <= std::pair(there.node, there.port)) {
+        ++ref.selected;
+      }
+    }
+  }
+  return ref;
+}
+
+/// The flat selection mask of per-node port lists, with port offsets
+/// recomputed from the degree sequence.
+inline std::vector<std::uint8_t> mask_of(
+    const port::PortGraph& g,
+    const std::vector<std::vector<port::Port>>& claimed) {
+  std::vector<std::uint8_t> mask(g.num_ports(), 0);
+  std::size_t offset = 0;
+  for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (const port::Port i : claimed[v]) mask[offset + i - 1] = 1;
+    offset += g.degree(v);
+  }
+  return mask;
 }
 
 /// Thread counts every differential test sweeps: sequential, a small and a
