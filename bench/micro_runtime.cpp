@@ -23,9 +23,7 @@
 #include "runtime/engine.hpp"
 #include "runtime/message.hpp"
 #include "runtime/plan_cache.hpp"
-#include "runtime/shard.hpp"
 #include "util/rng.hpp"
-#include "test_util.hpp"  // test::edsim_binary (gtest-free)
 
 namespace {
 
@@ -340,134 +338,6 @@ void BM_PlanCacheSweep(benchmark::State& state) {
   state.counters["plan_misses"] = static_cast<double>(stats.misses);
 }
 BENCHMARK(BM_PlanCacheSweep)->Arg(64)->Arg(256);
-
-void BM_ShardedSweep(benchmark::State& state) {
-  // The cold process-sharded batch point: 16 jobs over 4 instances (random
-  // 4-regular, n = 256) shipped to `edsim worker` subprocesses over the
-  // NDJSON pipes, with pooling OFF so every batch forks, warms and tears
-  // down its own fleet — the spawn/exec/plan-compile cost a one-shot sweep
-  // pays, and the baseline BM_WarmShardedSweep amortizes.  EDSIM_BIN
-  // overrides the compiled-in binary path.
-  const auto shards = static_cast<unsigned>(state.range(0));
-  const std::string bin = eds::test::edsim_binary();
-  if (bin.empty()) {
-    state.SkipWithError("edsim binary not found (set EDSIM_BIN)");
-    return;
-  }
-
-  eds::Rng rng(8);
-  std::vector<eds::port::PortedGraph> instances;
-  instances.reserve(4);
-  for (int i = 0; i < 4; ++i) {
-    instances.push_back(eds::port::with_random_ports(
-        eds::graph::random_regular(256, 4, rng), rng));
-  }
-  const auto factory =
-      eds::algo::make_factory(eds::algo::Algorithm::kBoundedDegree, 4);
-  std::vector<eds::runtime::BatchJob> jobs;
-  for (const auto& pg : instances) {
-    eds::runtime::BatchJob job;
-    job.graph = &pg.ports();
-    job.factory = factory.get();
-    eds::runtime::JobSpec spec;
-    spec.algorithm = "bounded-degree";
-    spec.param = 4;
-    spec.group = eds::runtime::structural_hash(pg.ports());
-    job.spec = spec;
-    for (int r = 0; r < 4; ++r) jobs.push_back(job);
-  }
-
-  eds::runtime::ProcessShardExecutor::Options options;
-  options.pooled = false;
-  const eds::runtime::ProcessShardExecutor executor({bin, "worker"}, shards,
-                                                    options);
-  std::uint64_t rounds = 0;
-  for (auto _ : state) {
-    auto results = executor.run(jobs);
-    rounds = results.back().stats.rounds;
-    benchmark::DoNotOptimize(results.size());
-  }
-  const auto stats = executor.stats();
-  state.counters["n"] = 256.0 * static_cast<double>(jobs.size());
-  state.counters["rounds"] = static_cast<double>(rounds);
-  state.counters["shards"] = static_cast<double>(shards);
-  // Timer-independent shape counters, normalized per iteration so they are
-  // comparable across machines and --benchmark_min_time.
-  state.counters["jobs_shipped"] = benchmark::Counter(
-      static_cast<double>(stats.jobs_shipped),
-      benchmark::Counter::kAvgIterations);
-  state.counters["workers_spawned"] = benchmark::Counter(
-      static_cast<double>(stats.workers_spawned),
-      benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_ShardedSweep)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-void BM_WarmShardedSweep(benchmark::State& state) {
-  // The warm counterpart of BM_ShardedSweep: the same 16-job batch shape
-  // through ONE pooled executor, so after the first iteration every batch
-  // lands on live workers with hot plan caches.  The cold/warm gap is the
-  // fork/exec + warmup cost the pool amortizes; the exported counters
-  // prove the warmth (workers spawned ~0 per iteration, zero respawns,
-  // every job a plan hit).
-  const auto shards = static_cast<unsigned>(state.range(0));
-  const std::string bin = eds::test::edsim_binary();
-  if (bin.empty()) {
-    state.SkipWithError("edsim binary not found (set EDSIM_BIN)");
-    return;
-  }
-
-  eds::Rng rng(8);
-  std::vector<eds::port::PortedGraph> instances;
-  instances.reserve(4);
-  for (int i = 0; i < 4; ++i) {
-    instances.push_back(eds::port::with_random_ports(
-        eds::graph::random_regular(256, 4, rng), rng));
-  }
-  const auto factory =
-      eds::algo::make_factory(eds::algo::Algorithm::kBoundedDegree, 4);
-  std::vector<eds::runtime::BatchJob> jobs;
-  for (const auto& pg : instances) {
-    eds::runtime::BatchJob job;
-    job.graph = &pg.ports();
-    job.factory = factory.get();
-    eds::runtime::JobSpec spec;
-    spec.algorithm = "bounded-degree";
-    spec.param = 4;
-    spec.group = eds::runtime::structural_hash(pg.ports());
-    job.spec = spec;
-    for (int r = 0; r < 4; ++r) jobs.push_back(job);
-  }
-
-  const eds::runtime::ProcessShardExecutor executor({bin, "worker"}, shards);
-  // Warm the pool outside the timed loop: the steady-state number is the
-  // per-batch cost once the fleet is up, which is what a --repeat sweep
-  // or a long-lived service actually pays.
-  (void)executor.run(jobs);
-  std::uint64_t rounds = 0;
-  for (auto _ : state) {
-    auto results = executor.run(jobs);
-    rounds = results.back().stats.rounds;
-    benchmark::DoNotOptimize(results.size());
-  }
-  const auto stats = executor.stats();
-  state.counters["n"] = 256.0 * static_cast<double>(jobs.size());
-  state.counters["rounds"] = static_cast<double>(rounds);
-  state.counters["shards"] = static_cast<double>(shards);
-  state.counters["jobs_shipped"] = benchmark::Counter(
-      static_cast<double>(stats.jobs_shipped),
-      benchmark::Counter::kAvgIterations);
-  // Spawns happened once, before timing: normalized per iteration this
-  // tends to zero, which is exactly the claim being benchmarked.
-  state.counters["workers_spawned"] = benchmark::Counter(
-      static_cast<double>(stats.workers_spawned),
-      benchmark::Counter::kAvgIterations);
-  state.counters["workers_respawned"] =
-      static_cast<double>(stats.workers_respawned);
-  state.counters["plan_hits"] = benchmark::Counter(
-      static_cast<double>(stats.plan_hits),
-      benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_WarmShardedSweep)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 }  // namespace
 

@@ -151,12 +151,8 @@ PreparedBatch prepare_batch(const std::vector<BatchItem>& items,
     batch.factories.push_back(make_factory(item.algorithm, param));
     runtime::RunOptions options;
     options.exec.plan_cache = plan_cache;
-    runtime::JobSpec spec;
-    spec.algorithm = algorithm_token(item.algorithm);
-    spec.param = param;
-    spec.group = runtime::structural_hash(item.graph->ports());
-    batch.jobs.push_back({&item.graph->ports(), batch.factories.back().get(),
-                          options, std::move(spec)});
+    batch.jobs.push_back(
+        {&item.graph->ports(), batch.factories.back().get(), options});
   }
   return batch;
 }
@@ -166,16 +162,9 @@ PreparedBatch prepare_batch(const std::vector<BatchItem>& items,
 std::vector<EdsOutcome> run_batch(const std::vector<BatchItem>& items,
                                   unsigned threads,
                                   runtime::PlanCache* plan_cache) {
-  return run_batch(items, runtime::ExecOptions{.threads = threads},
-                   plan_cache);
-}
-
-std::vector<EdsOutcome> run_batch(const std::vector<BatchItem>& items,
-                                  const runtime::ExecOptions& exec,
-                                  runtime::PlanCache* plan_cache) {
   std::vector<EdsOutcome> outcomes(items.size());
   run_batch_streaming(
-      items, exec,
+      items, threads,
       [&outcomes](std::size_t i, EdsOutcome&& outcome) {
         outcomes[i] = std::move(outcome);
       },
@@ -188,22 +177,10 @@ void run_batch_streaming(
     const std::function<void(std::size_t index, EdsOutcome&& outcome)>&
         on_outcome,
     runtime::PlanCache* plan_cache) {
-  run_batch_streaming(items, runtime::ExecOptions{.threads = threads},
-                      on_outcome, plan_cache);
-}
-
-void run_batch_streaming(
-    const std::vector<BatchItem>& items, const runtime::ExecOptions& exec,
-    const std::function<void(std::size_t index, EdsOutcome&& outcome)>&
-        on_outcome,
-    runtime::PlanCache* plan_cache) {
   const auto batch = prepare_batch(items, plan_cache);
-  // `exec.threads` sizes the in-process pool; `exec.executor` replaces it
-  // wholesale (the job-level options stay sequential either way, so the
-  // two levels of parallelism never multiply).
-  const runtime::BatchRunner runner =
-      exec.executor != nullptr ? runtime::BatchRunner(exec.executor)
-                               : runtime::BatchRunner(exec.threads);
+  // `threads` sizes the batch pool; the job-level options stay sequential,
+  // so the two levels of parallelism never multiply.
+  const runtime::BatchRunner runner(threads);
   runner.run_streaming(
       batch.jobs, [&](std::size_t i, runtime::RunResult&& result) {
         EdsOutcome outcome;

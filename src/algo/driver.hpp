@@ -33,8 +33,7 @@ enum class Algorithm {
 
 /// Stable machine-readable token for `a` ("port-one", "bounded-degree",
 /// ...).  This is the CLI's --algorithm vocabulary and the `algorithm`
-/// field of the process-shard wire protocol, so a worker subprocess can
-/// rebuild the factory the parent meant.
+/// field of a replay file.
 [[nodiscard]] std::string algorithm_token(Algorithm a);
 
 /// Inverse of algorithm_token; nullopt for an unknown token.
@@ -91,16 +90,6 @@ struct BatchItem {
     const std::vector<BatchItem>& items, unsigned threads = 0,
     runtime::PlanCache* plan_cache = nullptr);
 
-/// Backend-selecting run_batch: `exec.executor` (when set) replaces the
-/// in-process pool — e.g. a runtime::ProcessShardExecutor fans the items
-/// across worker subprocesses — while `exec.threads` sizes the in-process
-/// pool otherwise.  Every job is prepared with a serializable JobSpec
-/// (algorithm token, resolved parameter, structural-hash group), so any
-/// backend can ship it.  Outcomes are identical for every backend.
-[[nodiscard]] std::vector<EdsOutcome> run_batch(
-    const std::vector<BatchItem>& items, const runtime::ExecOptions& exec,
-    runtime::PlanCache* plan_cache = nullptr);
-
 /// Streaming run_batch: `on_outcome` receives each item's validated
 /// outcome as soon as its whole prefix has completed (serialized, strictly
 /// increasing item order — see BatchRunner::run_streaming), so long sweeps
@@ -108,14 +97,6 @@ struct BatchItem {
 /// the lowest-indexed failure after withholding outcomes from it onward.
 void run_batch_streaming(
     const std::vector<BatchItem>& items, unsigned threads,
-    const std::function<void(std::size_t index, EdsOutcome&& outcome)>&
-        on_outcome,
-    runtime::PlanCache* plan_cache = nullptr);
-
-/// Backend-selecting run_batch_streaming (see the ExecOptions overload of
-/// run_batch for the backend rules).
-void run_batch_streaming(
-    const std::vector<BatchItem>& items, const runtime::ExecOptions& exec,
     const std::function<void(std::size_t index, EdsOutcome&& outcome)>&
         on_outcome,
     runtime::PlanCache* plan_cache = nullptr);

@@ -10,39 +10,119 @@
 
 namespace eds::runtime {
 
-BatchRunner::BatchRunner(unsigned threads)
-    : owned_(std::make_unique<InProcessExecutor>(threads)),
-      executor_(owned_.get()) {}
+namespace {
 
-BatchRunner::BatchRunner(const Executor* executor) : executor_(executor) {
-  if (executor_ == nullptr) {
-    throw InvalidArgument("BatchRunner: executor must not be null");
+void validate(const std::vector<BatchJob>& jobs) {
+  for (const auto& job : jobs) {
+    if (job.graph == nullptr || job.factory == nullptr) {
+      throw InvalidArgument("BatchRunner: job requires a graph and a factory");
+    }
   }
 }
 
-BatchRunner::~BatchRunner() = default;
+/// The in-order reorder buffer.  Pool lanes deposit per-job outcomes out of
+/// order; the delivery cursor only ever advances over completed slots in
+/// index order, which is what makes delivery deterministic.
+struct ReorderBuffer {
+  explicit ReorderBuffer(std::size_t jobs)
+      : results(jobs), errors(jobs), done(jobs, 0) {}
+
+  std::mutex mutex;
+  std::vector<RunResult> results;
+  std::vector<std::exception_ptr> errors;
+  std::vector<char> done;
+  std::size_t cursor = 0;  // first index not yet delivered
+  bool stopped = false;    // delivery halted (job failure or callback throw)
+  bool delivering = false;  // one lane is draining the ready prefix
+  std::exception_ptr delivery_error;  // first exception from a callback
+
+  /// After job `i`'s outcome has been stored in results[i]/errors[i]:
+  /// deliver the ready prefix through `on_result`.  The `delivering` flag
+  /// makes exactly one depositor the deliverer at a time, so callbacks
+  /// never interleave and observe strictly increasing indices — but each
+  /// callback runs *outside* the mutex, so a slow consumer never blocks
+  /// other lanes from depositing results and pulling their next jobs.
+  void deposit_and_flush(std::size_t i,
+                         const BatchRunner::ResultCallback& on_result) {
+    std::unique_lock<std::mutex> lock(mutex);
+    done[i] = 1;
+    if (delivering) return;  // the current deliverer will pick this up
+    delivering = true;
+    while (!stopped && cursor < done.size() && done[cursor] != 0) {
+      if (errors[cursor]) {
+        stopped = true;  // the prefix rule: nothing at or past a failure
+        break;
+      }
+      const std::size_t idx = cursor++;
+      RunResult result = std::move(results[idx]);
+      lock.unlock();
+      std::exception_ptr thrown;
+      try {
+        on_result(idx, std::move(result));
+      } catch (...) {
+        thrown = std::current_exception();
+      }
+      lock.lock();
+      if (thrown) {
+        delivery_error = thrown;
+        stopped = true;
+        break;
+      }
+    }
+    delivering = false;
+  }
+
+  /// The post-drain rethrow: the callback's own failure wins (it is the
+  /// earliest in delivery order by construction), else the lowest-indexed
+  /// job failure.
+  void rethrow_failures() const {
+    if (delivery_error) std::rethrow_exception(delivery_error);
+    for (const auto& error : errors) {
+      if (error) std::rethrow_exception(error);
+    }
+  }
+};
+
+}  // namespace
+
+BatchRunner::BatchRunner(unsigned threads) : pool_(threads) {}
 
 std::vector<RunResult> BatchRunner::run(
     const std::vector<BatchJob>& jobs) const {
-  return executor_->run(jobs);
+  std::vector<RunResult> results(jobs.size());
+  run_streaming(jobs, [&results](std::size_t i, RunResult&& result) {
+    results[i] = std::move(result);
+  });
+  return results;
 }
 
 void BatchRunner::run_streaming(const std::vector<BatchJob>& jobs,
                                 const ResultCallback& on_result) const {
-  executor_->run_streaming(jobs, on_result);
+  validate(jobs);
+  ReorderBuffer buffer(jobs.size());
+  pool_.run(jobs.size(), [&](std::size_t i) {
+    try {
+      buffer.results[i] =
+          run_synchronous(*jobs[i].graph, *jobs[i].factory, jobs[i].options);
+    } catch (...) {
+      buffer.errors[i] = std::current_exception();
+    }
+    buffer.deposit_and_flush(i, on_result);
+  });
+  buffer.rethrow_failures();
 }
 
-/// The pull adapter: a driver thread pumps the backend's run_streaming and
-/// pushes each in-order result into a queue; next() pops.  Because the
-/// backend already delivers a strictly increasing prefix and withholds
-/// everything from the lowest failure onward, the queue inherits the whole
-/// determinism contract — this adapter never reorders or filters.
+/// The pull adapter: a driver thread pumps the runner's run_streaming and
+/// pushes each in-order result into a queue; next() pops.  Because
+/// run_streaming already delivers a strictly increasing prefix and
+/// withholds everything from the lowest failure onward, the queue inherits
+/// the whole determinism contract — this adapter never reorders or filters.
 struct BatchStream::Impl {
-  Impl(std::vector<BatchJob> jobs_in, const Executor* executor)
+  Impl(std::vector<BatchJob> jobs_in, const BatchRunner* runner)
       : jobs(std::move(jobs_in)) {
-    driver = std::thread([this, executor] {
+    driver = std::thread([this, runner] {
       try {
-        executor->run_streaming(
+        runner->run_streaming(
             jobs, [this](std::size_t i, RunResult&& result) {
               {
                 const std::lock_guard<std::mutex> lock(mutex);
@@ -70,7 +150,7 @@ struct BatchStream::Impl {
   std::mutex mutex;
   std::condition_variable ready;
   std::deque<Item> queue;
-  std::exception_ptr error;  // the backend's post-drain rethrow, if any
+  std::exception_ptr error;  // run_streaming's post-drain rethrow, if any
   bool finished = false;     // driver has returned from run_streaming
   bool stopped = false;      // next() already rethrew; stream is over
   std::thread driver;
@@ -91,7 +171,7 @@ std::optional<BatchStream::Item> BatchStream::next() {
     return item;
   }
   // Queue exhausted and the batch has drained: surface the failure (once)
-  // or signal completion.  The driver has already returned, so the backend
+  // or signal completion.  The driver has already returned, so the pool
   // is quiescent when the caller unwinds.
   impl.stopped = true;
   if (impl.error) {
@@ -105,11 +185,11 @@ std::optional<BatchStream::Item> BatchStream::next() {
 
 std::unique_ptr<BatchStream> BatchRunner::stream(
     std::vector<BatchJob> jobs) const {
-  // Backend-aware validation up front: a misconfigured job must fail here,
-  // not from the first next() after the driver has already drained.
-  executor_->validate(jobs);
+  // A malformed job must fail here, not from the first next() after the
+  // driver has already drained.
+  validate(jobs);
   return std::unique_ptr<BatchStream>(new BatchStream(
-      std::make_unique<BatchStream::Impl>(std::move(jobs), executor_)));
+      std::make_unique<BatchStream::Impl>(std::move(jobs), this)));
 }
 
 }  // namespace eds::runtime

@@ -1,14 +1,12 @@
-// BatchRunner: many independent synchronous executions behind a pluggable
-// Executor backend.
+// BatchRunner: many independent synchronous executions fanned across an
+// in-process thread pool.
 //
 // Sweeps, tables and benchmarks all share the same shape — run dozens to
 // thousands of (graph, program-factory, options) jobs and fold the results.
-// BatchRunner is the one entry point for that shape.  *How* the jobs run is
-// the backend's business (runtime/executor.hpp): the default backend fans
-// them across an in-process thread pool; a ProcessShardExecutor
-// (runtime/shard.hpp) ships them to worker subprocesses instead.  Either
-// way results come back in job order, so output is deterministic regardless
-// of thread count, shard count, or backend choice.
+// BatchRunner is the one entry point for that shape.  It owns a ThreadPool
+// of `threads` lanes, reused by every call, and each job runs
+// run_synchronous under its own RunOptions on one lane.  Results come back
+// in job order, so output is deterministic regardless of thread count.
 //
 // Three consumption styles, all with identical per-job results:
 //  * run()            — barrier on the whole batch, vector of results;
@@ -27,69 +25,43 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "port/port_graph.hpp"
-#include "runtime/executor.hpp"
 #include "runtime/program.hpp"
 #include "runtime/runner.hpp"
+#include "util/parallel.hpp"
 
 namespace eds::runtime {
 
-/// A serializable description of a job, for backends that execute outside
-/// this process.  In-process backends ignore it entirely; the
-/// ProcessShardExecutor *requires* it (the graph/factory pointers cannot
-/// cross a process boundary, so a worker rebuilds the factory from the
-/// algorithm token and the graph from its text form).
-struct JobSpec {
-  /// Opaque algorithm token a worker maps back to a factory (the runtime
-  /// layer never interprets it; `edsim worker` resolves it through
-  /// `algo::algorithm_from_token`).
-  std::string algorithm;
-
-  /// Fully resolved factory parameter (d or ∆; 0 only where the factory
-  /// takes no parameter).  Defaults are resolved *before* serialization so
-  /// every process computes from the same inputs.
-  Port param = 0;
-
-  /// Shard-affinity key: jobs with equal `group` are routed to the same
-  /// worker process.  Callers set it to the graph's structural hash so
-  /// repeated runs on one structure share a single per-worker plan cache
-  /// entry, keeping aggregate plan counters identical to a one-process run.
-  std::uint64_t group = 0;
-};
-
 /// One unit of batch work.  `graph` and `factory` are non-owning and must
-/// outlive the run()/run_streaming()/stream() call.  `spec` is optional
-/// and only consulted by out-of-process backends.
+/// outlive the run()/run_streaming()/stream() call.
 struct BatchJob {
   const port::PortGraph* graph = nullptr;
   const ProgramFactory* factory = nullptr;
   RunOptions options;
-  std::optional<JobSpec> spec;
 };
 
 class BatchStream;
 
 class BatchRunner {
  public:
-  using ResultCallback = Executor::ResultCallback;
+  /// Receives result `index` once jobs 0..index have all completed.  Calls
+  /// are serialized and arrive in strictly increasing index order, but may
+  /// come from any pool lane.
+  using ResultCallback =
+      std::function<void(std::size_t index, RunResult&& result)>;
 
   /// `threads` as in ExecOptions: number of concurrent jobs, 0 = one per
-  /// hardware thread.  Creates (and owns) an InProcessExecutor whose pool
-  /// is reused by every run() call.
+  /// hardware thread.  The pool is created once and reused by every call.
   explicit BatchRunner(unsigned threads = 0);
 
-  /// Runs every batch through `executor` instead (non-owning; must outlive
-  /// the runner).  This is how a sweep swaps thread-pool fan-out for
-  /// process sharding without touching any consumption code.
-  explicit BatchRunner(const Executor* executor);
-
-  ~BatchRunner();
+  /// A stream's driver thread holds the runner's address.
+  BatchRunner(const BatchRunner&) = delete;
+  BatchRunner& operator=(const BatchRunner&) = delete;
 
   /// Executes every job and returns their results in job order.  Throws
   /// InvalidArgument on a malformed job (null graph/factory) before any
@@ -107,21 +79,16 @@ class BatchRunner {
                      const ResultCallback& on_result) const;
 
   /// Starts the batch on a background driver and returns a pull-style
-  /// stream of in-order results.  The BatchRunner (and every job's graph
-  /// and factory) must outlive the stream; no other run()/run_streaming()
+  /// stream of in-order results.  Malformed jobs are rejected here, before
+  /// the driver starts.  The BatchRunner (and every job's graph and
+  /// factory) must outlive the stream; no other run()/run_streaming()
   /// /stream() call may execute on this runner until the stream is
-  /// destroyed (the backend is single-batch).
+  /// destroyed (the pool runs one batch at a time).
   [[nodiscard]] std::unique_ptr<BatchStream> stream(
       std::vector<BatchJob> jobs) const;
 
-  /// The backend batches execute on.
-  [[nodiscard]] const Executor& executor() const noexcept {
-    return *executor_;
-  }
-
  private:
-  std::unique_ptr<InProcessExecutor> owned_;  // null when borrowing
-  const Executor* executor_;                  // owned_.get() or the borrow
+  mutable ThreadPool pool_;
 };
 
 /// Pull-side of BatchRunner::stream(): next() blocks until the next job in
@@ -129,9 +96,8 @@ class BatchRunner {
 /// the batch is exhausted.  If the next job failed, next() rethrows its
 /// exception and the stream ends (later results are discarded, matching
 /// run_streaming's prefix rule).  Destroying the stream drains the batch:
-/// undelivered jobs still execute, the backend's workers join, and only
-/// then does the destructor return.  Not thread-safe: one consumer at a
-/// time.
+/// undelivered jobs still execute, the pool's lanes finish, and only then
+/// does the destructor return.  Not thread-safe: one consumer at a time.
 class BatchStream {
  public:
   /// One delivered result and the job index it belongs to.

@@ -30,10 +30,9 @@
 namespace eds::runtime {
 
 class PlanCache;
-class Executor;
 
-/// Execution-engine selection (scheduling, plan reuse, batch backend, and
-/// the execution *model*).  Everything except `async` never affects
+/// Execution-engine selection (scheduling, plan reuse, and the execution
+/// *model*).  Everything except `async` never affects
 /// results — every scheduling combination is bit-identical by differential
 /// test.  `async` selects a different semantics on purpose: with the
 /// α-synchronizer it is bit-identical too (that equivalence is itself a
@@ -44,7 +43,7 @@ struct ExecOptions {
   /// round): 1 = SequentialPolicy (default), >1 = ParallelPolicy with
   /// that many lanes, 0 = ParallelPolicy with one lane per hardware
   /// thread.  At the batch level (`algo::run_batch`) this is instead the
-  /// number of concurrent jobs of the in-process backend.
+  /// number of concurrent jobs.
   unsigned threads = 1;
 
   /// When set, the ExecutionPlan is fetched from (and shared through) this
@@ -55,20 +54,12 @@ struct ExecOptions {
   /// except in wall-clock time and the cache's statistics.
   PlanCache* plan_cache = nullptr;
 
-  /// Batch-level backend override (non-owning): when set,
-  /// `algo::run_batch` / `run_batch_streaming` route their jobs through
-  /// this executor — e.g. a ProcessShardExecutor — instead of an
-  /// in-process BatchRunner pool of `threads` lanes.  Ignored by
-  /// run_synchronous: a single run has no batch to shard.
-  const Executor* executor = nullptr;
-
   /// When set, run_synchronous routes the run through the event-driven
   /// asynchronous engine (runtime/async.hpp) configured by these options
   /// instead of the round loop; the returned RunResult is the async run's
   /// `AsyncResult::run` (call run_asynchronous directly for the fault log
   /// and async counters).  The event loop is sequential, so `threads` only
-  /// parallelizes across batch jobs, never within a run.  Async runs never
-  /// cross the process-shard wire: ProcessShardExecutor rejects them.
+  /// parallelizes across batch jobs, never within a run.
   std::optional<AsyncOptions> async = std::nullopt;
 
   [[nodiscard]] bool operator==(const ExecOptions&) const = default;

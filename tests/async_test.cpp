@@ -38,7 +38,6 @@
 #include "runtime/outputs.hpp"
 #include "runtime/runner.hpp"
 #include "runtime/sched.hpp"
-#include "runtime/shard.hpp"
 #include "util/rng.hpp"
 #include "invariants.hpp"
 #include "test_util.hpp"
@@ -1163,28 +1162,6 @@ TEST(AsyncDispatch, ExecOptionsRouteThroughRunSynchronous) {
   const auto baseline = algo::run_algorithm(pg, Algorithm::kBoundedDegree, 3);
   EXPECT_EQ(outcome.solution.to_vector(), baseline.solution.to_vector());
   EXPECT_EQ(outcome.stats, baseline.stats);
-}
-
-TEST(AsyncDispatch, ProcessShardExecutorAcceptsAsyncButNotSchedules) {
-  const auto g = test::figure2_multigraph_m();
-  const EchoFactory factory(2);
-  BatchJob job;
-  job.graph = &g;
-  job.factory = &factory;
-  JobSpec spec;
-  spec.algorithm = "echo";
-  job.spec = spec;
-  job.options.exec.async = AsyncOptions{};
-
-  // Since schema 2 plain async jobs cross the wire...
-  const ProcessShardExecutor executor({"/nonexistent/edsim", "worker"}, 2);
-  EXPECT_NO_THROW(executor.validate({job}));
-
-  // ...but adversarial schedules are an in-process search artifact and
-  // never do.
-  BatchJob scheduled = job;
-  scheduled.options.exec.async->schedule.prio_seed = 7;
-  EXPECT_THROW(executor.validate({scheduled}), InvalidArgument);
 }
 
 TEST(AsyncStatsCounters, SynchronizerAccountsAcksAndVirtualTime) {

@@ -2,22 +2,15 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 
 #include "cli/cli.hpp"
 #include "graph/io.hpp"
 #include "port/io.hpp"
-#include "runtime/shard.hpp"
-#include "test_util.hpp"
 
 namespace eds::cli {
 namespace {
-
-/// Points `sweep --shards` (which forks `$EDSIM_BIN worker`) at the real
-/// edsim binary; run_cli executes in this test process, so /proc/self/exe
-/// would resolve to cli_test itself.  test::edsim_binary() exports
-/// EDSIM_BIN as a side effect, which is exactly what the sweep reads.
-bool edsim_available() { return !test::edsim_binary().empty(); }
 
 struct CliRun {
   int code = 0;
@@ -303,12 +296,10 @@ TEST(Cli, SweepNdjsonIsDeterministicAcrossThreadCounts) {
   EXPECT_EQ(a.out, b.out);
 }
 
-TEST(Cli, SweepShardsAreByteIdenticalToThreadsAndSequential) {
-  if (!edsim_available()) GTEST_SKIP() << "edsim binary not found";
-  // The acceptance differential for the sharded backend: for each family,
-  // sequential (--threads 1), pooled (--threads 8) and process-sharded
-  // (--shards 3) sweeps must produce byte-identical NDJSON — rows,
-  // summary, plan-cache counters and all.
+TEST(Cli, SweepFamiliesAreByteIdenticalAcrossThreadCounts) {
+  // For each family, sequential (--threads 1) and pooled (--threads 8)
+  // sweeps must produce byte-identical NDJSON — rows, summary, plan-cache
+  // counters and all.
   const std::vector<std::vector<std::string>> sweeps{
       {"sweep", "grid", "--min", "9", "--max", "36", "--repeat", "2",
        "--seed", "3", "--ndjson"},
@@ -322,86 +313,77 @@ TEST(Cli, SweepShardsAreByteIdenticalToThreadsAndSequential) {
     sequential.insert(sequential.end(), {"--threads", "1"});
     auto pooled = base;
     pooled.insert(pooled.end(), {"--threads", "8"});
-    auto sharded = base;
-    sharded.insert(sharded.end(), {"--shards", "3"});
 
     const auto a = invoke(sequential);
     const auto b = invoke(pooled);
-    const auto c = invoke(sharded);
     ASSERT_EQ(a.code, 0) << base[1] << ": " << a.err;
     ASSERT_EQ(b.code, 0) << base[1] << ": " << b.err;
-    ASSERT_EQ(c.code, 0) << base[1] << ": " << c.err;
     EXPECT_EQ(a.out, b.out) << base[1];
-    EXPECT_EQ(a.out, c.out) << base[1] << ": shards must not change a byte";
   }
 }
 
-TEST(Cli, SweepShardsReportsADeadWorkerCommand) {
-  // /bin/false exits immediately without speaking the protocol: the sweep
-  // fails cleanly (exit 1, prefix rule) instead of hanging.
-  const auto run = invoke({"sweep", "cycle", "--min", "8", "--max", "8",
-                           "--shards", "2", "--worker-bin", "/bin/false"});
-  EXPECT_EQ(run.code, 1);
-  EXPECT_NE(run.err.find("sweep:"), std::string::npos) << run.err;
-}
-
-TEST(Cli, WorkerSpeaksTheWireProtocol) {
-  // Two jobs on the same 2-node structure: two result lines (flushed in
-  // order) plus a summary showing one compiled plan and one cache hit.
-  runtime::WireJob job;
-  job.algorithm = "all-edges";
-  job.param = 0;
-  job.threads = 1;
-  job.max_rounds = 100;
-  job.graph_text = "ports 2\ndeg 1 1\nconn 0 1 1 1\n";
-  job.index = 0;
-  const auto line0 = runtime::encode_wire_job(job);
-  job.index = 1;
-  const auto line1 = runtime::encode_wire_job(job);
-
-  const auto run = invoke({"worker"}, line0 + "\n" + line1 + "\n");
-  ASSERT_EQ(run.code, 0) << run.err;
-  std::istringstream lines(run.out);
-  std::string line;
-  std::vector<runtime::WorkerLine> parsed;
-  while (std::getline(lines, line)) {
-    parsed.push_back(runtime::decode_worker_line(line));
+/// FNV-1a-64 of `text`, as 0x-prefixed upper-case hex.
+std::string fnv1a64(const std::string& text) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const char c : text) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
   }
-  ASSERT_EQ(parsed.size(), 3u) << run.out;
-  ASSERT_EQ(parsed[0].kind, runtime::WorkerLine::Kind::kResult);
-  EXPECT_EQ(parsed[0].index, 0u);
-  // all-edges: both endpoints select their single port.
-  const std::vector<std::uint8_t> want{1, 1};
-  EXPECT_EQ(parsed[0].result.selected, want);
-  ASSERT_EQ(parsed[1].kind, runtime::WorkerLine::Kind::kResult);
-  EXPECT_EQ(parsed[1].index, 1u);
-  ASSERT_EQ(parsed[2].kind, runtime::WorkerLine::Kind::kSummary);
-  EXPECT_EQ(parsed[2].summary.jobs, 2u);
-  EXPECT_EQ(parsed[2].summary.plans_compiled, 1u);
-  EXPECT_EQ(parsed[2].summary.plan_hits, 1u);
+  std::ostringstream hex;
+  hex << "0x" << std::hex << std::uppercase << std::setw(16)
+      << std::setfill('0') << h;
+  return hex.str();
 }
 
-TEST(Cli, WorkerReportsJobFailuresAndDiesOnGarbage) {
-  runtime::WireJob job;
-  job.algorithm = "no-such-algorithm";
-  job.graph_text = "ports 2\ndeg 1 1\nconn 0 1 1 1\n";
-  job.max_rounds = 10;
-  const auto run = invoke({"worker"}, runtime::encode_wire_job(job) + "\n");
-  ASSERT_EQ(run.code, 0) << "a failed job is an error line, not a dead worker";
-  EXPECT_NE(run.out.find("\"error\""), std::string::npos) << run.out;
-  EXPECT_NE(run.out.find("\"worker_summary\""), std::string::npos);
-
-  EXPECT_EQ(invoke({"worker"}, "garbage\n").code, 2);
-
-  // The --fail-after test hook: one result, then a nonzero exit with no
-  // summary — exactly what the worker-death tests simulate with.
-  runtime::WireJob ok = job;
-  ok.algorithm = "all-edges";
-  const auto wire = runtime::encode_wire_job(ok);
-  const auto killed =
-      invoke({"worker", "--fail-after", "1"}, wire + "\n" + wire + "\n");
-  EXPECT_EQ(killed.code, 7);
-  EXPECT_EQ(killed.out.find("\"worker_summary\""), std::string::npos);
+TEST(Cli, SweepOutputsMatchPinnedDigests) {
+  // Every sweep row shape (table and NDJSON, sync and async, batch and
+  // adversary) pinned as (exit code, digest of stdout), the same way
+  // AsyncGolden pins event order.  The bytes are independent of
+  // --threads, so each case runs at three counts.  A red digest means a
+  // sweep's output moved, not that the test needs re-pinning.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> pinned{
+      {{"cycle", "--min", "8", "--max", "32", "--repeat", "2"},
+       "0x49A125CE204E41EA"},
+      {{"regular", "--min", "8", "--max", "64", "--d", "3", "--seed", "42",
+        "--ndjson"},
+       "0x146329CCA4483727"},
+      {{"grid", "--min", "9", "--max", "36", "--repeat", "2", "--seed", "3",
+        "--ndjson"},
+       "0x85A92B3A21484484"},
+      {{"powerlaw", "--min", "16", "--max", "64", "--seed", "5"},
+       "0x2F84158706D04AA3"},
+      {{"caterpillar", "--min", "12", "--max", "24", "--ndjson"},
+       "0xF4E957A8B43046E6"},
+      {{"portgraph", "--min", "4", "--max", "16", "--d", "3", "--seed", "11",
+        "--repeat", "2"},
+       "0xC0D8F45F85588E81"},
+      {{"portgraph", "--min", "4", "--max", "16", "--d", "3", "--seed", "11",
+        "--repeat", "2", "--ndjson"},
+       "0x532030D999347BA7"},
+      {{"regular", "--min", "16", "--max", "32", "--d", "4", "--model",
+        "async", "--ndjson"},
+       "0x3A9119E57C7C1414"},
+      {{"cycle", "--min", "8", "--max", "16", "--model", "async", "--loss",
+        "0.1", "--crash", "1", "--seed", "9"},
+       "0xA86EB8EB06C05371"},
+      {{"cycle", "--min", "8", "--max", "8", "--model", "async", "--timeout",
+        "3", "--adversary", "climb", "--budget", "8", "--ndjson"},
+       "0x3F11821C15099E2A"},
+      {{"portgraph", "--min", "8", "--max", "8", "--d", "3", "--model",
+        "async", "--timeout", "3", "--adversary", "pct", "--budget", "4"},
+       "0x1F90B0C9F37FFA91"},
+  };
+  for (const auto& [flags, digest] : pinned) {
+    for (const char* threads : {"1", "2", "8"}) {
+      std::vector<std::string> args{"sweep"};
+      args.insert(args.end(), flags.begin(), flags.end());
+      args.insert(args.end(), {"--threads", threads});
+      const auto run = invoke(args);
+      std::string line;
+      for (const auto& a : args) line += ' ' + a;
+      EXPECT_EQ(run.code, 0) << line << ": " << run.err;
+      EXPECT_EQ(fnv1a64(run.out), digest) << line;
+    }
+  }
 }
 
 TEST(Cli, SweepErrors) {
@@ -413,6 +395,30 @@ TEST(Cli, SweepErrors) {
       invoke({"sweep", "cycle", "--algorithm", "nosuch"}).code, 2);
   // cycle(2) is invalid: the generator error surfaces as exit code 1.
   EXPECT_EQ(invoke({"sweep", "cycle", "--min", "2", "--max", "2"}).code, 1);
+  // Undeclared options, typos included, are rejected by name.
+  const auto typo = invoke({"sweep", "cycle", "--thread", "4"});
+  EXPECT_EQ(typo.code, 2);
+  EXPECT_NE(typo.err.find("sweep: unknown option --thread"),
+            std::string::npos)
+      << typo.err;
+  EXPECT_EQ(invoke({"sweep", "cycle", "--bogus"}).code, 2);
+  // Numeric values are all digits and fit their type, or exit 2 naming
+  // the flag.
+  const auto trailing = invoke({"sweep", "cycle", "--repeat", "2x"});
+  EXPECT_EQ(trailing.code, 2);
+  EXPECT_NE(trailing.err.find("--repeat"), std::string::npos) << trailing.err;
+  EXPECT_EQ(invoke({"sweep", "cycle", "--repeat", "abc"}).code, 2);
+  EXPECT_EQ(invoke({"sweep", "cycle", "--threads", "99999999999"}).code, 2);
+  EXPECT_EQ(invoke({"sweep", "cycle", "--seed"}).code, 2);
+  // A boolean flag never swallows the family.
+  EXPECT_EQ(invoke({"sweep", "--ndjson", "cycle", "--min", "8", "--max",
+                    "8"})
+                .code,
+            0);
+  // The retired process-shard flag points at its replacement.
+  const auto shards = invoke({"sweep", "cycle", "--shards", "2"});
+  EXPECT_EQ(shards.code, 2);
+  EXPECT_NE(shards.err.find("--threads"), std::string::npos) << shards.err;
 }
 
 /// The value of `"key":` in a one-line JSON object ("" when absent).
@@ -432,75 +438,6 @@ std::vector<std::string> lines_of(const std::string& text) {
   std::string line;
   while (std::getline(is, line)) lines.push_back(line);
   return lines;
-}
-
-TEST(Cli, SweepResilienceFlagsRequireShards) {
-  // The whole resilience surface lives behind the sharded backend;
-  // accepting the flags elsewhere would silently do nothing.
-  const std::vector<std::vector<std::string>> extras{
-      {"--retries", "1"},          {"--retry-backoff-ms", "5"},
-      {"--job-timeout-ms", "10"},  {"--batch-timeout-ms", "10"},
-      {"--breaker-deaths", "2"},   {"--fallback-inprocess"},
-      {"--chaos", "crash:1"},
-  };
-  for (const auto& extra : extras) {
-    std::vector<std::string> args{"sweep", "cycle", "--min", "8", "--max",
-                                  "8"};
-    args.insert(args.end(), extra.begin(), extra.end());
-    const auto run = invoke(args);
-    EXPECT_EQ(run.code, 2) << extra.front();
-    EXPECT_NE(run.err.find("--shards"), std::string::npos) << run.err;
-  }
-}
-
-TEST(Cli, SweepRejectsAMalformedChaosSpec) {
-  // The spec is validated up front, in the parent — not discovered as a
-  // worker that dies with a usage error on its first batch.
-  const auto run = invoke({"sweep", "cycle", "--min", "8", "--max", "8",
-                           "--shards", "1", "--chaos", "frobnicate:1"});
-  EXPECT_EQ(run.code, 2);
-  EXPECT_NE(run.err.find("chaos"), std::string::npos) << run.err;
-}
-
-TEST(Cli, SweepChaosSummaryReportsDegradedCountersAndIdenticalRows) {
-  if (!edsim_available()) GTEST_SKIP() << "edsim binary not found";
-  const std::vector<std::string> base{"sweep", "cycle",    "--min", "8",
-                                      "--max", "8",        "--repeat", "3",
-                                      "--seed", "3",       "--ndjson"};
-  auto clean = base;
-  clean.insert(clean.end(), {"--shards", "1"});
-  auto chaotic = clean;
-  // crash:2 kills the worker after its second answer, orphaning the
-  // third repeat — exercised as a retry, visible only in the summary.
-  chaotic.insert(chaotic.end(), {"--chaos", "crash:2",
-                                 "--retry-backoff-ms", "1"});
-
-  const auto a = invoke(clean);
-  const auto b = invoke(chaotic);
-  ASSERT_EQ(a.code, 0) << a.err;
-  ASSERT_EQ(b.code, 0) << b.err;
-  const auto clean_lines = lines_of(a.out);
-  const auto chaos_lines = lines_of(b.out);
-  ASSERT_EQ(clean_lines.size(), chaos_lines.size());
-  // Every row is bit-identical — chaos may cost retries, never bytes.
-  for (std::size_t i = 0; i + 1 < clean_lines.size(); ++i) {
-    EXPECT_EQ(clean_lines[i], chaos_lines[i]) << "row " << i;
-  }
-  // The clean summary omits the resilience counters entirely (so it
-  // stays byte-identical to in-process backends); the degraded one
-  // carries the exact retry accounting.
-  const auto& clean_summary = clean_lines.back();
-  const auto& chaos_summary = chaos_lines.back();
-  EXPECT_EQ(json_field(clean_summary, "jobs_retried"), "");
-  EXPECT_EQ(json_field(chaos_summary, "jobs_retried"), "1");
-  EXPECT_EQ(json_field(chaos_summary, "workers_respawned"), "1");
-  EXPECT_EQ(json_field(chaos_summary, "jobs_poisoned"), "0");
-  EXPECT_EQ(json_field(chaos_summary, "summaries_lost"), "1")
-      << "the crashed worker died before reporting its batch delta";
-  // The retried job recompiled its plan in a fresh worker, but the cache
-  // accounting must stay coherent: same hits as the clean run reports.
-  EXPECT_EQ(json_field(chaos_summary, "jobs"), json_field(clean_summary,
-                                                          "jobs"));
 }
 
 TEST(Cli, SweepModelSyncDefaultIsByteIdentical) {
@@ -613,9 +550,8 @@ TEST(Cli, SweepModelAsyncRejections) {
     return invoke(args).code;
   };
   EXPECT_EQ(fails({"--model", "turbo"}), 2);
-  // --model async + --shards is legal since schema 2; what stays out of
-  // the wire is the adversary (schedules are an in-process artifact), and
-  // --no-pool is meaningless without shards.
+  // The retired process-shard flags are command-line errors, with or
+  // without the async model.
   EXPECT_EQ(fails({"--model", "async", "--adversary", "random", "--shards",
                    "2"}),
             2);

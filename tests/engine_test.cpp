@@ -392,12 +392,12 @@ TEST(BatchRunner, DeterministicAcrossThreadCounts) {
   traced.collect_trace = true;
   traced.collect_messages = true;
   const std::vector<BatchJob> jobs{
-      {&h.ports(), &echo, traced, {}},
-      {&m, &echo, traced, {}},
-      {&cycle.ports(), &port_one, {}, {}},
-      {&regular.ports(), &bounded, traced, {}},
-      {&regular.ports(), &port_one, {}, {}},
-      {&h.ports(), &bounded, {}, {}},
+      {&h.ports(), &echo, traced},
+      {&m, &echo, traced},
+      {&cycle.ports(), &port_one, {}},
+      {&regular.ports(), &bounded, traced},
+      {&regular.ports(), &port_one, {}},
+      {&h.ports(), &bounded, {}},
   };
 
   // The per-job oracle: what each job yields when run on its own.
@@ -421,8 +421,13 @@ TEST(BatchRunner, RejectsMalformedJobsUpFront) {
   const EchoFactory echo(1);
   const auto pg = port::with_canonical_ports(graph::cycle(3));
   const BatchRunner runner(2);
-  EXPECT_THROW((void)runner.run({{nullptr, &echo, {}, {}}}), InvalidArgument);
-  EXPECT_THROW((void)runner.run({{&pg.ports(), nullptr, {}, {}}}),
+  EXPECT_THROW((void)runner.run({{nullptr, &echo, {}}}), InvalidArgument);
+  EXPECT_THROW((void)runner.run({{&pg.ports(), nullptr, {}}}),
+               InvalidArgument);
+  // stream() validates before its driver thread starts, so a malformed
+  // job surfaces here and not from the first next().
+  EXPECT_THROW((void)runner.stream({{nullptr, &echo, {}}}), InvalidArgument);
+  EXPECT_THROW((void)runner.stream({{&pg.ports(), nullptr, {}}}),
                InvalidArgument);
   EXPECT_TRUE(runner.run({}).empty());
 }
@@ -435,8 +440,8 @@ TEST(BatchRunner, RethrowsLowestIndexedFailure) {
   RunOptions five;
   five.max_rounds = 5;
   const std::vector<BatchJob> jobs{
-      {&pg.ports(), &never, three, {}},
-      {&pg.ports(), &never, five, {}},
+      {&pg.ports(), &never, three},
+      {&pg.ports(), &never, five},
   };
   for (const unsigned threads : {1u, 4u}) {
     const BatchRunner runner(threads);
@@ -463,7 +468,7 @@ TEST(BatchRunner, StreamingMatchesRunAndArrivesInOrder) {
   traced.collect_messages = true;
   std::vector<BatchJob> jobs;
   for (const auto& pg : graphs) {
-    jobs.push_back({&pg.ports(), &bounded, traced, {}});
+    jobs.push_back({&pg.ports(), &bounded, traced});
   }
 
   for (const unsigned threads : {1u, 4u}) {
@@ -492,10 +497,10 @@ TEST(BatchRunner, StreamingWithholdsResultsFromTheFailureOnward) {
   // Jobs 0 and 1 succeed, job 2 fails, job 3 would succeed but must be
   // withheld by the prefix rule.
   const std::vector<BatchJob> jobs{
-      {&pg.ports(), &echo, {}, {}},
-      {&pg.ports(), &echo, {}, {}},
-      {&pg.ports(), &never, capped, {}},
-      {&pg.ports(), &echo, {}, {}},
+      {&pg.ports(), &echo, {}},
+      {&pg.ports(), &echo, {}},
+      {&pg.ports(), &never, capped},
+      {&pg.ports(), &echo, {}},
   };
   for (const unsigned threads : {1u, 4u}) {
     const BatchRunner runner(threads);
@@ -515,8 +520,8 @@ TEST(BatchRunner, StreamingRethrowsCallbackFailures) {
   const EchoFactory echo(1);
   const auto pg = port::with_canonical_ports(graph::cycle(3));
   const std::vector<BatchJob> jobs{
-      {&pg.ports(), &echo, {}, {}},
-      {&pg.ports(), &echo, {}, {}},
+      {&pg.ports(), &echo, {}},
+      {&pg.ports(), &echo, {}},
   };
   const BatchRunner runner(2);
   std::size_t calls = 0;
@@ -538,7 +543,7 @@ TEST(BatchStream, NextPullsEveryResultInOrder) {
   const algo::BoundedDegreeFactory bounded(3);
   std::vector<BatchJob> jobs;
   for (const auto& pg : graphs) {
-    jobs.push_back({&pg.ports(), &bounded, {}, {}});
+    jobs.push_back({&pg.ports(), &bounded, {}});
   }
   const BatchRunner runner(4);
   const auto expected = runner.run(jobs);
@@ -562,9 +567,9 @@ TEST(BatchStream, NextRethrowsTheFailedJobAndEnds) {
   RunOptions capped;
   capped.max_rounds = 3;
   const std::vector<BatchJob> jobs{
-      {&pg.ports(), &echo, {}, {}},
-      {&pg.ports(), &never, capped, {}},
-      {&pg.ports(), &echo, {}, {}},
+      {&pg.ports(), &echo, {}},
+      {&pg.ports(), &never, capped},
+      {&pg.ports(), &echo, {}},
   };
   const BatchRunner runner(2);
   auto stream = runner.stream(jobs);
@@ -578,7 +583,7 @@ TEST(BatchStream, NextRethrowsTheFailedJobAndEnds) {
 TEST(BatchStream, AbandoningTheStreamDrainsTheBatch) {
   const EchoFactory echo(3);
   const auto pg = port::with_canonical_ports(graph::cycle(12));
-  const std::vector<BatchJob> jobs(8, BatchJob{&pg.ports(), &echo, {}, {}});
+  const std::vector<BatchJob> jobs(8, BatchJob{&pg.ports(), &echo, {}});
   const BatchRunner runner(2);
   {
     auto stream = runner.stream(jobs);
@@ -600,7 +605,7 @@ TEST(BatchStream, DroppingAnUndrainedStreamReleasesWorkspaceBytes) {
   const auto baseline = engine_alloc_stats().workspace_bytes;
   const EchoFactory echo(4);
   const auto pg = port::with_canonical_ports(graph::cycle(64));
-  const std::vector<BatchJob> jobs(12, BatchJob{&pg.ports(), &echo, {}, {}});
+  const std::vector<BatchJob> jobs(12, BatchJob{&pg.ports(), &echo, {}});
   {
     const BatchRunner runner(3);
     auto stream = runner.stream(jobs);

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <span>
 #include <utility>
@@ -345,29 +344,6 @@ inline std::vector<unsigned> policy_thread_counts() {
     }
   }
   return counts;
-}
-
-/// The `edsim` binary for suites that fork worker subprocesses: the
-/// EDSIM_BIN environment variable wins, else the EDSIM_BIN_PATH compile
-/// definition (set by tests/CMakeLists.txt for those suites); "" when
-/// neither resolves to an existing file.  Also exports the result as
-/// EDSIM_BIN so code that re-resolves at run time (`edsim sweep --shards`
-/// inside an in-process run_cli) finds the same binary.
-inline std::string edsim_binary() {
-  std::string bin;
-  if (const char* env = std::getenv("EDSIM_BIN")) bin = env;
-#ifdef EDSIM_BIN_PATH
-  if (bin.empty()) bin = EDSIM_BIN_PATH;
-#endif
-  if (bin.empty() || !std::ifstream(bin).good()) return "";
-#if !defined(_WIN32)
-  // overwrite=1: an *empty* exported EDSIM_BIN must be repaired too, or
-  // code that re-resolves the binary (worker_binary in cli.cpp) would
-  // fall through to /proc/self/exe — the test binary itself — and fork
-  // the whole suite recursively.
-  ::setenv("EDSIM_BIN", bin.c_str(), /*overwrite=*/1);
-#endif
-  return bin;
 }
 
 }  // namespace eds::test
