@@ -12,7 +12,6 @@
 // committed snapshot via `tools/bench_json.py --compare`.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -21,7 +20,6 @@
 #include "port/ported_graph.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/engine.hpp"
-#include "runtime/message.hpp"
 #include "runtime/plan_cache.hpp"
 #include "util/rng.hpp"
 
@@ -53,12 +51,11 @@ class AllocPressure {
   eds::runtime::EngineAllocStats before_;
 };
 
-/// Exports the engine's per-round stage split — exchange (send sweep +
-/// tag-lane shadow) vs receive (involution gather + merge), with the
-/// tag-shadow (`scatter_ns`, a component of exchange) and the traffic scan
-/// (`scan_ns`) broken out — as per-iteration nanosecond counters.
-/// Profiling is a process-wide engine toggle; the helper scopes it to this
-/// benchmark so every other benchmark keeps the timestamp-free hot loop.
+/// Exports the engine's profiled round-loop time (`round_ns`, one
+/// timestamp per round after the barrier) as a per-iteration nanosecond
+/// counter.  Profiling is a process-wide engine toggle; the helper scopes
+/// it to this benchmark so every other benchmark keeps the timestamp-free
+/// hot loop.
 class StageSplit {
  public:
   StageSplit() {
@@ -71,23 +68,12 @@ class StageSplit {
 
   void export_into(benchmark::State& state) const {
     const auto after = eds::runtime::engine_stage_stats();
-    const auto delta = [&](std::uint64_t EngineStageStats::* field) {
-      return benchmark::Counter(
-          static_cast<double>(after.*field - before_.*field),
-          benchmark::Counter::kAvgIterations);
-    };
-    state.counters["exchange_ns"] =
-        delta(&eds::runtime::EngineStageStats::exchange_ns);
-    state.counters["receive_ns"] =
-        delta(&eds::runtime::EngineStageStats::receive_ns);
-    state.counters["scatter_ns"] =
-        delta(&eds::runtime::EngineStageStats::scatter_ns);
-    state.counters["scan_ns"] =
-        delta(&eds::runtime::EngineStageStats::scan_ns);
+    state.counters["round_ns"] = benchmark::Counter(
+        static_cast<double>(after.round_ns - before_.round_ns),
+        benchmark::Counter::kAvgIterations);
   }
 
  private:
-  using EngineStageStats = eds::runtime::EngineStageStats;
   eds::runtime::EngineStageStats before_;
 };
 
@@ -206,8 +192,7 @@ void BM_EngineDense(benchmark::State& state) {
   // traffic, the case where the retired route stage's extra
   // total_ports-sized Message copy per round cost the most.  DoubleCover
   // runs 2d rounds of near-trivial per-node logic, so the measurement is
-  // almost pure transport; the exchange/receive split shows where the
-  // remaining time goes.
+  // almost pure transport; round_ns is the profiled round-loop share.
   const auto d = static_cast<eds::port::Port>(state.range(0));
   eds::Rng rng(9);
   const auto g = eds::graph::random_regular(512, d, rng);
@@ -231,52 +216,6 @@ void BM_EngineDense(benchmark::State& state) {
                           static_cast<std::int64_t>(rounds));
 }
 BENCHMARK(BM_EngineDense)->Arg(16)->Arg(64);
-
-void BM_SilenceScan(benchmark::State& state) {
-  // The per-round traffic scan in isolation: count_nonsilence over a
-  // contiguous int32 tag lane.  Arg 0 is the port count, arg 1 the halted
-  // fraction in permille (a halted node's slots carry tag 0); the scan is
-  // data-independent — same branch-free sweep whatever the mix — so the
-  // three fractions should land on the same ns/op, and a divergence means
-  // the compiler reintroduced a branch.  Exports the measured sweep as
-  // scan_ns and the lane bytes each sweep touches.
-  const auto ports = static_cast<std::size_t>(state.range(0));
-  const auto halted_permille = static_cast<std::uint64_t>(state.range(1));
-  std::vector<std::int32_t> tags(ports, 0);
-  eds::Rng rng(0x5CA7 + ports + halted_permille);
-  for (std::size_t q = 0; q < ports; ++q) {
-    const bool halted = rng.next_u64() % 1000 < halted_permille;
-    if (!halted) tags[q] = static_cast<std::int32_t>(q + 1);
-  }
-  std::uint64_t scan_ns = 0;
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto live = eds::runtime::count_nonsilence(tags.data(), ports);
-    const auto t1 = std::chrono::steady_clock::now();
-    scan_ns += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count());
-    benchmark::DoNotOptimize(live);
-  }
-  state.counters["n"] = static_cast<double>(ports);
-  state.counters["halted_permille"] = static_cast<double>(halted_permille);
-  state.counters["scan_ns"] = benchmark::Counter(
-      static_cast<double>(scan_ns), benchmark::Counter::kAvgIterations);
-  // One int32 lane per sweep — the whole point of the tag shadow is that
-  // the scan never touches the 16-byte Message slots.
-  state.counters["lane_bytes"] =
-      static_cast<double>(ports * sizeof(std::int32_t));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(ports) *
-                          static_cast<std::int64_t>(sizeof(std::int32_t)));
-}
-BENCHMARK(BM_SilenceScan)
-    ->Args({4096, 0})
-    ->Args({4096, 500})
-    ->Args({4096, 900})
-    ->Args({100000, 0})
-    ->Args({100000, 500})
-    ->Args({100000, 900});
 
 void BM_BatchSweep(benchmark::State& state) {
   // Batch throughput: 32 independent jobs (random 4-regular, n = 512)

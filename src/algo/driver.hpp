@@ -85,7 +85,9 @@ struct BatchItem {
 /// workers (0 = one per hardware thread) and returns the validated outcomes
 /// in item order — deterministically identical for every thread count.
 /// Plans are shared through `plan_cache` (null = PlanCache::global()), so
-/// repeated items on one graph compile a single ExecutionPlan.
+/// repeated items on one graph compile a single ExecutionPlan.  The pool
+/// outlives the call: the next batch of the same width reuses its lanes
+/// (threads and pooled workspaces) unless another batch is holding them.
 [[nodiscard]] std::vector<EdsOutcome> run_batch(
     const std::vector<BatchItem>& items, unsigned threads = 0,
     runtime::PlanCache* plan_cache = nullptr);

@@ -1,15 +1,29 @@
 #include "analysis/verify.hpp"
 
+#include <algorithm>
 #include <vector>
 
 namespace eds::analysis {
 
+namespace {
+
+/// One flag per node: 1 when a member of `s` covers it.  Every member goes
+/// through the checked SimpleGraph::edge, so an id of m or more throws
+/// std::out_of_range.
+std::vector<char> covered_nodes(const SimpleGraph& g, const EdgeSet& s) {
+  std::vector<char> covered(g.num_nodes(), 0);
+  s.for_each([&](graph::EdgeId e) {
+    const auto& member = g.edge(e);
+    covered[member.u] = 1;
+    covered[member.v] = 1;
+  });
+  return covered;
+}
+
+}  // namespace
+
 EdgeSet dominated_edges(const SimpleGraph& g, const EdgeSet& s) {
-  std::vector<bool> node_covered(g.num_nodes(), false);
-  for (const auto e : s.to_vector()) {
-    node_covered[g.edge(e).u] = true;
-    node_covered[g.edge(e).v] = true;
-  }
+  const auto node_covered = covered_nodes(g, s);
   EdgeSet out(g.num_edges());
   for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
     if (node_covered[g.edge(e).u] || node_covered[g.edge(e).v]) out.insert(e);
@@ -18,15 +32,10 @@ EdgeSet dominated_edges(const SimpleGraph& g, const EdgeSet& s) {
 }
 
 bool is_edge_dominating_set(const SimpleGraph& g, const EdgeSet& s) {
-  // Mark the nodes the members cover (every member first, so a member id
-  // of m or more throws just as in dominated_edges), then look for an edge
-  // with neither endpoint marked.
-  std::vector<char> covered(g.num_nodes(), 0);
-  for (const auto e : s.to_vector()) {
-    const auto& member = g.edge(e);
-    covered[member.u] = 1;
-    covered[member.v] = 1;
-  }
+  // Mark the nodes the members cover, straight from the set's words (every
+  // member first, so a member id of m or more throws just as in
+  // dominated_edges), then look for an edge with neither endpoint marked.
+  const auto covered = covered_nodes(g, s);
   for (const auto& e : g.edges()) {
     if (covered[e.u] == 0 && covered[e.v] == 0) return false;
   }
@@ -53,15 +62,8 @@ bool is_maximal_matching(const SimpleGraph& g, const EdgeSet& s) {
 }
 
 bool is_edge_cover(const SimpleGraph& g, const EdgeSet& s) {
-  std::vector<bool> node_covered(g.num_nodes(), false);
-  for (const auto e : s.to_vector()) {
-    node_covered[g.edge(e).u] = true;
-    node_covered[g.edge(e).v] = true;
-  }
-  for (bool covered : node_covered) {
-    if (!covered) return false;
-  }
-  return true;
+  const auto covered = covered_nodes(g, s);
+  return std::find(covered.begin(), covered.end(), 0) == covered.end();
 }
 
 bool is_forest(const SimpleGraph& g, const EdgeSet& s) {
@@ -100,11 +102,7 @@ bool is_star_forest(const SimpleGraph& g, const EdgeSet& s) {
 }
 
 bool node_disjoint(const SimpleGraph& g, const EdgeSet& a, const EdgeSet& b) {
-  std::vector<bool> in_a(g.num_nodes(), false);
-  for (const auto e : a.to_vector()) {
-    in_a[g.edge(e).u] = true;
-    in_a[g.edge(e).v] = true;
-  }
+  const auto in_a = covered_nodes(g, a);
   for (const auto e : b.to_vector()) {
     if (in_a[g.edge(e).u] || in_a[g.edge(e).v]) return false;
   }

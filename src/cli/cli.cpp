@@ -45,6 +45,25 @@ class UsageError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// `text` as an unsigned integer of type T, or a UsageError naming `what`
+/// (a flag such as "--repeat", or a positional argument such as
+/// "lower-bound degree"): all digits, no sign or space, and fitting T.
+template <typename T>
+[[nodiscard]] T parse_uint(const std::string& text, const std::string& what) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    throw UsageError(what + " " + text + " is out of range (max " +
+                     std::to_string(std::numeric_limits<T>::max()) + ")");
+  }
+  if (text.empty() || ec != std::errc() || stop != end) {
+    throw UsageError(what + " needs a non-negative integer, got '" + text +
+                     "'");
+  }
+  return value;
+}
+
 /// One option a command declares: `--name VALUE`, or the bare flag
 /// `--name` when `takes_value` is false.
 struct OptionSpec {
@@ -99,16 +118,23 @@ class Args {
   [[nodiscard]] T get_uint(const std::string& key, T fallback) const {
     const auto it = options_.find(key);
     if (it == options_.end()) return fallback;
+    return parse_uint<T>(it->second, "--" + key);
+  }
+
+  /// The value of `--key` as a probability, or `fallback` when absent.  The
+  /// whole value must be one decimal number in [0, 1] (NaN and infinities
+  /// are not); anything else is a UsageError naming the flag.
+  [[nodiscard]] double get_probability(const std::string& key,
+                                       double fallback) const {
+    const auto it = options_.find(key);
+    if (it == options_.end()) return fallback;
     const std::string& text = it->second;
-    T value{};
+    double value = 0.0;
     const char* const end = text.data() + text.size();
     const auto [stop, ec] = std::from_chars(text.data(), end, value);
-    if (ec == std::errc::result_out_of_range) {
-      throw UsageError("--" + key + " " + text + " is out of range (max " +
-                       std::to_string(std::numeric_limits<T>::max()) + ")");
-    }
-    if (text.empty() || ec != std::errc() || stop != end) {
-      throw UsageError("--" + key + " needs a non-negative integer, got '" +
+    if (text.empty() || ec != std::errc() || stop != end ||
+        !(value >= 0.0 && value <= 1.0)) {
+      throw UsageError("--" + key + " needs a number in [0, 1], got '" +
                        text + "'");
     }
     return value;
@@ -223,57 +249,60 @@ int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
   }
   Rng rng(args.get_uint<std::uint64_t>("seed", 1));
   const auto& family = pos[1];
-  auto num = [&pos, &err](std::size_t index) -> std::optional<std::size_t> {
+  // The positional number at `index`, named in errors after the usage
+  // line ("cycle N").
+  auto num = [&pos, &err, &family](std::size_t index, const char* name)
+      -> std::optional<std::size_t> {
     if (index >= pos.size()) {
       err << "generate: missing numeric argument\n";
       return std::nullopt;
     }
-    return std::stoull(pos[index]);
+    return parse_uint<std::size_t>(pos[index], family + " " + name);
   };
 
   graph::SimpleGraph g;
   try {
     if (family == "cycle") {
-      const auto n = num(2);
+      const auto n = num(2, "N");
       if (!n) return 2;
       g = graph::cycle(*n);
     } else if (family == "path") {
-      const auto n = num(2);
+      const auto n = num(2, "N");
       if (!n) return 2;
       g = graph::path(*n);
     } else if (family == "complete") {
-      const auto n = num(2);
+      const auto n = num(2, "N");
       if (!n) return 2;
       g = graph::complete(*n);
     } else if (family == "regular") {
-      const auto n = num(2);
-      const auto d = num(3);
+      const auto n = num(2, "N");
+      const auto d = num(3, "D");
       if (!n || !d) return 2;
       g = graph::random_regular(*n, *d, rng);
     } else if (family == "grid") {
-      const auto r = num(2);
-      const auto c = num(3);
+      const auto r = num(2, "R");
+      const auto c = num(3, "C");
       if (!r || !c) return 2;
       g = graph::grid(*r, *c);
     } else if (family == "torus") {
-      const auto r = num(2);
-      const auto c = num(3);
+      const auto r = num(2, "R");
+      const auto c = num(3, "C");
       if (!r || !c) return 2;
       g = graph::torus(*r, *c);
     } else if (family == "hypercube") {
-      const auto dim = num(2);
+      const auto dim = num(2, "DIM");
       if (!dim) return 2;
       g = graph::hypercube(*dim);
     } else if (family == "petersen") {
       g = graph::petersen();
     } else if (family == "tree") {
-      const auto n = num(2);
+      const auto n = num(2, "N");
       if (!n) return 2;
       g = graph::random_tree(*n, rng);
     } else if (family == "bounded") {
-      const auto n = num(2);
-      const auto delta = num(3);
-      const auto m = num(4);
+      const auto n = num(2, "N");
+      const auto delta = num(3, "DELTA");
+      const auto m = num(4, "M");
       if (!n || !delta || !m) return 2;
       g = graph::random_bounded_degree(*n, *delta, *m, rng);
     } else {
@@ -374,7 +403,7 @@ int cmd_lower_bound(const Args& args, std::ostream& out, std::ostream& err) {
     err << "lower-bound: missing degree\n";
     return 2;
   }
-  const auto d = static_cast<port::Port>(std::stoul(pos[1]));
+  const auto d = parse_uint<port::Port>(pos[1], "degree");
   try {
     const auto inst =
         d % 2 == 0 ? lb::even_lower_bound(d) : lb::odd_lower_bound(d);
@@ -587,17 +616,8 @@ bool parse_sweep_model(const Args& args, SweepConfig& cfg, std::ostream& err) {
     err << "sweep: " << e.what() << '\n';
     return false;
   }
-  try {
-    cfg.loss = std::stod(args.get("loss", "0"));
-    cfg.dup = std::stod(args.get("dup", "0"));
-  } catch (const std::exception&) {
-    err << "sweep: --loss/--dup must be numbers in [0, 1]\n";
-    return false;
-  }
-  if (cfg.loss < 0.0 || cfg.loss > 1.0 || cfg.dup < 0.0 || cfg.dup > 1.0) {
-    err << "sweep: --loss/--dup must be numbers in [0, 1]\n";
-    return false;
-  }
+  cfg.loss = args.get_probability("loss", 0.0);
+  cfg.dup = args.get_probability("dup", 0.0);
   cfg.crash = args.get_uint<std::size_t>("crash", 0);
   cfg.async_base.round_timeout = args.get_uint<std::uint64_t>("timeout", 0);
   if (args.has("adversary")) {

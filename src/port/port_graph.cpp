@@ -1,5 +1,6 @@
 #include "port/port_graph.hpp"
 
+#include <atomic>
 #include <map>
 #include <numeric>
 #include <sstream>
@@ -14,11 +15,12 @@ PortGraph::PortGraph(PortGraph&& other) noexcept {
 }
 
 PortGraph& PortGraph::operator=(PortGraph&& other) noexcept {
-  // The source is left a valid empty graph, hash included.
+  // The source is left a valid empty graph, hash and build id included.
   degrees_ = std::exchange(other.degrees_, {});
   offsets_ = std::exchange(other.offsets_, {});
   partner_ = std::exchange(other.partner_, {});
   hash_ = std::exchange(other.hash_, hash_structure({}, {}));
+  build_id_ = std::exchange(other.build_id_, 0);
   return *this;
 }
 
@@ -158,6 +160,8 @@ PortGraph PortGraphBuilder::build() {
   }
   g_.validate();
   g_.hash_ = PortGraph::hash_structure(g_.degrees_, g_.partner_);
+  static std::atomic<std::uint64_t> last_build_id{0};
+  g_.build_id_ = last_build_id.fetch_add(1, std::memory_order_relaxed) + 1;
   built_ = true;
   return std::move(g_);
 }

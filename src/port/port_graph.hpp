@@ -46,9 +46,10 @@ struct PortEdge {
 
 /// An immutable port-numbered (multi)graph: degrees plus the involution p.
 ///
-/// The structural hash (see structural_hash()) is computed once, when
-/// PortGraphBuilder::build() produces the graph, and travels with it through
-/// copies and moves; a moved-from graph is left empty, hash included.
+/// The structural hash (see structural_hash()) and a process-unique build id
+/// (see build_id()) are stamped once, when PortGraphBuilder::build()
+/// produces the graph, and travel with it through copies and moves; a
+/// moved-from graph is left empty, with the empty hash and build id 0.
 class PortGraph {
  public:
   PortGraph() = default;
@@ -108,6 +109,13 @@ class PortGraph {
     return hash_;
   }
 
+  /// The id PortGraphBuilder::build() stamped on this graph: unique per
+  /// build in this process and never 0, kept by copies (which share the
+  /// structure, since a PortGraph never changes after build), 0 for a
+  /// default-constructed or moved-from graph.  Equal non-zero ids therefore
+  /// prove equal structures — the PlanCache's O(1) hit path.
+  [[nodiscard]] std::uint64_t build_id() const noexcept { return build_id_; }
+
   /// All structural edges: one entry per unordered port pair {(v,i),(u,j)}
   /// with p(v,i) = (u,j), plus one entry per fixed point (directed loop).
   [[nodiscard]] std::vector<PortEdge> port_edges() const;
@@ -125,6 +133,10 @@ class PortGraph {
 
  private:
   friend class PortGraphBuilder;
+  /// Test seam, defined only by the plan-cache tests: forges a structural
+  /// hash collision or a build id, which no real pair of graphs can be made
+  /// to produce.
+  friend struct PortGraphTestAccess;
 
   [[nodiscard]] std::size_t flat_index(NodeId v, Port i) const {
     if (v >= degrees_.size() || i < 1 || i > degrees_[v]) {
@@ -142,6 +154,7 @@ class PortGraph {
   std::vector<std::size_t> offsets_;  // prefix sums of degrees
   std::vector<PortRef> partner_;      // involution, indexed by flat port index
   std::uint64_t hash_ = hash_structure({}, {});
+  std::uint64_t build_id_ = 0;
 };
 
 /// Incremental construction of a PortGraph.  Every port must be assigned
@@ -159,9 +172,9 @@ class PortGraphBuilder {
   /// Declares the fixed point p(a) = a (a directed loop).
   PortGraphBuilder& fix(PortRef a);
 
-  /// Validates that every port was assigned, hashes the structure and moves
-  /// the graph out; the builder is spent afterwards (a second build()
-  /// throws InvalidArgument).
+  /// Validates that every port was assigned, hashes the structure, stamps a
+  /// fresh build id and moves the graph out; the builder is spent
+  /// afterwards (a second build() throws InvalidArgument).
   [[nodiscard]] PortGraph build();
 
  private:

@@ -1,6 +1,7 @@
 #include "port/ported_graph.hpp"
 
 #include <sstream>
+#include <string>
 #include <utility>
 
 namespace eds::port {
@@ -12,6 +13,10 @@ PortedGraph::PortedGraph(
   const std::size_t m = graph_.num_edges();
   if (order_per_node.size() != n) {
     throw InvalidArgument("PortedGraph: order_per_node size mismatch");
+  }
+  if (2 * static_cast<std::uint64_t>(m) > 0xFFFFFFFFULL) {
+    throw InvalidArgument("PortedGraph: " + std::to_string(2 * m) +
+                          " ports exceed the 32-bit flat port index");
   }
   // Validate that each node's list is a permutation of its incident edge
   // ids (right length, every entry a distinct incident edge), recording the
@@ -49,6 +54,13 @@ PortedGraph::PortedGraph(
     builder.connect({edge.u, port_at_u[e]}, {edge.v, port_at_v[e]});
   }
   ports_ = builder.build();
+  edge_ports_.resize(m);
+  for (EdgeId e = 0; e < m; ++e) {
+    const auto& edge = graph_.edge(e);
+    edge_ports_[e] = {
+        static_cast<std::uint32_t>(ports_.offset(edge.u) + port_at_u[e] - 1),
+        static_cast<std::uint32_t>(ports_.offset(edge.v) + port_at_v[e] - 1)};
+  }
 }
 
 EdgeId PortedGraph::edge_at(NodeId v, Port i) const {

@@ -7,6 +7,8 @@
 // underlying SimpleGraph via edge ids.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "graph/simple_graph.hpp"
@@ -23,7 +25,9 @@ class PortedGraph {
  public:
   /// Builds from a graph and, for each node, its incident edge ids in port
   /// order (order_per_node[v][i-1] is the edge on port i of v).  Validates
-  /// that each node's list is a permutation of its incident edges.
+  /// that each node's list is a permutation of its incident edges, and
+  /// throws InvalidArgument when the graph has more ports than a uint32
+  /// flat index can address.
   PortedGraph(SimpleGraph graph,
               const std::vector<std::vector<EdgeId>>& order_per_node);
 
@@ -38,6 +42,15 @@ class PortedGraph {
     return edge_at_port_[q];
   }
 
+  /// The inverse map, indexed by edge id: the flat ports (see
+  /// PortGraph::offset) of edge e at its `u` and `v` ends, in that order.
+  /// One contiguous table, so per-edge sweeps over a selection mask need
+  /// no involution lookup.
+  [[nodiscard]] const std::vector<std::array<std::uint32_t, 2>>&
+  edge_port_table() const noexcept {
+    return edge_ports_;
+  }
+
   /// The port of node v on edge e; throws if v is not an endpoint of e.
   [[nodiscard]] Port port_of(NodeId v, EdgeId e) const;
 
@@ -48,6 +61,7 @@ class PortedGraph {
   SimpleGraph graph_;
   PortGraph ports_;
   std::vector<EdgeId> edge_at_port_;  // flat port index -> edge id
+  std::vector<std::array<std::uint32_t, 2>> edge_ports_;  // edge -> ports
 };
 
 /// Ports assigned in adjacency-list order (deterministic).

@@ -17,7 +17,8 @@ void check_plan_ports(std::uint64_t total_ports) {
   }
 }
 
-ExecutionPlan::ExecutionPlan(const port::PortGraph& g) {
+ExecutionPlan::ExecutionPlan(const port::PortGraph& g)
+    : build_id_(g.build_id()) {
   check_plan_ports(g.num_ports());
   degrees_ = g.degree_sequence();
   partner_ref_ = g.partner_table();
@@ -38,8 +39,10 @@ ExecutionPlan::ExecutionPlan(const port::PortGraph& g) {
 }
 
 bool ExecutionPlan::matches(const port::PortGraph& g) const {
-  // Two contiguous scans: the flat degree sequence and the flat involution
-  // table are exactly what the constructor consumed, in the same order.
+  // Equal non-zero build ids mean g is the source graph or a copy of it.
+  // Otherwise two contiguous scans: the flat degree sequence and the flat
+  // involution table are exactly what the constructor consumed.
+  if (build_id_ != 0 && build_id_ == g.build_id()) return true;
   return degrees_ == g.degree_sequence() &&
          partner_ref_ == g.partner_table();
 }
@@ -51,42 +54,25 @@ std::unique_ptr<ExecutionPolicy> make_policy(const ExecOptions& exec) {
 
 namespace {
 
-#if defined(EDS_ENGINE_GATHER_PREFETCH)
-/// Software-prefetch distance for the receive gather's permuted loads, in
-/// ports.  Measured on BM_EngineDense (deg 16/64) and BM_Engine100k
-/// (deg 3) and REJECTED as the default: the in-loop branch and extra
-/// partner_flat load cost more than the prefetch recovers at every
-/// measured degree (docs/BENCHMARKS.md records the deltas), so the hint
-/// compiles only under -DEDS_ENGINE_GATHER_PREFETCH for re-evaluation on
-/// wider machines.
-constexpr Port kGatherPrefetchDistance = 8;
-#endif
-
 /// Per-shard accumulators; merged strictly in shard order so parallel runs
 /// reproduce the sequential order bit for bit.  Cache-line aligned so
 /// neighboring shards' counters never share a line.
 struct alignas(64) ShardScratch {
   std::uint64_t ports_served = 0;
+  std::uint64_t messages = 0;  ///< non-silence slots this shard sent
   std::vector<DeliveredMessage> log;
   std::vector<std::size_t> newly_halted;
   /// One node's inbound messages, gathered through the involution from the
   /// current outbox back into the contiguous form receive() promises.
   /// Max-degree sized and reused across nodes, rounds and runs.
   std::vector<Message> recv;
-  /// Profiled runs only: per-stage wall time accumulated shard-locally and
-  /// merged by the driver after the barrier.
-  std::uint64_t receive_ns = 0;
-  std::uint64_t exchange_ns = 0;
-  std::uint64_t scatter_ns = 0;
   std::exception_ptr error;
 
   void reset() noexcept {
     ports_served = 0;
+    messages = 0;
     log.clear();
     newly_halted.clear();
-    receive_ns = 0;
-    exchange_ns = 0;
-    scatter_ns = 0;
     error = nullptr;
   }
 };
@@ -107,10 +93,7 @@ std::atomic<bool> g_stage_profile{false};
 /// (engine_stage_profiling and engine_stage_stats_reset both bump it), so
 /// every lane's cached sample is invalidated and re-read on its next run.
 std::atomic<std::uint64_t> g_profile_epoch{1};
-std::atomic<std::uint64_t> g_exchange_ns{0};
-std::atomic<std::uint64_t> g_receive_ns{0};
-std::atomic<std::uint64_t> g_scatter_ns{0};
-std::atomic<std::uint64_t> g_scan_ns{0};
+std::atomic<std::uint64_t> g_round_ns{0};
 std::atomic<std::uint64_t> g_profiled_rounds{0};
 
 /// Per-run sample of the profiling flag, cached per lane behind the epoch
@@ -127,36 +110,19 @@ bool stage_profiling_sample() noexcept {
   return cached;
 }
 
-/// One buffer of the double-buffered message transport: the round's
-/// messages indexed by *sender* flat port (node v's sends occupy the
-/// contiguous segment [offset(v), offset(v) + degree(v))), plus the
-/// struct-of-arrays tag lane shadowing slot tags for branch-free sweeps.
-/// Senders write only their own segment (trivially single-writer);
-/// receivers gather through the involution, so delivery itself is free.
-struct OutboxBuffer {
-  std::vector<Message> slots;
-  std::vector<std::int32_t> tag;  // tag[q] == slots[q].tag, always
-
-  void assign_silence(std::size_t count) {
-    slots.assign(count, kSilence);
-    tag.assign(count, 0);
-  }
-  [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return slots.capacity() * sizeof(Message) +
-           tag.capacity() * sizeof(std::int32_t);
-  }
-};
-
 /// The pooled message transport: every buffer the round loop writes lives
-/// here and is *assigned* (size + contents reset, capacity retained) at the
-/// start of each run instead of being reallocated.  One workspace exists
-/// per thread, so sequential runs, BatchRunner jobs (one job per pool lane)
-/// and BatchStream drivers each reuse their lane's arena run after run.
+/// here and is resized (capacity retained) at the start of each run instead
+/// of being reallocated.  One workspace exists per thread, so sequential
+/// runs, BatchRunner jobs (one job per pool lane) and BatchStream drivers
+/// each reuse their lane's arena run after run.
 struct EngineWorkspace {
-  /// The double buffer: one set of slots + tag lane holds round r's
-  /// messages while round r + 1's sends land in the other; they swap after
-  /// every round's single barrier.
-  OutboxBuffer outbox[2];
+  /// The double buffer: one round's messages indexed by *sender* flat port
+  /// (node v's sends occupy the contiguous segment [offset(v), offset(v) +
+  /// degree(v))).  One buffer holds round r's messages while round r + 1's
+  /// sends land in the other; they swap after every round's single barrier.
+  /// Senders write only their own segment (trivially single-writer);
+  /// receivers gather through the involution, so delivery itself is free.
+  std::vector<Message> outbox[2];
   std::vector<char> halted;
   std::vector<std::size_t> active;
   std::vector<std::size_t> bounds;  // shard boundaries, shards + 1 entries
@@ -169,8 +135,8 @@ struct EngineWorkspace {
   EngineWorkspace& operator=(const EngineWorkspace&) = delete;
   ~EngineWorkspace() {
     // The lane (thread) is going away: return its bytes to the gauge, or
-    // short-lived pools (one BatchRunner per run_batch call) would leak
-    // dead bytes into the "currently pooled" statistic.
+    // short-lived pools (a BatchRunner per sweep) would leak dead bytes
+    // into the "currently pooled" statistic.
     g_ws_bytes.fetch_sub(bytes, std::memory_order_relaxed);
   }
 
@@ -181,29 +147,57 @@ struct EngineWorkspace {
                        sc.newly_halted.capacity() * sizeof(std::size_t) +
                        sc.recv.capacity() * sizeof(Message);
     }
-    return outbox[0].memory_bytes() + outbox[1].memory_bytes() +
+    return (outbox[0].capacity() + outbox[1].capacity()) * sizeof(Message) +
            halted.capacity() + active.capacity() * sizeof(std::size_t) +
            bounds.capacity() * sizeof(std::size_t) +
            scratch.capacity() * sizeof(ShardScratch) + scratch_bytes;
   }
 
-  /// Resets the buffers for a run over `n` nodes / `total_ports` ports with
-  /// `lanes` shards, growing capacity only when this lane has never seen a
-  /// graph this large.  Both buffers reset to silence: the double buffer is
-  /// the workspace's deliberate second total_ports-sized allocation, bought
-  /// to run each round behind a single barrier.
-  void prepare(std::size_t n, std::size_t total_ports, unsigned lanes) {
-    const bool grows = total_ports > outbox[0].slots.capacity() ||
+  /// Silences node segment [off, off + deg) in both buffers: its owner
+  /// halted, so its partners must read silence from it for the rest of the
+  /// run, whichever buffer they gather from.
+  void silence(std::size_t off, Port deg) noexcept {
+    std::fill_n(outbox[0].data() + off, deg, kSilence);
+    std::fill_n(outbox[1].data() + off, deg, kSilence);
+  }
+
+  /// Readies the lane for a run of `programs` over `plan` with `lanes`
+  /// shards: sizes every buffer (growing capacity only when this lane has
+  /// never seen a graph this large), starts every program and builds the
+  /// worklist.  The outboxes are NOT reset, they keep the previous run's
+  /// bytes: every segment a receiver reads is written this run by its
+  /// active owner before it is read, or silenced when the owner halts —
+  /// here for a node that halts in start(), at the round merge for one
+  /// that halts later.
+  void prepare(const ExecutionPlan& plan,
+               std::span<NodeProgram* const> programs, unsigned lanes) {
+    const std::size_t n = plan.num_nodes();
+    const std::size_t total_ports = plan.total_ports();
+    const bool grows = total_ports > outbox[0].capacity() ||
                        n > halted.capacity() || n > active.capacity() ||
                        lanes > scratch.size();
-    outbox[0].assign_silence(total_ports);
-    outbox[1].assign_silence(total_ports);
+    outbox[0].resize(total_ports);
+    outbox[1].resize(total_ports);
     halted.assign(n, 0);
     active.clear();
     active.reserve(n);
     if (scratch.size() < lanes) scratch.resize(lanes);
     (grows ? g_ws_growths : g_ws_reuses).fetch_add(1,
                                                    std::memory_order_relaxed);
+
+    // The worklist: indices of non-halted nodes, always sorted ascending
+    // (it only ever loses elements), so contiguous shard ranges visit nodes
+    // in exactly the sequential order.
+    for (std::size_t v = 0; v < n; ++v) {
+      programs[v]->start(plan.degree(v));
+      if (programs[v]->halted()) {
+        // Degree-0 nodes (or trivial algorithms) may halt immediately.
+        halted[v] = 1;
+        silence(plan.offset(v), plan.degree(v));
+      } else {
+        active.push_back(v);
+      }
+    }
   }
 
   void account() noexcept {
@@ -270,19 +264,13 @@ void engine_stage_profiling(bool enabled) noexcept {
 
 EngineStageStats engine_stage_stats() noexcept {
   EngineStageStats stats;
-  stats.exchange_ns = g_exchange_ns.load(std::memory_order_relaxed);
-  stats.receive_ns = g_receive_ns.load(std::memory_order_relaxed);
-  stats.scatter_ns = g_scatter_ns.load(std::memory_order_relaxed);
-  stats.scan_ns = g_scan_ns.load(std::memory_order_relaxed);
+  stats.round_ns = g_round_ns.load(std::memory_order_relaxed);
   stats.profiled_rounds = g_profiled_rounds.load(std::memory_order_relaxed);
   return stats;
 }
 
 void engine_stage_stats_reset() noexcept {
-  g_exchange_ns.store(0, std::memory_order_relaxed);
-  g_receive_ns.store(0, std::memory_order_relaxed);
-  g_scatter_ns.store(0, std::memory_order_relaxed);
-  g_scan_ns.store(0, std::memory_order_relaxed);
+  g_round_ns.store(0, std::memory_order_relaxed);
   g_profiled_rounds.store(0, std::memory_order_relaxed);
   // Invalidate every lane's cached flag sample: a toggle that raced the
   // previous measurement window is picked up by the very next run.
@@ -311,24 +299,11 @@ RunResult run_plan(const ExecutionPlan& plan,
   const std::size_t total_ports = plan.total_ports();
   const WorkspaceLease lease;
   EngineWorkspace& ws = *lease;
-  ws.prepare(n, total_ports, lanes);
-  OutboxBuffer* cur = &ws.outbox[0];  // holds round r's messages
-  OutboxBuffer* nxt = &ws.outbox[1];  // round r + 1's sends land here
-
-  // The worklist: indices of non-halted nodes, always sorted ascending (it
-  // only ever loses elements), so contiguous shard ranges visit nodes in
-  // exactly the sequential order.
+  ws.prepare(plan, programs, lanes);
+  Message* cur = ws.outbox[0].data();  // holds round r's messages
+  Message* nxt = ws.outbox[1].data();  // round r + 1's sends land here
   std::vector<char>& halted = ws.halted;
   std::vector<std::size_t>& active = ws.active;
-  for (std::size_t v = 0; v < n; ++v) {
-    programs[v]->start(plan.degree(v));
-    if (programs[v]->halted()) {
-      // Degree-0 nodes (or trivial algorithms) may halt immediately.
-      halted[v] = 1;
-    } else {
-      active.push_back(v);
-    }
-  }
 
   RunResult result;
   result.messages_collected = options.collect_messages;
@@ -339,37 +314,35 @@ RunResult run_plan(const ExecutionPlan& plan,
   std::vector<std::size_t>& bounds = ws.bounds;
 
   // Stage profiling: the flag is sampled once per run (epoch-cached per
-  // lane), so a disabled run takes no timestamps at all.  Profiled runs
-  // drive each shard as separate receive / send / tag-shadow sweeps so the
-  // split can be timed at shard granularity — bit-identical results, since
-  // programs only observe their own call sequence.
+  // lane), so a disabled run takes no timestamps at all.  A profiled run
+  // runs the same fused loop and takes one timestamp per round, after the
+  // barrier and the merge.
   const bool profile = stage_profiling_sample();
   using ProfileClock = std::chrono::steady_clock;
-  const auto elapsed_ns = [](ProfileClock::time_point from,
-                             ProfileClock::time_point to) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)
-            .count());
-  };
-  std::uint64_t exchange_ns = 0;
-  std::uint64_t receive_ns = 0;
-  std::uint64_t scatter_ns = 0;
-  std::uint64_t scan_ns = 0;
+  ProfileClock::time_point stamp;
+  if (profile) stamp = ProfileClock::now();
+  std::uint64_t round_ns = 0;
 
   // Stages node v's round-r sends: its contiguous outbox segment is reset
   // to silence (a program sends only by writing this round, so stale
   // messages never "ghost" into later ones) and the program writes message
   // structs straight into it — no intermediate staging buffer, all stores
   // sequential, and single-writer-per-slot holds trivially because every
-  // slot belongs to exactly one sender.
+  // slot belongs to exactly one sender.  The segment's traffic is counted
+  // while it is still in L1.
   const auto send_node = [&](ShardScratch& sc, std::size_t v, Round r,
-                             OutboxBuffer& to) {
+                             Message* to) {
     const Port deg = plan.degree(v);
     const std::size_t off = plan.offset(v);
-    Message* const seg = to.slots.data() + off;
+    Message* const seg = to + off;
     std::fill_n(seg, deg, kSilence);
     programs[v]->send(r, std::span<Message>(seg, deg));
     sc.ports_served += deg;
+    std::uint64_t sent = 0;
+    for (Port i = 0; i < deg; ++i) {
+      sent += static_cast<std::uint64_t>(!seg[i].is_silence());
+    }
+    sc.messages += sent;
     if (collect) {
       for (Port i = 0; i < deg; ++i) {
         if (!seg[i].is_silence()) {
@@ -383,18 +356,6 @@ RunResult run_plan(const ExecutionPlan& plan,
     }
   };
 
-  // Mirrors v's freshly written segment tags into the buffer's flat
-  // struct-of-arrays tag lane — a contiguous strided copy, so the
-  // per-round traffic count and the silence accounting sweep a flat int32
-  // lane branch-free instead of striding over 16-byte structs.
-  const auto shadow_tags = [&](std::size_t v, OutboxBuffer& to) {
-    const Port deg = plan.degree(v);
-    const std::size_t off = plan.offset(v);
-    const Message* const seg = to.slots.data() + off;
-    std::int32_t* const tags = to.tag.data() + off;
-    for (Port i = 0; i < deg; ++i) tags[i] = seg[i].tag;
-  };
-
   // Gathers v's round-r inputs from the current buffer through the
   // involution — in[i] = cur[partner(offset(v) + i)] — and fires
   // receive().  Delivery IS this gather: messages are never copied between
@@ -402,28 +363,12 @@ RunResult run_plan(const ExecutionPlan& plan,
   // loads pipeline (scattered stores pay a read-for-ownership per cache
   // line), and halted receivers never pay for it at all.
   const auto receive_node = [&](ShardScratch& sc, std::size_t v, Round r,
-                                const OutboxBuffer& from) {
+                                const Message* from) {
     const Port deg = plan.degree(v);
     const std::size_t off = plan.offset(v);
     if (sc.recv.size() < deg) sc.recv.resize(deg);
     Message* const in = sc.recv.data();
-    const Message* const slots = from.slots.data();
-    for (Port i = 0; i < deg; ++i) {
-#if defined(EDS_ENGINE_GATHER_PREFETCH) && \
-    (defined(__GNUC__) || defined(__clang__))
-      // The partner permutation makes these loads data-dependent scatters
-      // the hardware prefetcher cannot follow; starting the line a few
-      // ports ahead overlaps the misses.  Measured a wash-to-regression
-      // at every benchmarked degree (see kGatherPrefetchDistance), hence
-      // opt-in only.
-      if (i + kGatherPrefetchDistance < deg) {
-        __builtin_prefetch(
-            &slots[plan.partner_flat(off + i + kGatherPrefetchDistance)],
-            /*rw=*/0, /*locality=*/0);
-      }
-#endif
-      in[i] = slots[plan.partner_flat(off + i)];
-    }
+    for (Port i = 0; i < deg; ++i) in[i] = from[plan.partner_flat(off + i)];
     programs[v]->receive(r, std::span<const Message>(in, deg));
   };
 
@@ -440,21 +385,22 @@ RunResult run_plan(const ExecutionPlan& plan,
         bounds);
   };
 
-  // `pending` is the number of non-silence messages in the buffer the next
-  // receive sweep will read: one branch-free sweep over its tag lane.
-  // Exact because every slot either carries a fresh write from an active
-  // sender or was zeroed when its owning node halted.
-  std::uint64_t pending = 0;
-  const auto scan_pending = [&](const OutboxBuffer& buf) {
-    if (profile) {
-      const auto t0 = ProfileClock::now();
-      pending = count_nonsilence(buf.tag.data(), total_ports);
-      scan_ns += elapsed_ns(t0, ProfileClock::now());
-    } else {
-      pending = count_nonsilence(buf.tag.data(), total_ports);
+  // Folds one shard's counters and log into the result (called strictly in
+  // shard order) and returns the non-silence messages it sent.
+  const auto merge_shard = [&](const ShardScratch& sc) {
+    stats.ports_served += sc.ports_served;
+    stats.messages_sent += sc.messages;
+    if (collect) {
+      result.message_log.insert(result.message_log.end(), sc.log.begin(),
+                                sc.log.end());
     }
-    stats.messages_sent += pending;
+    return sc.messages;
   };
+
+  // `pending` is the number of non-silence messages in the buffer the next
+  // receive sweep will read: the sum of the counts send_node took while
+  // writing it (every other segment there is silence).
+  std::uint64_t pending = 0;
 
   // Initial exchange: round 1's sends land in `cur` before the loop, so
   // every later round can fuse "receive round r" and "send round r + 1"
@@ -466,40 +412,15 @@ RunResult run_plan(const ExecutionPlan& plan,
     policy.for_each_shard(shards, [&](std::size_t s) {
       ShardScratch& sc = scratch[s];
       try {
-        if (!profile) {
-          for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
-            send_node(sc, active[idx], 1, *cur);
-            shadow_tags(active[idx], *cur);
-          }
-        } else {
-          const auto t0 = ProfileClock::now();
-          for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
-            send_node(sc, active[idx], 1, *cur);
-          }
-          const auto t1 = ProfileClock::now();
-          for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
-            shadow_tags(active[idx], *cur);
-          }
-          const auto t2 = ProfileClock::now();
-          sc.exchange_ns += elapsed_ns(t0, t2);
-          sc.scatter_ns += elapsed_ns(t1, t2);
+        for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
+          send_node(sc, active[idx], 1, cur);
         }
       } catch (...) {
         sc.error = std::current_exception();
       }
     });
     rethrow_first(scratch, shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      const ShardScratch& sc = scratch[s];
-      stats.ports_served += sc.ports_served;
-      if (collect) {
-        result.message_log.insert(result.message_log.end(), sc.log.begin(),
-                                  sc.log.end());
-      }
-      exchange_ns += sc.exchange_ns;
-      scatter_ns += sc.scatter_ns;
-    }
-    scan_pending(*cur);
+    for (std::size_t s = 0; s < shards; ++s) pending += merge_shard(scratch[s]);
   }
 
   Round round = 0;
@@ -524,50 +445,15 @@ RunResult run_plan(const ExecutionPlan& plan,
     policy.for_each_shard(shards, [&](std::size_t s) {
       ShardScratch& sc = scratch[s];
       try {
-        if (!profile) {
-          for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
-            const std::size_t v = active[idx];
-            receive_node(sc, v, round, *cur);
-            if (programs[v]->halted()) {
-              halted[v] = 1;
-              sc.newly_halted.push_back(v);
-            } else if (send_next) {
-              send_node(sc, v, next, *nxt);
-              shadow_tags(v, *nxt);
-            }
+        for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
+          const std::size_t v = active[idx];
+          receive_node(sc, v, round, cur);
+          if (programs[v]->halted()) {
+            halted[v] = 1;
+            sc.newly_halted.push_back(v);
+          } else if (send_next) {
+            send_node(sc, v, next, nxt);
           }
-        } else {
-          // Profiled: the same work as separate receive / send / shadow
-          // sweeps, timed at shard granularity.  Programs observe the same
-          // per-node call sequence, logs are collected in the same
-          // ascending node order — bit-identical to the fused path.
-          const auto t0 = ProfileClock::now();
-          for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
-            const std::size_t v = active[idx];
-            receive_node(sc, v, round, *cur);
-            if (programs[v]->halted()) {
-              halted[v] = 1;
-              sc.newly_halted.push_back(v);
-            }
-          }
-          const auto t1 = ProfileClock::now();
-          if (send_next) {
-            for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
-              const std::size_t v = active[idx];
-              if (!halted[v]) send_node(sc, v, next, *nxt);
-            }
-          }
-          const auto t2 = ProfileClock::now();
-          if (send_next) {
-            for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
-              const std::size_t v = active[idx];
-              if (!halted[v]) shadow_tags(v, *nxt);
-            }
-          }
-          const auto t3 = ProfileClock::now();
-          sc.receive_ns += elapsed_ns(t0, t1);
-          sc.exchange_ns += elapsed_ns(t1, t3);
-          sc.scatter_ns += elapsed_ns(t2, t3);
         }
       } catch (...) {
         sc.error = std::current_exception();
@@ -583,32 +469,19 @@ RunResult run_plan(const ExecutionPlan& plan,
     // later round's gathers once the node stops overwriting it.  After
     // this, a halted node's partners read silence from it forever.
     // When every active node halted, nothing reads either buffer again
-    // (the next run resets the workspace), so the fills are skipped.
-    ProfileClock::time_point merge_start;
-    if (profile) merge_start = ProfileClock::now();
+    // (the next run writes or silences every segment before reading it),
+    // so the fills are skipped.
     std::size_t halting = 0;
     for (std::size_t s = 0; s < shards; ++s) {
       halting += scratch[s].newly_halted.size();
     }
     const bool all_halted = halting == active.size();
+    std::uint64_t sent_next = 0;
     for (std::size_t s = 0; s < shards; ++s) {
-      const ShardScratch& sc = scratch[s];
-      stats.ports_served += sc.ports_served;
-      if (collect) {
-        result.message_log.insert(result.message_log.end(), sc.log.begin(),
-                                  sc.log.end());
-      }
-      receive_ns += sc.receive_ns;
-      exchange_ns += sc.exchange_ns;
-      scatter_ns += sc.scatter_ns;
+      sent_next += merge_shard(scratch[s]);
       if (all_halted) continue;
-      for (const std::size_t v : sc.newly_halted) {
-        const Port deg = plan.degree(v);
-        const std::size_t off = plan.offset(v);
-        for (OutboxBuffer* buf : {cur, nxt}) {
-          std::fill_n(buf->slots.data() + off, deg, kSilence);
-          std::fill_n(buf->tag.data() + off, deg, std::int32_t{0});
-        }
+      for (const std::size_t v : scratch[s].newly_halted) {
+        ws.silence(plan.offset(v), plan.degree(v));
       }
     }
     if (all_halted) {
@@ -621,7 +494,11 @@ RunResult run_plan(const ExecutionPlan& plan,
       result.trace.push_back({round, pending, n - active.size()});
     }
     if (profile) {
-      receive_ns += elapsed_ns(merge_start, ProfileClock::now());
+      const auto now = ProfileClock::now();
+      round_ns += static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(now - stamp)
+              .count());
+      stamp = now;
     }
 
     if (active.empty()) break;
@@ -632,15 +509,12 @@ RunResult run_plan(const ExecutionPlan& plan,
          << " nodes still running)";
       throw ExecutionError(os.str());
     }
-    scan_pending(*nxt);
+    pending = sent_next;
     std::swap(cur, nxt);
   }
 
   if (profile) {
-    g_exchange_ns.fetch_add(exchange_ns, std::memory_order_relaxed);
-    g_receive_ns.fetch_add(receive_ns, std::memory_order_relaxed);
-    g_scatter_ns.fetch_add(scatter_ns, std::memory_order_relaxed);
-    g_scan_ns.fetch_add(scan_ns, std::memory_order_relaxed);
+    g_round_ns.fetch_add(round_ns, std::memory_order_relaxed);
     g_profiled_rounds.fetch_add(round, std::memory_order_relaxed);
   }
 

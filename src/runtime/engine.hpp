@@ -19,19 +19,20 @@
 //  * Message transport is sender-indexed and double-buffered: each buffer
 //    holds one round's messages at their *senders'* flat ports (programs
 //    write straight into their own contiguous segment — sequential stores,
-//    no staging copy, single-writer by construction) plus a flat
-//    struct-of-arrays tag lane shadowing the slot tags.  Each round runs
-//    ONE sharded stage behind ONE barrier: a node gathers its round-r
-//    input from the current buffer *through the involution* (delivery IS
-//    the gather — the permutation is applied on the read side, where loads
+//    no staging copy, single-writer by construction).  Each round runs ONE
+//    sharded stage behind ONE barrier: a node gathers its round-r input
+//    from the current buffer *through the involution* (delivery IS the
+//    gather — the permutation is applied on the read side, where loads
 //    pipeline, instead of as scattered stores), then — unless it halted —
-//    writes round r+1 into its own segment of the next buffer; the buffers
-//    swap after the barrier.  The per-round traffic count is a branch-free
-//    count_nonsilence sweep over the tag lane, and a halting node is
-//    silenced with two contiguous fills of its own segment.  (A full
-//    four-lane SoA split of Message storage was measured and rejected: the
-//    permutation step then touches four cache lines per message instead of
-//    one, ~4x slower on dense graphs — see ARCHITECTURE.md.)
+//    writes round r+1 into its own segment of the next buffer and counts
+//    that segment's non-silence slots while it is still in L1; the buffers
+//    swap after the barrier.  A halting node is silenced with two
+//    contiguous fills of its own segment, and the buffers are never reset
+//    between runs: every segment a receiver reads was written this run by
+//    its active owner, or silenced when the owner halted (at start() or in
+//    a round).  (Message storage stays array-of-structs: struct-of-arrays
+//    splits, of the whole message or of the tag alone, measured as net
+//    costs — see ARCHITECTURE.md.)
 //
 // Hard guarantee, enforced by differential tests: every policy produces
 // bit-identical RunResults — outputs, stats, trace, and message-log order.
@@ -101,9 +102,12 @@ class ExecutionPlan {
   }
 
   /// True when this plan was compiled from a graph with exactly the same
-  /// structure as `g` (degree sequence and involution).  This is the
-  /// PlanCache's collision guard: a 64-bit structural hash narrows the
-  /// candidates, matches() proves the identification.
+  /// structure as `g` (degree sequence and involution).  A graph carrying
+  /// the non-zero build id of the graph this plan was compiled from (the
+  /// same graph, or a copy of it) matches in O(1); any other graph is
+  /// compared table by table.  This is the PlanCache's collision guard: a
+  /// 64-bit structural hash narrows the candidates, matches() proves the
+  /// identification.
   [[nodiscard]] bool matches(const port::PortGraph& g) const;
 
   /// Heap footprint of the flat arrays, for cache accounting.
@@ -128,6 +132,7 @@ class ExecutionPlan {
   std::vector<std::size_t> offsets_;        // prefix sums of degrees
   std::vector<std::uint32_t> partner_flat_; // involution over flat indices
   std::vector<port::PortRef> partner_ref_;  // involution as (node, port)
+  std::uint64_t build_id_ = 0;              // the source graph's build id
 };
 
 /// How the per-round stages are scheduled.  A policy is reusable across
@@ -188,14 +193,13 @@ class ParallelPolicy final : public ExecutionPolicy {
 /// directly to reuse a plan or a policy (and its thread pool) across runs.
 /// The programs stay owned by the caller (e.g. a ProgramArena).
 ///
-/// Message transport is pooled: both outbox buffers (message slots + tag
-/// lane each), the worklist and the per-shard scratch all live in a
-/// per-thread workspace that is reset (not reallocated) between rounds and
-/// reused across runs, so repeated executions on one lane perform no
-/// per-run buffer allocation once the workspace has grown to the largest
-/// graph seen.  The double buffer costs a second total_ports-sized slot
-/// array + tag lane of pooled bytes — the price of running each round
-/// behind a single barrier.
+/// Message transport is pooled: both outbox buffers, the worklist and the
+/// per-shard scratch all live in a per-thread workspace that is reused
+/// (not reallocated, and the outboxes not even reset) across runs, so
+/// repeated executions on one lane perform no per-run buffer allocation
+/// once the workspace has grown to the largest graph seen.  The double
+/// buffer costs a second total_ports-sized Message array of pooled bytes —
+/// the price of running each round behind a single barrier.
 [[nodiscard]] RunResult run_plan(const ExecutionPlan& plan,
                                  std::span<NodeProgram* const> programs,
                                  const RunOptions& options,
@@ -225,28 +229,14 @@ struct EngineAllocStats {
 /// Snapshot of the pooled-transport counters.
 [[nodiscard]] EngineAllocStats engine_alloc_stats() noexcept;
 
-/// Round-stage wall-time split, accumulated by run_plan while profiling is
-/// enabled (process-wide, monotonic).  `exchange_ns` covers the send sweep
-/// (outbox segment writes) + the tag-lane shadow sweep (including the
-/// round barrier under ParallelPolicy); `scatter_ns` is the tag-lane
-/// shadow sweep alone — the cost of maintaining the struct-of-arrays tag
-/// lane — a subset of `exchange_ns`; `receive_ns` covers the involution
-/// gather + receive sweep plus the shard-order merge and worklist
-/// maintenance; `scan_ns` is the per-round traffic count over the tag lane
-/// (in none of the others).  Per profiled round, exchange_ns + receive_ns
-/// + scan_ns ≈ wall time.
-///
-/// Timing the split at shard granularity requires per-stage sweeps, so a
-/// profiled run drives each shard as receive -> send -> tag-shadow passes
-/// instead of the fused per-node loop — bit-identical results, roughly ten
-/// percent of overhead on dense graphs (the split sweeps re-traverse the
-/// outbox once more).  bench_micro_runtime exports the deltas per
-/// benchmark.
+/// Round-loop wall time, accumulated by run_plan while profiling is enabled
+/// (process-wide, monotonic).  A profiled run runs the same fused round
+/// loop as any other and takes one timestamp per round, after the barrier
+/// and the shard merge: `round_ns` sums the time from the initial exchange
+/// to the last round's stamp, `profiled_rounds` the rounds it covers.
+/// bench_micro_runtime exports the deltas per benchmark.
 struct EngineStageStats {
-  std::uint64_t exchange_ns = 0;       ///< send + tag-shadow sweeps
-  std::uint64_t receive_ns = 0;        ///< gather+receive sweep + merge
-  std::uint64_t scatter_ns = 0;        ///< tag-shadow sweep (⊂ exchange_ns)
-  std::uint64_t scan_ns = 0;           ///< per-round tag-lane traffic scan
+  std::uint64_t round_ns = 0;          ///< round-loop wall time
   std::uint64_t profiled_rounds = 0;   ///< rounds timed while enabled
 
   [[nodiscard]] bool operator==(const EngineStageStats&) const = default;

@@ -146,7 +146,7 @@ double parse_prob(const std::string& text, const std::string& key) {
   try {
     std::size_t pos = 0;
     const double value = std::stod(text, &pos);
-    if (pos != text.size() || value < 0.0 || value > 1.0) {
+    if (pos != text.size() || !(value >= 0.0 && value <= 1.0)) {
       throw std::invalid_argument(text);
     }
     return value;

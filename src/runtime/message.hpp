@@ -8,7 +8,6 @@
 #pragma once
 
 #include <array>
-#include <cstddef>
 #include <cstdint>
 #include <type_traits>
 
@@ -26,15 +25,13 @@ struct Message {
 // outbox is written by concurrent shards and read back across the round
 // barrier, and the async runtime's round slots hand receive() a span over
 // its storage.  That is value-exact only for a trivially copyable aggregate
-// whose state is exactly its four int32 fields — keep Message that way, or
-// the engine's tag shadow (a tag lane mirroring slots[q].tag) stops
-// covering the whole message identity for silence detection.
+// whose state is exactly its four int32 fields — keep Message that way.
 static_assert(std::is_trivially_copyable_v<Message>,
               "Message must stay trivially copyable: the runtimes store it "
               "in shared flat buffers written from concurrent shards");
 static_assert(sizeof(Message) == 4 * sizeof(std::int32_t),
-              "Message must stay exactly {tag, arg[3]}: the engine's tag "
-              "lane shadows the tag as the whole silence test");
+              "Message must stay exactly {tag, arg[3]}: 16 bytes, four to a "
+              "cache line in the engine's outbox");
 
 /// The empty message.
 inline constexpr Message kSilence{};
@@ -44,21 +41,6 @@ inline constexpr Message kSilence{};
                                     std::int32_t a1 = 0,
                                     std::int32_t a2 = 0) noexcept {
   return Message{tag, {a0, a1, a2}};
-}
-
-/// Number of non-silence slots in a tag lane: a branch-free sweep the
-/// compiler turns into SIMD compares under -O2 (and wider under
-/// EDS_NATIVE).  The engine's per-round traffic count is one call on the
-/// whole inbox tag lane — every slot is either freshly written this round
-/// or was silenced when its feeding node halted, so the count equals the
-/// round's non-silence sends exactly.
-[[nodiscard]] inline std::uint64_t count_nonsilence(
-    const std::int32_t* tags, std::size_t count) noexcept {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    total += static_cast<std::uint64_t>(tags[i] != 0);
-  }
-  return total;
 }
 
 }  // namespace eds::runtime

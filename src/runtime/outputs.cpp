@@ -1,7 +1,10 @@
 #include "runtime/outputs.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 
 namespace eds::runtime {
 
@@ -63,18 +66,41 @@ std::vector<Port> selected_ports(const port::PortGraph& g,
 
 graph::EdgeSet validated_edge_set(const port::PortedGraph& pg,
                                   const RunResult& result) {
-  graph::EdgeSet out(pg.graph().num_edges());
-  sweep_selection(
-      pg.ports(), result, "validated_edge_set",
-      [&](std::size_t q) { out.insert(pg.edge_at_flat(q)); },
-      [](port::NodeId v, Port i, port::PortRef there) {
-        std::ostringstream os;
-        os << "validated_edge_set: inconsistent output — node " << v
-           << " claims port " << i << " but node " << there.node
-           << " does not claim port " << there.port;
-        throw ExecutionError(os.str());
-      });
-  return out;
+  check_mask(pg.ports(), result, "validated_edge_set");
+  // One branch-free pass over the edges: edge e is selected when both of
+  // its ports are, and a port pair that disagrees is a one-sided claim.
+  // 64 edges fill one word of the EdgeSet.
+  const std::uint8_t* const sel = result.selected.data();
+  const auto& ends = pg.edge_port_table();
+  const std::size_t m = ends.size();
+  std::vector<std::uint64_t> words(graph::EdgeSet::word_count(m), 0);
+  bool one_sided = false;
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    const std::size_t first = w * 64;
+    const std::size_t last = std::min(first + 64, m);
+    std::uint64_t word = 0;
+    for (std::size_t e = first; e < last; ++e) {
+      const bool at_u = sel[ends[e][0]] != 0;
+      const bool at_v = sel[ends[e][1]] != 0;
+      one_sided |= at_u != at_v;
+      word |= static_cast<std::uint64_t>(at_u & at_v) << (e - first);
+    }
+    words[w] = word;
+  }
+  if (one_sided) {
+    // Rare: re-sweep port by port, in flat order, to name the first
+    // one-sided claim.
+    sweep_selection(
+        pg.ports(), result, "validated_edge_set", [](std::size_t) {},
+        [](port::NodeId v, Port i, port::PortRef there) {
+          std::ostringstream os;
+          os << "validated_edge_set: inconsistent output — node " << v
+             << " claims port " << i << " but node " << there.node
+             << " does not claim port " << there.port;
+          throw ExecutionError(os.str());
+        });
+  }
+  return graph::EdgeSet::from_words(m, std::move(words));
 }
 
 bool all_outputs_identical(const port::PortGraph& g,

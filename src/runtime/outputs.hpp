@@ -6,7 +6,9 @@
 // every flat port q; every validator here is that sweep with a different
 // reaction to a one-sided claim.  validated_edge_set enforces consistency
 // and converts the mask into an EdgeSet over the underlying simple graph,
-// where verifiers operate.
+// where verifiers operate; on a simple graph it sweeps edges instead of
+// ports (PortedGraph::edge_port_table), and falls back to the port sweep
+// only to name a one-sided claim.
 #pragma once
 
 #include <cstddef>

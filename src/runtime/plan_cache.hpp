@@ -7,7 +7,9 @@
 // allocations per run; at 100k+ nodes the compilation churn rivals the
 // round loop itself.  The cache keys plans by the structural hash stored on
 // the graph (degree sequence + involution, computed once at build) and
-// verifies candidates field by field before sharing them, so two graphs ever share a plan only when
+// verifies candidates before sharing them (ExecutionPlan::matches: O(1) for
+// the graph the plan was compiled from or a copy of it, by build id; field
+// by field for any other graph), so two graphs ever share a plan only when
 // their port structure is literally identical — a different port numbering
 // of the same underlying graph changes the involution and therefore gets
 // its own plan.  Sharing is safe because ExecutionPlan is deeply immutable

@@ -13,6 +13,7 @@
 //    log) after an encode/decode round trip.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -146,6 +147,13 @@ TEST(ReplayCodec, RejectsGarbageAndWrongSchema) {
       (void)decode_replay(
           "edsched 1\nalgorithm x\nwibble 3\ngraph\nports 0\n"),
       InvalidArgument);
+  // A NaN probability is not in [0, 1].
+  ReplayFile nan_loss;
+  nan_loss.algorithm = "port-one";
+  nan_loss.options.synchronizer = false;
+  nan_loss.options.faults.loss = std::numeric_limits<double>::quiet_NaN();
+  nan_loss.graph_text = "ports 0\n";
+  EXPECT_THROW((void)decode_replay(encode_replay(nan_loss)), InvalidArgument);
 }
 
 TEST(EngineSchedule, ValidationRejectsMalformedSchedules) {

@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -985,6 +986,15 @@ TEST(AsyncValidation, OptionCombinationsAreRejected) {
   AsyncOptions bad_probability;
   bad_probability.synchronizer = false;
   bad_probability.faults.loss = 1.5;
+  EXPECT_THROW((void)run_asynchronous(g, factory, {}, bad_probability),
+               InvalidArgument);
+  // NaN fails every comparison, so a "< 0 || > 1" check would let it in.
+  bad_probability.faults.loss = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)run_asynchronous(g, factory, {}, bad_probability),
+               InvalidArgument);
+  bad_probability.faults.loss = 0.0;
+  bad_probability.faults.duplicate =
+      std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW((void)run_asynchronous(g, factory, {}, bad_probability),
                InvalidArgument);
 

@@ -55,6 +55,27 @@ TEST(Cli, GenerateErrors) {
   EXPECT_EQ(invoke({"generate", "nosuch", "4"}).code, 2);
   EXPECT_EQ(invoke({"generate", "cycle", "2"}).code, 1);  // n < 3
   EXPECT_EQ(invoke({"generate", "cycle"}).code, 2);       // missing n
+  // Positional numbers follow the option rules: all digits, fitting the
+  // type, or exit 2 naming the argument.
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"generate", "cycle", "6x"},
+        {"generate", "cycle", "abc"},
+        {"generate", "cycle", "-6"},
+        {"generate", "cycle", ""},
+        {"generate", "cycle", "99999999999999999999999"},
+        {"generate", "regular", "12", "3.5"},
+        {"generate", "bounded", "12", "3", "+4"}}) {
+    const auto run = invoke(args);
+    EXPECT_EQ(run.code, 2) << args.back();
+    EXPECT_TRUE(run.out.empty()) << args.back();
+    EXPECT_NE(run.err.find("generate: " + args[1] + " "), std::string::npos)
+        << run.err;
+  }
+  EXPECT_NE(invoke({"generate", "cycle", "6x"}).err.find("cycle N"),
+            std::string::npos);
+  EXPECT_NE(invoke({"generate", "bounded", "12", "3", "+4"}).err.find(
+                "bounded M"),
+            std::string::npos);
 }
 
 TEST(Cli, SolvePipelineEndToEnd) {
@@ -102,6 +123,17 @@ TEST(Cli, LowerBoundOddAndErrors) {
   EXPECT_EQ(g.num_nodes(), 20u);
   EXPECT_EQ(invoke({"lower-bound"}).code, 2);
   EXPECT_EQ(invoke({"lower-bound", "1"}).code, 1);
+  // The degree is strict too: 2^32 + 2 must not narrow to d = 2, nor
+  // "4x" parse as d = 4.
+  for (const std::string degree : {"4294967298", "4x", "abc", "-3", " 4"}) {
+    const auto bad = invoke({"lower-bound", degree});
+    EXPECT_EQ(bad.code, 2) << degree;
+    EXPECT_TRUE(bad.out.empty()) << degree;
+    EXPECT_NE(bad.err.find("lower-bound: degree"), std::string::npos)
+        << bad.err;
+  }
+  EXPECT_NE(invoke({"lower-bound", "4294967298"}).err.find("out of range"),
+            std::string::npos);
 }
 
 TEST(Cli, RunPortgraphOnLowerBoundInstance) {
@@ -560,6 +592,24 @@ TEST(Cli, SweepModelAsyncRejections) {
   EXPECT_EQ(fails({"--model", "async", "--delay", "uniform:9:1"}), 2);
   EXPECT_EQ(fails({"--model", "async", "--loss", "1.5"}), 2);
   EXPECT_EQ(fails({"--model", "async", "--loss", "nope"}), 2);
+  // Probabilities parse strictly: the whole value, finite, in [0, 1].
+  for (const std::string flag : {"--loss", "--dup"}) {
+    for (const std::string value :
+         {"nan", "NaN", "-nan", "inf", "0.5x", "0.5 ", "-0.1", "1.0000001",
+          "", "0x1p-1"}) {
+      std::vector<std::string> args{"sweep",  "cycle", "--min",
+                                    "8",      "--max", "8",
+                                    "--model", "async", "--synchronizer",
+                                    "off",    flag,    value};
+      const auto run = invoke(args);
+      EXPECT_EQ(run.code, 2) << flag << " '" << value << "'";
+      EXPECT_NE(run.err.find("sweep: " + flag), std::string::npos)
+          << run.err;
+    }
+  }
+  EXPECT_EQ(fails({"--model", "async", "--synchronizer", "off", "--loss",
+                   "0.25", "--dup", "1e-1"}),
+            0);
   EXPECT_EQ(
       fails({"--model", "async", "--loss", "0.5", "--synchronizer", "on"}),
       2);

@@ -1,11 +1,15 @@
-// The rebuilt message transport (sender-indexed double-buffered outbox,
-// struct-of-arrays tag lane, degree-balanced shard boundaries) against the
+// The message transport (sender-indexed double-buffered outbox that is
+// never reset between runs, degree-balanced shard boundaries) against the
 // policy-free seed oracle: bit-identity across lane counts on the degree
-// distributions that stress lane balancing hardest, byte-level accounting
-// for the pooled buffers, and the profiling-flag epoch cache.
+// distributions that stress lane balancing hardest, stale outbox bytes
+// from an earlier run, byte-level accounting for the pooled buffers, and
+// the profiling-flag epoch cache.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -81,8 +85,8 @@ TEST(EngineSoa, StarMultigraphDifferentialAcrossLaneCounts) {
 }
 
 TEST(EngineSoa, ProfiledRunsStayBitIdentical) {
-  // Stage profiling drives shards as split sweeps instead of the fused
-  // per-node loop; the differential bar applies to that path unchanged.
+  // Stage profiling adds one timestamp per round to the fused loop; the
+  // differential bar applies to profiled runs unchanged.
   auto rng = test::make_rng(0x50A4);
   const auto pg =
       port::with_random_ports(graph::random_power_law(200, 2.3, rng), rng);
@@ -91,8 +95,90 @@ TEST(EngineSoa, ProfiledRunsStayBitIdentical) {
   engine_stage_profiling(false);
   const auto stats = engine_stage_stats();
   EXPECT_GT(stats.profiled_rounds, 0u);
-  EXPECT_GE(stats.exchange_ns, stats.scatter_ns)
-      << "the tag-shadow sweep is a component of the exchange time";
+  EXPECT_GT(stats.round_ns, 0u);
+}
+
+/// Halts in start() on an odd degree; otherwise, for `rounds` rounds,
+/// sends on every port how many non-silence messages it has heard so far,
+/// and outputs the ports it ever heard from.  One non-silence message read
+/// from a node that halted in start() changes both its sends and its
+/// output.
+class HaltOddProgram final : public NodeProgram {
+ public:
+  explicit HaltOddProgram(Round rounds) : rounds_(rounds) {}
+  void start(port::Port degree) override {
+    heard_.assign(degree, false);
+    halted_ = degree % 2 == 1;
+  }
+  void send(Round round, std::span<Message> out) override {
+    for (auto& m : out) {
+      m = msg(1, static_cast<std::int32_t>(round),
+              static_cast<std::int32_t>(heard_count_));
+    }
+  }
+  void receive(Round round, std::span<const Message> in) override {
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      if (in[i].is_silence()) continue;
+      heard_[i] = true;
+      ++heard_count_;
+    }
+    if (round >= rounds_) halted_ = true;
+  }
+  [[nodiscard]] bool halted() const override { return halted_; }
+  void output(OutputSink& out) const override {
+    for (std::size_t i = 0; i < heard_.size(); ++i) {
+      if (heard_[i]) out.select(static_cast<port::Port>(i + 1));
+    }
+  }
+
+ private:
+  Round rounds_;
+  std::vector<bool> heard_;
+  std::uint64_t heard_count_ = 0;
+  bool halted_ = false;
+};
+
+class HaltOddFactory final : public ProgramFactory {
+ public:
+  explicit HaltOddFactory(Round rounds) : rounds_(rounds) {}
+  [[nodiscard]] std::unique_ptr<NodeProgram> create() const override {
+    return std::make_unique<HaltOddProgram>(rounds_);
+  }
+  [[nodiscard]] std::string name() const override { return "halt-odd"; }
+
+ private:
+  Round rounds_;
+};
+
+TEST(EngineSoa, LazyOutboxResetSilencesNodesThatHaltInStart) {
+  // The outboxes are not reset between runs on a lane.  The first run
+  // leaves a non-silence message in every slot of both buffers; in the
+  // second, the nodes that halt in start() never write their segments, so
+  // their partners read silence only because the run silenced those
+  // segments up front.  Every run here uses the calling thread's
+  // workspace, whatever the lane count.
+  auto rng = test::make_rng(0x50A8);
+  std::vector<port::Port> degrees;
+  for (std::size_t v = 0; v < 60; ++v) {
+    degrees.push_back(static_cast<port::Port>(v % 5 + 1));
+  }
+  const auto g = port::random_port_graph(degrees, rng);
+  RunOptions options;
+  options.collect_trace = true;
+  options.collect_messages = true;
+  const HaltOddFactory halt_odd(3);
+  const auto expected = reference_run(g, halt_odd, options);
+  ASSERT_GT(expected.stats.messages_sent, 0u);
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    options.exec.threads = threads;
+    const auto flood = run_synchronous(g, EchoFactory(3), options);
+    ASSERT_EQ(flood.stats.messages_sent, 3 * g.num_ports())
+        << "every slot of both buffers must carry a message";
+    const auto got = run_synchronous(g, halt_odd, options);
+    EXPECT_TRUE(got == expected)
+        << "threads=" << threads << ": a node read a stale message from a "
+        << "partner that halted in start()";
+  }
 }
 
 TEST(EngineSoa, BalancedShardBoundsEqualizePortCounts) {
@@ -128,8 +214,7 @@ TEST(EngineSoa, WorkspaceReturnsEveryPooledByteOnTeardown) {
   // Mirror of BatchStream.DroppingAnUndrainedStreamReleasesWorkspaceBytes
   // for the transport buffers themselves: a lane that ran the
   // double-buffered engine gives back every byte the gauge charged it —
-  // outbox pairs, tag lanes and shard scratch included — when the thread
-  // exits.
+  // outbox pairs and shard scratch included — when the thread exits.
   const auto baseline = engine_alloc_stats().workspace_bytes;
   std::uint64_t charged = 0;
   std::thread lane([&] {
@@ -169,21 +254,6 @@ TEST(EngineSoa, StatsResetResamplesProfilingFlag) {
   (void)run_synchronous(pg.ports(), EchoFactory(3));
   EXPECT_EQ(engine_stage_stats().profiled_rounds, 0u)
       << "profiling off must stick after a reset as well";
-}
-
-TEST(EngineSoa, CountNonsilenceMatchesNaiveSweep) {
-  // The branch-free tag sweep against the obvious loop, on a lane with a
-  // mixed silence pattern (including negative tags, which count).
-  std::vector<std::int32_t> tags(1000, 0);
-  auto rng = test::make_rng(0x50A7);
-  std::uint64_t expected = 0;
-  for (std::size_t q = 0; q < tags.size(); ++q) {
-    const auto roll = rng.next_u64() % 4;
-    tags[q] =
-        roll == 0 ? 0 : (roll == 1 ? -7 : static_cast<std::int32_t>(q + 1));
-    if (tags[q] != 0) ++expected;
-  }
-  EXPECT_EQ(count_nonsilence(tags.data(), tags.size()), expected);
 }
 
 }  // namespace

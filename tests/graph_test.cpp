@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "graph/edge_set.hpp"
 #include "graph/generators.hpp"
@@ -99,6 +103,75 @@ TEST(EdgeSet, UniverseMismatchThrows) {
   EdgeSet a(4);
   EdgeSet b(5);
   EXPECT_THROW((void)a.set_union(b), InvalidArgument);
+}
+
+TEST(EdgeSet, WordPackingHoldsAtWordBoundaries) {
+  // One bit per edge id, 64 to a word: universes just below, at and just
+  // past a word boundary, plus the empty one.
+  for (const std::size_t universe :
+       {std::size_t{0}, std::size_t{63}, std::size_t{64}, std::size_t{65}}) {
+    const std::string label = "universe " + std::to_string(universe);
+    std::vector<EdgeId> thirds;  // 0, 3, 6, ... and the last id
+    std::vector<EdgeId> odds;    // 1, 3, 5, ...
+    for (EdgeId e = 0; e < universe; ++e) {
+      if (e % 3 == 0 || e + 1 == universe) thirds.push_back(e);
+      if (e % 2 == 1) odds.push_back(e);
+    }
+    const EdgeSet a(universe, thirds);
+    const EdgeSet b(universe, odds);
+    ASSERT_EQ(a.words().size(), (universe + 63) / 64) << label;
+    EXPECT_EQ(a.to_vector(), thirds) << label;
+    EXPECT_EQ(a.size(), thirds.size()) << label;
+
+    const auto expect_op = [&](const EdgeSet& got, auto op, const char* what) {
+      std::vector<EdgeId> want;
+      op(thirds.begin(), thirds.end(), odds.begin(), odds.end(),
+         std::back_inserter(want));
+      EXPECT_EQ(got.to_vector(), want) << label << " " << what;
+      EXPECT_EQ(got.size(), want.size()) << label << " " << what;
+      EXPECT_EQ(got, EdgeSet(universe, want)) << label << " " << what;
+    };
+    expect_op(a.set_union(b),
+              [](auto... args) { return std::set_union(args...); }, "union");
+    expect_op(a.set_intersection(b),
+              [](auto... args) { return std::set_intersection(args...); },
+              "intersection");
+    expect_op(a.set_difference(b),
+              [](auto... args) { return std::set_difference(args...); },
+              "difference");
+
+    if (universe > 0) {
+      // Erasing the last id leaves exactly the words of a set that never
+      // held it: no stray bit survives past the members.
+      EdgeSet erased = a;
+      EXPECT_TRUE(erased.erase(static_cast<EdgeId>(universe - 1)));
+      std::vector<EdgeId> rest(thirds.begin(), thirds.end() - 1);
+      EXPECT_EQ(erased, EdgeSet(universe, rest)) << label;
+      if (universe % 64 != 0) {
+        EXPECT_EQ(a.set_union(b).words().back() >> (universe % 64), 0u)
+            << label << ": a bit beyond the universe is set";
+      }
+    }
+    std::vector<std::uint64_t> words(a.words().begin(), a.words().end());
+    EXPECT_EQ(EdgeSet::from_words(universe, words), a) << label;
+
+    const auto outside = static_cast<EdgeId>(universe);
+    EdgeSet probe = a;
+    EXPECT_THROW((void)probe.contains(outside), std::out_of_range) << label;
+    EXPECT_THROW((void)probe.insert(outside), std::out_of_range) << label;
+    EXPECT_THROW((void)probe.erase(outside), std::out_of_range) << label;
+    EXPECT_EQ(probe, a) << label;
+  }
+}
+
+TEST(EdgeSet, FromWordsRejectsMalformedWords) {
+  EXPECT_THROW((void)EdgeSet::from_words(65, {0}), InvalidArgument);
+  EXPECT_THROW((void)EdgeSet::from_words(64, {0, 0}), InvalidArgument);
+  EXPECT_THROW((void)EdgeSet::from_words(65, {0, 2}), InvalidArgument)
+      << "bit 65 lies beyond a 65-edge universe";
+  const auto s = EdgeSet::from_words(65, {0b101, 1});
+  EXPECT_EQ(s.to_vector(), (std::vector<EdgeId>{0, 2, 64}));
+  EXPECT_EQ(s.size(), 3u);
 }
 
 TEST(EdgeSet, DegreeAndCover) {

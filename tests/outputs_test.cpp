@@ -1,19 +1,24 @@
 // The engine output contract: programs announce X(v) through an OutputSink
 // into the run's flat selection mask, and factories build a run's programs
 // into a ProgramArena (create_all).  Covers the sink's errors under both
-// engines, crashed nodes' empty segments, the mask readers, the arena's
+// engines, crashed nodes' empty segments, the mask readers (the per-edge
+// validation sweep against the per-port one included), the arena's
 // ownership rules, and bit-identity of create_all against per-node
 // create() for every algorithm factory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "algo/driver.hpp"
+#include "graph/edge_set.hpp"
 #include "port/port_graph.hpp"
+#include "port/ported_graph.hpp"
 #include "runtime/async.hpp"
 #include "runtime/outputs.hpp"
 #include "runtime/program.hpp"
@@ -164,6 +169,51 @@ TEST(SelectedPorts, ReadsOneNodeAndChecksItsInputs) {
   EXPECT_THROW((void)selected_ports(g, r, 3), InvalidArgument);
   r.selected.pop_back();
   EXPECT_THROW((void)selected_ports(g, r, 0), ExecutionError);
+}
+
+TEST(ValidatedEdgeSet, EdgeSweepMatchesPortSweepAcrossWords) {
+  // validated_edge_set sweeps edges and packs 64 selections per word; the
+  // port-by-port sweep (count_selection, and an EdgeSet built from each
+  // selected edge's lower port) is the reference.  Edge counts put members
+  // in full words and in a partial last word.
+  auto rng = test::make_rng(0x0E5);
+  for (const std::size_t m : {63, 64, 65, 130, 200}) {
+    const auto pg = test::random_ported_bounded(m, 6, m, rng);
+    const auto& g = pg.ports();
+    ASSERT_EQ(pg.graph().num_edges(), m);
+    RunResult r;
+    r.selected.assign(g.num_ports(), 0);
+    for (const auto& [at_u, at_v] : pg.edge_port_table()) {
+      if (rng.chance(0.5)) r.selected[at_u] = r.selected[at_v] = 1;
+    }
+    graph::EdgeSet want(m);
+    for (std::size_t q = 0; q < g.num_ports(); ++q) {
+      if (r.selected[q] != 0) want.insert(pg.edge_at_flat(q));
+    }
+    const auto got = validated_edge_set(pg, r);
+    EXPECT_EQ(got, want) << "m=" << m;
+    EXPECT_EQ(got.size(), count_selection(g, r, "test").selected)
+        << "m=" << m;
+
+    // Clear the higher port of the last selected edge: the error names its
+    // lower port, now the only one-sided claim.
+    const auto members = want.to_vector();
+    ASSERT_FALSE(members.empty());
+    const auto [u_port, v_port] = pg.edge_port_table()[members.back()];
+    r.selected[std::max(u_port, v_port)] = 0;
+    const auto lone = std::min(u_port, v_port);
+    port::NodeId v = 0;
+    while (v + 1 < g.num_nodes() && g.offset(v + 1) <= lone) ++v;
+    const Port i = static_cast<Port>(lone - g.offset(v) + 1);
+    const auto there = g.partner(v, i);
+    std::ostringstream msg;
+    msg << "validated_edge_set: inconsistent output — node " << v
+        << " claims port " << i << " but node " << there.node
+        << " does not claim port " << there.port;
+    EXPECT_EQ(execution_error([&] { (void)validated_edge_set(pg, r); }),
+              msg.str())
+        << "m=" << m;
+  }
 }
 
 TEST(AllOutputsIdentical, ComparesPortSetsAcrossDegrees) {

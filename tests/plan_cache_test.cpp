@@ -24,6 +24,19 @@
 #include "util/rng.hpp"
 #include "test_util.hpp"
 
+namespace eds::port {
+
+/// The test seam PortGraph befriends: overwrites the stored hash or build
+/// id, to forge what no pair of real graphs can produce.
+struct PortGraphTestAccess {
+  static void set_hash(PortGraph& g, std::uint64_t hash) { g.hash_ = hash; }
+  static void set_build_id(PortGraph& g, std::uint64_t id) {
+    g.build_id_ = id;
+  }
+};
+
+}  // namespace eds::port
+
 namespace eds::runtime {
 namespace {
 
@@ -56,13 +69,94 @@ TEST(PlanCache, HitsOnIdenticalStructureMissesOnDifferent) {
 
 TEST(PlanCache, StructurallyEqualGraphsShareAcrossObjects) {
   // Two *distinct* PortGraph objects with literally the same structure:
-  // canonical ports of the same generator output.
+  // canonical ports of the same generator output.  They were built
+  // separately, so their build ids differ and the hit goes through the
+  // table compare.
   const auto a = port::with_canonical_ports(graph::cycle(10));
   const auto b = port::with_canonical_ports(graph::cycle(10));
+  ASSERT_NE(a.ports().build_id(), b.ports().build_id());
   PlanCache cache;
   EXPECT_EQ(cache.get(a.ports()).get(), cache.get(b.ports()).get());
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST(PlanCache, CopiedGraphHitsByBuildIdWithoutCompiling) {
+  auto rng = test::make_rng(0xCAC2);
+  const auto pg = test::random_ported_regular(64, 4, rng);
+  PlanCache cache;
+  const auto plan = cache.get(pg.ports());
+  const PortGraph copy = pg.ports();
+  ASSERT_NE(copy.build_id(), 0u);
+  EXPECT_EQ(copy.build_id(), pg.ports().build_id());
+
+  const auto compiled = ExecutionPlan::constructed_count();
+  EXPECT_EQ(cache.get(copy).get(), plan.get());
+  EXPECT_EQ(ExecutionPlan::constructed_count(), compiled);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+
+  // The O(1) path is the id alone: matches() takes an equal non-zero id
+  // without walking the tables, so a different structure carrying a
+  // forged id (impossible outside this seam) is believed.
+  PortGraph forged = test::random_ported_regular(64, 4, rng).ports();
+  ASSERT_FALSE(plan->matches(forged));
+  port::PortGraphTestAccess::set_build_id(forged, copy.build_id());
+  EXPECT_TRUE(plan->matches(forged));
+}
+
+TEST(PlanCache, BuildIdsAreUniquePerBuildAndClearedByMoves) {
+  const auto a = port::with_canonical_ports(graph::cycle(10));
+  const auto b = port::with_canonical_ports(graph::cycle(10));
+  const auto id = a.ports().build_id();
+  EXPECT_NE(id, 0u);
+  EXPECT_NE(b.ports().build_id(), id);
+  EXPECT_EQ(PortGraph{}.build_id(), 0u);
+
+  PortGraph copy = a.ports();
+  PortGraph moved = std::move(copy);
+  EXPECT_EQ(moved.build_id(), id);
+  // NOLINTNEXTLINE(bugprone-use-after-move): the source is left empty.
+  EXPECT_EQ(copy.build_id(), 0u);
+  copy = b.ports();
+  moved = std::move(copy);
+  EXPECT_EQ(moved.build_id(), b.ports().build_id());
+  EXPECT_EQ(copy.build_id(), 0u);
+
+  // Id 0 is never trusted: two different structures that both carry id 0
+  // go through the table compare.
+  PortGraph zero_a = a.ports();
+  PortGraph zero_c = port::with_canonical_ports(graph::cycle(12)).ports();
+  port::PortGraphTestAccess::set_build_id(zero_a, 0);
+  port::PortGraphTestAccess::set_build_id(zero_c, 0);
+  const ExecutionPlan plan_zero(zero_a);
+  EXPECT_TRUE(plan_zero.matches(zero_a));
+  EXPECT_FALSE(plan_zero.matches(zero_c));
+  EXPECT_TRUE(ExecutionPlan(PortGraph{}).matches(copy));
+}
+
+TEST(PlanCache, ForcedHashCollisionWithADifferentStructureMisses) {
+  auto rng = test::make_rng(0xCAC3);
+  const auto a = test::random_ported_regular(16, 4, rng);
+  PortGraph b = test::random_ported_regular(16, 4, rng).ports();
+  port::PortGraphTestAccess::set_hash(b, a.ports().structural_hash());
+  ASSERT_EQ(structural_hash(b), structural_hash(a.ports()));
+  ASSERT_NE(b.build_id(), a.ports().build_id());
+
+  PlanCache cache;
+  const auto plan_a = cache.get(a.ports());
+  const auto plan_b = cache.get(b);
+  EXPECT_NE(plan_a.get(), plan_b.get());
+  EXPECT_TRUE(plan_b->matches(b));
+  EXPECT_FALSE(plan_b->matches(a.ports()));
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+
+  // Both plans share one hash bucket and each graph still finds its own.
+  EXPECT_EQ(cache.get(a.ports()).get(), plan_a.get());
+  EXPECT_EQ(cache.get(b).get(), plan_b.get());
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().size, 2u);
 }
 
 TEST(PlanCache, LruEvictionUnderCapacity) {

@@ -160,9 +160,9 @@ def compare(old_path: str, new_path: str, threshold: float) -> int:
             ov, nv = old_counters.get(key), new_counters.get(key)
             if ov == nv:
                 continue
-            # Wall-time counters (the engine's exchange_ns/receive_ns stage
-            # split) jitter on every run; listing them would put a noise row
-            # in every comparison.  They stay in the converted records —
+            # Wall-time counters (the engine's profiled round_ns) jitter
+            # on every run; listing them would put a noise row in every
+            # comparison.  They stay in the converted records —
             # read them from the artifacts — but the delta column tracks
             # only shape/count counters.
             if key.endswith("_ns"):
