@@ -1,11 +1,9 @@
 #include "cli/cli.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -33,6 +31,7 @@
 #include "runtime/sched.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
+#include "util/text.hpp"
 
 namespace eds::cli {
 
@@ -44,25 +43,6 @@ class UsageError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
-
-/// `text` as an unsigned integer of type T, or a UsageError naming `what`
-/// (a flag such as "--repeat", or a positional argument such as
-/// "lower-bound degree"): all digits, no sign or space, and fitting T.
-template <typename T>
-[[nodiscard]] T parse_uint(const std::string& text, const std::string& what) {
-  T value{};
-  const char* const end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, value);
-  if (ec == std::errc::result_out_of_range) {
-    throw UsageError(what + " " + text + " is out of range (max " +
-                     std::to_string(std::numeric_limits<T>::max()) + ")");
-  }
-  if (text.empty() || ec != std::errc() || stop != end) {
-    throw UsageError(what + " needs a non-negative integer, got '" + text +
-                     "'");
-  }
-  return value;
-}
 
 /// One option a command declares: `--name VALUE`, or the bare flag
 /// `--name` when `takes_value` is false.
@@ -118,7 +98,7 @@ class Args {
   [[nodiscard]] T get_uint(const std::string& key, T fallback) const {
     const auto it = options_.find(key);
     if (it == options_.end()) return fallback;
-    return parse_uint<T>(it->second, "--" + key);
+    return parse_uint<T, UsageError>(it->second, "--" + key);
   }
 
   /// The value of `--key` as a probability, or `fallback` when absent.  The
@@ -128,16 +108,7 @@ class Args {
                                        double fallback) const {
     const auto it = options_.find(key);
     if (it == options_.end()) return fallback;
-    const std::string& text = it->second;
-    double value = 0.0;
-    const char* const end = text.data() + text.size();
-    const auto [stop, ec] = std::from_chars(text.data(), end, value);
-    if (text.empty() || ec != std::errc() || stop != end ||
-        !(value >= 0.0 && value <= 1.0)) {
-      throw UsageError("--" + key + " needs a number in [0, 1], got '" +
-                       text + "'");
-    }
-    return value;
+    return parse_probability<UsageError>(it->second, "--" + key);
   }
 
  private:
@@ -257,7 +228,8 @@ int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
       err << "generate: missing numeric argument\n";
       return std::nullopt;
     }
-    return parse_uint<std::size_t>(pos[index], family + " " + name);
+    return parse_uint<std::size_t, UsageError>(pos[index],
+                                               family + " " + name);
   };
 
   graph::SimpleGraph g;
@@ -403,7 +375,7 @@ int cmd_lower_bound(const Args& args, std::ostream& out, std::ostream& err) {
     err << "lower-bound: missing degree\n";
     return 2;
   }
-  const auto d = parse_uint<port::Port>(pos[1], "degree");
+  const auto d = parse_uint<port::Port, UsageError>(pos[1], "degree");
   try {
     const auto inst =
         d % 2 == 0 ? lb::even_lower_bound(d) : lb::odd_lower_bound(d);

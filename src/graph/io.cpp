@@ -5,6 +5,7 @@
 #include <string>
 
 #include "graph/edge_set.hpp"
+#include "util/text.hpp"
 
 namespace eds::graph {
 
@@ -14,42 +15,27 @@ void write_edge_list(std::ostream& os, const SimpleGraph& g) {
 }
 
 SimpleGraph read_edge_list(std::istream& is) {
-  std::string line;
-  auto next_data_line = [&is, &line]() -> bool {
-    while (std::getline(is, line)) {
-      const auto pos = line.find_first_not_of(" \t\r");
-      if (pos == std::string::npos || line[pos] == '#') continue;
-      return true;
-    }
-    return false;
-  };
-
-  if (!next_data_line()) {
+  LineReader<InvalidStructure> in(is, "read_edge_list");
+  if (!in.next()) {
     throw InvalidStructure("read_edge_list: missing header line");
   }
-  std::istringstream header(line);
-  std::size_t n = 0;
-  std::size_t m = 0;
-  if (!(header >> n >> m)) {
-    throw InvalidStructure("read_edge_list: malformed header line");
-  }
+  in.expect_size(2, "the header 'n m'");
+  const auto n = in.number<std::size_t>(0, "node count n", kMaxTextNodes);
+  const auto m = in.number<std::size_t>(1, "edge count m", kMaxTextPorts / 2);
 
   std::vector<Edge> edges;
-  edges.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    if (!next_data_line()) {
-      throw InvalidStructure("read_edge_list: fewer edges than promised");
+  while (in.next()) {
+    if (edges.size() == m) {
+      in.fail("more edges than the header's m = " + std::to_string(m));
     }
-    std::istringstream row(line);
-    std::uint64_t u = 0;
-    std::uint64_t v = 0;
-    if (!(row >> u >> v)) {
-      throw InvalidStructure("read_edge_list: malformed edge line");
-    }
-    if (u >= n || v >= n) {
-      throw InvalidStructure("read_edge_list: endpoint out of range");
-    }
-    edges.push_back({static_cast<NodeId>(u), static_cast<NodeId>(v)});
+    in.expect_size(2, "an edge 'u v'");
+    const auto u = in.number<NodeId>(0, "endpoint u");
+    const auto v = in.number<NodeId>(1, "endpoint v");
+    if (u >= n || v >= n) in.fail("endpoint out of range");
+    edges.push_back({u, v});
+  }
+  if (edges.size() < m) {
+    throw InvalidStructure("read_edge_list: fewer edges than promised");
   }
   return SimpleGraph::from_edges(n, std::move(edges));
 }

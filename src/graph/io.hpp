@@ -1,7 +1,10 @@
 // Plain-text graph serialisation.
 //
-// Format: first line "n m", then m lines "u v" (0-based endpoints).
-// Lines starting with '#' are comments and ignored on input.
+// Format: first line "n m", then m lines "u v" (0-based endpoints), read
+// by the shared text rules of util/text.hpp: '#' comments, blank lines,
+// tabs and CRLF line endings are fine, extra tokens and signs are not, and
+// a graph holds at most 2^24 nodes and 2^25 edges.  README, "Text formats",
+// states the grammar for every text format.
 #pragma once
 
 #include <iosfwd>
@@ -15,7 +18,8 @@ namespace eds::graph {
 void write_edge_list(std::ostream& os, const SimpleGraph& g);
 
 /// Reads a graph in edge-list format; throws InvalidStructure on malformed
-/// input (wrong counts, out-of-range endpoints, loops, duplicates).
+/// input (wrong counts, extra tokens or lines, out-of-range endpoints,
+/// loops, duplicates) and on a header above the caps.
 [[nodiscard]] SimpleGraph read_edge_list(std::istream& is);
 
 /// Serialises to a string (convenience wrapper around write_edge_list).

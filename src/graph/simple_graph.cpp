@@ -1,14 +1,24 @@
 #include "graph/simple_graph.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <utility>
 
 namespace eds::graph {
 
-SimpleGraph::SimpleGraph(std::size_t n) : first_(n + 1, 0) {}
+SimpleGraph::SimpleGraph(std::size_t n) {
+  // Nodes are named by NodeId; at SIZE_MAX the n + 1 CSR offsets would
+  // also wrap to none.
+  if (n > std::numeric_limits<NodeId>::max()) {
+    throw InvalidArgument("SimpleGraph: " + std::to_string(n) +
+                          " nodes exceed the NodeId range");
+  }
+  first_.assign(n + 1, 0);
+}
 
 SimpleGraph SimpleGraph::from_edges(std::size_t n, std::vector<Edge> edges) {
+  SimpleGraph g(n);
   for (std::size_t k = 0; k < edges.size(); ++k) {
     Edge& e = edges[k];
     const bool out_of_range = e.u >= n || e.v >= n;
@@ -24,7 +34,6 @@ SimpleGraph SimpleGraph::from_edges(std::size_t n, std::vector<Edge> edges) {
     if (e.u > e.v) std::swap(e.u, e.v);
   }
 
-  SimpleGraph g(n);
   for (const auto& e : edges) {
     ++g.first_[e.u + 1];
     ++g.first_[e.v + 1];

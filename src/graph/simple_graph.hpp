@@ -55,11 +55,13 @@ struct Incidence {
 /// [first_[v], first_[v + 1]).
 class SimpleGraph {
  public:
-  /// Empty graph with `n` isolated nodes.
+  /// Empty graph with `n` isolated nodes; throws InvalidArgument when `n`
+  /// is above the largest NodeId.
   explicit SimpleGraph(std::size_t n = 0);
 
   /// Builds a graph from an edge list.  Endpoints are normalised (u <= v);
-  /// loops and duplicate edges are rejected with InvalidStructure.
+  /// loops and duplicate edges are rejected with InvalidStructure, and an
+  /// `n` above the largest NodeId with InvalidArgument.
   /// Edge ids equal positions in `edges` (after normalisation).
   [[nodiscard]] static SimpleGraph from_edges(std::size_t n,
                                               std::vector<Edge> edges);

@@ -1,8 +1,10 @@
 #include "port/io.hpp"
 
-#include <memory>
+#include <optional>
 #include <sstream>
 #include <vector>
+
+#include "util/text.hpp"
 
 namespace eds::port {
 
@@ -22,56 +24,49 @@ void write_port_graph(std::ostream& os, const PortGraph& g) {
 }
 
 PortGraph read_port_graph(std::istream& is) {
-  std::string line;
-  auto fail = [](const std::string& why) -> void {
-    throw InvalidStructure("read_port_graph: " + why);
-  };
-
-  std::size_t n = 0;
-  bool have_header = false;
-  bool have_degrees = false;
-  std::vector<Port> degrees;
-  std::unique_ptr<PortGraphBuilder> builder;
-
-  while (std::getline(is, line)) {
-    const auto pos = line.find_first_not_of(" \t\r");
-    if (pos == std::string::npos || line[pos] == '#') continue;
-    std::istringstream row(line);
-    std::string keyword;
-    row >> keyword;
-
+  LineReader<InvalidStructure> in(is, "read_port_graph");
+  std::optional<std::size_t> n;
+  std::optional<PortGraphBuilder> builder;
+  while (in.next()) {
+    const std::string_view keyword = in[0];
     if (keyword == "ports") {
-      if (have_header) fail("duplicate 'ports' line");
-      if (!(row >> n)) fail("malformed 'ports' line");
-      have_header = true;
+      if (n) in.fail("duplicate 'ports' line");
+      in.expect_size(2, "'ports'");
+      n = in.number<std::size_t>(1, "node count", kMaxTextNodes);
     } else if (keyword == "deg") {
-      if (!have_header) fail("'deg' before 'ports'");
-      if (have_degrees) fail("duplicate 'deg' line");
-      degrees.resize(n);
-      for (std::size_t v = 0; v < n; ++v) {
-        if (!(row >> degrees[v])) fail("too few degrees");
+      if (!n) in.fail("'deg' before 'ports'");
+      if (builder) in.fail("duplicate 'deg' line");
+      // One degree per node, counted before the degree vector exists.
+      in.expect_size(*n + 1, "'deg'");
+      std::vector<Port> degrees(*n);
+      std::uint64_t ports = 0;
+      for (std::size_t v = 0; v < *n; ++v) {
+        degrees[v] = in.number<Port>(v + 1, "degree");
+        ports += degrees[v];
       }
-      builder = std::make_unique<PortGraphBuilder>(degrees);
-      have_degrees = true;
+      if (ports > kMaxTextPorts) {
+        in.fail("the degrees sum to " + std::to_string(ports) +
+                " ports (max " + std::to_string(kMaxTextPorts) + ")");
+      }
+      builder.emplace(std::move(degrees));
     } else if (keyword == "conn") {
-      if (!have_degrees) fail("'conn' before 'deg'");
-      NodeId v = 0;
-      NodeId u = 0;
-      Port i = 0;
-      Port j = 0;
-      if (!(row >> v >> i >> u >> j)) fail("malformed 'conn' line");
-      builder->connect({v, i}, {u, j});
+      if (!builder) in.fail("'conn' before 'deg'");
+      in.expect_size(5, "'conn'");
+      const PortRef a{in.number<NodeId>(1, "node v"),
+                      in.number<Port>(2, "port i")};
+      const PortRef b{in.number<NodeId>(3, "node u"),
+                      in.number<Port>(4, "port j")};
+      builder->connect(a, b);
     } else if (keyword == "loop") {
-      if (!have_degrees) fail("'loop' before 'deg'");
-      NodeId v = 0;
-      Port i = 0;
-      if (!(row >> v >> i)) fail("malformed 'loop' line");
-      builder->fix({v, i});
+      if (!builder) in.fail("'loop' before 'deg'");
+      in.expect_size(3, "'loop'");
+      builder->fix({in.number<NodeId>(1, "node v"),
+                    in.number<Port>(2, "port i")});
     } else {
-      fail("unknown keyword '" + keyword + "'");
+      in.fail("unknown keyword '" + std::string(keyword) + "'");
     }
   }
-  if (!have_degrees) fail("missing 'deg' line");
+  if (!builder) throw InvalidStructure("read_port_graph: missing 'deg' line");
   return builder->build();
 }
 

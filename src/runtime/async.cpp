@@ -18,17 +18,6 @@ namespace {
 
 constexpr Round kNoHalt = std::numeric_limits<Round>::max();
 
-/// Order-independent deterministic draw: a pure hash of the run seed and
-/// structural coordinates, so loss/delay decisions never depend on event-pop
-/// order or thread count.
-std::uint64_t draw_bits(std::uint64_t seed, std::uint64_t x, std::uint64_t y,
-                        std::uint64_t salt) {
-  std::uint64_t state = seed;
-  state = splitmix64(state) ^ (x + 0x9E3779B97F4A7C15ULL * salt);
-  state = splitmix64(state) ^ y;
-  return splitmix64(state);
-}
-
 double draw01(std::uint64_t seed, std::uint64_t x, std::uint64_t y,
               std::uint64_t salt) {
   return static_cast<double>(draw_bits(seed, x, y, salt) >> 11) * 0x1.0p-53;
@@ -764,24 +753,6 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
   return out;
 }
 
-namespace {
-
-/// Plan resolution, same contract as the synchronous path: borrow from the
-/// configured cache or compile locally.
-const ExecutionPlan& resolve_async_plan(
-    const port::PortGraph& g, const ExecOptions& exec,
-    std::shared_ptr<const ExecutionPlan>& shared,
-    std::optional<ExecutionPlan>& local) {
-  if (exec.plan_cache != nullptr) {
-    shared = exec.plan_cache->get(g);
-    return *shared;
-  }
-  local.emplace(g);
-  return *local;
-}
-
-}  // namespace
-
 AsyncResult run_asynchronous(const port::PortGraph& g,
                              const ProgramFactory& factory,
                              const RunOptions& options,
@@ -791,30 +762,9 @@ AsyncResult run_asynchronous(const port::PortGraph& g,
       create_programs(factory, g.num_nodes(), arena, "run_asynchronous");
   std::shared_ptr<const ExecutionPlan> shared;
   std::optional<ExecutionPlan> local;
-  const ExecutionPlan& plan =
-      resolve_async_plan(g, options.exec, shared, local);
+  const ExecutionPlan& plan = resolve_plan(g, options.exec, shared, local);
   const AsyncPolicy policy(async);
   return policy.run(plan, programs, options, factory.name());
-}
-
-AsyncResult run_asynchronous_programs(
-    const port::PortGraph& g,
-    std::vector<std::unique_ptr<NodeProgram>> programs,
-    const RunOptions& options, const AsyncOptions& async,
-    const std::string& name) {
-  if (programs.size() != g.num_nodes()) {
-    throw InvalidArgument(
-        "run_asynchronous_programs: one program per node required");
-  }
-  for (const auto& p : programs) {
-    if (!p) throw InvalidArgument("run_asynchronous_programs: null program");
-  }
-  std::shared_ptr<const ExecutionPlan> shared;
-  std::optional<ExecutionPlan> local;
-  const ExecutionPlan& plan =
-      resolve_async_plan(g, options.exec, shared, local);
-  const AsyncPolicy policy(async);
-  return policy.run(plan, programs, options, name);
 }
 
 }  // namespace eds::runtime

@@ -147,12 +147,4 @@ class AsyncPolicy {
                                            const RunOptions& options,
                                            const AsyncOptions& async);
 
-/// Caller-provided per-node programs, asynchronous counterpart of
-/// run_synchronous_programs.
-[[nodiscard]] AsyncResult run_asynchronous_programs(
-    const port::PortGraph& g,
-    std::vector<std::unique_ptr<NodeProgram>> programs,
-    const RunOptions& options, const AsyncOptions& async,
-    const std::string& name = "custom");
-
 }  // namespace eds::runtime

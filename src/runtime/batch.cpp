@@ -1,10 +1,7 @@
 #include "runtime/batch.hpp"
 
-#include <condition_variable>
-#include <deque>
 #include <exception>
 #include <mutex>
-#include <thread>
 
 #include "util/error.hpp"
 
@@ -110,86 +107,6 @@ void BatchRunner::run_streaming(const std::vector<BatchJob>& jobs,
     buffer.deposit_and_flush(i, on_result);
   });
   buffer.rethrow_failures();
-}
-
-/// The pull adapter: a driver thread pumps the runner's run_streaming and
-/// pushes each in-order result into a queue; next() pops.  Because
-/// run_streaming already delivers a strictly increasing prefix and
-/// withholds everything from the lowest failure onward, the queue inherits
-/// the whole determinism contract — this adapter never reorders or filters.
-struct BatchStream::Impl {
-  Impl(std::vector<BatchJob> jobs_in, const BatchRunner* runner)
-      : jobs(std::move(jobs_in)) {
-    driver = std::thread([this, runner] {
-      try {
-        runner->run_streaming(
-            jobs, [this](std::size_t i, RunResult&& result) {
-              {
-                const std::lock_guard<std::mutex> lock(mutex);
-                queue.push_back(Item{i, std::move(result)});
-              }
-              ready.notify_all();
-            });
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(mutex);
-        error = std::current_exception();
-      }
-      {
-        const std::lock_guard<std::mutex> lock(mutex);
-        finished = true;
-      }
-      ready.notify_all();
-    });
-  }
-
-  ~Impl() {
-    if (driver.joinable()) driver.join();
-  }
-
-  std::vector<BatchJob> jobs;
-  std::mutex mutex;
-  std::condition_variable ready;
-  std::deque<Item> queue;
-  std::exception_ptr error;  // run_streaming's post-drain rethrow, if any
-  bool finished = false;     // driver has returned from run_streaming
-  bool stopped = false;      // next() already rethrew; stream is over
-  std::thread driver;
-};
-
-BatchStream::BatchStream(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
-
-BatchStream::~BatchStream() = default;
-
-std::optional<BatchStream::Item> BatchStream::next() {
-  Impl& impl = *impl_;
-  std::unique_lock<std::mutex> lock(impl.mutex);
-  if (impl.stopped) return std::nullopt;
-  impl.ready.wait(lock, [&impl] { return !impl.queue.empty() || impl.finished; });
-  if (!impl.queue.empty()) {
-    Item item = std::move(impl.queue.front());
-    impl.queue.pop_front();
-    return item;
-  }
-  // Queue exhausted and the batch has drained: surface the failure (once)
-  // or signal completion.  The driver has already returned, so the pool
-  // is quiescent when the caller unwinds.
-  impl.stopped = true;
-  if (impl.error) {
-    const auto error = impl.error;
-    lock.unlock();
-    if (impl.driver.joinable()) impl.driver.join();
-    std::rethrow_exception(error);
-  }
-  return std::nullopt;
-}
-
-std::unique_ptr<BatchStream> BatchRunner::stream(
-    std::vector<BatchJob> jobs) const {
-  // A malformed job must fail here, not from the first next() after the
-  // driver has already drained.
-  validate(jobs);
-  return std::unique_ptr<BatchStream>(new BatchStream(
-      std::make_unique<BatchStream::Impl>(std::move(jobs), this)));
 }
 
 }  // namespace eds::runtime

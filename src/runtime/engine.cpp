@@ -113,8 +113,8 @@ bool stage_profiling_sample() noexcept {
 /// The pooled message transport: every buffer the round loop writes lives
 /// here and is resized (capacity retained) at the start of each run instead
 /// of being reallocated.  One workspace exists per thread, so sequential
-/// runs, BatchRunner jobs (one job per pool lane) and BatchStream drivers
-/// each reuse their lane's arena run after run.
+/// runs and BatchRunner jobs (one job per pool lane) each reuse their
+/// lane's arena run after run.
 struct EngineWorkspace {
   /// The double buffer: one round's messages indexed by *sender* flat port
   /// (node v's sends occupy the contiguous segment [offset(v), offset(v) +

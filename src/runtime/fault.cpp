@@ -7,48 +7,29 @@
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/text.hpp"
 
 namespace eds::runtime {
 
-namespace {
-
-std::vector<std::string> split_spec(const std::string& spec) {
-  std::vector<std::string> parts;
-  std::string part;
-  std::istringstream is(spec);
-  while (std::getline(is, part, ':')) parts.push_back(part);
-  return parts;
-}
-
-std::uint64_t parse_ticks(const std::string& text, const std::string& spec) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long value = std::stoull(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument(text);
-    return value;
-  } catch (const std::exception&) {
-    throw InvalidArgument("parse_delay_model: bad tick count '" + text +
-                          "' in '" + spec + "'");
-  }
-}
-
-}  // namespace
-
 DelayModel parse_delay_model(const std::string& spec) {
-  const auto parts = split_spec(spec);
+  const auto parts = split_fields(spec, ':');
+  const auto ticks = [&spec](std::string_view part) {
+    return parse_uint<std::uint64_t, InvalidArgument>(
+        part, "parse_delay_model: tick count in '" + spec + "'");
+  };
   DelayModel model;
   if (parts.size() == 2 && parts[0] == "fixed") {
     model.kind = DelayKind::kFixed;
-    model.a = model.b = parse_ticks(parts[1], spec);
+    model.a = model.b = ticks(parts[1]);
   } else if (parts.size() == 3 && parts[0] == "uniform") {
     model.kind = DelayKind::kUniform;
-    model.a = parse_ticks(parts[1], spec);
-    model.b = parse_ticks(parts[2], spec);
+    model.a = ticks(parts[1]);
+    model.b = ticks(parts[2]);
   } else if ((parts.size() == 2 || parts.size() == 3) &&
              parts[0] == "geometric") {
     model.kind = DelayKind::kGeometric;
-    model.a = parse_ticks(parts[1], spec);
-    model.b = parts.size() == 3 ? parse_ticks(parts[2], spec)
+    model.a = ticks(parts[1]);
+    model.b = parts.size() == 3 ? ticks(parts[2])
                                 : std::min(8 * model.a, kMaxTicks);
   } else {
     throw InvalidArgument(
@@ -139,37 +120,6 @@ FaultPlan make_fault_plan(double loss, double duplicate,
   return plan;
 }
 
-namespace {
-
-/// Parses one probability token of a replay file.
-double parse_prob(const std::string& text, const std::string& key) {
-  try {
-    std::size_t pos = 0;
-    const double value = std::stod(text, &pos);
-    if (pos != text.size() || !(value >= 0.0 && value <= 1.0)) {
-      throw std::invalid_argument(text);
-    }
-    return value;
-  } catch (const std::exception&) {
-    throw InvalidArgument("decode_replay: bad probability '" + text +
-                          "' for '" + key + "'");
-  }
-}
-
-std::uint64_t parse_u64(const std::string& text, const std::string& key) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long value = std::stoull(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument(text);
-    return value;
-  } catch (const std::exception&) {
-    throw InvalidArgument("decode_replay: bad number '" + text + "' for '" +
-                          key + "'");
-  }
-}
-
-}  // namespace
-
 std::string encode_replay(const ReplayFile& replay) {
   std::ostringstream os;
   os << "edsched " << kReplaySchemaVersion << '\n';
@@ -205,89 +155,89 @@ std::string encode_replay(const ReplayFile& replay) {
 
 ReplayFile decode_replay(const std::string& text) {
   std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line)) {
+  LineReader<InvalidArgument> in(is, "decode_replay");
+  if (!in.next()) {
     throw InvalidArgument("decode_replay: empty input");
   }
-  {
-    std::istringstream header(line);
-    std::string magic;
-    std::string version;
-    header >> magic >> version;
-    if (magic != "edsched" || version.empty()) {
-      throw InvalidArgument(
-          "decode_replay: not a replay file (expected an 'edsched " +
-          std::to_string(kReplaySchemaVersion) + "' header)");
-    }
-    if (parse_u64(version, "edsched") != kReplaySchemaVersion) {
-      throw InvalidArgument("decode_replay: schema mismatch: this build "
-                            "speaks version " +
-                            std::to_string(kReplaySchemaVersion) + ", got " +
-                            version);
-    }
+  if (in[0] != "edsched") {
+    throw InvalidArgument(
+        "decode_replay: not a replay file (expected an 'edsched " +
+        std::to_string(kReplaySchemaVersion) + "' header)");
+  }
+  in.expect_size(2, "the 'edsched' header");
+  if (in.number<std::uint32_t>(1, "schema version") != kReplaySchemaVersion) {
+    throw InvalidArgument("decode_replay: schema mismatch: this build "
+                          "speaks version " +
+                          std::to_string(kReplaySchemaVersion) + ", got " +
+                          std::string(in[1]));
   }
   ReplayFile replay;
+  AsyncOptions& a = replay.options;
   bool saw_graph = false;
-  while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    if (line == "graph") {
-      saw_graph = true;
-      break;
-    }
-    std::istringstream record(line);
-    std::string key;
-    record >> key;
-    const auto rest = [&record, &key, &line]() {
-      std::string token;
-      if (!(record >> token)) {
-        throw InvalidArgument("decode_replay: record '" + line +
-                              "' is missing a value for '" + key + "'");
-      }
-      return token;
+  while (!saw_graph && in.next()) {
+    const std::string key(in[0]);
+    // Every record is its key and a fixed number of values.
+    const auto values = [&in, &key](std::size_t count) {
+      in.expect_size(count + 1, "record '" + key + "'");
     };
-    if (key == "strategy") {
-      replay.strategy = rest();
+    const auto u64 = [&in, &key](std::size_t k) {
+      return in.number<std::uint64_t>(k, key);
+    };
+    if (key == "graph") {
+      values(0);
+      saw_graph = true;
+    } else if (key == "strategy") {
+      values(1);
+      replay.strategy = in[1];
     } else if (key == "algorithm") {
-      replay.algorithm = rest();
+      values(1);
+      replay.algorithm = in[1];
     } else if (key == "param") {
-      replay.param = static_cast<std::uint32_t>(parse_u64(rest(), key));
+      values(1);
+      replay.param = in.number<std::uint32_t>(1, key);
     } else if (key == "synchronizer") {
-      const auto token = rest();
-      if (token != "on" && token != "off") {
-        throw InvalidArgument("decode_replay: synchronizer takes on|off");
+      values(1);
+      if (in[1] != "on" && in[1] != "off") {
+        in.fail("synchronizer takes on|off");
       }
-      replay.options.synchronizer = token == "on";
+      a.synchronizer = in[1] == "on";
     } else if (key == "delay") {
-      replay.options.delay = parse_delay_model(rest());
+      values(1);
+      a.delay = parse_delay_model(std::string(in[1]));
     } else if (key == "loss") {
-      replay.options.faults.loss = parse_prob(rest(), key);
+      values(1);
+      a.faults.loss = in.probability(1, key);
     } else if (key == "dup") {
-      replay.options.faults.duplicate = parse_prob(rest(), key);
+      values(1);
+      a.faults.duplicate = in.probability(1, key);
     } else if (key == "timeout") {
-      replay.options.round_timeout = parse_u64(rest(), key);
+      values(1);
+      a.round_timeout = u64(1);
     } else if (key == "seed") {
-      replay.options.seed = parse_u64(rest(), key);
+      values(1);
+      a.seed = u64(1);
     } else if (key == "crash") {
-      CrashEvent c;
-      c.node = static_cast<port::NodeId>(parse_u64(rest(), key));
-      c.time = parse_u64(rest(), key);
-      replay.options.faults.crashes.push_back(c);
+      values(2);
+      a.faults.crashes.push_back(
+          {in.number<port::NodeId>(1, "crash node"), u64(2)});
     } else if (key == "prioseed") {
-      replay.options.schedule.prio_seed = parse_u64(rest(), key);
+      values(1);
+      a.schedule.prio_seed = u64(1);
     } else if (key == "demote") {
-      replay.options.schedule.demote_ticks = parse_u64(rest(), key);
+      values(1);
+      a.schedule.demote_ticks = u64(1);
     } else if (key == "change") {
-      replay.options.schedule.change_points.push_back(parse_u64(rest(), key));
+      values(1);
+      a.schedule.change_points.push_back(u64(1));
     } else if (key == "override") {
-      DelayOverride o;
-      o.port = static_cast<std::uint32_t>(parse_u64(rest(), key));
-      o.ticks = parse_u64(rest(), key);
-      replay.options.schedule.delay_overrides.push_back(o);
+      values(2);
+      a.schedule.delay_overrides.push_back(
+          {in.number<std::uint32_t>(1, "override port"), u64(2)});
     } else if (key == "metric") {
-      const auto name = rest();
-      replay.metrics.emplace_back(name, parse_u64(rest(), key));
+      values(2);
+      replay.metrics.emplace_back(std::string(in[1]), u64(2));
     } else {
-      throw InvalidArgument("decode_replay: unknown record '" + key + "'");
+      in.fail("unknown record '" + key + "'");
     }
   }
   if (!saw_graph) {

@@ -64,9 +64,9 @@ struct DelayModel {
 inline constexpr std::uint64_t kMaxTicks = std::uint64_t{1} << 32;
 
 /// Parses a delay specification: "fixed:T", "uniform:LO:HI" or
-/// "geometric:MEAN[:CAP]" (CAP defaults to 8×MEAN, at most kMaxTicks).
-/// Throws InvalidArgument on malformed specs, zero delays, inverted bounds
-/// or bounds above kMaxTicks.
+/// "geometric:MEAN[:CAP]" (CAP defaults to 8×MEAN, at most kMaxTicks), each
+/// tick count all digits.  Throws InvalidArgument on malformed specs, zero
+/// delays, inverted bounds or bounds above kMaxTicks.
 [[nodiscard]] DelayModel parse_delay_model(const std::string& spec);
 
 /// Renders a DelayModel back into its canonical specification string.
@@ -239,8 +239,10 @@ void check_tick_bounds(const AsyncOptions& options);
 /// including the Schedule, and the worst metrics the search recorded so a
 /// replay can verify the run still exhibits them.  The codec is line-based
 /// ("edsched 1" header, `key value...` records, the graph after a `graph`
-/// marker); decode_replay rejects unknown schema versions, malformed
-/// records and ticks above kMaxTicks with InvalidArgument.
+/// marker) and reads by the shared text rules of util/text.hpp (README,
+/// "Text formats"); decode_replay rejects unknown schema versions,
+/// malformed records (a wrong token count, a number outside its field's
+/// type) and ticks above kMaxTicks with InvalidArgument.
 struct ReplayFile {
   std::string strategy = "random";  ///< adversary strategy token (bookkeeping)
   std::string algorithm;            ///< algo::algorithm_token vocabulary
@@ -263,9 +265,10 @@ inline constexpr std::uint32_t kReplaySchemaVersion = 1;
 [[nodiscard]] std::string encode_replay(const ReplayFile& replay);
 
 /// Parses a replay file; throws InvalidArgument on a missing/mismatched
-/// schema header, unknown records, malformed numbers or a missing graph
-/// section.  Round-trips encode_replay exactly (including the loss and
-/// duplication probabilities, written with max_digits10 precision).
+/// schema header, unknown records, a record with the wrong number of
+/// values, malformed numbers or a missing graph section.  Round-trips
+/// encode_replay exactly (including the loss and duplication
+/// probabilities, written with max_digits10 precision).
 [[nodiscard]] ReplayFile decode_replay(const std::string& text);
 
 }  // namespace eds::runtime

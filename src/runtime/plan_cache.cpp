@@ -65,4 +65,16 @@ PlanCache& PlanCache::global() {
   return cache;
 }
 
+const ExecutionPlan& resolve_plan(const port::PortGraph& g,
+                                  const ExecOptions& exec,
+                                  std::shared_ptr<const ExecutionPlan>& shared,
+                                  std::optional<ExecutionPlan>& local) {
+  if (exec.plan_cache != nullptr) {
+    shared = exec.plan_cache->get(g);
+    return *shared;
+  }
+  local.emplace(g);
+  return *local;
+}
+
 }  // namespace eds::runtime

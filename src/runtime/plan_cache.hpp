@@ -28,6 +28,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -105,6 +106,14 @@ class PlanCache {
   std::size_t max_bytes_;
   Stats stats_;
 };
+
+/// The plan a run of `g` uses: borrowed from `exec.plan_cache` into
+/// `shared`, or compiled into `local` when no cache is configured.  Every
+/// sync and async entry point resolves its plan here.
+[[nodiscard]] const ExecutionPlan& resolve_plan(
+    const port::PortGraph& g, const ExecOptions& exec,
+    std::shared_ptr<const ExecutionPlan>& shared,
+    std::optional<ExecutionPlan>& local);
 
 /// The cache key: the 64-bit structural hash PortGraphBuilder::build()
 /// stored on `g` (degree sequence and flat involution).  Collisions are

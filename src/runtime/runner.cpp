@@ -9,24 +9,6 @@
 
 namespace eds::runtime {
 
-namespace {
-
-/// The plan for this run: borrowed from the requested cache, or compiled
-/// locally (into `local`) when no cache is configured.
-const ExecutionPlan& resolve_plan(
-    const port::PortGraph& g, const ExecOptions& exec,
-    std::shared_ptr<const ExecutionPlan>& shared,
-    std::optional<ExecutionPlan>& local) {
-  if (exec.plan_cache != nullptr) {
-    shared = exec.plan_cache->get(g);
-    return *shared;
-  }
-  local.emplace(g);
-  return *local;
-}
-
-}  // namespace
-
 std::string format_transcript(const RunResult& result) {
   std::ostringstream os;
   if (!result.messages_collected) {
@@ -73,11 +55,6 @@ RunResult run_synchronous_programs(
     const port::PortGraph& g,
     std::vector<std::unique_ptr<NodeProgram>> programs,
     const RunOptions& options, const std::string& name) {
-  if (options.exec.async) {
-    return run_asynchronous_programs(g, std::move(programs), options,
-                                     *options.exec.async, name)
-        .run;
-  }
   if (programs.size() != g.num_nodes()) {
     throw InvalidArgument(
         "run_synchronous_programs: one program per node required");
@@ -90,6 +67,11 @@ RunResult run_synchronous_programs(
   std::shared_ptr<const ExecutionPlan> shared;
   std::optional<ExecutionPlan> local;
   const ExecutionPlan& plan = resolve_plan(g, options.exec, shared, local);
+  if (options.exec.async) {
+    return AsyncPolicy(*options.exec.async)
+        .run(plan, programs, options, name)
+        .run;
+  }
   const auto policy = make_policy(options.exec);
   return run_plan(plan, programs, options, name, *policy);
 }

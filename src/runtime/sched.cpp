@@ -9,17 +9,6 @@ namespace eds::runtime {
 
 namespace {
 
-/// Same order-independent hash draw the async engine uses; the salts here
-/// (16+) are disjoint from the engine's (1–5) so a search never correlates
-/// with the runs it drives.
-std::uint64_t draw_bits(std::uint64_t seed, std::uint64_t x, std::uint64_t y,
-                        std::uint64_t salt) {
-  std::uint64_t state = seed;
-  state = splitmix64(state) ^ (x + 0x9E3779B97F4A7C15ULL * salt);
-  state = splitmix64(state) ^ y;
-  return splitmix64(state);
-}
-
 /// Lexicographic badness: inconsistency dominates (a consistency violation
 /// is the strongest witness), then the selection size (the ratio
 /// numerator), then latency, then rounds.  The hill-climb maximizes this;

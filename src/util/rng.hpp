@@ -25,6 +25,21 @@ namespace eds {
   return z ^ (z >> 31);
 }
 
+/// Order-independent deterministic draw: a pure hash of a seed and two
+/// structural coordinates, so a decision keyed on them never depends on
+/// event-pop order or thread count.  The async engine draws with salts 1–5
+/// and the schedule search (runtime/sched) with 16 and up, disjoint so a
+/// search never correlates with the runs it drives.
+[[nodiscard]] constexpr std::uint64_t draw_bits(std::uint64_t seed,
+                                                std::uint64_t x,
+                                                std::uint64_t y,
+                                                std::uint64_t salt) noexcept {
+  std::uint64_t state = seed;
+  state = splitmix64(state) ^ (x + 0x9E3779B97F4A7C15ULL * salt);
+  state = splitmix64(state) ^ y;
+  return splitmix64(state);
+}
+
 /// Deterministic xoshiro256** generator with portable distributions.
 class Rng {
  public:

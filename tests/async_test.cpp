@@ -37,6 +37,7 @@
 #include "runtime/async.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/outputs.hpp"
+#include "runtime/plan_cache.hpp"
 #include "runtime/runner.hpp"
 #include "runtime/sched.hpp"
 #include "util/rng.hpp"
@@ -1172,6 +1173,35 @@ TEST(AsyncDispatch, ExecOptionsRouteThroughRunSynchronous) {
   const auto baseline = algo::run_algorithm(pg, Algorithm::kBoundedDegree, 3);
   EXPECT_EQ(outcome.solution.to_vector(), baseline.solution.to_vector());
   EXPECT_EQ(outcome.stats, baseline.stats);
+}
+
+TEST(AsyncDispatch, ExecOptionsRouteThroughRunSynchronousPrograms) {
+  // The caller-built-programs entry dispatches the same way, on the plan
+  // it resolves from the configured cache.
+  const auto pg = test::figure2_graph_h();
+  const auto factory = algo::make_factory(Algorithm::kBoundedDegree, 3);
+  const auto programs = [&] {
+    std::vector<std::unique_ptr<NodeProgram>> out;
+    for (std::size_t v = 0; v < pg.ports().num_nodes(); ++v) {
+      out.push_back(factory->create());
+    }
+    return out;
+  };
+  RunOptions options;
+  options.collect_trace = true;
+  const RunResult plain =
+      run_synchronous_programs(pg.ports(), programs(), options);
+
+  PlanCache cache;
+  AsyncOptions async;
+  async.delay = {DelayKind::kUniform, 1, 6};
+  async.seed = 11;
+  options.exec.async = async;
+  options.exec.plan_cache = &cache;
+  const RunResult routed =
+      run_synchronous_programs(pg.ports(), programs(), options);
+  EXPECT_EQ(routed, plain);
+  EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 TEST(AsyncStatsCounters, SynchronizerAccountsAcksAndVirtualTime) {

@@ -759,5 +759,51 @@ TEST(Cli, SweepAdversaryRejections) {
   EXPECT_EQ(invoke({"sweep", "--replay", garbage}).code, 2);
 }
 
+TEST(Cli, HostileTextInputsExitWithTypedErrors) {
+  // Each hostile input ends in the decoder's error naming the field —
+  // exit 1 from solve and run-portgraph, exit 2 from sweep --replay —
+  // never in a signal or a leaked std::bad_alloc.
+  using Case = std::pair<std::string, std::string>;
+  for (const auto& [text, field] : std::vector<Case>{
+           {"-1 0\n", "node count n"},
+           {"4000000000 1\n0 1\n", "node count n"},
+           {"3 -1\n", "edge count m"},
+           {"3 2\n0 1 extra\n1 2\n", "edge 'u v'"}}) {
+    const auto run = invoke({"solve"}, text);
+    EXPECT_EQ(run.code, 1) << text;
+    EXPECT_NE(run.err.find("read_edge_list: line "), std::string::npos)
+        << run.err;
+    EXPECT_NE(run.err.find(field), std::string::npos) << run.err;
+  }
+  for (const auto& [text, field] : std::vector<Case>{
+           {"ports -1\ndeg 1\n", "node count"},
+           {"ports 4000000000\n", "node count"},
+           {"ports 2\ndeg 4000000000 1\n", "degrees sum"},
+           {"ports 2\ndeg 1 1 7\n", "'deg'"},
+           {"ports 2\ndeg 1 1\nconn 0 1 1 1 junk\n", "'conn'"}}) {
+    const auto run = invoke({"run-portgraph", "--algorithm", "port-one"}, text);
+    EXPECT_EQ(run.code, 1) << text;
+    EXPECT_NE(run.err.find("read_port_graph: line "), std::string::npos)
+        << run.err;
+    EXPECT_NE(run.err.find(field), std::string::npos) << run.err;
+  }
+  const auto path = ::testing::TempDir() + "cli_hostile.edsched";
+  for (const auto& [record, field] : std::vector<Case>{
+           {"seed -1", "seed"},
+           {"seed 7 junk", "'seed'"},
+           {"param 4294967298", "param"}}) {
+    {
+      std::ofstream sink(path);
+      sink << "edsched 1\nalgorithm port-one\n" << record
+           << "\ngraph\nports 2\ndeg 1 1\nconn 0 1 1 1\n";
+    }
+    const auto run = invoke({"sweep", "--replay", path});
+    EXPECT_EQ(run.code, 2) << record;
+    EXPECT_NE(run.err.find("decode_replay: line 3: "), std::string::npos)
+        << run.err;
+    EXPECT_NE(run.err.find(field), std::string::npos) << run.err;
+  }
+}
+
 }  // namespace
 }  // namespace eds::cli

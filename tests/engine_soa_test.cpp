@@ -211,10 +211,9 @@ TEST(EngineSoa, BalancedShardBoundsEqualizePortCounts) {
 }
 
 TEST(EngineSoa, WorkspaceReturnsEveryPooledByteOnTeardown) {
-  // Mirror of BatchStream.DroppingAnUndrainedStreamReleasesWorkspaceBytes
-  // for the transport buffers themselves: a lane that ran the
-  // double-buffered engine gives back every byte the gauge charged it —
-  // outbox pairs and shard scratch included — when the thread exits.
+  // A lane that ran the double-buffered engine gives back every byte the
+  // gauge charged it — outbox pairs and shard scratch included — when the
+  // thread exits.
   const auto baseline = engine_alloc_stats().workspace_bytes;
   std::uint64_t charged = 0;
   std::thread lane([&] {

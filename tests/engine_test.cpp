@@ -420,11 +420,6 @@ TEST(BatchRunner, RejectsMalformedJobsUpFront) {
   EXPECT_THROW((void)runner.run({{nullptr, &echo, {}}}), InvalidArgument);
   EXPECT_THROW((void)runner.run({{&pg.ports(), nullptr, {}}}),
                InvalidArgument);
-  // stream() validates before its driver thread starts, so a malformed
-  // job surfaces here and not from the first next().
-  EXPECT_THROW((void)runner.stream({{nullptr, &echo, {}}}), InvalidArgument);
-  EXPECT_THROW((void)runner.stream({{&pg.ports(), nullptr, {}}}),
-               InvalidArgument);
   EXPECT_TRUE(runner.run({}).empty());
 }
 
@@ -528,87 +523,6 @@ TEST(BatchRunner, StreamingRethrowsCallbackFailures) {
                                     }),
                InvalidArgument);
   EXPECT_EQ(calls, 1u) << "delivery stops at the first callback failure";
-}
-
-TEST(BatchStream, NextPullsEveryResultInOrder) {
-  auto rng = test::make_rng(0x57F);
-  std::vector<port::PortedGraph> graphs;
-  for (int i = 0; i < 5; ++i) {
-    graphs.push_back(test::random_ported_regular(10 + 2 * i, 3, rng));
-  }
-  const algo::BoundedDegreeFactory bounded(3);
-  std::vector<BatchJob> jobs;
-  for (const auto& pg : graphs) {
-    jobs.push_back({&pg.ports(), &bounded, {}});
-  }
-  const BatchRunner runner(4);
-  const auto expected = runner.run(jobs);
-
-  auto stream = runner.stream(jobs);
-  std::size_t count = 0;
-  while (auto item = stream->next()) {
-    ASSERT_LT(count, expected.size());
-    EXPECT_EQ(item->index, count);
-    EXPECT_TRUE(item->result == expected[count]);
-    ++count;
-  }
-  EXPECT_EQ(count, jobs.size());
-  EXPECT_FALSE(stream->next().has_value()) << "stream stays exhausted";
-}
-
-TEST(BatchStream, NextRethrowsTheFailedJobAndEnds) {
-  const NeverHaltFactory never;
-  const EchoFactory echo(2);
-  const auto pg = port::with_canonical_ports(graph::cycle(4));
-  RunOptions capped;
-  capped.max_rounds = 3;
-  const std::vector<BatchJob> jobs{
-      {&pg.ports(), &echo, {}},
-      {&pg.ports(), &never, capped},
-      {&pg.ports(), &echo, {}},
-  };
-  const BatchRunner runner(2);
-  auto stream = runner.stream(jobs);
-  const auto first = stream->next();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->index, 0u);
-  EXPECT_THROW((void)stream->next(), ExecutionError);
-  EXPECT_FALSE(stream->next().has_value());
-}
-
-TEST(BatchStream, AbandoningTheStreamDrainsTheBatch) {
-  const EchoFactory echo(3);
-  const auto pg = port::with_canonical_ports(graph::cycle(12));
-  const std::vector<BatchJob> jobs(8, BatchJob{&pg.ports(), &echo, {}});
-  const BatchRunner runner(2);
-  {
-    auto stream = runner.stream(jobs);
-    const auto item = stream->next();
-    ASSERT_TRUE(item.has_value());
-    // Dropping the stream here must join the in-flight batch cleanly.
-  }
-  // The runner is reusable after the stream is gone.
-  EXPECT_EQ(runner.run(jobs).size(), jobs.size());
-}
-
-TEST(BatchStream, DroppingAnUndrainedStreamReleasesWorkspaceBytes) {
-  // The leak-check version of abandonment: every pool lane (and the
-  // stream's driver thread) grows a pooled EngineWorkspace while the batch
-  // runs; once the stream *and* the runner are gone, their threads have
-  // joined and every pooled byte must be back off the gauge.  The calling
-  // thread never executes a job in stream mode, so the gauge returns
-  // exactly to its baseline.
-  const auto baseline = engine_alloc_stats().workspace_bytes;
-  const EchoFactory echo(4);
-  const auto pg = port::with_canonical_ports(graph::cycle(64));
-  const std::vector<BatchJob> jobs(12, BatchJob{&pg.ports(), &echo, {}});
-  {
-    const BatchRunner runner(3);
-    auto stream = runner.stream(jobs);
-    ASSERT_TRUE(stream->next().has_value());
-    // Drop the stream with 11 results unconsumed, then the runner.
-  }
-  EXPECT_EQ(engine_alloc_stats().workspace_bytes, baseline);
 }
 
 TEST(AlgoBatch, StreamingMatchesRunBatch) {

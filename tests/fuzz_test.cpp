@@ -2,19 +2,28 @@
 // (random involutions with loops and parallel edges) pushed through the
 // runtime and the standalone algorithms.  Checks are structural — validity
 // of involutions, internal consistency of outputs, graceful failure — since
-// no centralised edge-set semantics exist on multigraphs.
+// no centralised edge-set semantics exist on multigraphs.  The
+// DecoderFuzz suite mutates the text formats instead: every input must be
+// rejected with an eds::Error or decode to a value that round-trips.
 //
 // Deterministic by default: streams derive from test_util.hpp's fixed
 // master seed.  Set EDS_FUZZ_SEED=<n> in the environment to explore new
 // streams (e.g. `EDS_FUZZ_SEED=42 ctest -L fuzz`).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "algo/double_cover.hpp"
 #include "algo/driver.hpp"
 #include "algo/port_one.hpp"
+#include "graph/generators.hpp"
+#include "graph/io.hpp"
+#include "lb/lower_bounds.hpp"
+#include "port/io.hpp"
 #include "port/random_port_graph.hpp"
 #include "port/views.hpp"
 #include "runtime/outputs.hpp"
@@ -297,6 +306,258 @@ TEST(Fuzz, DirectedLoopSelectionIsSelfConsistent) {
   runtime::RunResult result;
   result.selected = {1};
   EXPECT_EQ(runtime::validated_selection_size(g, result), 1u);
+}
+
+// --- Text decoders ------------------------------------------------------
+//
+// Mutations of one fixture per decoder: the Petersen edge list, the
+// Theorem 2 (d = 3) port graph and its covering base, and a replay file
+// that uses every record kind.
+
+/// A replay file that writes every record kind.
+std::string full_replay_text() {
+  runtime::ReplayFile file;
+  file.strategy = "climb";
+  file.algorithm = "bounded";
+  file.param = 3;
+  file.options.synchronizer = false;
+  file.options.delay = {runtime::DelayKind::kUniform, 1, 7};
+  file.options.faults.loss = 0.125;
+  file.options.faults.duplicate = 0.0625;
+  file.options.faults.crashes = {{2, 9}, {5, 17}};
+  file.options.round_timeout = 11;
+  file.options.seed = 0xFEEDC0DEULL;
+  file.options.schedule.prio_seed = 0x123456789ULL;
+  file.options.schedule.demote_ticks = 4;
+  file.options.schedule.change_points = {7, 31};
+  file.options.schedule.delay_overrides = {{3, 5}, {12, 2}};
+  file.metrics = {{"rounds", 12}, {"inconsistent", 3}};
+  file.graph_text =
+      port::to_port_graph_string(lb::odd_lower_bound(3).covering_base);
+  return runtime::encode_replay(file);
+}
+
+/// The four fixtures, in the order the tests below use them.
+const std::vector<std::string>& decoder_fixtures() {
+  static const std::vector<std::string> fixtures = [] {
+    const auto theorem2 = lb::odd_lower_bound(3);
+    return std::vector<std::string>{
+        graph::to_edge_list_string(graph::petersen()),
+        port::to_port_graph_string(theorem2.ported.ports()),
+        port::to_port_graph_string(theorem2.covering_base),
+        full_replay_text()};
+  }();
+  return fixtures;
+}
+
+/// One to three random edits of `text`: a bit flip, a truncation, a short
+/// deletion, a splice from any fixture, or a hostile token.
+std::string mutate(std::string text, Rng& rng) {
+  static constexpr std::array<std::string_view, 8> kHostile = {
+      "-1", "+3", "0x10", "nan", "4294967296", "18446744073709551616", "#",
+      "\n"};
+  const auto& fixtures = decoder_fixtures();
+  for (auto edits = 1 + rng.below(3); edits > 0; --edits) {
+    const auto at = static_cast<std::size_t>(rng.below(text.size() + 1));
+    switch (rng.below(5)) {
+      case 0:
+        if (at < text.size()) {
+          text[at] = static_cast<char>(text[at] ^ (1 << rng.below(8)));
+        }
+        break;
+      case 1:
+        text.resize(at);
+        break;
+      case 2:
+        text.erase(at, 1 + rng.below(8));
+        break;
+      case 3: {
+        const auto& donor = fixtures[rng.below(fixtures.size())];
+        text.insert(at, donor, rng.below(donor.size()), 1 + rng.below(40));
+        break;
+      }
+      default:
+        text.insert(at, kHostile[rng.below(kHostile.size())]);
+    }
+  }
+  return text;
+}
+
+/// Feeds mutations of `fixture` to `decode`.  Each must throw an eds::Error
+/// or decode to a value whose encoding decodes and re-encodes unchanged;
+/// any other exception fails the test with the input that raised it.
+template <typename Decode, typename Encode>
+void fuzz_decoder(std::uint64_t salt, const std::string& fixture,
+                  Decode decode, Encode encode) {
+  auto rng = test::make_rng(salt);
+  std::size_t accepted = 0;
+  for (int i = 0; i < 5000; ++i) {
+    const std::string input = mutate(fixture, rng);
+    std::optional<std::string> text;
+    try {
+      text = encode(decode(input));
+    } catch (const Error&) {
+      continue;
+    } catch (const std::exception& e) {
+      FAIL() << "not an eds::Error: " << e.what() << "\ninput:\n" << input;
+    }
+    ++accepted;
+    ASSERT_EQ(encode(decode(*text)), *text) << "input:\n" << input;
+  }
+  EXPECT_GT(accepted, 0u) << "no mutation decoded; the round trip is unchecked";
+}
+
+TEST(DecoderFuzz, EdgeListMutationsFailTypedOrRoundTrip) {
+  fuzz_decoder(20, decoder_fixtures()[0], graph::from_edge_list_string,
+               graph::to_edge_list_string);
+}
+
+TEST(DecoderFuzz, PortGraphMutationsFailTypedOrRoundTrip) {
+  fuzz_decoder(21, decoder_fixtures()[1], port::from_port_graph_string,
+               port::to_port_graph_string);
+}
+
+TEST(DecoderFuzz, CoveringBaseMutationsFailTypedOrRoundTrip) {
+  fuzz_decoder(22, decoder_fixtures()[2], port::from_port_graph_string,
+               port::to_port_graph_string);
+}
+
+TEST(DecoderFuzz, ReplayMutationsFailTypedOrRoundTrip) {
+  fuzz_decoder(23, decoder_fixtures()[3], runtime::decode_replay,
+               runtime::encode_replay);
+}
+
+/// `text` with CRLF line endings, a tab for every other space, a trailing
+/// comment on every line, and a comment and blank lines around records.
+std::string noisy(const std::string& text) {
+  std::string out = "# leading comment\r\n";
+  bool tab = false;
+  for (const char c : text) {
+    if (c == '\n') {
+      out += "\t# trailing comment\r\n\r\n \t\r\n";
+    } else if (c == ' ') {
+      out += (tab = !tab) ? '\t' : ' ';
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+TEST(DecoderFuzz, CommentsTabsBlankLinesAndCrlfDecodeUnchanged) {
+  const auto& fixtures = decoder_fixtures();
+  EXPECT_EQ(graph::to_edge_list_string(
+                graph::from_edge_list_string(noisy(fixtures[0]))),
+            fixtures[0]);
+  for (const std::size_t k : {1, 2}) {
+    EXPECT_EQ(port::to_port_graph_string(
+                  port::from_port_graph_string(noisy(fixtures[k]))),
+              fixtures[k]);
+  }
+  // The graph section of a replay is kept verbatim and read on its own.
+  auto replay = runtime::decode_replay(noisy(fixtures[3]));
+  const auto original = runtime::decode_replay(fixtures[3]);
+  EXPECT_EQ(port::to_port_graph_string(
+                port::from_port_graph_string(replay.graph_text)),
+            original.graph_text);
+  replay.graph_text = original.graph_text;
+  EXPECT_EQ(replay, original);
+}
+
+// --- Decoder regressions ------------------------------------------------
+//
+// One test per hostile input that crashed, leaked a std:: exception or
+// was silently accepted before the decoders shared util/text.hpp.  Each
+// must fail with the decoder's typed error, naming the field.
+
+/// The message of the E that `decode(text)` throws ("" if it throws none).
+template <typename E, typename Decode>
+std::string typed_error(Decode decode, const std::string& text) {
+  try {
+    (void)decode(text);
+  } catch (const E& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string edge_list_error(const std::string& text) {
+  return typed_error<InvalidStructure>(graph::from_edge_list_string, text);
+}
+
+std::string port_graph_error(const std::string& text) {
+  return typed_error<InvalidStructure>(port::from_port_graph_string, text);
+}
+
+/// The error decode_replay throws once `line` replaces the fixture line
+/// that starts with the same key.
+std::string replay_error(const std::string& line) {
+  std::string text = full_replay_text();
+  const auto key = line.substr(0, line.find(' ') + 1);
+  const auto at = text.find("\n" + key) + 1;
+  text.replace(at, text.find('\n', at) - at, line);
+  return typed_error<InvalidArgument>(runtime::decode_replay, text);
+}
+
+/// Success when `message` (a typed error's, or "" for none) names `field`.
+::testing::AssertionResult names(const std::string& message,
+                                 const std::string& field) {
+  if (message.find(field) != std::string::npos) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "'" << message << "' does not name '" << field << "'";
+}
+
+TEST(DecoderRegression, EdgeListNegativeNodeCount) {
+  EXPECT_TRUE(names(edge_list_error("-1 0\n"), "node count n"));
+}
+
+TEST(DecoderRegression, EdgeListNodeCountAboveTheCap) {
+  EXPECT_TRUE(names(edge_list_error("4000000000 1\n0 1\n"), "node count n"));
+}
+
+TEST(DecoderRegression, EdgeListNegativeEdgeCount) {
+  EXPECT_TRUE(names(edge_list_error("3 -1\n"), "edge count m"));
+}
+
+TEST(DecoderRegression, EdgeListTrailingToken) {
+  EXPECT_TRUE(names(edge_list_error("3 2\n0 1 extra\n1 2\n"), "edge 'u v'"));
+  EXPECT_TRUE(names(edge_list_error("3 1\n0 1\n1 2\n"), "more edges"));
+}
+
+TEST(DecoderRegression, PortGraphNegativeNodeCount) {
+  EXPECT_TRUE(names(port_graph_error("ports -1\ndeg 1\n"), "node count"));
+}
+
+TEST(DecoderRegression, PortGraphDegreesAboveThePortCap) {
+  EXPECT_TRUE(
+      names(port_graph_error("ports 2\ndeg 4000000000 1\n"), "degrees sum"));
+}
+
+TEST(DecoderRegression, PortGraphNodeCountAboveTheCap) {
+  EXPECT_TRUE(names(port_graph_error("ports 4000000000\n"), "node count"));
+}
+
+TEST(DecoderRegression, PortGraphTrailingDegree) {
+  EXPECT_TRUE(names(port_graph_error("ports 2\ndeg 1 1 7\n"), "'deg'"));
+}
+
+TEST(DecoderRegression, PortGraphTrailingConnToken) {
+  EXPECT_TRUE(names(
+      port_graph_error("ports 2\ndeg 1 1\nconn 0 1 1 1 junk\n"), "'conn'"));
+}
+
+TEST(DecoderRegression, ReplayTrailingSeedToken) {
+  EXPECT_TRUE(names(replay_error("seed 7 junk"), "'seed'"));
+}
+
+TEST(DecoderRegression, ReplayNegativeSeed) {
+  EXPECT_TRUE(names(replay_error("seed -1"), "seed"));
+}
+
+TEST(DecoderRegression, ReplayParamAboveUint32) {
+  EXPECT_TRUE(names(replay_error("param 4294967298"), "param"));
 }
 
 }  // namespace

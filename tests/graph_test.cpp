@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -392,6 +393,14 @@ TEST(SimpleGraph, ReportsTheFirstOffendingEdgeInInputOrder) {
   EXPECT_EQ(message(3, {{1, 2}, {0, 1}, {2, 1}, {0, 9}}), parallel);
   EXPECT_EQ(message(3, {{1, 2}, {0, 1}, {0, 9}, {2, 1}}), range);
   EXPECT_EQ(message(3, {{1, 2}, {0, 1}}), "");
+}
+
+TEST(SimpleGraph, RejectsANodeCountAboveTheNodeIdRange) {
+  // SIZE_MAX nodes once wrapped the n + 1 CSR offsets to no offsets at all.
+  const std::size_t too_many = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW((void)SimpleGraph::from_edges(too_many, {}), InvalidArgument);
+  EXPECT_THROW((void)SimpleGraph(too_many), InvalidArgument);
+  EXPECT_THROW((void)SimpleGraph(too_many / 2), InvalidArgument);
 }
 
 TEST(SimpleGraph, CsrAdjacencyMatchesTheEdgeList) {

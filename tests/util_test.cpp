@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/fraction.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "util/text.hpp"
 
 namespace eds {
 namespace {
@@ -200,6 +204,74 @@ TEST(TextTable, CsvOutput) {
   std::ostringstream os;
   t.print_csv(os);
   EXPECT_EQ(os.str(), "x,y\n1,2\n");
+}
+
+TEST(Text, TokenizerCutsAtBlanksAndComments) {
+  using Tokens = std::vector<std::string_view>;
+  Tokens tokens{"stale"};
+  tokenize_line(" conn\t0 1  1 1\r", tokens);
+  EXPECT_EQ(tokens, (Tokens{"conn", "0", "1", "1", "1"}));
+  tokenize_line("0 1# note", tokens);
+  EXPECT_EQ(tokens, (Tokens{"0", "1"}));
+  tokenize_line("  \t\r", tokens);
+  EXPECT_TRUE(tokens.empty());
+  tokenize_line("# 0 1", tokens);
+  EXPECT_TRUE(tokens.empty());
+}
+
+TEST(Text, SplitFieldsKeepsEmptyFields) {
+  using Fields = std::vector<std::string_view>;
+  EXPECT_EQ(split_fields("uniform:1:8", ':'), (Fields{"uniform", "1", "8"}));
+  EXPECT_EQ(split_fields("fixed:3:", ':'), (Fields{"fixed", "3", ""}));
+  EXPECT_EQ(split_fields("", ':'), (Fields{""}));
+}
+
+TEST(Text, NumbersAreDigitsThatFitTheirField) {
+  const auto u64 = [](std::string_view text) {
+    return parse_uint<std::uint64_t, InvalidArgument>(text, "n");
+  };
+  EXPECT_EQ(u64("0"), 0u);
+  EXPECT_EQ(u64("007"), 7u);
+  EXPECT_EQ(u64("18446744073709551615"), ~std::uint64_t{0});
+  for (const char* bad : {"", "-1", "+3", "0x10", " 4", "4 ", "1.5", "nan",
+                          "18446744073709551616"}) {
+    EXPECT_THROW((void)u64(bad), InvalidArgument) << bad;
+  }
+  EXPECT_THROW((void)(parse_uint<std::uint32_t, InvalidArgument>("4294967296",
+                                                                 "n")),
+               InvalidArgument);
+  EXPECT_EQ((parse_uint<std::uint32_t, InvalidArgument>("16", "n", 16)), 16u);
+  try {
+    (void)parse_uint<std::uint32_t, InvalidArgument>("17", "node count", 16);
+    ADD_FAILURE() << "a value above the cap parsed";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "node count 17 is out of range (max 16)");
+  }
+  EXPECT_EQ(parse_probability<InvalidArgument>("0.25", "p"), 0.25);
+  for (const char* bad : {"", "nan", "inf", "1.5", "-0.5", "0.5x", " 0"}) {
+    EXPECT_THROW((void)parse_probability<InvalidArgument>(bad, "p"),
+                 InvalidArgument)
+        << bad;
+  }
+}
+
+TEST(Text, LineReaderSkipsEmptyLinesAndNamesTheLine) {
+  std::istringstream in("# header\n\nports 2\r\n  \ndeg 1 x\n");
+  LineReader<InvalidArgument> reader(in, "decoder");
+  ASSERT_TRUE(reader.next());
+  EXPECT_EQ(reader.size(), 2u);
+  EXPECT_EQ(reader.number<std::size_t>(1, "node count"), 2u);
+  ASSERT_TRUE(reader.next());
+  try {
+    (void)reader.number<std::uint32_t>(2, "degree");
+    ADD_FAILURE() << "'x' parsed as a degree";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(),
+                 "decoder: line 5: degree needs a non-negative integer, "
+                 "got 'x'");
+  }
+  EXPECT_THROW(reader.expect_size(2, "'deg'"), InvalidArgument);
+  EXPECT_FALSE(reader.next());
 }
 
 TEST(Ensure, ThrowsInternalError) {
