@@ -12,7 +12,11 @@
 // committed snapshot via `tools/bench_json.py --compare`.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "algo/driver.hpp"
@@ -21,6 +25,8 @@
 #include "runtime/batch.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/plan_cache.hpp"
+#include "runtime/program.hpp"
+#include "runtime/runner.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -52,10 +58,10 @@ class AllocPressure {
 };
 
 /// Exports the engine's profiled round-loop time (`round_ns`, one
-/// timestamp per round after the barrier) as a per-iteration nanosecond
-/// counter.  Profiling is a process-wide engine toggle; the helper scopes
-/// it to this benchmark so every other benchmark keeps the timestamp-free
-/// hot loop.
+/// timestamp per dispatched round after the barrier) and its node
+/// dispatches (`dispatched`) as per-iteration counters.  Profiling is a
+/// process-wide engine toggle; the helper scopes it to this benchmark so
+/// every other benchmark keeps the timestamp-free hot loop.
 class StageSplit {
  public:
   StageSplit() {
@@ -70,6 +76,9 @@ class StageSplit {
     const auto after = eds::runtime::engine_stage_stats();
     state.counters["round_ns"] = benchmark::Counter(
         static_cast<double>(after.round_ns - before_.round_ns),
+        benchmark::Counter::kAvgIterations);
+    state.counters["dispatched"] = benchmark::Counter(
+        static_cast<double>(after.dispatched - before_.dispatched),
         benchmark::Counter::kAvgIterations);
   }
 
@@ -188,11 +197,12 @@ void BM_Engine100k(benchmark::State& state) {
 BENCHMARK(BM_Engine100k)->Arg(1)->Arg(2)->Arg(8)->UseRealTime();
 
 void BM_EngineDense(benchmark::State& state) {
-  // High-degree regular graph: at d = 64 a node's whole round is message
-  // traffic, the case where the retired route stage's extra
-  // total_ports-sized Message copy per round cost the most.  DoubleCover
-  // runs 2d rounds of near-trivial per-node logic, so the measurement is
-  // almost pure transport; round_ns is the profiled round-loop share.
+  // High-degree regular graph under double-cover (2d rounds of
+  // near-trivial per-node logic).  Its wake hint names only the halt
+  // round after round 1, so after that the engine runs only the nodes
+  // that receive a proposal or a reply: this row times the sparse path
+  // at high degree, BM_EngineDenseEcho the dispatch-every-node path on
+  // the same graph.  round_ns is the profiled round-loop share.
   const auto d = static_cast<eds::port::Port>(state.range(0));
   eds::Rng rng(9);
   const auto g = eds::graph::random_regular(512, d, rng);
@@ -216,6 +226,103 @@ void BM_EngineDense(benchmark::State& state) {
                           static_cast<std::int64_t>(rounds));
 }
 BENCHMARK(BM_EngineDense)->Arg(16)->Arg(64);
+
+/// Sends a message on every port in every round for `rounds` rounds and
+/// sums what it hears.  No wake hint, so the engine dispatches every
+/// node in every round: the default path, all transport.
+class EchoProgram final : public eds::runtime::NodeProgram {
+ public:
+  explicit EchoProgram(eds::runtime::Round rounds) : rounds_(rounds) {}
+  void start(eds::port::Port degree) override { degree_ = degree; }
+  void send(eds::runtime::Round round,
+            std::span<eds::runtime::Message> out) override {
+    for (auto& m : out) {
+      m = eds::runtime::msg(1, static_cast<std::int32_t>(round),
+                            static_cast<std::int32_t>(degree_));
+    }
+  }
+  void receive(eds::runtime::Round round,
+               std::span<const eds::runtime::Message> in) override {
+    for (const auto& m : in) sum_ += m.arg[0];
+    if (round >= rounds_) halted_ = true;
+  }
+  [[nodiscard]] bool halted() const override { return halted_; }
+  void output(eds::runtime::OutputSink&) const override {}
+
+ private:
+  eds::runtime::Round rounds_;
+  eds::port::Port degree_ = 0;
+  std::int64_t sum_ = 0;
+  bool halted_ = false;
+};
+
+class EchoFactory final : public eds::runtime::ProgramFactory {
+ public:
+  explicit EchoFactory(eds::runtime::Round rounds) : rounds_(rounds) {}
+  [[nodiscard]] std::unique_ptr<eds::runtime::NodeProgram> create()
+      const override {
+    return std::make_unique<EchoProgram>(rounds_);
+  }
+  void create_all(std::size_t n,
+                  eds::runtime::ProgramArena& arena) const override {
+    arena.emplace<EchoProgram>(n, rounds_);
+  }
+  [[nodiscard]] std::string name() const override { return "echo"; }
+
+ private:
+  eds::runtime::Round rounds_;
+};
+
+void BM_EngineDenseEcho(benchmark::State& state) {
+  // BM_EngineDense's graph under a hint-less program that sends on every
+  // port for 2d rounds: every node runs every round and every slot
+  // carries a message, so this row times the dispatch-every-node path
+  // that programs without a wake hint take.
+  const auto d = static_cast<eds::port::Port>(state.range(0));
+  eds::Rng rng(9);
+  const auto g = eds::graph::random_regular(512, d, rng);
+  const auto pg = eds::port::with_random_ports(g, rng);
+  const EchoFactory echo(2 * d);
+  std::uint64_t rounds = 0;
+  const AllocPressure alloc;
+  const StageSplit split;
+  for (auto _ : state) {
+    auto result = eds::runtime::run_synchronous(pg.ports(), echo);
+    rounds = result.stats.rounds;
+    benchmark::DoNotOptimize(result.stats.messages_sent);
+  }
+  split.export_into(state);
+  alloc.export_into(state);
+  state.counters["n"] = static_cast<double>(g.num_nodes());
+  state.counters["rounds"] = static_cast<double>(rounds);
+  state.counters["degree"] = static_cast<double>(d);
+}
+BENCHMARK(BM_EngineDenseEcho)->Arg(16);
+
+void BM_PowerLawBounded(benchmark::State& state) {
+  // A(∆) on a power-law graph (exponent 2.5, as `edsim sweep powerlaw`):
+  // the low-arboricity, high-∆ regime where the O(∆²) schedule is almost
+  // all idle rounds — 3 + 3∆'² rounds, few of them with any traffic.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  eds::Rng rng(10);
+  const auto g = eds::graph::random_power_law(n, 2.5, rng);
+  const auto pg = eds::port::with_random_ports(g, rng);
+  const auto delta = static_cast<eds::port::Port>(
+      std::max<std::size_t>(g.max_degree(), 2));
+  std::uint64_t rounds = 0;
+  const StageSplit split;
+  for (auto _ : state) {
+    auto outcome = eds::algo::run_algorithm(
+        pg, eds::algo::Algorithm::kBoundedDegree, delta);
+    rounds = outcome.stats.rounds;
+    benchmark::DoNotOptimize(outcome.solution.size());
+  }
+  split.export_into(state);
+  state.counters["n"] = static_cast<double>(n);
+  state.counters["rounds"] = static_cast<double>(rounds);
+  state.counters["degree"] = static_cast<double>(delta);
+}
+BENCHMARK(BM_PowerLawBounded)->Arg(4096);
 
 void BM_BatchSweep(benchmark::State& state) {
   // Batch throughput: 32 independent jobs (random 4-regular, n = 512)

@@ -57,6 +57,36 @@ BoundedDegreeProgram::Step BoundedDegreeProgram::step_for(
   return {Step::Kind::kPhase3, 0, 0, rr % 2 == 1, false};
 }
 
+runtime::Round BoundedDegreeProgram::wake_hint(runtime::Round round) const {
+  if (round < 2) return round + 1;  // the claims are not in yet
+  const auto d = static_cast<runtime::Round>(delta_);
+  const runtime::Round phase2 = 2 + d * d;              // last phase-I round
+  const runtime::Round m_status = phase2 + 2 * d * (d - 1) + 1;
+  runtime::Round next = schedule_length(delta_);
+  // consider(s): I send into round s, in the dispatch of round s − 1.
+  const auto consider = [&](runtime::Round sends) {
+    if (sends - 1 > round) next = std::min(next, sends - 1);
+  };
+  // Phase I step (i, j) is round 2 + (i − 1)∆' + j; I act in the step of
+  // my DN edge and in the step of every edge whose far end claimed me.
+  if (view_.dn_port != 0) {
+    consider(2 + (view_.dn_port - 1) * d +
+             view_.remote_port[view_.dn_port - 1]);
+  }
+  bool smaller_neighbour = false;
+  for (port::Port j = 1; j <= view_.degree; ++j) {
+    if (view_.dn_claimed[j - 1]) {
+      consider(2 + (view_.remote_port[j - 1] - 1) * d + j);
+    }
+    smaller_neighbour |= view_.remote_degree[j - 1] < view_.degree;
+  }
+  if (m_port_ == 0 && smaller_neighbour && view_.degree >= 2) {
+    consider(phase2 + 1 + (view_.degree - 2) * 2 * d);  // my block's start
+  }
+  consider(m_status);
+  return next;
+}
+
 void BoundedDegreeProgram::send(runtime::Round round,
                                 std::span<runtime::Message> out) {
   const auto step = step_for(round);

@@ -64,6 +64,14 @@ class BoundedDegreeProgram final : public runtime::NodeProgram {
   [[nodiscard]] bool halted() const override { return halted_; }
   void output(runtime::OutputSink& out) const override;
 
+  /// From round 2 on: the next of my phase-I steps (read off the label
+  /// view, at most 1 + degree of them), the start of my own phase-II block
+  /// when I am M-free with a smaller-degree neighbour, the M-status
+  /// exchange and the halt round.  Everything else — accepting, every
+  /// later proposal (the dispatch that receives a reply sends it), and
+  /// phase III after the M-status exchange — is driven by messages.
+  [[nodiscard]] runtime::Round wake_hint(runtime::Round round) const override;
+
   /// The normalised (odd) parameter ∆' = 2k+1.
   [[nodiscard]] static port::Port normalised_delta(port::Port max_degree) {
     return max_degree % 2 == 1 ? max_degree : max_degree + 1;

@@ -12,6 +12,7 @@
 // 3-approximate vertex cover.
 #pragma once
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -75,6 +76,13 @@ class DoubleCoverProgram final : public runtime::NodeProgram {
                std::span<const runtime::Message> in) override;
   [[nodiscard]] bool halted() const override { return halted_; }
   void output(runtime::OutputSink& out) const override;
+
+  /// The halt round: after round 1 every proposal after the first is sent
+  /// by the dispatch that receives the reply to the previous one, and
+  /// every reply by the dispatch that receives the proposal.
+  [[nodiscard]] runtime::Round wake_hint(runtime::Round round) const override {
+    return std::max(round + 1, schedule_length(max_degree_));
+  }
 
   [[nodiscard]] static runtime::Round schedule_length(port::Port max_degree) {
     return 2 * DoubleCoverEngine::slots_for(max_degree);

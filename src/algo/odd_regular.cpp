@@ -30,8 +30,36 @@ std::vector<std::pair<port::Port, port::Port>> pair_schedule(port::Port d,
   return pairs;
 }
 
+std::size_t pair_position(port::Port d, PairOrder order, port::Port i,
+                          port::Port j) {
+  const std::size_t lex = static_cast<std::size_t>(i - 1) * d + (j - 1);
+  switch (order) {
+    case PairOrder::kLexicographic:
+      return lex;
+    case PairOrder::kReverse:
+      return static_cast<std::size_t>(d) * d - 1 - lex;
+    case PairOrder::kDiagonal: {
+      // Anti-diagonal t = i' + j' holds min(t − 1, 2d + 1 − t) pairs, in
+      // increasing i'; count the diagonals before i + j, then the pairs of
+      // i + j with a smaller i.
+      const std::size_t sum = static_cast<std::size_t>(i) + j;
+      const std::size_t dd = d;
+      std::size_t before = 0;
+      if (sum <= dd + 2) {
+        before = (sum - 2) * (sum - 1) / 2;
+      } else {
+        const std::size_t tail = sum - dd - 2;  // diagonals past the middle
+        before = dd * (dd + 1) / 2 + tail * (3 * dd + 1 - sum) / 2;
+      }
+      const std::size_t first_i = sum > dd + 1 ? sum - dd : 1;
+      return before + (i - first_i);
+    }
+  }
+  return lex;
+}
+
 OddRegularProgram::OddRegularProgram(port::Port d, PairOrder order)
-    : d_(d), schedule_(pair_schedule(d, order)) {
+    : d_(d), order_(order), schedule_(pair_schedule(d, order)) {
   if (d_ % 2 == 0) {
     throw InvalidArgument("OddRegularProgram: d must be odd");
   }
@@ -61,6 +89,39 @@ OddRegularProgram::Step OddRegularProgram::step_for(
     return {Step::Phase::kRemove, i, j};
   }
   return {Step::Phase::kDone, 0, 0};
+}
+
+runtime::Round OddRegularProgram::wake_hint(runtime::Round round) const {
+  if (round < 2) return round + 1;  // the claims are not in yet
+  const auto dd = static_cast<runtime::Round>(d_) * d_;
+  // Step k of a phase is round 3 + k (add) or 3 + d² + k (remove); the
+  // dispatch one round earlier sends into it.  Every add step comes
+  // before every remove step, so the remove steps (those still in D)
+  // matter only once no add step is left.
+  const auto next_step = [&](runtime::Round base, bool in_d_only) {
+    runtime::Round next = schedule_length(d_);
+    const auto consider = [&](port::Port i, port::Port j, port::Port mine) {
+      const auto sends = base + static_cast<runtime::Round>(
+                                    pair_position(d_, order_, i, j));
+      if (sends > round && sends < next &&
+          (!in_d_only || d_ports_.count(mine) > 0)) {
+        next = sends;
+      }
+    };
+    if (view_.dn_port != 0) {
+      consider(view_.dn_port, view_.remote_port[view_.dn_port - 1],
+               view_.dn_port);
+    }
+    for (port::Port j = 1; j <= view_.degree; ++j) {
+      if (view_.dn_claimed[j - 1]) consider(view_.remote_port[j - 1], j, j);
+    }
+    return next;
+  };
+  if (round < 2 + dd) {
+    const runtime::Round add = next_step(2, false);
+    if (add < 2 + dd) return add;
+  }
+  return next_step(2 + dd, true);
 }
 
 void OddRegularProgram::send(runtime::Round round,

@@ -42,6 +42,11 @@ enum class PairOrder {
 [[nodiscard]] std::vector<std::pair<port::Port, port::Port>> pair_schedule(
     port::Port d, PairOrder order);
 
+/// The 0-based index of pair (i, j), 1 <= i, j <= d, in
+/// pair_schedule(d, order), computed in O(1).
+[[nodiscard]] std::size_t pair_position(port::Port d, PairOrder order,
+                                        port::Port i, port::Port j);
+
 class OddRegularProgram final : public runtime::NodeProgram {
  public:
   /// `d` is the family parameter; every node's degree must equal it and it
@@ -55,6 +60,13 @@ class OddRegularProgram final : public runtime::NodeProgram {
                std::span<const runtime::Message> in) override;
   [[nodiscard]] bool halted() const override { return halted_; }
   void output(runtime::OutputSink& out) const override;
+
+  /// From round 2 on: the next of my at most 1 + d steps in each phase
+  /// (those of my DN edge and of the edges whose far end claimed me; in
+  /// phase II only the ones still in D), or the halt round.  The partner
+  /// of a step sends too, so the dispatch that receives it is driven by
+  /// that message.  O(d) per call.
+  [[nodiscard]] runtime::Round wake_hint(runtime::Round round) const override;
 
   /// Total rounds the schedule takes for parameter d.
   [[nodiscard]] static runtime::Round schedule_length(port::Port d) {
@@ -71,6 +83,7 @@ class OddRegularProgram final : public runtime::NodeProgram {
   [[nodiscard]] Step step_for(runtime::Round round) const;
 
   port::Port d_;
+  PairOrder order_;
   std::vector<std::pair<port::Port, port::Port>> schedule_;
   LabelView view_;
   std::set<port::Port> d_ports_;  // ports of my incident D edges

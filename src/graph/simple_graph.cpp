@@ -7,13 +7,21 @@
 
 namespace eds::graph {
 
-SimpleGraph::SimpleGraph(std::size_t n) {
-  // Nodes are named by NodeId; at SIZE_MAX the n + 1 CSR offsets would
-  // also wrap to none.
+namespace {
+
+// Nodes are named by NodeId; at SIZE_MAX the n + 1 CSR offsets would also
+// wrap to none.
+void check_node_count(std::size_t n, const char* who) {
   if (n > std::numeric_limits<NodeId>::max()) {
-    throw InvalidArgument("SimpleGraph: " + std::to_string(n) +
+    throw InvalidArgument(std::string(who) + ": " + std::to_string(n) +
                           " nodes exceed the NodeId range");
   }
+}
+
+}  // namespace
+
+SimpleGraph::SimpleGraph(std::size_t n) {
+  check_node_count(n, "SimpleGraph");
   first_.assign(n + 1, 0);
 }
 
@@ -108,6 +116,10 @@ std::string SimpleGraph::summary() const {
   os << "n=" << num_nodes() << " m=" << num_edges()
      << " degmin=" << min_degree() << " degmax=" << max_degree();
   return os.str();
+}
+
+GraphBuilder::GraphBuilder(std::size_t n) : n_(n) {
+  check_node_count(n, "GraphBuilder");
 }
 
 GraphBuilder& GraphBuilder::add_edge(NodeId u, NodeId v) {

@@ -122,7 +122,9 @@ class SimpleGraph {
 /// at the end (via SimpleGraph::from_edges).
 class GraphBuilder {
  public:
-  explicit GraphBuilder(std::size_t n) : n_(n) {}
+  /// Throws InvalidArgument, naming n, when n exceeds the NodeId range
+  /// (as SimpleGraph does), before any edge is recorded.
+  explicit GraphBuilder(std::size_t n);
 
   /// Records an undirected edge {u, v}; bounds-checked immediately,
   /// loop/duplicate checks happen in build().

@@ -1,7 +1,10 @@
 #include "runtime/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <functional>
+#include <optional>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -52,16 +55,22 @@ std::unique_ptr<ExecutionPolicy> make_policy(const ExecOptions& exec) {
   return std::make_unique<ParallelPolicy>(exec.threads);
 }
 
+
 namespace {
 
 /// Per-shard accumulators; merged strictly in shard order so parallel runs
 /// reproduce the sequential order bit for bit.  Cache-line aligned so
 /// neighboring shards' counters never share a line.
 struct alignas(64) ShardScratch {
-  std::uint64_t ports_served = 0;
-  std::uint64_t messages = 0;  ///< non-silence slots this shard sent
+  std::uint64_t ports_served = 0;  ///< d(v) · halt_round(v) of its halts
+  std::uint64_t messages = 0;      ///< non-silence slots this shard sent
+  std::uint64_t sleepers = 0;      ///< dispatches hinting past next round
+  std::uint64_t slots = 0;         ///< calendar ring slots it filed into
   std::vector<DeliveredMessage> log;
-  std::vector<std::size_t> newly_halted;
+  std::vector<std::uint32_t> newly_halted;
+  /// Sparse rounds only: the nodes whose hint needs a new entry in the
+  /// calendar's far heap.
+  std::vector<std::uint32_t> rescheduled;
   /// One node's inbound messages, gathered through the involution from the
   /// current outbox back into the contiguous form receive() promises.
   /// Max-degree sized and reused across nodes, rounds and runs.
@@ -71,8 +80,11 @@ struct alignas(64) ShardScratch {
   void reset() noexcept {
     ports_served = 0;
     messages = 0;
+    sleepers = 0;
+    slots = 0;
     log.clear();
     newly_halted.clear();
+    rescheduled.clear();
     error = nullptr;
   }
 };
@@ -83,6 +95,195 @@ void rethrow_first(const std::vector<ShardScratch>& scratch,
     if (scratch[s].error) std::rethrow_exception(scratch[s].error);
   }
 }
+
+// Node bitsets — the wake bits (set when the node must run next round),
+// the sender bits (set when the node sent a message into an outbox) and
+// the calendar ring's slots.  Shards set bits concurrently (a sender marks
+// its receivers, a node files its own hint), so a round
+// stage of more than one shard writes through atomic_ref, testing first
+// so a bit that is already set costs a load; a one-shard stage and the
+// serial steps between rounds (after the barrier) use plain accesses.
+void mark_shared(std::uint64_t* wake, std::uint32_t v) noexcept {
+  std::atomic_ref<std::uint64_t> word(wake[v >> 6]);
+  const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+  if ((word.load(std::memory_order_relaxed) & bit) == 0) {
+    word.fetch_or(bit, std::memory_order_relaxed);
+  }
+}
+
+void mark(std::uint64_t* wake, std::uint32_t v) noexcept {
+  wake[v >> 6] |= std::uint64_t{1} << (v & 63);
+}
+
+[[nodiscard]] bool marked(const std::uint64_t* wake, std::uint32_t v) noexcept {
+  return ((wake[v >> 6] >> (v & 63)) & 1) != 0;
+}
+
+/// Calls fn(v) for every node v whose bit is set in `word`, word `w` of a
+/// node bitset, in ascending order.
+template <class Fn>
+void for_each_bit(std::uint64_t word, std::size_t w, Fn&& fn) {
+  for (; word != 0; word &= word - 1) {
+    fn(static_cast<std::uint32_t>(
+        w * 64 + static_cast<std::size_t>(std::countr_zero(word))));
+  }
+}
+
+/// The hints past next round of one run.  A hint up to 64 rounds ahead of
+/// the dispatch that gave it is one bit in the near ring: kRingSlots node
+/// bitsets, slot k holding rounds [k kSlotRounds, (k + 1) kSlotRounds) of
+/// its lap, 2 bytes per node, O(1) to file.  A farther one is an entry
+/// due << 32 | node in the far min-heap.  Either is live while due[node]
+/// still names its round: one left behind when a message woke the node
+/// early and its hint moved is dropped when its slot or entry comes up,
+/// and the heap also drops all of them at once when they outnumber the
+/// live nodes, so the calendar stays O(n).  (On a 4-CPU x86-64 container
+/// a heap alone cost about 85 ns per entry taken, more than a whole
+/// dispatch of odd-regular at d = 3.)
+class Calendar {
+ public:
+  static constexpr Round kSlotRounds = 4;
+  static constexpr Round kRingSlots = 16;
+
+  /// Binds an empty calendar to a run: `ring` is kRingSlots zeroed node
+  /// bitsets of `words` words, `far` the heap's pooled storage, `due` and
+  /// `halted` the run's per-node hint and halt flag.
+  Calendar(std::uint64_t* ring, std::size_t words,
+           std::vector<std::uint64_t>& far, const Round* due,
+           const char* halted)
+      : ring_(ring), words_(words), far_(far), due_(due), halted_(halted) {
+    far_.clear();
+  }
+
+  /// Whether a hint for round h, given by a dispatch in round r, fits the
+  /// ring: its slot must not be the one round r + 1 still uses, a lap on.
+  [[nodiscard]] static bool near(Round h, Round r) {
+    return h / kSlotRounds - (r + 1) / kSlotRounds < kRingSlots;
+  }
+  /// Round r's ring slot (a shard files a near hint there itself) and the
+  /// slot's bit in a used-slot mask.
+  [[nodiscard]] std::uint64_t* slot(Round r) const {
+    return ring_ + static_cast<std::size_t>(r / kSlotRounds % kRingSlots) *
+                       words_;
+  }
+  [[nodiscard]] static std::uint64_t slot_bit(Round r) {
+    return std::uint64_t{1} << (r / kSlotRounds % kRingSlots);
+  }
+  /// Records slots the shards filed into.
+  void used(std::uint64_t slots) { used_ |= slots; }
+
+  /// Files node v's hint h, given by a dispatch in round r.
+  void file(std::uint32_t v, Round h, Round r) {
+    if (near(h, r)) {
+      mark(slot(h), v);
+      used_ |= slot_bit(h);
+    } else {
+      far_.push_back(key(h, v));
+      std::push_heap(far_.begin(), far_.end(), std::greater<>{});
+    }
+  }
+
+  /// Drops the far heap's dead entries once they outnumber `live` twice.
+  void compact(std::size_t live) {
+    if (far_.size() <= 2 * live + 64) return;
+    std::erase_if(far_, [&](std::uint64_t k) { return !entry_live(k); });
+    std::sort(far_.begin(), far_.end());  // sorted ascending is a min-heap
+    far_.erase(std::unique(far_.begin(), far_.end()), far_.end());
+  }
+
+  /// Marks in `wake` every node whose hint is round r (none is earlier).
+  void take_due(Round r, std::uint64_t* wake) {
+    sweep(r, r, [&](std::uint32_t v, Round d) {
+      if (d != r) return true;
+      mark(wake, v);
+      return false;
+    });
+    while (!far_.empty() && round_of(far_.front()) <= r) {
+      const std::uint64_t k = far_.front();
+      pop();
+      if (entry_live(k)) mark(wake, static_cast<std::uint32_t>(k));
+    }
+  }
+
+  /// The earliest round after `after` with a live hint, 0 when none is
+  /// left (none is at or before `after`).
+  [[nodiscard]] Round next_due(Round after) {
+    while (!far_.empty() && !entry_live(far_.front())) pop();
+    const Round far = far_.empty() ? 0 : round_of(far_.front());
+    // Every ring bit was filed by a dispatch in round `after` - 1 or
+    // earlier, so it lies within kRingSlots slots from after + 1's.
+    const Round first = (after + 1) / kSlotRounds * kSlotRounds;
+    for (Round k = 0; k < kRingSlots && used_ != 0; ++k) {
+      const Round base = first + k * kSlotRounds;
+      if (far != 0 && far < base) break;
+      Round best = 0;
+      sweep(base, std::max(base, after + 1), [&](std::uint32_t, Round d) {
+        if (best == 0 || d < best) best = d;
+        return true;
+      });
+      if (best != 0) return far != 0 && far < best ? far : best;
+    }
+    return far;
+  }
+
+  /// Empties the calendar.
+  void clear() {
+    for (Round k = 0; k < kRingSlots; ++k) {
+      if ((used_ & slot_bit(k * kSlotRounds)) != 0) {
+        std::fill_n(slot(k * kSlotRounds), words_, std::uint64_t{0});
+      }
+    }
+    used_ = 0;
+    far_.clear();
+  }
+
+ private:
+  [[nodiscard]] static std::uint64_t key(Round r, std::uint32_t v) {
+    return (static_cast<std::uint64_t>(r) << 32) | v;
+  }
+  [[nodiscard]] static Round round_of(std::uint64_t k) {
+    return static_cast<Round>(k >> 32);
+  }
+  [[nodiscard]] bool entry_live(std::uint64_t k) const {
+    const auto v = static_cast<std::uint32_t>(k);
+    return halted_[v] == 0 && due_[v] == round_of(k);
+  }
+  void pop() {
+    std::pop_heap(far_.begin(), far_.end(), std::greater<>{});
+    far_.pop_back();
+  }
+
+  // Sweeps the ring slot of round r, which holds no live hint before
+  // `from`: drops every bit that is not a live hint in [from, end of the
+  // slot's rounds), passes each live one to `hit` with its round and keeps
+  // it when `hit` returns true.  Releases the slot once it is empty.
+  template <class Hit>
+  void sweep(Round r, Round from, Hit&& hit) {
+    if ((used_ & slot_bit(r)) == 0) return;
+    const Round end = r / kSlotRounds * kSlotRounds + kSlotRounds;
+    std::uint64_t* const bits = slot(r);
+    std::uint64_t left = 0;
+    for (std::size_t w = 0; w < words_; ++w) {
+      std::uint64_t keep = 0;
+      for_each_bit(bits[w], w, [&](std::uint32_t v) {
+        const Round d = due_[v];
+        if (halted_[v] == 0 && d >= from && d < end && hit(v, d)) {
+          keep |= std::uint64_t{1} << (v & 63);
+        }
+      });
+      bits[w] = keep;
+      left |= keep;
+    }
+    if (left == 0) used_ &= ~slot_bit(r);
+  }
+
+  std::uint64_t* ring_;
+  std::size_t words_;
+  std::vector<std::uint64_t>& far_;
+  const Round* due_;
+  const char* halted_;
+  std::uint64_t used_ = 0;  // ring slots that may hold bits
+};
 
 std::atomic<std::uint64_t> g_ws_reuses{0};
 std::atomic<std::uint64_t> g_ws_growths{0};
@@ -95,6 +296,7 @@ std::atomic<bool> g_stage_profile{false};
 std::atomic<std::uint64_t> g_profile_epoch{1};
 std::atomic<std::uint64_t> g_round_ns{0};
 std::atomic<std::uint64_t> g_profiled_rounds{0};
+std::atomic<std::uint64_t> g_dispatched{0};
 
 /// Per-run sample of the profiling flag, cached per lane behind the epoch
 /// counter: one relaxed epoch load per run on the steady path, a flag
@@ -124,9 +326,17 @@ struct EngineWorkspace {
   /// receivers gather through the involution, so delivery itself is free.
   std::vector<Message> outbox[2];
   std::vector<char> halted;
-  std::vector<std::size_t> active;
+  /// The nodes to dispatch this round, ascending, so contiguous shard
+  /// ranges visit nodes in exactly the sequential order.
+  std::vector<std::uint32_t> list;
   std::vector<std::size_t> bounds;  // shard boundaries, shards + 1 entries
   std::vector<ShardScratch> scratch;
+  // The sparse-round state, sized only by runs that get past round 1.
+  std::vector<Round> due;               // each node's latest wake hint
+  /// Node bitsets, one bit per node each: the wake bits, the senders into
+  /// each outbox, and the calendar's near ring of kRingSlots slots.
+  std::vector<std::uint64_t> bits;
+  std::vector<std::uint64_t> calendar;  // the far heap: due << 32 | node
   bool in_use = false;       // re-entrancy guard (see acquire below)
   std::size_t bytes = 0;     // last accounted footprint
 
@@ -144,11 +354,16 @@ struct EngineWorkspace {
     std::size_t scratch_bytes = 0;
     for (const auto& sc : scratch) {
       scratch_bytes += sc.log.capacity() * sizeof(DeliveredMessage) +
-                       sc.newly_halted.capacity() * sizeof(std::size_t) +
+                       (sc.newly_halted.capacity() +
+                        sc.rescheduled.capacity()) *
+                           sizeof(std::uint32_t) +
                        sc.recv.capacity() * sizeof(Message);
     }
     return (outbox[0].capacity() + outbox[1].capacity()) * sizeof(Message) +
-           halted.capacity() + active.capacity() * sizeof(std::size_t) +
+           halted.capacity() +
+           list.capacity() * sizeof(std::uint32_t) +
+           due.capacity() * sizeof(Round) +
+           (bits.capacity() + calendar.capacity()) * sizeof(std::uint64_t) +
            bounds.capacity() * sizeof(std::size_t) +
            scratch.capacity() * sizeof(ShardScratch) + scratch_bytes;
   }
@@ -163,31 +378,27 @@ struct EngineWorkspace {
 
   /// Readies the lane for a run of `programs` over `plan` with `lanes`
   /// shards: sizes every buffer (growing capacity only when this lane has
-  /// never seen a graph this large), starts every program and builds the
-  /// worklist.  The outboxes are NOT reset, they keep the previous run's
-  /// bytes: every segment a receiver reads is written this run by its
-  /// active owner before it is read, or silenced when the owner halts —
-  /// here for a node that halts in start(), at the round merge for one
-  /// that halts later.
+  /// never seen a graph this large), starts every program and lists the
+  /// nodes that did not halt.  The outboxes are NOT reset, they keep the
+  /// previous run's bytes: every segment a receiver reads is written this
+  /// run by its owner before it is read, or silenced — here for a node
+  /// that halts in start(), later for one that halts or sleeps.
   void prepare(const ExecutionPlan& plan,
                std::span<NodeProgram* const> programs, unsigned lanes) {
     const std::size_t n = plan.num_nodes();
     const std::size_t total_ports = plan.total_ports();
     const bool grows = total_ports > outbox[0].capacity() ||
-                       n > halted.capacity() || n > active.capacity() ||
+                       n > halted.capacity() || n > list.capacity() ||
                        lanes > scratch.size();
     outbox[0].resize(total_ports);
     outbox[1].resize(total_ports);
     halted.assign(n, 0);
-    active.clear();
-    active.reserve(n);
+    list.clear();
+    list.reserve(n);
     if (scratch.size() < lanes) scratch.resize(lanes);
     (grows ? g_ws_growths : g_ws_reuses).fetch_add(1,
                                                    std::memory_order_relaxed);
 
-    // The worklist: indices of non-halted nodes, always sorted ascending
-    // (it only ever loses elements), so contiguous shard ranges visit nodes
-    // in exactly the sequential order.
     for (std::size_t v = 0; v < n; ++v) {
       programs[v]->start(plan.degree(v));
       if (programs[v]->halted()) {
@@ -195,7 +406,7 @@ struct EngineWorkspace {
         halted[v] = 1;
         silence(plan.offset(v), plan.degree(v));
       } else {
-        active.push_back(v);
+        list.push_back(static_cast<std::uint32_t>(v));
       }
     }
   }
@@ -266,12 +477,14 @@ EngineStageStats engine_stage_stats() noexcept {
   EngineStageStats stats;
   stats.round_ns = g_round_ns.load(std::memory_order_relaxed);
   stats.profiled_rounds = g_profiled_rounds.load(std::memory_order_relaxed);
+  stats.dispatched = g_dispatched.load(std::memory_order_relaxed);
   return stats;
 }
 
 void engine_stage_stats_reset() noexcept {
   g_round_ns.store(0, std::memory_order_relaxed);
   g_profiled_rounds.store(0, std::memory_order_relaxed);
+  g_dispatched.store(0, std::memory_order_relaxed);
   // Invalidate every lane's cached flag sample: a toggle that raced the
   // previous measurement window is picked up by the very next run.
   g_profile_epoch.fetch_add(1, std::memory_order_release);
@@ -303,7 +516,16 @@ RunResult run_plan(const ExecutionPlan& plan,
   Message* cur = ws.outbox[0].data();  // holds round r's messages
   Message* nxt = ws.outbox[1].data();  // round r + 1's sends land here
   std::vector<char>& halted = ws.halted;
-  std::vector<std::size_t>& active = ws.active;
+  std::vector<std::uint32_t>& list = ws.list;
+  std::size_t live = list.size();  // nodes that have not halted
+  // The sparse state, set up on first use: `due` after round 1, the wake
+  // bits and the calendar at the first round a node sleeps through.
+  Round* due = nullptr;
+  std::uint64_t* wake = nullptr;
+  std::uint64_t* sent_cur = nullptr;  // who sent into `cur`
+  std::uint64_t* sent_nxt = nullptr;  // who sent into `nxt`
+  std::optional<Calendar> calendar;
+  const std::size_t wake_words = (n + 63) / 64;
 
   RunResult result;
   result.messages_collected = options.collect_messages;
@@ -315,34 +537,39 @@ RunResult run_plan(const ExecutionPlan& plan,
 
   // Stage profiling: the flag is sampled once per run (epoch-cached per
   // lane), so a disabled run takes no timestamps at all.  A profiled run
-  // runs the same fused loop and takes one timestamp per round, after the
-  // barrier and the merge.
+  // runs the same fused loop and takes one timestamp per dispatched round,
+  // after the barrier and the merge.
   const bool profile = stage_profiling_sample();
   using ProfileClock = std::chrono::steady_clock;
   ProfileClock::time_point stamp;
   if (profile) stamp = ProfileClock::now();
   std::uint64_t round_ns = 0;
+  std::uint64_t dispatched = 0;
 
-  // Stages node v's round-r sends: its contiguous outbox segment is reset
-  // to silence (a program sends only by writing this round, so stale
-  // messages never "ghost" into later ones) and the program writes message
-  // structs straight into it — no intermediate staging buffer, all stores
-  // sequential, and single-writer-per-slot holds trivially because every
-  // slot belongs to exactly one sender.  The segment's traffic is counted
-  // while it is still in L1.
-  const auto send_node = [&](ShardScratch& sc, std::size_t v, Round r,
-                             Message* to) {
+  // Whether this round's senders mark their receivers' wake bits.  A dense
+  // round (every live node runs, every hint is "next round") needs no
+  // marks: the next round runs every live node again.
+  bool marking = false;
+  // Whether the round stage runs on more than one shard, so node bits
+  // need atomic writes.
+  bool shared = false;
+  const auto set_bit = [&](std::uint64_t* bits, std::uint32_t v) {
+    if (shared) {
+      mark_shared(bits, v);
+    } else {
+      mark(bits, v);
+    }
+  };
+
+  // Logs the non-silence messages of v's round-r segment `seg` (with
+  // collect_messages) and, in a marking round, records v as a sender into
+  // `nxt` and marks every receiver's wake bit.  Kept apart from
+  // send_node, which runs for every sending node, so that stays small
+  // enough to inline at both of its call sites.
+  const auto note_traffic = [&](ShardScratch& sc, std::uint32_t v, Round r,
+                                const Message* seg, bool marks) {
     const Port deg = plan.degree(v);
     const std::size_t off = plan.offset(v);
-    Message* const seg = to + off;
-    std::fill_n(seg, deg, kSilence);
-    programs[v]->send(r, std::span<Message>(seg, deg));
-    sc.ports_served += deg;
-    std::uint64_t sent = 0;
-    for (Port i = 0; i < deg; ++i) {
-      sent += static_cast<std::uint64_t>(!seg[i].is_silence());
-    }
-    sc.messages += sent;
     if (collect) {
       for (Port i = 0; i < deg; ++i) {
         if (!seg[i].is_silence()) {
@@ -354,6 +581,32 @@ RunResult run_plan(const ExecutionPlan& plan,
         }
       }
     }
+    if (marks) {
+      set_bit(sent_nxt, v);
+      for (Port i = 0; i < deg; ++i) {
+        if (!seg[i].is_silence()) {
+          set_bit(wake, plan.partner_ref(off + i).node);
+        }
+      }
+    }
+  };
+
+  // Stages node v's round-r sends: its contiguous outbox segment is reset
+  // to silence (a program sends only by writing this round, so stale
+  // messages never "ghost" into later ones) and the program writes message
+  // structs straight into it — no intermediate staging buffer, all stores
+  // sequential, and single-writer-per-slot holds trivially because every
+  // slot belongs to exactly one sender.  The segment's traffic is counted
+  // while it is still in L1; returns the count.
+  const auto send_node = [&](std::uint32_t v, Round r, Message* seg) {
+    const Port deg = plan.degree(v);
+    std::fill_n(seg, deg, kSilence);
+    programs[v]->send(r, std::span<Message>(seg, deg));
+    std::uint64_t sent = 0;
+    for (Port i = 0; i < deg; ++i) {
+      sent += static_cast<std::uint64_t>(!seg[i].is_silence());
+    }
+    return sent;
   };
 
   // Gathers v's round-r inputs from the current buffer through the
@@ -361,28 +614,90 @@ RunResult run_plan(const ExecutionPlan& plan,
   // receive().  Delivery IS this gather: messages are never copied between
   // send and receive, the permutation is applied on the read side where
   // loads pipeline (scattered stores pay a read-for-ownership per cache
-  // line), and halted receivers never pay for it at all.
-  const auto receive_node = [&](ShardScratch& sc, std::size_t v, Round r,
-                                const Message* from) {
+  // line), and sleeping or halted receivers never pay for it at all.
+  const auto receive_node = [&](ShardScratch& sc, std::uint32_t v, Round r) {
     const Port deg = plan.degree(v);
     const std::size_t off = plan.offset(v);
     if (sc.recv.size() < deg) sc.recv.resize(deg);
     Message* const in = sc.recv.data();
-    for (Port i = 0; i < deg; ++i) in[i] = from[plan.partner_flat(off + i)];
+    for (Port i = 0; i < deg; ++i) in[i] = cur[plan.partner_flat(off + i)];
     programs[v]->receive(r, std::span<const Message>(in, deg));
   };
 
+  // Node v's dispatch in round r: gather and receive round r, then —
+  // unless it halted, or round r + 1 would exceed the cap — send round
+  // r + 1 and, from round 2 on, note its wake hint in due[v].  A hint
+  // for round r + 1 marks the node's own wake bit in a marking round; a
+  // later one counts the node as a sleeper and, when it moved, files it
+  // in the calendar: in the ring slot of its round when that is near,
+  // else (through `rescheduled`) in the far heap.  ports_served is a
+  // model quantity, Σ d(v) · halt_round(v), so it is added once, at the
+  // halt.
+  const auto dispatch = [&](ShardScratch& sc, std::uint32_t v, Round r,
+                            bool send_next, bool marks) {
+    receive_node(sc, v, r);
+    const NodeProgram& program = *programs[v];
+    if (program.halted()) {
+      halted[v] = 1;
+      sc.newly_halted.push_back(v);
+      sc.ports_served += static_cast<std::uint64_t>(plan.degree(v)) * r;
+      return;
+    }
+    if (!send_next) return;
+    Message* const seg = nxt + plan.offset(v);
+    const std::uint64_t sent = send_node(v, r + 1, seg);
+    sc.messages += sent;
+    if (sent != 0 && (collect || marks)) note_traffic(sc, v, r + 1, seg, marks);
+    if (due == nullptr) return;  // round 1: every survivor runs round 2
+    const Round hint = std::max(program.wake_hint(r), r + 1);
+    const Round filed = due[v];
+    due[v] = hint;
+    if (hint == r + 1) {
+      if (marks) set_bit(wake, v);
+      return;
+    }
+    ++sc.sleepers;
+    if (!marks || hint == filed) return;
+    if (Calendar::near(hint, r)) {
+      set_bit(calendar->slot(hint), v);
+      sc.slots |= Calendar::slot_bit(hint);
+    } else {
+      sc.rescheduled.push_back(v);
+    }
+  };
+
   // Computes this round's shard boundaries: port-count balanced, so a
-  // power-law worklist cannot pile most of the traffic onto one lane.  Any
-  // contiguous partition of the ascending worklist preserves the
-  // shard-order merge, hence bit-identical results.
+  // power-law list cannot pile most of the traffic onto one lane.  Any
+  // contiguous partition of the ascending list preserves the shard-order
+  // merge, hence bit-identical results.
   const auto shard_bounds = [&](std::size_t shards) {
     balanced_shard_bounds(
-        active.size(), shards,
+        list.size(), shards,
         [&](std::size_t idx) {
-          return static_cast<std::uint64_t>(plan.degree(active[idx]));
+          return static_cast<std::uint64_t>(plan.degree(list[idx]));
         },
         bounds);
+  };
+
+  // Runs `body(sc, v)` for every listed node, sharded; returns the shard
+  // count after the barrier (rethrowing the lowest shard's failure).
+  const auto for_each_listed = [&](const auto& body) {
+    const std::size_t shards = std::min<std::size_t>(lanes, list.size());
+    shared = shards > 1;
+    shard_bounds(shards);
+    for (std::size_t s = 0; s < shards; ++s) scratch[s].reset();
+    policy.for_each_shard(shards, [&](std::size_t s) {
+      ShardScratch& sc = scratch[s];
+      try {
+        for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
+          body(sc, list[idx]);
+        }
+      } catch (...) {
+        sc.error = std::current_exception();
+      }
+    });
+    rethrow_first(scratch, shards);
+    return shards;
   };
 
   // Folds one shard's counters and log into the result (called strictly in
@@ -397,6 +712,30 @@ RunResult run_plan(const ExecutionPlan& plan,
     return sc.messages;
   };
 
+  const auto round_limit = [&]() {
+    std::ostringstream os;
+    os << "run_synchronous: algorithm '" << name << "' did not halt within "
+       << options.max_rounds << " rounds (" << live << " of " << n
+       << " nodes still running)";
+    throw ExecutionError(os.str());
+  };
+
+  // Rebuilds `list` from the wake bits (ascending node order, halted
+  // nodes dropped) and clears the bits.
+  const auto collect_woken = [&] {
+    list.clear();
+    for (std::size_t w = 0; w < wake_words; ++w) {
+      if (wake[w] == 0) continue;
+      for_each_bit(wake[w], w, [&](std::uint32_t v) {
+        if (halted[v] == 0) list.push_back(v);
+      });
+      wake[w] = 0;
+    }
+  };
+  const auto silence_in = [&](Message* buffer, std::uint32_t v) {
+    std::fill_n(buffer + plan.offset(v), plan.degree(v), kSilence);
+  };
+
   // `pending` is the number of non-silence messages in the buffer the next
   // receive sweep will read: the sum of the counts send_node took while
   // writing it (every other segment there is silence).
@@ -405,93 +744,66 @@ RunResult run_plan(const ExecutionPlan& plan,
   // Initial exchange: round 1's sends land in `cur` before the loop, so
   // every later round can fuse "receive round r" and "send round r + 1"
   // behind one barrier.
-  if (!active.empty()) {
-    const std::size_t shards = std::min<std::size_t>(lanes, active.size());
-    shard_bounds(shards);
-    for (std::size_t s = 0; s < shards; ++s) scratch[s].reset();
-    policy.for_each_shard(shards, [&](std::size_t s) {
-      ShardScratch& sc = scratch[s];
-      try {
-        for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
-          send_node(sc, active[idx], 1, cur);
-        }
-      } catch (...) {
-        sc.error = std::current_exception();
-      }
-    });
-    rethrow_first(scratch, shards);
+  if (!list.empty()) {
+    const std::size_t shards =
+        for_each_listed([&](ShardScratch& sc, std::uint32_t v) {
+          Message* const seg = cur + plan.offset(v);
+          const std::uint64_t sent = send_node(v, 1, seg);
+          sc.messages += sent;
+          if (sent != 0 && collect) note_traffic(sc, v, 1, seg, false);
+        });
     for (std::size_t s = 0; s < shards; ++s) pending += merge_shard(scratch[s]);
   }
 
   Round round = 0;
-  while (!active.empty()) {
-    ++round;
+  Round target = 1;  // the next round with work
+  while (live != 0) {
+    round = target;
     const Round next = round + 1;
     const bool send_next = next <= options.max_rounds;
+    const bool marks = marking && send_next;
 
-    const std::size_t shards = std::min<std::size_t>(lanes, active.size());
-    shard_bounds(shards);
-    for (std::size_t s = 0; s < shards; ++s) scratch[s].reset();
-
-    // The fused round stage, ONE barrier: every active node gathers and
+    // The fused round stage, ONE barrier: every listed node gathers and
     // receives its round-r input from `cur`, then — unless it halted, or
     // round r + 1 would exceed the cap — writes round r + 1 into its own
     // segment of `nxt`.  `cur` is read-only for the whole stage and every
     // `nxt` segment has exactly one writer (its owner), so shards never
     // contend; a directed self-loop reads its own `cur` segment and writes
-    // `nxt`, never racing itself.  Halt flags are written only by the
-    // shard that owns the node and read only by that shard until the
-    // barrier.
-    policy.for_each_shard(shards, [&](std::size_t s) {
-      ShardScratch& sc = scratch[s];
-      try {
-        for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {
-          const std::size_t v = active[idx];
-          receive_node(sc, v, round, cur);
-          if (programs[v]->halted()) {
-            halted[v] = 1;
-            sc.newly_halted.push_back(v);
-          } else if (send_next) {
-            send_node(sc, v, next, nxt);
-          }
-        }
-      } catch (...) {
-        sc.error = std::current_exception();
-      }
-    });
-    rethrow_first(scratch, shards);
+    // `nxt`, never racing itself.  Halt flags and due[] are written only
+    // by the shard that owns the node; node bits are set atomically when
+    // more than one shard runs.
+    const std::size_t shards =
+        for_each_listed([&](ShardScratch& sc, std::uint32_t v) {
+          dispatch(sc, v, round, send_next, marks);
+        });
+    dispatched += list.size();
 
     // Merge, strictly in shard order.  A halting node's *own* segment is
     // silenced in BOTH buffers — two contiguous fills, no scattered
-    // writes: in `nxt` it holds stale round r - 1 sends (the node sent
-    // nothing this stage), in `cur` its round-r sends — and `cur` becomes
-    // the send target at round r + 1, so either copy would ghost into a
-    // later round's gathers once the node stops overwriting it.  After
-    // this, a halted node's partners read silence from it forever.
-    // When every active node halted, nothing reads either buffer again
-    // (the next run writes or silences every segment before reading it),
-    // so the fills are skipped.
+    // writes: in `nxt` it holds stale sends (the node sent nothing this
+    // stage), in `cur` its round-r sends — and either copy would ghost
+    // into a later round's gathers once the node stops overwriting it.
+    // When every live node halted, nothing reads either buffer again (the
+    // next run writes or silences every segment before reading it), so
+    // the fills are skipped.
     std::size_t halting = 0;
+    std::uint64_t sleepers = 0;
     for (std::size_t s = 0; s < shards; ++s) {
       halting += scratch[s].newly_halted.size();
+      sleepers += scratch[s].sleepers;
     }
-    const bool all_halted = halting == active.size();
+    live -= halting;
     std::uint64_t sent_next = 0;
     for (std::size_t s = 0; s < shards; ++s) {
       sent_next += merge_shard(scratch[s]);
-      if (all_halted) continue;
-      for (const std::size_t v : scratch[s].newly_halted) {
+      if (live == 0) continue;
+      for (const std::uint32_t v : scratch[s].newly_halted) {
         ws.silence(plan.offset(v), plan.degree(v));
       }
     }
-    if (all_halted) {
-      active.clear();
-    } else if (halting != 0) {
-      std::erase_if(active, [&](std::size_t v) { return halted[v] != 0; });
-    }
 
     if (options.collect_trace) {
-      result.trace.push_back({round, pending, n - active.size()});
+      result.trace.push_back({round, pending, n - live});
     }
     if (profile) {
       const auto now = ProfileClock::now();
@@ -501,21 +813,108 @@ RunResult run_plan(const ExecutionPlan& plan,
       stamp = now;
     }
 
-    if (active.empty()) break;
-    if (!send_next) {
-      std::ostringstream os;
-      os << "run_synchronous: algorithm '" << name << "' did not halt within "
-         << options.max_rounds << " rounds (" << active.size() << " of " << n
-         << " nodes still running)";
-      throw ExecutionError(os.str());
-    }
+    if (live == 0) break;
+    if (!send_next) round_limit();
     pending = sent_next;
+    target = next;
+    if (due == nullptr) {
+      ws.due.resize(n);
+      due = ws.due.data();
+    }
+
+    if (!marking && sleepers == 0) {
+      // Dense: every live node runs again next round.
+      if (halting != 0) {
+        std::erase_if(list, [&](std::uint32_t v) { return halted[v] != 0; });
+      }
+      std::swap(cur, nxt);
+      std::swap(sent_cur, sent_nxt);
+      continue;
+    }
+
+    // Sparse: next round runs the nodes whose hint is due or that have a
+    // message waiting.  Node u's segment in `cur` holds its round-r
+    // messages when u sent some last round; unless u runs next round (and
+    // rewrites it), silence it now — that buffer receives round r + 2,
+    // and a sleeping node must read as silence in both buffers.
+    if (!marking) {
+      // This round ran every live node without marks: find next round's
+      // receivers in the segments it wrote, and file every hint.  The
+      // list is every live node, so it covers every possible sender
+      // into `cur` too.
+      if (wake == nullptr) {
+        ws.bits.assign((3 + Calendar::kRingSlots) * wake_words, 0);
+        wake = ws.bits.data();
+        sent_cur = wake + wake_words;
+        sent_nxt = sent_cur + wake_words;
+        calendar.emplace(sent_nxt + wake_words, wake_words, ws.calendar, due,
+                         halted.data());
+      } else {
+        std::fill_n(sent_cur, 2 * wake_words, std::uint64_t{0});
+      }
+      for (const std::uint32_t v : list) {
+        if (halted[v] != 0) continue;
+        const std::size_t off = plan.offset(v);
+        bool sent = false;
+        for (Port i = 0; i < plan.degree(v); ++i) {
+          if (!nxt[off + i].is_silence()) {
+            mark(wake, plan.partner_ref(off + i).node);
+            sent = true;
+          }
+        }
+        if (sent) mark(sent_nxt, v);
+        if (due[v] == next) {
+          mark(wake, v);
+        } else {
+          calendar->file(v, due[v], round);
+        }
+      }
+      for (const std::uint32_t v : list) {
+        if (halted[v] == 0 && !marked(wake, v)) silence_in(cur, v);
+      }
+    } else {
+      for (std::size_t s = 0; s < shards; ++s) {
+        calendar->used(scratch[s].slots);
+        for (const std::uint32_t v : scratch[s].rescheduled) {
+          calendar->file(v, due[v], round);
+        }
+      }
+      calendar->compact(live);
+      calendar->take_due(next, wake);
+      for (std::size_t w = 0; w < wake_words; ++w) {
+        for_each_bit(sent_cur[w] & ~wake[w], w,
+                     [&](std::uint32_t v) { silence_in(cur, v); });
+        sent_cur[w] = 0;
+      }
+    }
+    collect_woken();
+    marking = list.size() != live || sleepers != 0;
+    if (!marking) calendar->clear();
+
+    if (list.empty()) {
+      // Nothing to do next round: its messages all went to halted nodes,
+      // whose slots no live node reads, and every slot a live node reads
+      // is silent in both buffers.  Skip to the earliest hint without a
+      // barrier; skipped rounds keep their trace entries.
+      target = calendar->next_due(next);
+      if (target == 0 || target > options.max_rounds) round_limit();
+      if (options.collect_trace) {
+        for (Round r = next; r < target; ++r) {
+          result.trace.push_back({r, r == next ? pending : 0, n - live});
+        }
+      }
+      pending = 0;
+      calendar->take_due(target, wake);
+      collect_woken();
+    }
     std::swap(cur, nxt);
+    std::swap(sent_cur, sent_nxt);
   }
 
   if (profile) {
     g_round_ns.fetch_add(round_ns, std::memory_order_relaxed);
     g_profiled_rounds.fetch_add(round, std::memory_order_relaxed);
+    g_dispatched.fetch_add(dispatched, std::memory_order_relaxed);
   }
 
   stats.rounds = round;

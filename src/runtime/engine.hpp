@@ -9,12 +9,19 @@
 //    arrays (degrees, port offsets, the involution as flat indices), so the
 //    inner loops never pay PortGraph's bounds-checked lookups.
 //
-//  * Policies schedule the round loop over an *active-node worklist*:
-//    nodes that halted are removed, so a long tail of halted nodes costs
-//    zero per round.  SequentialPolicy runs the shards inline;
-//    ParallelPolicy spreads them across a thread pool.  Shard boundaries
-//    equalize *port* counts, not node counts (balanced_shard_bounds), so
-//    power-law degree sequences cannot starve all lanes but one.
+//  * Policies schedule each round over a *dispatch list*: the nodes that
+//    are due by their wake hint (NodeProgram::wake_hint) or have a
+//    non-silence message waiting, in ascending node order.  Halted and
+//    sleeping nodes cost nothing, and a round with nothing to do is
+//    skipped without a barrier.  Senders set their receivers' wake bits
+//    while they count their segment; hints past next round wait in an
+//    O(n) calendar.  A program without hints is due every round, so a
+//    round in which every live node runs and asks for the next round
+//    keeps the whole list and sets no wake bits at all.
+//    SequentialPolicy runs the shards inline; ParallelPolicy spreads them
+//    across a thread pool.  Shard boundaries equalize *port* counts, not
+//    node counts (balanced_shard_bounds), so power-law degree sequences
+//    cannot starve all lanes but one.
 //
 //  * Message transport is sender-indexed and double-buffered: each buffer
 //    holds one round's messages at their *senders'* flat ports (programs
@@ -28,14 +35,17 @@
 //    that segment's non-silence slots while it is still in L1; the buffers
 //    swap after the barrier.  A halting node is silenced with two
 //    contiguous fills of its own segment, and the buffers are never reset
-//    between runs: every segment a receiver reads was written this run by
-//    its active owner, or silenced when the owner halted (at start() or in
-//    a round).  (Message storage stays array-of-structs: struct-of-arrays
-//    splits, of the whole message or of the tag alone, measured as net
-//    costs — see ARCHITECTURE.md.)
+//    between runs: every slot a live receiver reads was written this run
+//    by its owner in the round before, or silenced — when the owner halted
+//    (at start() or in a round), or after its messages were read, unless
+//    it runs again and rewrites them.  (Message storage stays
+//    array-of-structs: struct-of-arrays splits, of the whole message or of
+//    the tag alone, measured as net costs — see ARCHITECTURE.md.)
 //
 // Hard guarantee, enforced by differential tests: every policy produces
-// bit-identical RunResults — outputs, stats, trace, and message-log order.
+// bit-identical RunResults — outputs, stats, trace, and message-log order —
+// identical to dispatching every node every round, as long as every wake
+// hint is correct (never late).
 // Parallel merges always combine per-shard results in shard (= node-range)
 // order, which is exactly the sequential order; see ARCHITECTURE.md for
 // the full double-buffer determinism argument.
@@ -151,7 +161,8 @@ class ExecutionPolicy {
       std::size_t shards, const std::function<void(std::size_t)>& fn) = 0;
 };
 
-/// The seed semantics, stage by stage on one thread — plus the worklist.
+/// The seed semantics, stage by stage on one thread — over the dispatch
+/// list.
 class SequentialPolicy final : public ExecutionPolicy {
  public:
   [[nodiscard]] unsigned lanes() const noexcept override { return 1; }
@@ -162,7 +173,7 @@ class SequentialPolicy final : public ExecutionPolicy {
   }
 };
 
-/// Shards each stage's worklist range across a persistent thread pool with
+/// Shards each round's dispatch list across a persistent thread pool with
 /// a barrier per stage.  `threads` as in ExecOptions (0 = hardware lanes).
 class ParallelPolicy final : public ExecutionPolicy {
  public:
@@ -193,8 +204,9 @@ class ParallelPolicy final : public ExecutionPolicy {
 /// directly to reuse a plan or a policy (and its thread pool) across runs.
 /// The programs stay owned by the caller (e.g. a ProgramArena).
 ///
-/// Message transport is pooled: both outbox buffers, the worklist and the
-/// per-shard scratch all live in a per-thread workspace that is reused
+/// Message transport is pooled: both outbox buffers, the dispatch list,
+/// the wake state and the per-shard scratch all live in a per-thread
+/// workspace that is reused
 /// (not reallocated, and the outboxes not even reset) across runs, so
 /// repeated executions on one lane perform no per-run buffer allocation
 /// once the workspace has grown to the largest graph seen.  The double
@@ -229,15 +241,19 @@ struct EngineAllocStats {
 /// Snapshot of the pooled-transport counters.
 [[nodiscard]] EngineAllocStats engine_alloc_stats() noexcept;
 
-/// Round-loop wall time, accumulated by run_plan while profiling is enabled
-/// (process-wide, monotonic).  A profiled run runs the same fused round
-/// loop as any other and takes one timestamp per round, after the barrier
-/// and the shard merge: `round_ns` sums the time from the initial exchange
-/// to the last round's stamp, `profiled_rounds` the rounds it covers.
-/// bench_micro_runtime exports the deltas per benchmark.
+/// Round-loop wall time and dispatch count, accumulated by run_plan while
+/// profiling is enabled (process-wide, monotonic).  A profiled run runs the
+/// same fused round loop as any other and takes one timestamp per
+/// dispatched round, after the barrier and the shard merge: `round_ns`
+/// sums the time from the initial exchange to the last round's stamp,
+/// `profiled_rounds` the rounds it covers (skipped rounds included), and
+/// `dispatched` the node dispatches (receive plus send) the rounds made —
+/// Σ_v halt_round(v) for a program without wake hints, less for one with
+/// them.  bench_micro_runtime exports the deltas per benchmark.
 struct EngineStageStats {
   std::uint64_t round_ns = 0;          ///< round-loop wall time
   std::uint64_t profiled_rounds = 0;   ///< rounds timed while enabled
+  std::uint64_t dispatched = 0;        ///< node dispatches while enabled
 
   [[nodiscard]] bool operator==(const EngineStageStats&) const = default;
 };

@@ -8,6 +8,11 @@
 //  * at any point after a receive it may halt and expose its output
 //    X(v) ⊆ {1, ..., degree} (the ports of its chosen edges).
 //
+// A program may also say when it next has work (wake_hint, optional).  The
+// round engine then dispatches a node only in the rounds its hint names or
+// in which a non-silence message reaches it; a program without a hint is
+// dispatched every round, exactly as the model describes.
+//
 // Programs of one run live in a ProgramArena: factories construct them
 // contiguously there, and per-node state that lives exactly as long as the
 // run can take its memory from the arena's monotonic resource.  Outputs go
@@ -79,6 +84,22 @@ class NodeProgram {
 
   /// True once the node has stopped and announced its output.
   [[nodiscard]] virtual bool halted() const = 0;
+
+  /// Wake hint, asked after the node's dispatch in `round` (receive(round)
+  /// and, unless it halted, send(round + 1)).  Names the next round h in
+  /// which the node, on all-silent input, would send a non-silence
+  /// message (that is, in h's send(h + 1)), halt, or change state that a
+  /// later call reads.  Returning h promises that skipping the dispatches
+  /// of rounds round + 1 … h − 1 in which every input is silence changes
+  /// nothing the node later sends, outputs, or when it halts.  The round
+  /// engine then dispatches the node next in round h, or earlier, in the
+  /// first round whose input holds a non-silence message for it.  A hint
+  /// that is early is always correct; a late one breaks the run.  The
+  /// default, round + 1, promises nothing; values <= round count as
+  /// round + 1.  The async engine and the α-synchronizer ignore hints.
+  [[nodiscard]] virtual Round wake_hint(Round round) const {
+    return round + 1;
+  }
 
   /// Announces X(v) by selecting each of its ports once on `out`, in any
   /// order.  Called once, after the node halted.

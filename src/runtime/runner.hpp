@@ -39,10 +39,10 @@ class PlanCache;
 /// differential oracle), without it results may legitimately differ.
 struct ExecOptions {
   /// Lanes to shard each round's fused gather/receive/send pass over
-  /// (contiguous worklist ranges balanced by port count, one barrier per
-  /// round): 1 = SequentialPolicy (default), >1 = ParallelPolicy with
-  /// that many lanes, 0 = ParallelPolicy with one lane per hardware
-  /// thread.  At the batch level (`algo::run_batch`) this is instead the
+  /// (contiguous ranges of the round's dispatch list balanced by port
+  /// count, one barrier per round): 1 = SequentialPolicy (default),
+  /// >1 = ParallelPolicy with that many lanes, 0 = ParallelPolicy with one
+  /// lane per hardware thread.  At the batch level (`algo::run_batch`) this is instead the
   /// number of concurrent jobs.
   unsigned threads = 1;
 
@@ -98,9 +98,11 @@ struct RunStats {
 
   /// Total port-slots of *non-halted* nodes, summed over rounds: each round
   /// contributes the degree of every node that is still running.  Halted
-  /// nodes neither send nor receive, so their ports are not "served" — this
-  /// is the unit of simulator work the worklist scheduler actually performs
-  /// (invariant: ports_served == Σ_v d(v) · halt_round(v)).
+  /// nodes neither send nor receive, so their ports are not "served"
+  /// (invariant: ports_served == Σ_v d(v) · halt_round(v)).  A model
+  /// quantity: the round engine skips nodes that sleep through a round
+  /// and adds d(v) · halt_round(v) when v halts; the dispatches it really
+  /// makes are EngineStageStats::dispatched (runtime/engine.hpp).
   std::uint64_t ports_served = 0;
 
   [[nodiscard]] bool operator==(const RunStats&) const = default;

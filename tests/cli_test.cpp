@@ -73,6 +73,18 @@ TEST(Cli, GenerateErrors) {
   }
   EXPECT_NE(invoke({"generate", "cycle", "6x"}).err.find("cycle N"),
             std::string::npos);
+  // A node count that fits size_t but not NodeId is a typed error naming
+  // n, raised before the generator records an edge (it once ended in
+  // "generate: std::bad_alloc").
+  for (const char* family : {"path", "cycle"}) {
+    const auto run = invoke({"generate", family, "18446744073709551615"});
+    EXPECT_EQ(run.code, 1) << family;
+    EXPECT_TRUE(run.out.empty()) << family;
+    EXPECT_NE(run.err.find("18446744073709551615 nodes exceed the NodeId "
+                           "range"),
+              std::string::npos)
+        << family << ": " << run.err;
+  }
   EXPECT_NE(invoke({"generate", "bounded", "12", "3", "+4"}).err.find(
                 "bounded M"),
             std::string::npos);
@@ -383,6 +395,12 @@ TEST(Cli, SweepOutputsMatchPinnedDigests) {
        "0x85A92B3A21484484"},
       {{"powerlaw", "--min", "16", "--max", "64", "--seed", "5"},
        "0x2F84158706D04AA3"},
+      // A(∆) on high-∆ power-law graphs, with a non-trivial phase II.
+      {{"powerlaw", "--min", "2048", "--max", "2048", "--seed", "7"},
+       "0x4B7B956863B059BA"},
+      {{"powerlaw", "--min", "1024", "--max", "2048", "--seed", "7",
+        "--ndjson"},
+       "0x40043B16B51031C2"},
       {{"caterpillar", "--min", "12", "--max", "24", "--ndjson"},
        "0xF4E957A8B43046E6"},
       {{"portgraph", "--min", "4", "--max", "16", "--d", "3", "--seed", "11",

@@ -181,6 +181,124 @@ TEST(EngineSoa, LazyOutboxResetSilencesNodesThatHaltInStart) {
   }
 }
 
+TEST(EngineSoa, LazyOutboxResetSilencesSleepingNodes) {
+  // The extended lazy-reset invariant: a node that sleeps through a round
+  // must read as silence in both buffers.  The flood leaves a message in
+  // every slot; the pulse fixture then sends only every d + 2 rounds and
+  // sleeps in between, so a sender's consumed segment that is not
+  // silenced reaches a receiver that wakes for another reason, and its
+  // checksum (carried in every later message) diverges from the oracle.
+  auto rng = test::make_rng(0x50A9);
+  std::vector<port::Port> degrees;
+  for (std::size_t v = 0; v < 48; ++v) {
+    degrees.push_back(static_cast<port::Port>(v % 6));
+  }
+  const auto g = port::random_port_graph(degrees, rng);
+  RunOptions options;
+  options.collect_trace = true;
+  options.collect_messages = true;
+  const test::PulseFactory pulse(45);
+  const auto expected = reference_run(g, pulse, options);
+  ASSERT_GT(expected.stats.messages_sent, 0u);
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    options.exec.threads = threads;
+    (void)run_synchronous(g, EchoFactory(3), options);
+    const auto got = run_synchronous(g, pulse, options);
+    EXPECT_TRUE(got == expected)
+        << "threads=" << threads << ": a sleeping node's stale segment "
+        << "reached a receiver";
+  }
+}
+
+/// Calendar churn: a node of degree 3 or more sends a counter on every
+/// port in every round of the first half of the run; a degree-1 node
+/// folds what it hears into a checksum that decides its output and names
+/// the halt round as its hint — alternating with the round before it, an
+/// early and so correct hint that moves its calendar entry on every
+/// dispatch; a degree-2 node never sends and sleeps until the halt round.
+class ChurnProgram final : public NodeProgram {
+ public:
+  explicit ChurnProgram(Round rounds) : rounds_(rounds) {}
+  void start(port::Port degree) override { degree_ = degree; }
+  void send(Round round, std::span<Message> out) override {
+    if (degree_ < 3 || 2 * round > rounds_) return;
+    for (auto& m : out) m = msg(3, static_cast<std::int32_t>(round));
+  }
+  void receive(Round round, std::span<const Message> in) override {
+    for (const auto& m : in) {
+      if (!m.is_silence()) checksum_ = checksum_ * 31 + m.arg[0];
+    }
+    if (round >= rounds_) halted_ = true;
+  }
+  [[nodiscard]] bool halted() const override { return halted_; }
+  [[nodiscard]] Round wake_hint(Round round) const override {
+    if (degree_ >= 3) return round + 1;
+    if (degree_ == 1) return rounds_ - round % 2;
+    return rounds_;
+  }
+  void output(OutputSink& out) const override {
+    if (degree_ == 1 && checksum_ % 2 == 1) out.select(1);
+  }
+
+ private:
+  Round rounds_;
+  port::Port degree_ = 0;
+  std::uint32_t checksum_ = 0;
+  bool halted_ = false;
+};
+
+class ChurnFactory final : public ProgramFactory {
+ public:
+  explicit ChurnFactory(Round rounds) : rounds_(rounds) {}
+  [[nodiscard]] std::unique_ptr<NodeProgram> create() const override {
+    return std::make_unique<ChurnProgram>(rounds_);
+  }
+  [[nodiscard]] std::string name() const override { return "churn"; }
+
+ private:
+  Round rounds_;
+};
+
+TEST(EngineSoa, CalendarDropsStaleEntriesWithoutChangingRuns) {
+  // A star's hub mails its 40 leaves every round for half the run, and
+  // every leaf moves its calendar entry each time, so the calendar
+  // collects far more stale entries than there are nodes and must drop
+  // them — but not the live entries of the cycle's nodes, filed once in
+  // round 2: only those wake the cycle for its halt.  (The leaves'
+  // one-sided output claims keep this off the shared invariant harness.)
+  auto rng = test::make_rng(0x50AA);
+  const auto pg = port::with_random_ports(
+      graph::disjoint_union(graph::star(40), graph::cycle(10)), rng);
+  RunOptions options;
+  options.collect_trace = true;
+  options.collect_messages = true;
+  const ChurnFactory churn(200);
+  const auto expected = reference_run(pg.ports(), churn, options);
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    options.exec.threads = threads;
+    const auto got = run_synchronous(pg.ports(), churn, options);
+    EXPECT_TRUE(got == expected) << "threads=" << threads;
+  }
+
+  // The sparse state stays O(n): on a fresh lane, the churn run's pooled
+  // bytes exceed a dense run's on the same graph by at most a calendar of
+  // 4 (2n + 65) entries (twice the compaction bound, for growth).  Without
+  // the compaction the calendar holds about 4,000 entries here.
+  const auto pooled_by = [&](const ProgramFactory& factory) {
+    std::uint64_t delta = 0;
+    std::thread lane([&] {
+      const auto before = engine_alloc_stats().workspace_bytes;
+      (void)run_synchronous(pg.ports(), factory);
+      delta = engine_alloc_stats().workspace_bytes - before;
+    });
+    lane.join();
+    return delta;
+  };
+  const std::uint64_t n = pg.ports().num_nodes();
+  EXPECT_LE(pooled_by(churn), pooled_by(EchoFactory(200)) +
+                                  4 * (2 * n + 65) * sizeof(std::uint64_t));
+}
+
 TEST(EngineSoa, BalancedShardBoundsEqualizePortCounts) {
   // Star worklist: hub (64 ports) first, then 64 leaves (1 port each).
   // Port-balanced bounds must give the hub its own shard and split the

@@ -11,8 +11,10 @@
 #include <thread>
 
 #include "algo/bounded_degree.hpp"
+#include "algo/common.hpp"
 #include "algo/double_cover.hpp"
 #include "algo/driver.hpp"
+#include "algo/odd_regular.hpp"
 #include "algo/port_one.hpp"
 #include "graph/generators.hpp"
 #include "port/ported_graph.hpp"
@@ -127,6 +129,173 @@ TEST(Engine, DifferentialOnRandomMultigraphs) {
     expect_all_policies_match(g, algo::DoubleCoverFactory(max_degree),
                               "random multigraph");
   }
+}
+
+TEST(Engine, OddRegularMatchesTheSeedOracleUnderEveryPairOrder) {
+  // Odd-regular's wake hints name at most 1 + d steps per phase from the
+  // label view; the oracle dispatches every node every round, so any
+  // missed step shows up in the outputs, the trace or the message log.
+  auto rng = test::make_rng(0xE66);
+  for (const Port d : {1u, 3u, 5u, 7u}) {
+    for (const auto order : {algo::PairOrder::kLexicographic,
+                             algo::PairOrder::kDiagonal,
+                             algo::PairOrder::kReverse}) {
+      for (int trial = 0; trial < 2; ++trial) {
+        const auto pg = test::random_ported_regular(16, d, rng);
+        expect_all_policies_match(pg.ports(),
+                                  algo::OddRegularFactory(d, order),
+                                  "odd-regular");
+      }
+    }
+  }
+}
+
+TEST(Engine, PairPositionInvertsThePairSchedule) {
+  for (Port d = 1; d <= 9; ++d) {
+    for (const auto order : {algo::PairOrder::kLexicographic,
+                             algo::PairOrder::kDiagonal,
+                             algo::PairOrder::kReverse}) {
+      const auto pairs = algo::pair_schedule(d, order);
+      for (std::size_t k = 0; k < pairs.size(); ++k) {
+        EXPECT_EQ(algo::pair_position(d, order, pairs[k].first,
+                                      pairs[k].second),
+                  k)
+            << "d=" << d << " pair (" << pairs[k].first << ", "
+            << pairs[k].second << ")";
+      }
+    }
+  }
+}
+
+/// True when the run's message log holds a phase-II acceptance of A(∆)
+/// with parameter `delta`: both proposers and acceptors were at work.
+bool accepts_in_phase_two(const RunResult& result, Port delta) {
+  const auto d = static_cast<Round>(
+      algo::BoundedDegreeProgram::normalised_delta(delta));
+  const Round first = 3 + d * d;
+  const Round last = 2 + d * d + 2 * d * (d - 1);
+  return std::any_of(result.message_log.begin(), result.message_log.end(),
+                     [&](const DeliveredMessage& m) {
+                       return m.round >= first && m.round <= last &&
+                              m.payload.tag == algo::kTagAccept;
+                     });
+}
+
+TEST(Engine, HintedAlgorithmsMatchTheSeedOracleOnIrregularGraphs) {
+  // A(∆) and double-cover on power-law and bounded-degree graphs: degrees
+  // differ, so A(∆)'s phase II has proposers and acceptors, and both
+  // algorithms sleep through most rounds.
+  auto rng = test::make_rng(0xE67);
+  std::vector<port::PortedGraph> graphs;
+  for (int trial = 0; trial < 3; ++trial) {
+    graphs.push_back(port::with_random_ports(
+        graph::random_power_law(120, 2.5, rng), rng));
+    graphs.push_back(test::random_ported_bounded(60, 5, 90, rng));
+  }
+  bool phase_two = false;
+  for (const auto& pg : graphs) {
+    const auto delta =
+        static_cast<Port>(std::max<std::size_t>(pg.graph().max_degree(), 2));
+    const algo::BoundedDegreeFactory bounded(delta);
+    expect_all_policies_match(pg.ports(), bounded, "A(delta)");
+    expect_all_policies_match(pg.ports(), algo::DoubleCoverFactory(delta),
+                              "double-cover");
+    RunOptions logged;
+    logged.collect_messages = true;
+    phase_two |=
+        accepts_in_phase_two(reference_run(pg.ports(), bounded, logged), delta);
+  }
+  EXPECT_TRUE(phase_two) << "no instance exercised A(delta)'s phase II";
+}
+
+TEST(Engine, PulseMatchesTheSeedOracle) {
+  // The pulse fixture (test_util.hpp) sleeps between its own sends, so
+  // its nodes are woken by hints and by mail in every combination; loops,
+  // parallel edges and fixed points included.
+  auto rng = test::make_rng(0xE68);
+  expect_all_policies_match(test::figure2_multigraph_m(),
+                            test::PulseFactory(30), "figure-2 M");
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<Port> degrees(24);
+    for (auto& d : degrees) d = static_cast<Port>(rng.below(7));
+    const auto g = port::random_port_graph(degrees, rng);
+    expect_all_policies_match(g, test::PulseFactory(40), "pulse multigraph");
+  }
+}
+
+TEST(Engine, LateHintsDivergeFromTheSeedOracle) {
+  // A hint may be early, never late: the engine trusts it.  Each fixture
+  // names one dispatch a round too late — one misses a send, the other a
+  // state change on silent input — and must come out different.
+  auto rng = test::make_rng(0xE69);
+  const auto pg = test::random_ported_regular(24, 3, rng);
+  RunOptions options;
+  options.collect_trace = true;
+  options.collect_messages = true;
+  const test::PulseFactory late_pulse(20, /*late=*/true);
+  const test::LateFlipFactory late_flip;
+  for (const ProgramFactory* factory :
+       {static_cast<const ProgramFactory*>(&late_pulse),
+        static_cast<const ProgramFactory*>(&late_flip)}) {
+    const auto expected = reference_run(pg.ports(), *factory, options);
+    for (const unsigned threads : {1u, 8u}) {
+      options.exec.threads = threads;
+      const auto got = run_synchronous(pg.ports(), *factory, options);
+      EXPECT_FALSE(got == expected)
+          << factory->name() << " at threads=" << threads
+          << ": a late hint went unnoticed";
+    }
+    options.exec.threads = 1;
+  }
+}
+
+/// Dispatches the engine made for one run of `factory` on `g`, as a share
+/// of the seed semantics' Σ_v halt_round(v) (the node-rounds a
+/// dispatch-everyone engine performs).
+double dispatch_share(const PortGraph& g, const ProgramFactory& factory) {
+  RunOptions options;
+  options.collect_trace = true;
+  engine_stage_profiling(true);
+  const auto before = engine_stage_stats().dispatched;
+  const auto result = run_synchronous(g, factory, options);
+  const auto dispatched = engine_stage_stats().dispatched - before;
+  engine_stage_profiling(false);
+
+  std::size_t halted = 0;  // nodes that halt in start() run no round
+  for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto program = factory.create();
+    program->start(g.degree(v));
+    halted += program->halted() ? 1 : 0;
+  }
+  std::uint64_t node_rounds = 0;
+  for (const auto& t : result.trace) {
+    node_rounds += static_cast<std::uint64_t>(t.round) *
+                   (t.halted_nodes - halted);
+    halted = t.halted_nodes;
+  }
+  return static_cast<double>(dispatched) / static_cast<double>(node_rounds);
+}
+
+TEST(Engine, HintsCutDispatchesAndHintlessProgramsRunEveryRound) {
+  // An early hint is always correct, so only a count catches a silent
+  // fall-back to dispatching every node every round.
+  auto rng = test::make_rng(0xE6A);
+  const auto regular = test::random_ported_regular(256, 4, rng);
+  EXPECT_LE(dispatch_share(regular.ports(), algo::BoundedDegreeFactory(4)),
+            0.15);
+  EXPECT_EQ(dispatch_share(regular.ports(), EchoFactory(7)), 1.0);
+
+  const auto power = port::with_random_ports(
+      graph::random_power_law(1024, 2.5, rng), rng);
+  const auto delta =
+      static_cast<Port>(std::max<std::size_t>(power.graph().max_degree(), 2));
+  EXPECT_LE(dispatch_share(power.ports(), algo::BoundedDegreeFactory(delta)),
+            0.01);
+  EXPECT_LE(dispatch_share(power.ports(), algo::DoubleCoverFactory(delta)),
+            0.10);
+
+  const auto odd = test::random_ported_regular(1024, 7, rng);
+  EXPECT_LE(dispatch_share(odd.ports(), algo::OddRegularFactory(7)), 0.15);
 }
 
 // The relay fixture (see test_util.hpp) is the adversarial probe for the

@@ -403,6 +403,27 @@ TEST(SimpleGraph, RejectsANodeCountAboveTheNodeIdRange) {
   EXPECT_THROW((void)SimpleGraph(too_many / 2), InvalidArgument);
 }
 
+TEST(GraphBuilder, RejectsANodeCountAboveTheNodeIdRangeBeforeAnyEdge) {
+  // The generators size a GraphBuilder from n and narrow node indices to
+  // NodeId unchecked; path(SIZE_MAX) once pushed edges until the
+  // allocator threw std::bad_alloc.
+  const std::size_t too_many = std::numeric_limits<std::size_t>::max();
+  try {
+    GraphBuilder builder(too_many);
+    FAIL() << "GraphBuilder accepted " << too_many << " nodes";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(too_many)),
+              std::string::npos)
+        << e.what();
+  }
+  const std::size_t one_past =
+      std::size_t{std::numeric_limits<NodeId>::max()} + 1;
+  EXPECT_THROW(GraphBuilder{one_past}, InvalidArgument);
+  EXPECT_THROW((void)path(too_many), InvalidArgument);
+  EXPECT_THROW((void)cycle(too_many), InvalidArgument);
+  EXPECT_THROW((void)cycle(one_past), InvalidArgument);
+}
+
 TEST(SimpleGraph, CsrAdjacencyMatchesTheEdgeList) {
   Rng rng(5);
   const auto g = random_bounded_degree(40, 5, 70, rng);

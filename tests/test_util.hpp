@@ -118,6 +118,123 @@ class RelayFactory final : public runtime::ProgramFactory {
   runtime::Round base_;
 };
 
+/// Pulse program: a node of degree d sends on every port in round 2 and
+/// every d + 2 rounds after it, each message carrying a checksum of
+/// everything the node heard so far, and halts after `rounds` rounds
+/// outputting nothing.
+/// Its wake hint names exactly the rounds whose
+/// dispatch sends and the halt, so the round engine runs it only then and
+/// when mail arrives, while one stale, lost or extra message changes every
+/// later checksum.  With `late` set, the hint names each sending dispatch
+/// one round too late — the broken-hint fixture that must make the engine
+/// diverge from reference_run.
+class PulseProgram final : public runtime::NodeProgram {
+ public:
+  PulseProgram(runtime::Round rounds, bool late)
+      : rounds_(rounds), late_(late) {}
+  void start(port::Port degree) override {
+    degree_ = degree;
+    period_ = degree + 2;
+  }
+  void send(runtime::Round round, std::span<runtime::Message> out) override {
+    if (round % period_ != 2 % period_) return;
+    for (port::Port i = 0; i < degree_; ++i) {
+      out[i] = runtime::msg(8, static_cast<std::int32_t>(checksum_ >> 1),
+                            static_cast<std::int32_t>(i));
+    }
+  }
+  void receive(runtime::Round round,
+               std::span<const runtime::Message> in) override {
+    for (const auto& m : in) {
+      if (m.is_silence()) continue;
+      checksum_ = checksum_ * 31 + static_cast<std::uint32_t>(m.arg[0]) +
+                  static_cast<std::uint32_t>(m.arg[1]) + 1;
+    }
+    if (round >= rounds_) halted_ = true;
+  }
+  [[nodiscard]] bool halted() const override { return halted_; }
+  [[nodiscard]] runtime::Round wake_hint(
+      runtime::Round round) const override {
+    // The dispatch of round s sends into round s + 1: the first sending
+    // round after round + 1 is round + 2 + gap.
+    const runtime::Round gap =
+        (2 % period_ + period_ - (round + 2) % period_) % period_;
+    return std::min(rounds_, round + 1 + gap + (late_ ? 1 : 0));
+  }
+  void output(runtime::OutputSink&) const override {}
+
+ private:
+  runtime::Round rounds_;
+  bool late_;
+  port::Port degree_ = 0;
+  runtime::Round period_ = 2;
+  std::uint32_t checksum_ = 0;
+  bool halted_ = false;
+};
+
+class PulseFactory final : public runtime::ProgramFactory {
+ public:
+  explicit PulseFactory(runtime::Round rounds, bool late = false)
+      : rounds_(rounds), late_(late) {}
+  [[nodiscard]] std::unique_ptr<runtime::NodeProgram> create()
+      const override {
+    return std::make_unique<PulseProgram>(rounds_, late_);
+  }
+  [[nodiscard]] std::string name() const override {
+    return late_ ? "late-pulse" : "pulse";
+  }
+
+ private:
+  runtime::Round rounds_;
+  bool late_;
+};
+
+/// Late-flip program, the second broken-hint fixture: in round 3 every
+/// node sets a flag whatever it receives (a state change on silent
+/// input), sends the flag on every port in round 6, and from then on
+/// outputs port 1 when it heard a set flag.  Its hint skips straight to
+/// round 4 and then to the sending dispatch of round 5, so it misses the
+/// flip: the engine's run must differ from reference_run.
+class LateFlipProgram final : public runtime::NodeProgram {
+ public:
+  void start(port::Port degree) override { degree_ = degree; }
+  void send(runtime::Round round, std::span<runtime::Message> out) override {
+    if (round != 6) return;
+    for (auto& m : out) m = runtime::msg(9, flipped_ ? 1 : 0);
+  }
+  void receive(runtime::Round round,
+               std::span<const runtime::Message> in) override {
+    if (round == 3) flipped_ = true;
+    for (const auto& m : in) heard_ |= m.tag == 9 && m.arg[0] != 0;
+    if (round >= 6) halted_ = true;
+  }
+  [[nodiscard]] bool halted() const override { return halted_; }
+  [[nodiscard]] runtime::Round wake_hint(
+      runtime::Round round) const override {
+    // Correct would be round 3: one round late for the flip.
+    if (round < 4) return 4;
+    return round < 5 ? 5 : 6;
+  }
+  void output(runtime::OutputSink& out) const override {
+    if (degree_ > 0 && heard_) out.select(1);
+  }
+
+ private:
+  port::Port degree_ = 0;
+  bool flipped_ = false;
+  bool heard_ = false;
+  bool halted_ = false;
+};
+
+class LateFlipFactory final : public runtime::ProgramFactory {
+ public:
+  [[nodiscard]] std::unique_ptr<runtime::NodeProgram> create()
+      const override {
+    return std::make_unique<LateFlipProgram>();
+  }
+  [[nodiscard]] std::string name() const override { return "late-flip"; }
+};
+
 /// Fixed default master seed for randomised tests.
 inline constexpr std::uint64_t kDefaultSeed = 0xED5D0517ULL;
 
