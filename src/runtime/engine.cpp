@@ -64,12 +64,11 @@ namespace {
 struct alignas(64) ShardScratch {
   std::uint64_t ports_served = 0;  ///< d(v) · halt_round(v) of its halts
   std::uint64_t messages = 0;      ///< non-silence slots this shard sent
-  std::uint64_t sleepers = 0;      ///< dispatches hinting past next round
+  std::uint64_t sleepers = 0;      ///< unmarked rounds: hints past r + 1
   std::uint64_t slots = 0;         ///< calendar ring slots it filed into
   std::vector<DeliveredMessage> log;
   std::vector<std::uint32_t> newly_halted;
-  /// Sparse rounds only: the nodes whose hint needs a new entry in the
-  /// calendar's far heap.
+  /// The nodes whose hint needs a new entry in the calendar's far heap.
   std::vector<std::uint32_t> rescheduled;
   /// One node's inbound messages, gathered through the involution from the
   /// current outbox back into the contiguous form receive() promises.
@@ -113,10 +112,6 @@ void mark_shared(std::uint64_t* wake, std::uint32_t v) noexcept {
 
 void mark(std::uint64_t* wake, std::uint32_t v) noexcept {
   wake[v >> 6] |= std::uint64_t{1} << (v & 63);
-}
-
-[[nodiscard]] bool marked(const std::uint64_t* wake, std::uint32_t v) noexcept {
-  return ((wake[v >> 6] >> (v & 63)) & 1) != 0;
 }
 
 /// Calls fn(v) for every node v whose bit is set in `word`, word `w` of a
@@ -226,17 +221,6 @@ class Calendar {
     return far;
   }
 
-  /// Empties the calendar.
-  void clear() {
-    for (Round k = 0; k < kRingSlots; ++k) {
-      if ((used_ & slot_bit(k * kSlotRounds)) != 0) {
-        std::fill_n(slot(k * kSlotRounds), words_, std::uint64_t{0});
-      }
-    }
-    used_ = 0;
-    far_.clear();
-  }
-
  private:
   [[nodiscard]] static std::uint64_t key(Round r, std::uint32_t v) {
     return (static_cast<std::uint64_t>(r) << 32) | v;
@@ -331,7 +315,7 @@ struct EngineWorkspace {
   std::vector<std::uint32_t> list;
   std::vector<std::size_t> bounds;  // shard boundaries, shards + 1 entries
   std::vector<ShardScratch> scratch;
-  // The sparse-round state, sized only by runs that get past round 1.
+  // The sparse-round state, sized only by runs in which some node sleeps.
   std::vector<Round> due;               // each node's latest wake hint
   /// Node bitsets, one bit per node each: the wake bits, the senders into
   /// each outbox, and the calendar's near ring of kRingSlots slots.
@@ -387,17 +371,12 @@ struct EngineWorkspace {
                std::span<NodeProgram* const> programs, unsigned lanes) {
     const std::size_t n = plan.num_nodes();
     const std::size_t total_ports = plan.total_ports();
-    const bool grows = total_ports > outbox[0].capacity() ||
-                       n > halted.capacity() || n > list.capacity() ||
-                       lanes > scratch.size();
     outbox[0].resize(total_ports);
     outbox[1].resize(total_ports);
     halted.assign(n, 0);
     list.clear();
     list.reserve(n);
     if (scratch.size() < lanes) scratch.resize(lanes);
-    (grows ? g_ws_growths : g_ws_reuses).fetch_add(1,
-                                                   std::memory_order_relaxed);
 
     for (std::size_t v = 0; v < n; ++v) {
       programs[v]->start(plan.degree(v));
@@ -411,8 +390,16 @@ struct EngineWorkspace {
     }
   }
 
-  void account() noexcept {
-    const std::size_t now = footprint();
+  /// Sizes the sparse-round state for a run over `n` nodes, with no hint
+  /// filed and no wake, sender or ring bit set.
+  void start_sparse(std::size_t n, std::size_t words) {
+    due.assign(n, 0);
+    bits.assign((3 + Calendar::kRingSlots) * words, 0);
+  }
+
+  /// Updates the pooled-bytes gauge to `now`, the footprint at the end of
+  /// a run.
+  void account(std::size_t now) noexcept {
     if (now >= bytes) {
       g_ws_bytes.fetch_add(now - bytes, std::memory_order_relaxed);
     } else {
@@ -435,14 +422,21 @@ EngineWorkspace* acquire_workspace() {
 
 /// RAII over acquire_workspace(): releases the lane workspace (updating the
 /// byte accounting) or owns the recursive-fallback workspace outright.
+/// Counts the run as a growth when any pooled buffer's capacity grew in
+/// it — capacities never shrink, so that is a footprint above the last
+/// run's — and as a reuse otherwise.
 class WorkspaceLease {
  public:
   WorkspaceLease()
       : pooled_(acquire_workspace()),
         fallback_(pooled_ ? nullptr : std::make_unique<EngineWorkspace>()) {}
   ~WorkspaceLease() {
+    EngineWorkspace& ws = **this;
+    const std::size_t now = ws.footprint();
+    (now > ws.bytes ? g_ws_growths : g_ws_reuses)
+        .fetch_add(1, std::memory_order_relaxed);
     if (pooled_) {
-      pooled_->account();
+      pooled_->account(now);
       pooled_->in_use = false;
     }
   }
@@ -518,8 +512,9 @@ RunResult run_plan(const ExecutionPlan& plan,
   std::vector<char>& halted = ws.halted;
   std::vector<std::uint32_t>& list = ws.list;
   std::size_t live = list.size();  // nodes that have not halted
-  // The sparse state, set up on first use: `due` after round 1, the wake
-  // bits and the calendar at the first round a node sleeps through.
+  // The sparse state, set up when the first node hints past next round,
+  // so a run of a hint-less program, or one that ends in round 1, sets up
+  // none.
   Round* due = nullptr;
   std::uint64_t* wake = nullptr;
   std::uint64_t* sent_cur = nullptr;  // who sent into `cur`
@@ -546,9 +541,9 @@ RunResult run_plan(const ExecutionPlan& plan,
   std::uint64_t round_ns = 0;
   std::uint64_t dispatched = 0;
 
-  // Whether this round's senders mark their receivers' wake bits.  A dense
-  // round (every live node runs, every hint is "next round") needs no
-  // marks: the next round runs every live node again.
+  // Whether this round's senders mark their receivers' wake bits.  Until
+  // the first node hints past next round, every live node runs every
+  // round and no marks are needed; from then on every round marks.
   bool marking = false;
   // Whether the round stage runs on more than one shard, so node bits
   // need atomic writes.
@@ -567,7 +562,7 @@ RunResult run_plan(const ExecutionPlan& plan,
   // send_node, which runs for every sending node, so that stays small
   // enough to inline at both of its call sites.
   const auto note_traffic = [&](ShardScratch& sc, std::uint32_t v, Round r,
-                                const Message* seg, bool marks) {
+                                const Message* seg) {
     const Port deg = plan.degree(v);
     const std::size_t off = plan.offset(v);
     if (collect) {
@@ -581,7 +576,7 @@ RunResult run_plan(const ExecutionPlan& plan,
         }
       }
     }
-    if (marks) {
+    if (marking) {
       set_bit(sent_nxt, v);
       for (Port i = 0; i < deg; ++i) {
         if (!seg[i].is_silence()) {
@@ -626,15 +621,15 @@ RunResult run_plan(const ExecutionPlan& plan,
 
   // Node v's dispatch in round r: gather and receive round r, then —
   // unless it halted, or round r + 1 would exceed the cap — send round
-  // r + 1 and, from round 2 on, note its wake hint in due[v].  A hint
-  // for round r + 1 marks the node's own wake bit in a marking round; a
-  // later one counts the node as a sleeper and, when it moved, files it
-  // in the calendar: in the ring slot of its round when that is near,
-  // else (through `rescheduled`) in the far heap.  ports_served is a
-  // model quantity, Σ d(v) · halt_round(v), so it is added once, at the
-  // halt.
+  // r + 1 and, from round 2 on, ask its wake hint.  An unmarked round
+  // only counts the hints past r + 1.  A marking round notes the hint in
+  // due[v]: a hint for round r + 1 marks the node's own wake bit; a later
+  // one, when it moved, is filed in the calendar: in the ring slot of its
+  // round when that is near, else (through `rescheduled`) in the far
+  // heap.  ports_served is a model quantity, Σ d(v) · halt_round(v), so
+  // it is added once, at the halt.
   const auto dispatch = [&](ShardScratch& sc, std::uint32_t v, Round r,
-                            bool send_next, bool marks) {
+                            bool send_next) {
     receive_node(sc, v, r);
     const NodeProgram& program = *programs[v];
     if (program.halted()) {
@@ -647,17 +642,20 @@ RunResult run_plan(const ExecutionPlan& plan,
     Message* const seg = nxt + plan.offset(v);
     const std::uint64_t sent = send_node(v, r + 1, seg);
     sc.messages += sent;
-    if (sent != 0 && (collect || marks)) note_traffic(sc, v, r + 1, seg, marks);
-    if (due == nullptr) return;  // round 1: every survivor runs round 2
+    if (sent != 0 && (collect || marking)) note_traffic(sc, v, r + 1, seg);
+    if (r == 1) return;
     const Round hint = std::max(program.wake_hint(r), r + 1);
+    if (!marking) {
+      if (hint != r + 1) ++sc.sleepers;
+      return;
+    }
     const Round filed = due[v];
     due[v] = hint;
     if (hint == r + 1) {
-      if (marks) set_bit(wake, v);
+      set_bit(wake, v);
       return;
     }
-    ++sc.sleepers;
-    if (!marks || hint == filed) return;
+    if (hint == filed) return;
     if (Calendar::near(hint, r)) {
       set_bit(calendar->slot(hint), v);
       sc.slots |= Calendar::slot_bit(hint);
@@ -750,7 +748,7 @@ RunResult run_plan(const ExecutionPlan& plan,
           Message* const seg = cur + plan.offset(v);
           const std::uint64_t sent = send_node(v, 1, seg);
           sc.messages += sent;
-          if (sent != 0 && collect) note_traffic(sc, v, 1, seg, false);
+          if (sent != 0 && collect) note_traffic(sc, v, 1, seg);
         });
     for (std::size_t s = 0; s < shards; ++s) pending += merge_shard(scratch[s]);
   }
@@ -761,7 +759,6 @@ RunResult run_plan(const ExecutionPlan& plan,
     round = target;
     const Round next = round + 1;
     const bool send_next = next <= options.max_rounds;
-    const bool marks = marking && send_next;
 
     // The fused round stage, ONE barrier: every listed node gathers and
     // receives its round-r input from `cur`, then — unless it halted, or
@@ -774,7 +771,7 @@ RunResult run_plan(const ExecutionPlan& plan,
     // more than one shard runs.
     const std::size_t shards =
         for_each_listed([&](ShardScratch& sc, std::uint32_t v) {
-          dispatch(sc, v, round, send_next, marks);
+          dispatch(sc, v, round, send_next);
         });
     dispatched += list.size();
 
@@ -817,79 +814,51 @@ RunResult run_plan(const ExecutionPlan& plan,
     if (!send_next) round_limit();
     pending = sent_next;
     target = next;
-    if (due == nullptr) {
-      ws.due.resize(n);
-      due = ws.due.data();
-    }
 
-    if (!marking && sleepers == 0) {
-      // Dense: every live node runs again next round.
+    if (!marking) {
+      // Every live node ran and runs again next round.
       if (halting != 0) {
         std::erase_if(list, [&](std::uint32_t v) { return halted[v] != 0; });
+      }
+      if (sleepers != 0) {
+        // The first hint past next round: from next round on, every
+        // round marks.  Next round still runs every live node (early for
+        // the sleepers, which a hint allows), so each files a fresh hint,
+        // and any of them may have sent into `nxt`.
+        ws.start_sparse(n, wake_words);
+        due = ws.due.data();
+        wake = ws.bits.data();
+        sent_cur = wake + wake_words;
+        sent_nxt = sent_cur + wake_words;
+        calendar.emplace(sent_nxt + wake_words, wake_words, ws.calendar, due,
+                         halted.data());
+        for (const std::uint32_t v : list) mark(sent_nxt, v);
+        marking = true;
       }
       std::swap(cur, nxt);
       std::swap(sent_cur, sent_nxt);
       continue;
     }
 
-    // Sparse: next round runs the nodes whose hint is due or that have a
-    // message waiting.  Node u's segment in `cur` holds its round-r
-    // messages when u sent some last round; unless u runs next round (and
-    // rewrites it), silence it now — that buffer receives round r + 2,
-    // and a sleeping node must read as silence in both buffers.
-    if (!marking) {
-      // This round ran every live node without marks: find next round's
-      // receivers in the segments it wrote, and file every hint.  The
-      // list is every live node, so it covers every possible sender
-      // into `cur` too.
-      if (wake == nullptr) {
-        ws.bits.assign((3 + Calendar::kRingSlots) * wake_words, 0);
-        wake = ws.bits.data();
-        sent_cur = wake + wake_words;
-        sent_nxt = sent_cur + wake_words;
-        calendar.emplace(sent_nxt + wake_words, wake_words, ws.calendar, due,
-                         halted.data());
-      } else {
-        std::fill_n(sent_cur, 2 * wake_words, std::uint64_t{0});
-      }
-      for (const std::uint32_t v : list) {
-        if (halted[v] != 0) continue;
-        const std::size_t off = plan.offset(v);
-        bool sent = false;
-        for (Port i = 0; i < plan.degree(v); ++i) {
-          if (!nxt[off + i].is_silence()) {
-            mark(wake, plan.partner_ref(off + i).node);
-            sent = true;
-          }
-        }
-        if (sent) mark(sent_nxt, v);
-        if (due[v] == next) {
-          mark(wake, v);
-        } else {
-          calendar->file(v, due[v], round);
-        }
-      }
-      for (const std::uint32_t v : list) {
-        if (halted[v] == 0 && !marked(wake, v)) silence_in(cur, v);
-      }
-    } else {
-      for (std::size_t s = 0; s < shards; ++s) {
-        calendar->used(scratch[s].slots);
-        for (const std::uint32_t v : scratch[s].rescheduled) {
-          calendar->file(v, due[v], round);
-        }
-      }
-      calendar->compact(live);
-      calendar->take_due(next, wake);
-      for (std::size_t w = 0; w < wake_words; ++w) {
-        for_each_bit(sent_cur[w] & ~wake[w], w,
-                     [&](std::uint32_t v) { silence_in(cur, v); });
-        sent_cur[w] = 0;
+    // Next round runs the nodes whose hint is due or that have a message
+    // waiting.  Node u's segment in `cur` holds its round-r messages when
+    // u sent some last round; unless u runs next round (and rewrites it),
+    // silence it now — that buffer receives round r + 2, and a sleeping
+    // node must read as silence in both buffers.
+    for (std::size_t s = 0; s < shards; ++s) {
+      calendar->used(scratch[s].slots);
+      for (const std::uint32_t v : scratch[s].rescheduled) {
+        calendar->file(v, due[v], round);
       }
     }
+    calendar->compact(live);
+    calendar->take_due(next, wake);
+    for (std::size_t w = 0; w < wake_words; ++w) {
+      for_each_bit(sent_cur[w] & ~wake[w], w,
+                   [&](std::uint32_t v) { silence_in(cur, v); });
+      sent_cur[w] = 0;
+    }
     collect_woken();
-    marking = list.size() != live || sleepers != 0;
-    if (!marking) calendar->clear();
 
     if (list.empty()) {
       // Nothing to do next round: its messages all went to halted nodes,

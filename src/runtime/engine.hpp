@@ -15,9 +15,10 @@
 //    sleeping nodes cost nothing, and a round with nothing to do is
 //    skipped without a barrier.  Senders set their receivers' wake bits
 //    while they count their segment; hints past next round wait in an
-//    O(n) calendar.  A program without hints is due every round, so a
-//    round in which every live node runs and asks for the next round
-//    keeps the whole list and sets no wake bits at all.
+//    O(n) calendar.  Until the first node hints past next round, every
+//    live node is due every round, so the list keeps every live node, no
+//    wake bit is set and no sparse state is set up — a program without
+//    hints runs that way to the end.
 //    SequentialPolicy runs the shards inline; ParallelPolicy spreads them
 //    across a thread pool.  Shard boundaries equalize *port* counts, not
 //    node counts (balanced_shard_bounds), so power-law degree sequences

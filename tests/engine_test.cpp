@@ -397,6 +397,32 @@ TEST(Engine, DoubleBufferWorkspaceFootprint) {
          "workspace";
 }
 
+TEST(Engine, FirstSparseRunOnALaneCountsAsAGrowth) {
+  // The sparse-round state (due[], the node bitsets, the calendar) is
+  // pooled like the outboxes, and only a run in which some node sleeps
+  // sets it up.  A lane that has run only port-one (one round, no hints)
+  // has every other buffer sized for the graph, so its first hinted run
+  // grows the workspace and must be counted as a growth, not a reuse.
+  auto rng = test::make_rng(0xE6A);
+  const auto pg = test::random_ported_regular(64, 3, rng);
+  std::thread fresh_lane([&] {
+    const auto growth = [&](algo::Algorithm algorithm, Port param) {
+      const auto before = engine_alloc_stats();
+      static_cast<void>(algo::run_algorithm(pg, algorithm, param));
+      const auto after = engine_alloc_stats();
+      EXPECT_EQ(after.workspace_growths + after.workspace_reuses,
+                before.workspace_growths + before.workspace_reuses + 1);
+      return after.workspace_growths != before.workspace_growths;
+    };
+    EXPECT_TRUE(growth(algo::Algorithm::kPortOne, 0)) << "a fresh lane";
+    EXPECT_FALSE(growth(algo::Algorithm::kPortOne, 0));
+    EXPECT_TRUE(growth(algo::Algorithm::kOddRegular, 3))
+        << "the first run that sets up the sparse state";
+    EXPECT_FALSE(growth(algo::Algorithm::kOddRegular, 3));
+  });
+  fresh_lane.join();
+}
+
 TEST(Engine, StageProfilingCountsRoundsAndStaysOffByDefault) {
   const auto pg = port::with_canonical_ports(graph::cycle(16));
   const auto before = engine_stage_stats();

@@ -118,10 +118,12 @@ class RelayFactory final : public runtime::ProgramFactory {
   runtime::Round base_;
 };
 
-/// Pulse program: a node of degree d sends on every port in round 2 and
+/// Pulse program: a node of degree d sends on every port in round 3 and
 /// every d + 2 rounds after it, each message carrying a checksum of
 /// everything the node heard so far, and halts after `rounds` rounds
-/// outputting nothing.
+/// outputting nothing.  (Round 3's sends come from the dispatch of round
+/// 2, where the first hints past next round appear, so the engine's
+/// switch to marking rounds must silence them too.)
 /// Its wake hint names exactly the rounds whose
 /// dispatch sends and the halt, so the round engine runs it only then and
 /// when mail arrives, while one stale, lost or extra message changes every
@@ -137,7 +139,7 @@ class PulseProgram final : public runtime::NodeProgram {
     period_ = degree + 2;
   }
   void send(runtime::Round round, std::span<runtime::Message> out) override {
-    if (round % period_ != 2 % period_) return;
+    if (round % period_ != 3 % period_) return;
     for (port::Port i = 0; i < degree_; ++i) {
       out[i] = runtime::msg(8, static_cast<std::int32_t>(checksum_ >> 1),
                             static_cast<std::int32_t>(i));
@@ -158,7 +160,7 @@ class PulseProgram final : public runtime::NodeProgram {
     // The dispatch of round s sends into round s + 1: the first sending
     // round after round + 1 is round + 2 + gap.
     const runtime::Round gap =
-        (2 % period_ + period_ - (round + 2) % period_) % period_;
+        (3 % period_ + period_ - (round + 2) % period_) % period_;
     return std::min(rounds_, round + 1 + gap + (late_ ? 1 : 0));
   }
   void output(runtime::OutputSink&) const override {}
@@ -189,31 +191,33 @@ class PulseFactory final : public runtime::ProgramFactory {
   bool late_;
 };
 
-/// Late-flip program, the second broken-hint fixture: in round 3 every
+/// Late-flip program, the second broken-hint fixture: in round 5 every
 /// node sets a flag whatever it receives (a state change on silent
-/// input), sends the flag on every port in round 6, and from then on
-/// outputs port 1 when it heard a set flag.  Its hint skips straight to
-/// round 4 and then to the sending dispatch of round 5, so it misses the
-/// flip: the engine's run must differ from reference_run.
+/// input), sends the flag on every port in round 8, and from then on
+/// outputs port 1 when it heard a set flag.  Its hint after round 2 is
+/// early, but after round 3 it names round 6, one round past the flip,
+/// so it misses it: the engine's run must differ from reference_run.
+/// (The round after the first hint past next round runs every live
+/// node, so a late hint in round 2 would go unseen.)
 class LateFlipProgram final : public runtime::NodeProgram {
  public:
   void start(port::Port degree) override { degree_ = degree; }
   void send(runtime::Round round, std::span<runtime::Message> out) override {
-    if (round != 6) return;
+    if (round != 8) return;
     for (auto& m : out) m = runtime::msg(9, flipped_ ? 1 : 0);
   }
   void receive(runtime::Round round,
                std::span<const runtime::Message> in) override {
-    if (round == 3) flipped_ = true;
+    if (round == 5) flipped_ = true;
     for (const auto& m : in) heard_ |= m.tag == 9 && m.arg[0] != 0;
-    if (round >= 6) halted_ = true;
+    if (round >= 8) halted_ = true;
   }
   [[nodiscard]] bool halted() const override { return halted_; }
   [[nodiscard]] runtime::Round wake_hint(
       runtime::Round round) const override {
-    // Correct would be round 3: one round late for the flip.
-    if (round < 4) return 4;
-    return round < 5 ? 5 : 6;
+    // Correct would be round 5 after rounds 3 and 4: late for the flip.
+    if (round < 3) return 4;
+    return round < 6 ? 6 : round + 1;
   }
   void output(runtime::OutputSink& out) const override {
     if (degree_ > 0 && heard_) out.select(1);
