@@ -7,8 +7,11 @@
 namespace eds::algo {
 
 BoundedDegreeProgram::BoundedDegreeProgram(
-    port::Port max_degree, std::shared_ptr<BoundedPhaseStats> sink)
-    : delta_(normalised_delta(max_degree)), sink_(std::move(sink)) {
+    port::Port max_degree, std::shared_ptr<BoundedPhaseStats> sink,
+    std::pmr::memory_resource* memory)
+    : delta_(normalised_delta(max_degree)),
+      view_(memory),
+      sink_(std::move(sink)) {
   if (max_degree < 2) {
     throw InvalidArgument(
         "BoundedDegreeProgram: use AllEdgesProgram for max degree 1");
@@ -20,11 +23,15 @@ void BoundedDegreeProgram::start(port::Port degree) {
     throw ExecutionError(
         "BoundedDegreeProgram: node degree exceeds the family parameter");
   }
-  view_.degree = degree;
-  view_.remote_port.assign(degree, 0);
-  view_.remote_degree.assign(degree, 0);
-  view_.dn_claimed.assign(degree, false);
-  remote_m_covered_.assign(degree, false);
+  view_.start(degree);
+}
+
+port::Port BoundedDegreeProgram::next_smaller(port::Port from) const {
+  const auto ports = view_.ports();
+  for (port::Port p = from; p <= ports.size(); ++p) {
+    if (ports[p - 1].remote_degree < ports.size()) return p;
+  }
+  return 0;
 }
 
 BoundedDegreeProgram::Step BoundedDegreeProgram::step_for(
@@ -69,19 +76,21 @@ runtime::Round BoundedDegreeProgram::wake_hint(runtime::Round round) const {
   };
   // Phase I step (i, j) is round 2 + (i − 1)∆' + j; I act in the step of
   // my DN edge and in the step of every edge whose far end claimed me.
-  if (view_.dn_port != 0) {
-    consider(2 + (view_.dn_port - 1) * d +
-             view_.remote_port[view_.dn_port - 1]);
+  const auto ports = view_.ports();
+  const port::Port degree = view_.degree();
+  if (const port::Port dn = view_.dn_port(); dn != 0) {
+    consider(2 + (dn - 1) * d + ports[dn - 1].remote_port);
   }
   bool smaller_neighbour = false;
-  for (port::Port j = 1; j <= view_.degree; ++j) {
-    if (view_.dn_claimed[j - 1]) {
-      consider(2 + (view_.remote_port[j - 1] - 1) * d + j);
+  for (port::Port j = 1; j <= degree; ++j) {
+    const PortSlot& slot = ports[j - 1];
+    if ((slot.flags & kFlagDnClaimed) != 0) {
+      consider(2 + (slot.remote_port - 1) * d + j);
     }
-    smaller_neighbour |= view_.remote_degree[j - 1] < view_.degree;
+    smaller_neighbour |= slot.remote_degree < degree;
   }
-  if (m_port_ == 0 && smaller_neighbour && view_.degree >= 2) {
-    consider(phase2 + 1 + (view_.degree - 2) * 2 * d);  // my block's start
+  if (m_port_ == 0 && smaller_neighbour && degree >= 2) {
+    consider(phase2 + 1 + (degree - 2) * 2 * d);  // my block's start
   }
   consider(m_status);
   return next;
@@ -92,17 +101,17 @@ void BoundedDegreeProgram::send(runtime::Round round,
   const auto step = step_for(round);
   switch (step.kind) {
     case Step::Kind::kHello:
-      for (port::Port i = 1; i <= view_.degree; ++i) {
+      for (port::Port i = 1; i <= view_.degree(); ++i) {
         out[i - 1] = runtime::msg(kTagHello, static_cast<std::int32_t>(i),
-                                  static_cast<std::int32_t>(view_.degree));
+                                  static_cast<std::int32_t>(view_.degree()));
       }
       return;
 
     case Step::Kind::kClaim:
       // Even-degree nodes may legitimately have no distinguishable
       // neighbour; they simply make no claim.
-      if (view_.dn_port != 0) {
-        out[view_.dn_port - 1] = runtime::msg(kTagDnClaim);
+      if (view_.dn_port() != 0) {
+        out[view_.dn_port() - 1] = runtime::msg(kTagDnClaim);
       }
       return;
 
@@ -119,27 +128,16 @@ void BoundedDegreeProgram::send(runtime::Round round,
       return;
 
     case Step::Kind::kMStatus:
-      for (port::Port i = 1; i <= view_.degree; ++i) {
+      for (port::Port i = 1; i <= view_.degree(); ++i) {
         out[i - 1] = runtime::msg(kTagMStatus, m_port_ != 0 ? 1 : 0);
       }
       return;
 
     case Step::Kind::kPhase3:
-      if (!engine_ready_) {
-        // Edges of H: both endpoints M-free.
-        std::vector<port::Port> eligible;
-        if (m_port_ == 0) {
-          for (port::Port i = 1; i <= view_.degree; ++i) {
-            if (!remote_m_covered_[i - 1]) eligible.push_back(i);
-          }
-        }
-        engine_.init(view_.degree, std::move(eligible));
-        engine_ready_ = true;
-      }
       if (!step.respond_half) {
         engine_.send_propose(out);
       } else {
-        engine_.send_respond(out);
+        engine_.send_respond(view_.ports(), out);
       }
       return;
   }
@@ -151,52 +149,38 @@ void BoundedDegreeProgram::phase2_send(const Step& step,
     // I am a proposer ("black") in this block iff my degree equals the
     // block's degree class i and I am still M-free; eligible targets are the
     // neighbours of strictly smaller degree, in increasing port order.
-    p2_eligible_.clear();
-    p2_cursor_ = 0;
-    if (view_.degree == step.i && m_port_ == 0) {
-      for (port::Port p = 1; p <= view_.degree; ++p) {
-        if (view_.remote_degree[p - 1] < step.i) p2_eligible_.push_back(p);
-      }
-    }
+    p2_target_ =
+        view_.degree() == step.i && m_port_ == 0 ? next_smaller(1) : 0;
   }
   if (!step.respond_half) {
     // Propose half.
     p2_outstanding_ = false;
-    if (m_port_ == 0 && p2_cursor_ < p2_eligible_.size()) {
-      out[p2_eligible_[p2_cursor_] - 1] = runtime::msg(kTagPropose);
+    if (m_port_ == 0 && p2_target_ != 0) {
+      out[p2_target_ - 1] = runtime::msg(kTagPropose);
       p2_outstanding_ = true;
     }
   } else {
     // Respond half ("white" side): accept the smallest-port proposal if
     // still M-free, reject everything else.
-    for (const port::Port p : p2_proposals_in_) {
-      out[p - 1] = runtime::msg(kTagReject);
-    }
-    if (m_port_ == 0 && !p2_proposals_in_.empty()) {
-      const port::Port chosen = p2_proposals_in_.front();
-      out[chosen - 1] = runtime::msg(kTagAccept);
-      m_port_ = chosen;  // the accepted proposal joins M
-    }
+    const port::Port accepted =
+        answer_proposals(view_.ports(), p2_proposals_, m_port_ == 0, out);
+    if (accepted != 0) m_port_ = accepted;  // the accepted proposal joins M
   }
 }
 
 void BoundedDegreeProgram::phase2_receive(
     const Step& step, std::span<const runtime::Message> in) {
   if (!step.respond_half) {
-    p2_proposals_in_.clear();
-    for (port::Port p = 1; p <= view_.degree; ++p) {
-      if (in[p - 1].tag == kTagPropose) p2_proposals_in_.push_back(p);
-    }
+    p2_proposals_ = flag_proposals(view_.ports(), in);
   } else {
     if (p2_outstanding_) {
-      const port::Port target = p2_eligible_[p2_cursor_];
-      const auto& reply = in[target - 1];
+      const auto& reply = in[p2_target_ - 1];
       EDS_ENSURE(reply.tag == kTagAccept || reply.tag == kTagReject,
                  "phase II: proposal received no response");
       if (reply.tag == kTagAccept) {
-        m_port_ = target;  // my proposal was accepted: edge joins M
+        m_port_ = p2_target_;  // my proposal was accepted: edge joins M
       } else {
-        ++p2_cursor_;
+        p2_target_ = next_smaller(p2_target_ + 1);
       }
       p2_outstanding_ = false;
     }
@@ -208,14 +192,14 @@ void BoundedDegreeProgram::receive(runtime::Round round,
   const auto step = step_for(round);
   switch (step.kind) {
     case Step::Kind::kHello:
-      for (port::Port i = 1; i <= view_.degree; ++i) {
+      for (port::Port i = 1; i <= view_.degree(); ++i) {
         view_.record_hello(i, in[i - 1]);
       }
       view_.compute_dn();
       break;
 
     case Step::Kind::kClaim:
-      for (port::Port i = 1; i <= view_.degree; ++i) {
+      for (port::Port i = 1; i <= view_.degree(); ++i) {
         view_.record_claim(i, in[i - 1]);
       }
       break;
@@ -237,19 +221,26 @@ void BoundedDegreeProgram::receive(runtime::Round round,
       phase2_receive(step, in);
       break;
 
-    case Step::Kind::kMStatus:
-      for (port::Port i = 1; i <= view_.degree; ++i) {
+    case Step::Kind::kMStatus: {
+      // Phase III runs on H, the edges with both endpoints M-free; M is
+      // final now.
+      const auto ports = view_.ports();
+      for (port::Port i = 1; i <= ports.size(); ++i) {
         EDS_ENSURE(in[i - 1].tag == kTagMStatus,
                    "expected an M-coverage broadcast");
-        remote_m_covered_[i - 1] = in[i - 1].arg[0] != 0;
+        if (m_port_ == 0 && in[i - 1].arg[0] == 0) {
+          ports[i - 1].flags |= kFlagEligible;
+        }
       }
+      engine_.init(ports);
       break;
+    }
 
     case Step::Kind::kPhase3:
       if (!step.respond_half) {
-        engine_.receive_propose(in);
+        engine_.receive_propose(view_.ports(), in);
       } else {
-        engine_.receive_respond(in);
+        engine_.receive_respond(view_.ports(), in);
       }
       break;
   }
@@ -257,15 +248,23 @@ void BoundedDegreeProgram::receive(runtime::Round round,
   if (round >= schedule_length(delta_)) {
     halted_ = true;
     if (sink_) {
-      sink_->m_port_claims += m_port_ != 0 ? 1 : 0;
-      sink_->p_port_claims += engine_.p_ports().size();
+      const auto p_ports = engine_.p_ports();
+      sink_->m_port_claims.fetch_add(m_port_ != 0 ? 1 : 0,
+                                     std::memory_order_relaxed);
+      sink_->p_port_claims.fetch_add(
+          static_cast<std::size_t>(std::count_if(
+              p_ports.begin(), p_ports.end(),
+              [](port::Port p) { return p != 0; })),
+          std::memory_order_relaxed);
     }
   }
 }
 
 void BoundedDegreeProgram::output(runtime::OutputSink& out) const {
   if (m_port_ != 0) out.select(m_port_);
-  for (const port::Port p : engine_.p_ports()) out.select(p);
+  for (const port::Port p : engine_.p_ports()) {
+    if (p != 0) out.select(p);
+  }
 }
 
 }  // namespace eds::algo

@@ -25,8 +25,9 @@
 // Output: D = M ∪ P (my M port, if any, plus my P ports).
 #pragma once
 
+#include <atomic>
 #include <memory>
-#include <vector>
+#include <memory_resource>
 
 #include "algo/common.hpp"
 #include "algo/double_cover.hpp"
@@ -37,14 +38,17 @@ namespace eds::algo {
 /// Aggregate phase statistics collected across all nodes of one execution
 /// (for the Figure 9 phase portrait).  Each M edge is reported twice (once
 /// per endpoint), as is each P edge, so |M| = m_port_claims / 2 and
-/// |P| = p_port_claims / 2.
+/// |P| = p_port_claims / 2.  Nodes add their counts when they halt, from
+/// every shard of a parallel run at once, hence the atomics.
 struct BoundedPhaseStats {
-  std::size_t m_port_claims = 0;
-  std::size_t p_port_claims = 0;
+  std::atomic<std::size_t> m_port_claims{0};
+  std::atomic<std::size_t> p_port_claims{0};
 
-  [[nodiscard]] std::size_t matching_size() const { return m_port_claims / 2; }
+  [[nodiscard]] std::size_t matching_size() const {
+    return m_port_claims.load(std::memory_order_relaxed) / 2;
+  }
   [[nodiscard]] std::size_t two_matching_size() const {
-    return p_port_claims / 2;
+    return p_port_claims.load(std::memory_order_relaxed) / 2;
   }
 };
 
@@ -53,9 +57,12 @@ class BoundedDegreeProgram final : public runtime::NodeProgram {
   /// `max_degree` is the family parameter ∆ >= 2 (for ∆ = 1 use
   /// AllEdgesProgram); it is normalised to the next odd value internally.
   /// `sink`, when set, receives per-node phase statistics at halt time.
+  /// The port block comes from `memory` (a ProgramArena's resource under
+  /// create_all).
   explicit BoundedDegreeProgram(
       port::Port max_degree,
-      std::shared_ptr<BoundedPhaseStats> sink = nullptr);
+      std::shared_ptr<BoundedPhaseStats> sink = nullptr,
+      std::pmr::memory_resource* memory = std::pmr::new_delete_resource());
 
   void start(port::Port degree) override;
   void send(runtime::Round round, std::span<runtime::Message> out) override;
@@ -105,24 +112,27 @@ class BoundedDegreeProgram final : public runtime::NodeProgram {
   void phase2_send(const Step& step, std::span<runtime::Message> out);
   void phase2_receive(const Step& step, std::span<const runtime::Message> in);
 
+  /// Phase II: my first port >= `from` to a neighbour of smaller degree,
+  /// or 0.
+  [[nodiscard]] port::Port next_smaller(port::Port from) const;
+
   port::Port delta_;        // normalised ∆' (odd)
-  LabelView view_;
   port::Port m_port_ = 0;   // my M edge's port (0 = M-free)
   port::Port active_port_ = 0;  // phase I step state
 
-  // Phase II proposer state (valid within one degree block).
-  std::vector<port::Port> p2_eligible_;
-  std::size_t p2_cursor_ = 0;
+  // Phase II proposer state (valid within one degree block): the port I
+  // propose on next, 0 when none is left.  Incoming proposals are flagged
+  // kFlagProposed in the port block, and counted.
+  port::Port p2_target_ = 0;
+  port::Port p2_proposals_ = 0;
   bool p2_outstanding_ = false;
-  std::vector<port::Port> p2_proposals_in_;
 
-  // Phase III.
-  std::vector<bool> remote_m_covered_;
-  DoubleCoverEngine engine_;
-  bool engine_ready_ = false;
-
-  std::shared_ptr<BoundedPhaseStats> sink_;
   bool halted_ = false;
+  LabelView view_;
+  // Phase III, on the edges of H (kFlagEligible, set by the M-status
+  // exchange).
+  DoubleCoverEngine engine_;
+  std::shared_ptr<BoundedPhaseStats> sink_;
 };
 
 class BoundedDegreeFactory final : public runtime::ProgramFactory {
@@ -135,7 +145,8 @@ class BoundedDegreeFactory final : public runtime::ProgramFactory {
     return std::make_unique<BoundedDegreeProgram>(max_degree_, sink_);
   }
   void create_all(std::size_t n, runtime::ProgramArena& arena) const override {
-    arena.emplace<BoundedDegreeProgram>(n, max_degree_, sink_);
+    arena.emplace<BoundedDegreeProgram>(n, max_degree_, sink_,
+                                        arena.resource());
   }
   [[nodiscard]] std::string name() const override {
     return "bounded-degree(delta=" + std::to_string(max_degree_) + ")";

@@ -1,56 +1,57 @@
 #include "algo/common.hpp"
 
-#include <map>
-#include <utility>
+#include <memory>
 
 #include "util/error.hpp"
 
 namespace eds::algo {
 
-void LabelView::record_hello(Port i, const Message& m) {
-  if (remote_port.size() != degree) {
-    remote_port.assign(degree, 0);
-    remote_degree.assign(degree, 0);
-    dn_claimed.assign(degree, false);
+void PortBlock::assign(Port degree) {
+  release();
+  if (degree == 0) return;
+  auto* data = static_cast<PortSlot*>(
+      memory_->allocate(degree * sizeof(PortSlot), alignof(PortSlot)));
+  std::uninitialized_value_construct_n(data, degree);
+  slots_ = {data, degree};
+}
+
+void PortBlock::release() noexcept {
+  if (slots_.empty()) return;
+  memory_->deallocate(slots_.data(), slots_.size() * sizeof(PortSlot),
+                      alignof(PortSlot));
+  slots_ = {};
+}
+
+Port distinguishable_port(std::span<const PortSlot> ports) {
+  const auto degree = static_cast<Port>(ports.size());
+  for (Port i = 1; i <= degree; ++i) {
+    const Port r = ports[i - 1].remote_port;
+    const bool shared =
+        r != i && r >= 1 && r <= degree && ports[r - 1].remote_port == i;
+    if (!shared) return i;
   }
+  return 0;
+}
+
+void LabelView::record_hello(Port i, const Message& m) {
   EDS_ENSURE(m.tag == kTagHello, "LabelView: expected hello message");
-  remote_port[i - 1] = static_cast<Port>(m.arg[0]);
-  remote_degree[i - 1] = static_cast<Port>(m.arg[1]);
+  PortSlot& slot = ports()[i - 1];
+  slot.remote_port = static_cast<Port>(m.arg[0]);
+  slot.remote_degree = static_cast<Port>(m.arg[1]);
 }
 
 void LabelView::record_claim(Port i, const Message& m) {
-  if (m.tag == kTagDnClaim) dn_claimed[i - 1] = true;
-}
-
-void LabelView::compute_dn() {
-  // Label pair of the edge on port i is {i, remote_port[i-1]} (unordered).
-  std::map<std::pair<Port, Port>, int> multiplicity;
-  for (Port i = 1; i <= degree; ++i) {
-    Port a = i;
-    Port b = remote_port[i - 1];
-    if (a > b) std::swap(a, b);
-    ++multiplicity[{a, b}];
-  }
-  dn_port = 0;
-  for (Port i = 1; i <= degree; ++i) {
-    Port a = i;
-    Port b = remote_port[i - 1];
-    if (a > b) std::swap(a, b);
-    if (multiplicity[{a, b}] == 1) {
-      dn_port = i;
-      break;
-    }
-  }
+  if (m.tag == kTagDnClaim) ports()[i - 1].flags |= kFlagDnClaimed;
 }
 
 Port LabelView::mij_active_port(Port i, Port j) const {
   Port active = 0;
   // "v" side: my DN edge leaves through port i and arrives at remote port j.
-  if (i <= degree && dn_port == i && remote_port[i - 1] == j) {
+  if (dn_port_ != 0 && dn_port_ == i && ports()[i - 1].remote_port == j) {
     active = i;
   }
   // "u" side: the edge on my port j comes from the claimant's port i.
-  if (j <= degree && dn_claimed[j - 1] && remote_port[j - 1] == i) {
+  if (j <= degree() && dn_claimed(j) && ports()[j - 1].remote_port == i) {
     EDS_ENSURE(active == 0 || active == j,
                "M(i,j) is not a matching at this node (Lemma 2 violated)");
     active = j;

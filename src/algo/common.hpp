@@ -1,13 +1,15 @@
 // Shared machinery for the distributed EDS algorithms.
 //
-// Message tags, and the local label bookkeeping every node performs in the
-// first two rounds: learning the remote port number (and degree) behind each
-// of its ports, deriving label pairs, its distinguishable neighbour
-// (Section 5), and the per-step role in the M(i, j) schedule.
+// Message tags, each node's block of per-port state, and the local label
+// bookkeeping every node performs in the first two rounds: learning the
+// remote port number (and degree) behind each of its ports, deriving label
+// pairs, its distinguishable neighbour (Section 5), and the per-step role
+// in the M(i, j) schedule.
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <memory_resource>
+#include <span>
 
 #include "runtime/message.hpp"
 #include "runtime/program.hpp"
@@ -29,15 +31,82 @@ enum Tag : std::int32_t {
   kTagReject = 7,   ///< proposal rejected
 };
 
-/// Per-node label bookkeeping (the local view of Section 5).
-struct LabelView {
-  Port degree = 0;
-  std::vector<Port> remote_port;   ///< remote_port[i-1] = l_G(u, v) for port i
-  std::vector<Port> remote_degree; ///< remote_degree[i-1] = d_G(u) for port i
-  Port dn_port = 0;                ///< my port to my distinguishable
-                                   ///< neighbour; 0 when I have none
-  std::vector<bool> dn_claimed;    ///< dn_claimed[i-1]: the neighbour behind
-                                   ///< port i declared me its DN
+/// Bits of PortSlot::flags.
+enum PortFlag : std::uint8_t {
+  kFlagDnClaimed = 1,  ///< the neighbour behind the port declared me its DN
+  kFlagEligible = 2,   ///< double cover: I may propose on the port
+  kFlagProposed = 4,   ///< a proposal arrived on the port this slot
+  kFlagInD = 8,        ///< odd-regular: the port's edge is in D
+};
+
+/// What a node knows about one of its ports.
+struct PortSlot {
+  Port remote_port = 0;    ///< l_G(u, v): the port number at the far end
+  Port remote_degree = 0;  ///< d_G(u): the far end's degree
+  std::uint8_t flags = 0;  ///< PortFlag bits
+};
+
+/// A node's per-port state: one block of `degree` slots, taken in
+/// start(degree) from the memory resource the program was built with (the
+/// run's ProgramArena::resource() under create_all, the heap under
+/// create()) and given back when the program is destroyed.  Indexed
+/// through std::span, so _GLIBCXX_ASSERTIONS catches an index past the
+/// block; ASan cannot, since neighbouring nodes' blocks share one arena
+/// chunk.
+class PortBlock {
+ public:
+  explicit PortBlock(std::pmr::memory_resource* memory) noexcept
+      : memory_(memory) {}
+  ~PortBlock() { release(); }
+  PortBlock(const PortBlock&) = delete;
+  PortBlock& operator=(const PortBlock&) = delete;
+
+  /// Replaces the block with `degree` zeroed slots.
+  void assign(Port degree);
+
+  /// The slots; slots()[i - 1] is port i.
+  [[nodiscard]] std::span<PortSlot> slots() const noexcept { return slots_; }
+
+ private:
+  void release() noexcept;
+
+  std::pmr::memory_resource* memory_;
+  std::span<PortSlot> slots_;
+};
+
+/// The distinguishable-neighbour port for a node whose port i leads to
+/// remote port r_i = ports[i - 1].remote_port: the lowest port whose label
+/// pair {i, r_i} no other port carries, or 0 when there is none (possible
+/// only for even degree, by Lemma 1).  Port j != i carries {i, r_i} only
+/// when j = r_i and r_j = i, so this takes O(degree) and needs no memory.
+[[nodiscard]] Port distinguishable_port(std::span<const PortSlot> ports);
+
+/// Per-node label bookkeeping (the local view of Section 5), kept in the
+/// node's port block.
+class LabelView {
+ public:
+  explicit LabelView(std::pmr::memory_resource* memory) noexcept
+      : block_(memory) {}
+
+  /// Sizes the block for a node of degree `degree`.
+  void start(Port degree) { block_.assign(degree); }
+
+  [[nodiscard]] Port degree() const noexcept {
+    return static_cast<Port>(block_.slots().size());
+  }
+
+  /// The port block; ports()[i - 1] is port i.
+  [[nodiscard]] std::span<PortSlot> ports() const noexcept {
+    return block_.slots();
+  }
+
+  /// My port to my distinguishable neighbour; 0 when I have none.
+  [[nodiscard]] Port dn_port() const noexcept { return dn_port_; }
+
+  /// The neighbour behind port i declared me its DN.
+  [[nodiscard]] bool dn_claimed(Port i) const {
+    return (ports()[i - 1].flags & kFlagDnClaimed) != 0;
+  }
 
   /// Record the hello message received from port i.
   void record_hello(Port i, const Message& m);
@@ -45,10 +114,8 @@ struct LabelView {
   /// Record the (possible) DN claim received from port i.
   void record_claim(Port i, const Message& m);
 
-  /// Computes dn_port from the remote ports: the lowest port carrying a
-  /// label pair that no other incident edge shares (0 when none exists —
-  /// possible only for even degree, by Lemma 1).
-  void compute_dn();
+  /// Computes dn_port() from the remote ports (distinguishable_port).
+  void compute_dn() { dn_port_ = distinguishable_port(ports()); }
 
   /// My active port for schedule step (i, j) of the M(i, j) sweep, or 0 when
   /// I am not an endpoint of an M(i, j) edge.  A node is active either as
@@ -57,6 +124,10 @@ struct LabelView {
   /// port is i).  Lemma 2 guarantees the two cannot name different ports;
   /// violation throws InternalError.
   [[nodiscard]] Port mij_active_port(Port i, Port j) const;
+
+ private:
+  PortBlock block_;
+  Port dn_port_ = 0;
 };
 
 }  // namespace eds::algo

@@ -1,71 +1,92 @@
 #include "algo/double_cover.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace eds::algo {
 
-void DoubleCoverEngine::init(port::Port degree,
-                             std::vector<port::Port> eligible) {
-  degree_ = degree;
-  eligible_ = std::move(eligible);
-  EDS_ENSURE(std::is_sorted(eligible_.begin(), eligible_.end()),
-             "DoubleCoverEngine: eligible ports must be sorted");
-  cursor_ = 0;
+namespace {
+
+/// The first eligible port >= `from`, or 0.
+port::Port next_eligible(std::span<const PortSlot> ports, port::Port from) {
+  for (port::Port p = from; p <= ports.size(); ++p) {
+    if ((ports[p - 1].flags & kFlagEligible) != 0) return p;
+  }
+  return 0;
+}
+
+}  // namespace
+
+port::Port flag_proposals(std::span<PortSlot> ports,
+                          std::span<const runtime::Message> in) {
+  port::Port count = 0;
+  for (port::Port p = 1; p <= ports.size(); ++p) {
+    auto& flags = ports[p - 1].flags;
+    if (in[p - 1].tag == kTagPropose) {
+      flags |= kFlagProposed;
+      ++count;
+    } else {
+      flags &= ~kFlagProposed;
+    }
+  }
+  return count;
+}
+
+port::Port answer_proposals(std::span<const PortSlot> ports, port::Port count,
+                            bool accept, std::span<runtime::Message> out) {
+  port::Port accepted = 0;
+  for (port::Port p = 1; count > 0 && p <= ports.size(); ++p) {
+    if ((ports[p - 1].flags & kFlagProposed) == 0) continue;
+    --count;
+    if (accept && accepted == 0) {
+      out[p - 1] = runtime::msg(kTagAccept);
+      accepted = p;
+    } else {
+      out[p - 1] = runtime::msg(kTagReject);
+    }
+  }
+  return accepted;
+}
+
+void DoubleCoverEngine::init(std::span<const PortSlot> ports) {
+  cursor_ = next_eligible(ports, 1);
   proposal_outstanding_ = false;
-  accepted_out_ = false;
+  accepted_out_ = 0;
   accepted_in_ = 0;
-  p_ports_.clear();
 }
 
 void DoubleCoverEngine::send_propose(std::span<runtime::Message> out) {
   proposal_outstanding_ = false;
-  if (accepted_out_ || cursor_ >= eligible_.size()) return;
-  const port::Port target = eligible_[cursor_];
-  out[target - 1] = runtime::msg(kTagPropose);
+  if (accepted_out_ != 0 || cursor_ == 0) return;
+  out[cursor_ - 1] = runtime::msg(kTagPropose);
   proposal_outstanding_ = true;
 }
 
-void DoubleCoverEngine::receive_propose(
-    std::span<const runtime::Message> in) {
-  proposals_in_.clear();
-  for (port::Port p = 1; p <= degree_; ++p) {
-    if (in[p - 1].tag == kTagPropose) proposals_in_.push_back(p);
-  }
+void DoubleCoverEngine::send_respond(std::span<const PortSlot> ports,
+                                     std::span<runtime::Message> out) {
+  // Accept the first proposal, breaking ties with port numbers, if I have
+  // never accepted one; reject the rest.
+  const port::Port accepted =
+      answer_proposals(ports, proposals_, accepted_in_ == 0, out);
+  if (accepted != 0) accepted_in_ = accepted;
 }
 
-void DoubleCoverEngine::send_respond(std::span<runtime::Message> out) {
-  for (const port::Port p : proposals_in_) {
-    out[p - 1] = runtime::msg(kTagReject);
-  }
-  if (accepted_in_ == 0 && !proposals_in_.empty()) {
-    // Accept the first proposal, breaking ties with port numbers.
-    const port::Port chosen = proposals_in_.front();  // ports are ascending
-    out[chosen - 1] = runtime::msg(kTagAccept);
-    accepted_in_ = chosen;
-    p_ports_.insert(chosen);
-  }
-}
-
-void DoubleCoverEngine::receive_respond(
-    std::span<const runtime::Message> in) {
+void DoubleCoverEngine::receive_respond(std::span<const PortSlot> ports,
+                                        std::span<const runtime::Message> in) {
   if (!proposal_outstanding_) return;
-  const port::Port target = eligible_[cursor_];
-  const auto& reply = in[target - 1];
+  const auto& reply = in[cursor_ - 1];
   EDS_ENSURE(reply.tag == kTagAccept || reply.tag == kTagReject,
              "DoubleCoverEngine: proposal received no response");
   if (reply.tag == kTagAccept) {
-    accepted_out_ = true;
-    p_ports_.insert(target);
+    accepted_out_ = cursor_;
   } else {
-    ++cursor_;
+    cursor_ = next_eligible(ports, cursor_ + 1);
   }
   proposal_outstanding_ = false;
 }
 
-DoubleCoverProgram::DoubleCoverProgram(port::Port max_degree)
-    : max_degree_(max_degree) {
+DoubleCoverProgram::DoubleCoverProgram(port::Port max_degree,
+                                       std::pmr::memory_resource* memory)
+    : max_degree_(max_degree), ports_(memory) {
   if (max_degree_ == 0) {
     throw InvalidArgument("DoubleCoverProgram: max degree must be positive");
   }
@@ -76,9 +97,9 @@ void DoubleCoverProgram::start(port::Port degree) {
     throw ExecutionError(
         "DoubleCoverProgram: node degree exceeds the family parameter");
   }
-  std::vector<port::Port> all(degree);
-  for (port::Port i = 1; i <= degree; ++i) all[i - 1] = i;
-  engine_.init(degree, std::move(all));
+  ports_.assign(degree);
+  for (PortSlot& slot : ports_.slots()) slot.flags = kFlagEligible;
+  engine_.init(ports_.slots());
   if (degree == 0) halted_ = true;
 }
 
@@ -87,22 +108,24 @@ void DoubleCoverProgram::send(runtime::Round round,
   if (round % 2 == 1) {
     engine_.send_propose(out);
   } else {
-    engine_.send_respond(out);
+    engine_.send_respond(ports_.slots(), out);
   }
 }
 
 void DoubleCoverProgram::receive(runtime::Round round,
                                  std::span<const runtime::Message> in) {
   if (round % 2 == 1) {
-    engine_.receive_propose(in);
+    engine_.receive_propose(ports_.slots(), in);
   } else {
-    engine_.receive_respond(in);
+    engine_.receive_respond(ports_.slots(), in);
   }
   if (round >= schedule_length(max_degree_)) halted_ = true;
 }
 
 void DoubleCoverProgram::output(runtime::OutputSink& out) const {
-  for (const port::Port p : engine_.p_ports()) out.select(p);
+  for (const port::Port p : engine_.p_ports()) {
+    if (p != 0) out.select(p);
+  }
 }
 
 }  // namespace eds::algo

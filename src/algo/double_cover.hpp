@@ -13,22 +13,38 @@
 #pragma once
 
 #include <algorithm>
-#include <set>
-#include <vector>
+#include <array>
+#include <memory_resource>
 
 #include "algo/common.hpp"
 #include "runtime/program.hpp"
 
 namespace eds::algo {
 
+/// Flags the ports of `ports` on which `in` carries a proposal
+/// (kFlagProposed) and clears the flag on the others; returns how many
+/// proposals arrived.
+port::Port flag_proposals(std::span<PortSlot> ports,
+                          std::span<const runtime::Message> in);
+
+/// Answers the `count` proposals flagged in `ports`: accepts the one on
+/// the lowest port when `accept` is set and rejects the others.  Returns
+/// the accepted port, or 0.  Stops at the last proposal, so a node of
+/// high degree with few proposals does not scan all its ports.
+port::Port answer_proposals(std::span<const PortSlot> ports, port::Port count,
+                            bool accept, std::span<runtime::Message> out);
+
 /// The per-node proposer/acceptor state machine.  The host program maps its
 /// global rounds onto proposal slots: slot s = rounds (2s−1, 2s) of the
-/// engine, s = 1, 2, ..., slots().  Eligibility of ports is fixed at init.
+/// engine, s = 1, 2, ..., slots().  It works on the host's port block,
+/// which every call names: a node proposes on the ports flagged
+/// kFlagEligible (fixed before init), and kFlagProposed holds the
+/// proposals of the current slot.
 class DoubleCoverEngine {
  public:
-  /// `eligible` lists the ports this node may propose on / accept from, in
-  /// increasing order.  `degree` is the node degree (output array width).
-  void init(port::Port degree, std::vector<port::Port> eligible);
+  /// Starts over: proposals go out on the eligible ports of `ports`, in
+  /// increasing order.
+  void init(std::span<const PortSlot> ports);
 
   /// Number of slots needed to exhaust every proposal list of width <= cap.
   [[nodiscard]] static runtime::Round slots_for(port::Port cap) {
@@ -39,36 +55,43 @@ class DoubleCoverEngine {
   void send_propose(std::span<runtime::Message> out);
 
   /// Round 2s−1, receive side: remember the incoming proposals.
-  void receive_propose(std::span<const runtime::Message> in);
+  void receive_propose(std::span<PortSlot> ports,
+                       std::span<const runtime::Message> in) {
+    proposals_ = flag_proposals(ports, in);
+  }
 
   /// Round 2s (respond half), send side: accept one proposal, reject rest.
-  void send_respond(std::span<runtime::Message> out);
+  void send_respond(std::span<const PortSlot> ports,
+                    std::span<runtime::Message> out);
 
   /// Round 2s, receive side: learn the fate of my outstanding proposal.
-  void receive_respond(std::span<const runtime::Message> in);
+  void receive_respond(std::span<const PortSlot> ports,
+                       std::span<const runtime::Message> in);
 
-  /// Ports of my P edges (proposals of mine that were accepted, plus the
-  /// proposal I accepted); at most two entries.
-  [[nodiscard]] const std::set<port::Port>& p_ports() const noexcept {
-    return p_ports_;
+  /// Ports of my P edges, 0 for none: the proposal I accepted, then my
+  /// proposal that was accepted unless it is the same port (the neighbour
+  /// behind it and I accepted each other's proposals).
+  [[nodiscard]] std::array<port::Port, 2> p_ports() const noexcept {
+    return {accepted_in_, accepted_out_ != accepted_in_ ? accepted_out_ : 0};
   }
 
  private:
-  port::Port degree_ = 0;
-  std::vector<port::Port> eligible_;
-  std::size_t cursor_ = 0;          // next eligible port to propose on
+  port::Port cursor_ = 0;        // eligible port I propose on next; 0: none
+  port::Port accepted_in_ = 0;   // the port whose proposal I accepted
+  port::Port accepted_out_ = 0;  // the port of my accepted proposal
+  port::Port proposals_ = 0;     // proposals flagged this slot
   bool proposal_outstanding_ = false;
-  bool accepted_out_ = false;       // one of my proposals was accepted
-  port::Port accepted_in_ = 0;      // the port whose proposal I accepted
-  std::vector<port::Port> proposals_in_;  // proposals seen this slot
-  std::set<port::Port> p_ports_;
 };
 
 /// Standalone 2-matching algorithm: runs the engine over all ports.  The
 /// family parameter ∆ (max degree) fixes the common schedule length.
 class DoubleCoverProgram final : public runtime::NodeProgram {
  public:
-  explicit DoubleCoverProgram(port::Port max_degree);
+  /// The port block comes from `memory` (a ProgramArena's resource under
+  /// create_all).
+  explicit DoubleCoverProgram(
+      port::Port max_degree,
+      std::pmr::memory_resource* memory = std::pmr::new_delete_resource());
 
   void start(port::Port degree) override;
   void send(runtime::Round round, std::span<runtime::Message> out) override;
@@ -90,8 +113,9 @@ class DoubleCoverProgram final : public runtime::NodeProgram {
 
  private:
   port::Port max_degree_;
-  DoubleCoverEngine engine_;
   bool halted_ = false;
+  PortBlock ports_;
+  DoubleCoverEngine engine_;
 };
 
 class DoubleCoverFactory final : public runtime::ProgramFactory {
@@ -102,7 +126,7 @@ class DoubleCoverFactory final : public runtime::ProgramFactory {
     return std::make_unique<DoubleCoverProgram>(max_degree_);
   }
   void create_all(std::size_t n, runtime::ProgramArena& arena) const override {
-    arena.emplace<DoubleCoverProgram>(n, max_degree_);
+    arena.emplace<DoubleCoverProgram>(n, max_degree_, arena.resource());
   }
   [[nodiscard]] std::string name() const override {
     return "double-cover-2-matching(max_deg=" + std::to_string(max_degree_) +

@@ -1,6 +1,7 @@
 #include "algo/odd_regular.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/error.hpp"
 
@@ -58,8 +59,41 @@ std::size_t pair_position(port::Port d, PairOrder order, port::Port i,
   return lex;
 }
 
-OddRegularProgram::OddRegularProgram(port::Port d, PairOrder order)
-    : d_(d), order_(order), schedule_(pair_schedule(d, order)) {
+std::pair<port::Port, port::Port> pair_at(port::Port d, PairOrder order,
+                                          std::size_t k) {
+  const std::size_t dd = d;
+  const auto lex = [dd](std::size_t index) {
+    return std::pair(static_cast<port::Port>(index / dd + 1),
+                     static_cast<port::Port>(index % dd + 1));
+  };
+  switch (order) {
+    case PairOrder::kLexicographic:
+      return lex(k);
+    case PairOrder::kReverse:
+      return lex(dd * dd - 1 - k);
+    case PairOrder::kDiagonal: {
+      // (i, j) -> (d + 1 − i, d + 1 − j) reverses the order, so the pairs
+      // past the middle anti-diagonal mirror those before it.
+      if (k >= dd * (dd + 1) / 2) {
+        const auto [i, j] = pair_at(d, order, dd * dd - 1 - k);
+        return {d + 1 - i, d + 1 - j};
+      }
+      // Up to the middle, anti-diagonal i + j = s + 1 holds the s pairs
+      // from index s(s − 1)/2 on, in increasing i.
+      auto s = static_cast<std::size_t>(
+          (std::sqrt(8.0 * static_cast<double>(k) + 1.0) + 1.0) / 2.0);
+      while (s * (s - 1) / 2 > k) --s;
+      while (s * (s + 1) / 2 <= k) ++s;
+      const auto i = static_cast<port::Port>(k - s * (s - 1) / 2 + 1);
+      return {i, static_cast<port::Port>(s + 1 - i)};
+    }
+  }
+  return lex(k);
+}
+
+OddRegularProgram::OddRegularProgram(port::Port d, PairOrder order,
+                                     std::pmr::memory_resource* memory)
+    : d_(d), order_(order), view_(memory) {
   if (d_ % 2 == 0) {
     throw InvalidArgument("OddRegularProgram: d must be odd");
   }
@@ -70,10 +104,7 @@ void OddRegularProgram::start(port::Port degree) {
     throw ExecutionError(
         "OddRegularProgram: node degree differs from the family parameter d");
   }
-  view_.degree = degree;
-  view_.remote_port.assign(degree, 0);
-  view_.remote_degree.assign(degree, 0);
-  view_.dn_claimed.assign(degree, false);
+  view_.start(degree);
 }
 
 OddRegularProgram::Step OddRegularProgram::step_for(
@@ -81,11 +112,11 @@ OddRegularProgram::Step OddRegularProgram::step_for(
   const auto d = static_cast<runtime::Round>(d_);
   if (round <= 2) return {Step::Phase::kSetup, 0, 0};
   if (round <= 2 + d * d) {
-    const auto& [i, j] = schedule_[round - 3];  // 0-based step index
+    const auto [i, j] = pair_at(d_, order_, round - 3);  // 0-based step
     return {Step::Phase::kAdd, i, j};
   }
   if (round <= 2 + 2 * d * d) {
-    const auto& [i, j] = schedule_[round - 3 - d * d];
+    const auto [i, j] = pair_at(d_, order_, round - 3 - d * d);
     return {Step::Phase::kRemove, i, j};
   }
   return {Step::Phase::kDone, 0, 0};
@@ -103,17 +134,18 @@ runtime::Round OddRegularProgram::wake_hint(runtime::Round round) const {
     const auto consider = [&](port::Port i, port::Port j, port::Port mine) {
       const auto sends = base + static_cast<runtime::Round>(
                                     pair_position(d_, order_, i, j));
-      if (sends > round && sends < next &&
-          (!in_d_only || d_ports_.count(mine) > 0)) {
+      if (sends > round && sends < next && (!in_d_only || in_d(mine))) {
         next = sends;
       }
     };
-    if (view_.dn_port != 0) {
-      consider(view_.dn_port, view_.remote_port[view_.dn_port - 1],
-               view_.dn_port);
+    const auto ports = view_.ports();
+    if (const port::Port dn = view_.dn_port(); dn != 0) {
+      consider(dn, ports[dn - 1].remote_port, dn);
     }
-    for (port::Port j = 1; j <= view_.degree; ++j) {
-      if (view_.dn_claimed[j - 1]) consider(view_.remote_port[j - 1], j, j);
+    for (port::Port j = 1; j <= ports.size(); ++j) {
+      if ((ports[j - 1].flags & kFlagDnClaimed) != 0) {
+        consider(ports[j - 1].remote_port, j, j);
+      }
     }
     return next;
   };
@@ -129,34 +161,34 @@ void OddRegularProgram::send(runtime::Round round,
   const auto step = step_for(round);
   active_port_ = 0;
   if (round == 1) {
-    for (port::Port i = 1; i <= view_.degree; ++i) {
+    for (port::Port i = 1; i <= view_.degree(); ++i) {
       out[i - 1] = runtime::msg(kTagHello, static_cast<std::int32_t>(i),
-                                static_cast<std::int32_t>(view_.degree));
+                                static_cast<std::int32_t>(view_.degree()));
     }
     return;
   }
   if (round == 2) {
     // By Lemma 1 every odd-degree node has a distinguishable neighbour.
-    EDS_ENSURE(view_.dn_port != 0,
+    EDS_ENSURE(view_.dn_port() != 0,
                "odd-degree node without distinguishable neighbour");
-    out[view_.dn_port - 1] = runtime::msg(kTagDnClaim);
+    out[view_.dn_port() - 1] = runtime::msg(kTagDnClaim);
     return;
   }
 
   if (step.phase == Step::Phase::kAdd) {
     active_port_ = view_.mij_active_port(step.i, step.j);
     if (active_port_ != 0) {
-      out[active_port_ - 1] = runtime::msg(kTagStatus, covered_ ? 1 : 0);
+      out[active_port_ - 1] = runtime::msg(kTagStatus, d_count_ > 0 ? 1 : 0);
     }
     return;
   }
 
   if (step.phase == Step::Phase::kRemove) {
     const auto candidate = view_.mij_active_port(step.i, step.j);
-    if (candidate != 0 && d_ports_.count(candidate) > 0) {
+    if (candidate != 0 && in_d(candidate)) {
       active_port_ = candidate;
       // Covered by D \ {e} iff I have another incident D edge.
-      const bool covered_without = d_ports_.size() >= 2;
+      const bool covered_without = d_count_ >= 2;
       out[active_port_ - 1] = runtime::msg(kTagStatus, covered_without ? 1 : 0);
     }
     return;
@@ -167,14 +199,14 @@ void OddRegularProgram::receive(runtime::Round round,
                                 std::span<const runtime::Message> in) {
   const auto step = step_for(round);
   if (round == 1) {
-    for (port::Port i = 1; i <= view_.degree; ++i) {
+    for (port::Port i = 1; i <= view_.degree(); ++i) {
       view_.record_hello(i, in[i - 1]);
     }
     view_.compute_dn();
     return;
   }
   if (round == 2) {
-    for (port::Port i = 1; i <= view_.degree; ++i) {
+    for (port::Port i = 1; i <= view_.degree(); ++i) {
       view_.record_claim(i, in[i - 1]);
     }
     return;
@@ -186,10 +218,12 @@ void OddRegularProgram::receive(runtime::Round round,
                "phase I: expected a status message from the partner");
     const bool their_covered = their.arg[0] != 0;
     // "If both endpoints of e are already covered by D, we ignore e,
-    //  otherwise we add e to D."
-    if (!(covered_ && their_covered)) {
-      d_ports_.insert(active_port_);
-      covered_ = true;
+    //  otherwise we add e to D."  An edge whose endpoints claimed each
+    // other comes up in two steps, so it may be added twice.
+    auto& flags = view_.ports()[active_port_ - 1].flags;
+    if (!(d_count_ > 0 && their_covered) && (flags & kFlagInD) == 0) {
+      flags |= kFlagInD;
+      ++d_count_;
     }
   }
 
@@ -197,11 +231,12 @@ void OddRegularProgram::receive(runtime::Round round,
     const auto& their = in[active_port_ - 1];
     EDS_ENSURE(their.tag == kTagStatus,
                "phase II: expected a status message from the partner");
-    const bool mine = d_ports_.size() >= 2;
+    const bool mine = d_count_ >= 2;
     const bool theirs = their.arg[0] != 0;
     // "If both endpoints of e are covered by D \ {e}, remove e from D."
     if (mine && theirs) {
-      d_ports_.erase(active_port_);
+      view_.ports()[active_port_ - 1].flags &= ~kFlagInD;
+      --d_count_;
     }
   }
 
@@ -209,7 +244,9 @@ void OddRegularProgram::receive(runtime::Round round,
 }
 
 void OddRegularProgram::output(runtime::OutputSink& out) const {
-  for (const port::Port p : d_ports_) out.select(p);
+  for (port::Port p = 1; p <= view_.degree(); ++p) {
+    if (in_d(p)) out.select(p);
+  }
 }
 
 }  // namespace eds::algo

@@ -20,7 +20,8 @@
 // parallel decisions do not interfere.
 #pragma once
 
-#include <set>
+#include <memory_resource>
+#include <utility>
 #include <vector>
 
 #include "algo/common.hpp"
@@ -47,12 +48,20 @@ enum class PairOrder {
 [[nodiscard]] std::size_t pair_position(port::Port d, PairOrder order,
                                         port::Port i, port::Port j);
 
+/// The pair at 0-based index k < d² of pair_schedule(d, order), computed
+/// in O(1): the inverse of pair_position.
+[[nodiscard]] std::pair<port::Port, port::Port> pair_at(port::Port d,
+                                                        PairOrder order,
+                                                        std::size_t k);
+
 class OddRegularProgram final : public runtime::NodeProgram {
  public:
   /// `d` is the family parameter; every node's degree must equal it and it
-  /// must be odd.
-  explicit OddRegularProgram(port::Port d,
-                             PairOrder order = PairOrder::kLexicographic);
+  /// must be odd.  The port block comes from `memory` (a ProgramArena's
+  /// resource under create_all).
+  explicit OddRegularProgram(
+      port::Port d, PairOrder order = PairOrder::kLexicographic,
+      std::pmr::memory_resource* memory = std::pmr::new_delete_resource());
 
   void start(port::Port degree) override;
   void send(runtime::Round round, std::span<runtime::Message> out) override;
@@ -82,14 +91,16 @@ class OddRegularProgram final : public runtime::NodeProgram {
   };
   [[nodiscard]] Step step_for(runtime::Round round) const;
 
+  [[nodiscard]] bool in_d(port::Port p) const {
+    return (view_.ports()[p - 1].flags & kFlagInD) != 0;
+  }
+
   port::Port d_;
   PairOrder order_;
-  std::vector<std::pair<port::Port, port::Port>> schedule_;
-  LabelView view_;
-  std::set<port::Port> d_ports_;  // ports of my incident D edges
-  bool covered_ = false;          // incident to some D edge
-  port::Port active_port_ = 0;    // active port of the current step
+  port::Port d_count_ = 0;      // my incident D edges (flagged kFlagInD)
+  port::Port active_port_ = 0;  // active port of the current step
   bool halted_ = false;
+  LabelView view_;
 };
 
 class OddRegularFactory final : public runtime::ProgramFactory {
@@ -101,7 +112,7 @@ class OddRegularFactory final : public runtime::ProgramFactory {
     return std::make_unique<OddRegularProgram>(d_, order_);
   }
   void create_all(std::size_t n, runtime::ProgramArena& arena) const override {
-    arena.emplace<OddRegularProgram>(n, d_, order_);
+    arena.emplace<OddRegularProgram>(n, d_, order_, arena.resource());
   }
   [[nodiscard]] std::string name() const override {
     return "odd-regular(d=" + std::to_string(d_) + ")";

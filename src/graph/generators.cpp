@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <set>
+#include <span>
 #include <utility>
 
 namespace eds::graph {
@@ -241,20 +243,47 @@ SimpleGraph random_tree(std::size_t n, Rng& rng) {
 
 namespace {
 
-// Randomises an edge list in place with degree-preserving double-edge swaps:
-// {a,b},{c,d} -> {a,c},{b,d} or {a,d},{b,c}, rejected when a swap would
-// create a loop or a parallel edge (and, when `keep_bipartition` is set,
-// when it would join two nodes of the same side).  This always succeeds,
-// unlike configuration-model rejection, whose acceptance probability decays
-// like exp(-Θ(d²)).
-void double_edge_swaps(std::vector<Edge>& edges,
+// Randomises a simple graph's edge list over nodes 0..n-1 in place with
+// degree-preserving double-edge swaps: {a,b},{c,d} -> {a,c},{b,d} or
+// {a,d},{b,c}, rejected when a swap would create a loop or a parallel edge
+// (and, when `side` is set, when it would join two nodes of the same side).
+// This always succeeds, unlike configuration-model rejection, whose
+// acceptance probability decays like exp(-Θ(d²)).
+void double_edge_swaps(std::size_t n, std::vector<Edge>& edges,
                        const std::vector<int>* side, Rng& rng) {
   if (edges.size() < 2) return;
-  std::set<std::pair<NodeId, NodeId>> present;
-  auto key = [](NodeId a, NodeId b) {
-    return a < b ? std::pair(a, b) : std::pair(b, a);
+  // Swaps keep every degree, so each node's neighbour list keeps its
+  // length: a CSR whose entries a swap rewrites in place.
+  std::vector<std::size_t> offset(n + 1, 0);
+  for (const auto& e : edges) {
+    ++offset[e.u + 1];
+    ++offset[e.v + 1];
+  }
+  std::partial_sum(offset.begin(), offset.end(), offset.begin());
+  std::vector<NodeId> adjacency(2 * edges.size());
+  {
+    std::vector<std::size_t> fill(offset.begin(), offset.end() - 1);
+    for (const auto& e : edges) {
+      adjacency[fill[e.u]++] = e.v;
+      adjacency[fill[e.v]++] = e.u;
+    }
+  }
+  const auto neighbours = [&](NodeId v) {
+    return std::span(adjacency).subspan(offset[v], offset[v + 1] - offset[v]);
   };
-  for (const auto& e : edges) present.insert(key(e.u, e.v));
+  const auto contains = [](std::span<const NodeId> list, NodeId v) {
+    return std::find(list.begin(), list.end(), v) != list.end();
+  };
+  // Presence scans the shorter of the two lists.
+  const auto adjacent = [&](NodeId a, NodeId b) {
+    const auto of_a = neighbours(a);
+    const auto of_b = neighbours(b);
+    return of_a.size() <= of_b.size() ? contains(of_a, b) : contains(of_b, a);
+  };
+  const auto relink = [&](NodeId v, NodeId from, NodeId to) {
+    const auto list = neighbours(v);
+    *std::find(list.begin(), list.end(), from) = to;
+  };
 
   const std::size_t attempts = 12 * edges.size();
   for (std::size_t it = 0; it < attempts; ++it) {
@@ -272,11 +301,11 @@ void double_edge_swaps(std::vector<Edge>& edges,
         (((*side)[a] == (*side)[c]) || ((*side)[b] == (*side)[dn]))) {
       continue;  // would break bipartiteness
     }
-    if (present.count(key(a, c)) || present.count(key(b, dn))) continue;
-    present.erase(key(e1.u, e1.v));
-    present.erase(key(e2.u, e2.v));
-    present.insert(key(a, c));
-    present.insert(key(b, dn));
+    if (adjacent(a, c) || adjacent(b, dn)) continue;
+    relink(a, b, c);
+    relink(b, a, dn);
+    relink(c, dn, a);
+    relink(dn, c, b);
     edges[i] = {a, c};
     edges[j] = {b, dn};
   }
@@ -309,7 +338,7 @@ SimpleGraph random_regular(std::size_t n, std::size_t d, Rng& rng) {
       }
     }
   }
-  double_edge_swaps(edges, nullptr, rng);
+  double_edge_swaps(n, edges, nullptr, rng);
   auto g = SimpleGraph::from_edges(n, std::move(edges));
   EDS_ENSURE(g.is_regular(d), "random_regular: swaps broke regularity");
   return g;
@@ -435,7 +464,7 @@ SimpleGraph random_bipartite_regular(std::size_t side, std::size_t d,
   }
   std::vector<int> colour(2 * side, 0);
   for (std::size_t v = side; v < 2 * side; ++v) colour[v] = 1;
-  double_edge_swaps(edges, &colour, rng);
+  double_edge_swaps(2 * side, edges, &colour, rng);
   auto g = SimpleGraph::from_edges(2 * side, std::move(edges));
   EDS_ENSURE(g.is_regular(d), "random_bipartite_regular: swaps broke regularity");
   return g;

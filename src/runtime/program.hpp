@@ -110,8 +110,9 @@ class NodeProgram {
 /// contiguous blocks (emplace) or hand over heap programs (adopt);
 /// programs() lists them in node order.  resource() is a monotonic memory
 /// resource for per-node state that lives as long as the run: nothing is
-/// freed before the arena is destroyed, so state that is reassigned round
-/// after round belongs on the heap instead.
+/// freed before the arena is destroyed, so take a block of fixed size once
+/// (in start(degree)) and rewrite it in place; state that is reallocated
+/// round after round belongs on the heap instead.
 class ProgramArena {
  public:
   /// Sized for a run over `n` nodes.

@@ -150,6 +150,22 @@ TEST(OddRegular, PairScheduleVariantsArePermutations) {
             (std::pair<port::Port, port::Port>{1, 2}));
 }
 
+TEST(OddRegular, PairAtWalksThePairSchedule) {
+  // Programs read step k of the sweep off pair_at instead of keeping a
+  // copy of the schedule; odd and even d both cover the middle
+  // anti-diagonal of the diagonal order.
+  for (port::Port d = 1; d <= 31; ++d) {
+    for (const auto order : {PairOrder::kLexicographic, PairOrder::kDiagonal,
+                             PairOrder::kReverse}) {
+      const auto pairs = pair_schedule(d, order);
+      for (std::size_t k = 0; k < pairs.size(); ++k) {
+        ASSERT_EQ(pair_at(d, order, k), pairs[k])
+            << "d=" << d << " order " << static_cast<int>(order) << " k=" << k;
+      }
+    }
+  }
+}
+
 TEST(OddRegular, GuaranteeHoldsUnderEveryPairOrder) {
   // "We consider each pair (i, j) sequentially (in an arbitrary order)" —
   // the guarantee must not depend on the order chosen.

@@ -1,0 +1,107 @@
+// Heap allocations per run: the multi-round programs keep their per-port
+// state in one block per node, taken from the run's program arena, so a
+// run's allocation count does not grow with the number of nodes.
+//
+// This suite replaces the global operator new with a counting one, which
+// is why it is its own executable (every *_test.cpp is).  The counter
+// sees every allocation of the process; the test reads it around single
+// run_algorithm calls, so gtest's own allocations stay outside.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstddef>
+#include <cstdlib>
+#include <new>
+
+#include "algo/driver.hpp"
+#include "runtime/plan_cache.hpp"
+#include "util/rng.hpp"
+#include "test_util.hpp"
+
+namespace {
+
+std::atomic<std::size_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size, std::size_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (size == 0) size = 1;
+  void* p = align <= alignof(std::max_align_t)
+                ? std::malloc(size)
+                : std::aligned_alloc(align, (size + align - 1) / align * align);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  return counted_alloc(size, alignof(std::max_align_t));
+}
+void* operator new[](std::size_t size) {
+  return counted_alloc(size, alignof(std::max_align_t));
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_alloc(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_alloc(size, static_cast<std::size_t>(align));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
+namespace eds::algo {
+namespace {
+
+/// Allocations made by one run_algorithm call.
+std::size_t allocations_of(const port::PortedGraph& pg, Algorithm algorithm,
+                           port::Port param,
+                           const runtime::ExecOptions& exec) {
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const auto outcome = run_algorithm(pg, algorithm, param, exec);
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_GT(outcome.solution.size(), 0u);
+  return after - before;
+}
+
+TEST(Alloc, MultiRoundProgramsMakeNoPerNodeAllocations) {
+  struct Case {
+    Algorithm algorithm;
+    port::Port d;
+    const char* label;
+  };
+  const Case cases[] = {
+      {Algorithm::kBoundedDegree, 4, "A(4)"},
+      {Algorithm::kOddRegular, 3, "odd-regular(3)"},
+      {Algorithm::kDoubleCover, 4, "double-cover(4)"},
+      {Algorithm::kPortOne, 4, "port-one"},
+  };
+  Rng rng(0xA110C);
+  for (const Case& c : cases) {
+    const auto small = test::random_ported_regular(1024, c.d, rng);
+    const auto large = test::random_ported_regular(4096, c.d, rng);
+    runtime::PlanCache cache;
+    runtime::ExecOptions exec;
+    exec.plan_cache = &cache;
+    // Warm up: compile both plans and grow the run's pooled buffers.
+    (void)run_algorithm(small, c.algorithm, c.d, exec);
+    (void)run_algorithm(large, c.algorithm, c.d, exec);
+    const std::size_t at_small = allocations_of(small, c.algorithm, c.d, exec);
+    const std::size_t at_large = allocations_of(large, c.algorithm, c.d, exec);
+    EXPECT_LT(at_large, at_small + 64)
+        << c.label << ": " << at_small << " allocations at n = 1024, "
+        << at_large << " at n = 4096";
+  }
+}
+
+}  // namespace
+}  // namespace eds::algo

@@ -208,6 +208,35 @@ TEST(Engine, HintedAlgorithmsMatchTheSeedOracleOnIrregularGraphs) {
   EXPECT_TRUE(phase_two) << "no instance exercised A(delta)'s phase II";
 }
 
+TEST(Engine, BoundedPhaseStatsCountEveryNodeUnderEveryPolicy) {
+  // A(∆)'s nodes add their M and P port counts to the shared sink when
+  // they halt, all in the same round and so from every shard at once;
+  // no count may be lost.
+  auto rng = test::make_rng(0xE6B);
+  const auto pg = test::random_ported_regular(16384, 4, rng);
+  const auto claims = [&pg](unsigned threads) {
+    const auto sink = std::make_shared<algo::BoundedPhaseStats>();
+    RunOptions options;
+    options.exec.threads = threads;
+    const auto result = run_synchronous(
+        pg.ports(), algo::BoundedDegreeFactory(4, sink), options);
+    const std::pair<std::size_t, std::size_t> counts{sink->m_port_claims,
+                                                     sink->p_port_claims};
+    // Every selected port is a node's M port or one of its P ports.
+    EXPECT_EQ(counts.first + counts.second,
+              static_cast<std::size_t>(std::count(result.selected.begin(),
+                                                  result.selected.end(), 1)))
+        << "threads=" << threads;
+    return counts;
+  };
+  const auto expected = claims(1);
+  EXPECT_GT(expected.first, 0u);
+  EXPECT_GT(expected.second, 0u);
+  for (const unsigned threads : policy_thread_counts()) {
+    EXPECT_EQ(claims(threads), expected) << "threads=" << threads;
+  }
+}
+
 TEST(Engine, PulseMatchesTheSeedOracle) {
   // The pulse fixture (test_util.hpp) sleeps between its own sends, so
   // its nodes are woken by hints and by mail in every combination; loops,

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "algo/common.hpp"
 #include "graph/generators.hpp"
 #include "port/covering.hpp"
 #include "port/labels.hpp"
@@ -211,6 +217,61 @@ TEST(Labels, UnionOfMijCoversOddDegreeNodes) {
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     EXPECT_TRUE(covered[v]) << "node " << v;
   }
+}
+
+/// The distinguishable-neighbour port by its definition: the lowest port
+/// whose label pair {i, r_i} occurs once in the node's multiset of label
+/// pairs, or 0.
+Port dn_by_label_pair_multiset(const std::vector<Port>& remote) {
+  std::map<std::pair<Port, Port>, int> multiplicity;
+  const auto pair_of = [&remote](Port i) {
+    return std::pair(std::min(i, remote[i - 1]), std::max(i, remote[i - 1]));
+  };
+  for (Port i = 1; i <= remote.size(); ++i) ++multiplicity[pair_of(i)];
+  for (Port i = 1; i <= remote.size(); ++i) {
+    if (multiplicity[pair_of(i)] == 1) return i;
+  }
+  return 0;
+}
+
+Port dn_of(const std::vector<Port>& remote) {
+  std::vector<algo::PortSlot> slots(remote.size());
+  for (std::size_t i = 0; i < remote.size(); ++i) {
+    slots[i].remote_port = remote[i];
+  }
+  return algo::distinguishable_port(slots);
+}
+
+TEST(Labels, DistinguishablePortMatchesTheLabelPairMultiset) {
+  // The programs find their DN in O(d) from one rule: port j != i carries
+  // {i, r_i} only when j = r_i and r_j = i.  Every remote-port vector of
+  // degree <= 5 over 1..d+2 covers loops (r_i = i), remote ports past the
+  // degree and ports paired with each other in every combination.
+  for (Port d = 0; d <= 5; ++d) {
+    std::vector<Port> remote(d, 1);
+    while (true) {
+      ASSERT_EQ(dn_of(remote), dn_by_label_pair_multiset(remote))
+          << "remote ports " << ::testing::PrintToString(remote);
+      std::size_t k = 0;
+      while (k < d && remote[k] == d + 2) remote[k++] = 1;
+      if (k == d) break;
+      ++remote[k];
+    }
+  }
+  // Larger degrees, drawn at random.
+  Rng rng(11);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto d = static_cast<Port>(6 + rng.below(27));
+    std::vector<Port> remote(d);
+    for (auto& r : remote) r = static_cast<Port>(1 + rng.below(2 * d));
+    EXPECT_EQ(dn_of(remote), dn_by_label_pair_multiset(remote))
+        << ::testing::PrintToString(remote);
+  }
+  // Every port paired with another: no DN.  A loop's pair {i, i} and a
+  // remote port past the degree are unique.
+  EXPECT_EQ(dn_of({2, 1, 4, 3}), 0u);
+  EXPECT_EQ(dn_of({2, 1, 3}), 3u);
+  EXPECT_EQ(dn_of({2, 1, 9}), 3u);
 }
 
 /// Oriented C_6 covering the single-node multigraph with p(x,1) <-> (x,2).
