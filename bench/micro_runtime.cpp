@@ -57,20 +57,13 @@ class AllocPressure {
   eds::runtime::EngineAllocStats before_;
 };
 
-/// Exports the engine's profiled round-loop time (`round_ns`, one
-/// timestamp per dispatched round after the barrier) and its node
-/// dispatches (`dispatched`) as per-iteration counters.  Profiling is a
-/// process-wide engine toggle; the helper scopes it to this benchmark so
-/// every other benchmark keeps the timestamp-free hot loop.
+/// Exports the engine's round-loop time (`round_ns`, from the initial
+/// exchange to the end of the last round) and its node dispatches
+/// (`dispatched`) as per-iteration counters: deltas of the process-wide
+/// counters every run adds to, across the timed loop.
 class StageSplit {
  public:
-  StageSplit() {
-    eds::runtime::engine_stage_profiling(true);
-    before_ = eds::runtime::engine_stage_stats();
-  }
-  ~StageSplit() { eds::runtime::engine_stage_profiling(false); }
-  StageSplit(const StageSplit&) = delete;
-  StageSplit& operator=(const StageSplit&) = delete;
+  StageSplit() : before_(eds::runtime::engine_stage_stats()) {}
 
   void export_into(benchmark::State& state) const {
     const auto after = eds::runtime::engine_stage_stats();
@@ -169,7 +162,7 @@ BENCHMARK(BM_RunnerRoundOverhead)->Arg(8)->Arg(16)->Arg(32);
 void BM_Engine100k(benchmark::State& state) {
   // The acceptance point for the engine: one 100k-node instance, A(4)
   // (51 rounds of real per-node logic), sequential vs sharded rounds.
-  // threads == 1 selects SequentialPolicy; > 1 ParallelPolicy.
+  // threads == 1 runs every round inline; > 1 shards it across a pool.
   const auto threads = static_cast<unsigned>(state.range(0));
   eds::Rng rng(5);
   const auto g = eds::graph::torus(320, 320);  // 102400 nodes, 4-regular
@@ -202,7 +195,7 @@ void BM_EngineDense(benchmark::State& state) {
   // round after round 1, so after that the engine runs only the nodes
   // that receive a proposal or a reply: this row times the sparse path
   // at high degree, BM_EngineDenseEcho the dispatch-every-node path on
-  // the same graph.  round_ns is the profiled round-loop share.
+  // the same graph.  round_ns is the round-loop share.
   const auto d = static_cast<eds::port::Port>(state.range(0));
   eds::Rng rng(9);
   const auto g = eds::graph::random_regular(512, d, rng);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -377,6 +378,19 @@ int cmd_lower_bound(const Args& args, std::ostream& out, std::ostream& err) {
   }
   const auto d = parse_uint<port::Port, UsageError>(pos[1], "degree");
   try {
+    // The instance is printed as a port graph, so it must fit what
+    // read_port_graph accepts; check before building anything.
+    const std::uint64_t ports = d % 2 == 0 ? lb::even_lower_bound_ports(d)
+                                           : lb::odd_lower_bound_ports(d);
+    if (ports > kMaxTextPorts) {
+      throw InvalidArgument(
+          "d = " + std::to_string(d) + " builds a graph of " +
+          (ports == std::numeric_limits<std::uint64_t>::max()
+               ? std::string("2^64 or more")
+               : std::to_string(ports)) +
+          " ports; a port graph in text holds at most " +
+          std::to_string(kMaxTextPorts));
+    }
     const auto inst =
         d % 2 == 0 ? lb::even_lower_bound(d) : lb::odd_lower_bound(d);
     out << "# Theorem " << (d % 2 == 0 ? 1 : 2) << " construction, d = " << d

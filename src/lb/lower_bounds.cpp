@@ -1,5 +1,6 @@
 #include "lb/lower_bounds.hpp"
 
+#include <limits>
 #include <utility>
 
 #include "analysis/verify.hpp"
@@ -20,6 +21,12 @@ using port::PortRef;
 
 NodeId nid(std::size_t v) { return static_cast<NodeId>(v); }
 
+/// a · b, or UINT64_MAX when the product does not fit.
+std::uint64_t saturating_product(std::uint64_t a, std::uint64_t b) {
+  constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+  return b != 0 && a > kMax / b ? kMax : a * b;
+}
+
 }  // namespace
 
 Fraction forced_ratio_regular(Port d) {
@@ -27,6 +34,11 @@ Fraction forced_ratio_regular(Port d) {
   const auto dd = static_cast<std::int64_t>(d);
   if (d % 2 == 0) return Fraction(4) - Fraction(2, dd);
   return Fraction(4) - Fraction(6, dd + 1);
+}
+
+std::uint64_t even_lower_bound_ports(Port d) {
+  const std::uint64_t x = d;
+  return saturating_product(x, 2 * x - 1);
 }
 
 LowerBoundInstance even_lower_bound(Port d) {
@@ -80,6 +92,11 @@ LowerBoundInstance even_lower_bound(Port d) {
   return LowerBoundInstance{std::move(ported), std::move(optimal),
                             std::move(base), std::move(f),
                             forced_ratio_regular(d)};
+}
+
+std::uint64_t odd_lower_bound_ports(Port d) {
+  const std::uint64_t x = d;
+  return saturating_product(x, saturating_product(2 * x - 1, x + 1));
 }
 
 LowerBoundInstance odd_lower_bound(Port d) {

@@ -8,6 +8,7 @@
 // the paper's figures 4–7.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/edge_set.hpp"
@@ -32,10 +33,20 @@ struct LowerBoundInstance {
 /// (|V| = 2d−1 edges) while |S| = d/2, forcing ratio >= 4 − 2/d.
 [[nodiscard]] LowerBoundInstance even_lower_bound(port::Port d);
 
+/// Ports of even_lower_bound(d): 2d − 1 nodes of degree d, d(2d − 1)
+/// ports (UINT64_MAX when that does not fit in 64 bits).  Computed
+/// without building anything.
+[[nodiscard]] std::uint64_t even_lower_bound_ports(port::Port d);
+
 /// Theorem 2 / Figures 5–7: the d-regular graph (d odd >= 3) made of d
 /// components H(l) plus hubs P and Q; |D*| = (k+1)d with k = (d−1)/2, and
 /// any algorithm is forced to pick (2d−1)d edges: ratio >= 4 − 6/(d+1).
 [[nodiscard]] LowerBoundInstance odd_lower_bound(port::Port d);
+
+/// Ports of odd_lower_bound(d): 2d² + d − 1 nodes of degree d, 2d³ + d² − d
+/// ports (UINT64_MAX when that does not fit in 64 bits).  Computed without
+/// building anything.
+[[nodiscard]] std::uint64_t odd_lower_bound_ports(port::Port d);
 
 /// The Table 1 lower-bound value for d-regular graphs (either parity).
 [[nodiscard]] Fraction forced_ratio_regular(port::Port d);

@@ -47,22 +47,18 @@ std::vector<std::size_t> degree_classes(const PortGraph& g) {
 std::vector<std::size_t> view_classes(const PortGraph& g, std::size_t t) {
   auto classes = degree_classes(g);
   for (std::size_t round = 0; round < t; ++round) {
-    classes = refine(g, classes);
+    auto next = refine(g, classes);
+    // Refinement only splits classes, so an equal class count means the
+    // fixpoint; both numberings assign ids by first appearance in node
+    // order, so every later round returns this same vector.
+    if (num_classes(next) == num_classes(classes)) break;
+    classes = std::move(next);
   }
   return classes;
 }
 
 std::vector<std::size_t> stable_view_classes(const PortGraph& g) {
-  auto classes = degree_classes(g);
-  for (std::size_t round = 0; round < g.num_nodes() + 1; ++round) {
-    auto next = refine(g, classes);
-    if (num_classes(next) == num_classes(classes)) {
-      // Refinement is monotone: an equal class count means a fixpoint.
-      return next;
-    }
-    classes = std::move(next);
-  }
-  return classes;
+  return view_classes(g, g.num_nodes() + 1);
 }
 
 std::size_t num_classes(const std::vector<std::size_t>& classes) {

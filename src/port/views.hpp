@@ -21,8 +21,9 @@
 namespace eds::port {
 
 /// view_classes(g, t)[v] is the equivalence class of v's radius-t view;
-/// classes are numbered 0.. from the refinement.  t = 0 classifies by
-/// degree alone.
+/// classes are numbered 0.. by first appearance in node order.  t = 0
+/// classifies by degree alone.  Refinement stops at its fixpoint, so a
+/// radius past it costs no more than the fixpoint itself.
 [[nodiscard]] std::vector<std::size_t> view_classes(const PortGraph& g,
                                                     std::size_t t);
 

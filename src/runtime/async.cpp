@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "runtime/plan_cache.hpp"
+#include "runtime/workspace.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -46,7 +47,7 @@ std::uint64_t sample_delay(const DelayModel& model, std::uint64_t seed,
 }
 
 enum class EventKind : std::uint8_t {
-  kPayload,     ///< an algorithm message arriving at (node, port)
+  kPayload,     ///< an algorithm message arriving at a flat port
   kAck,         ///< a transport acknowledgement returning to the sender
   kHaltNotice,  ///< "my side of this link halted after round `round`"
   kCrash,       ///< scheduled node crash from the FaultPlan
@@ -57,16 +58,19 @@ enum class EventKind : std::uint8_t {
 /// holds it and its seq is its position in that bucket (see Timeline), so
 /// neither is stored.  `key` packs the rest of the pop order, (priority,
 /// node, port), into one integer: rank · span + offset(node) + node + port,
-/// where span = total_ports + n.  Within one rank that is a strictly
-/// increasing map of (node, port) with port 0 (node-level events) first;
-/// the rank orders nodes by their PCT priority, ties by node, so comparing
-/// keys compares (priority, node, port) exactly.  Without a schedule every
-/// rank is 0.
+/// where span = total_ports + n and port is the local port, 0 for a
+/// node-level event.  Within one rank that is a strictly increasing map of
+/// (node, port) with node-level events first; the rank orders nodes by
+/// their PCT priority, ties by node, so comparing keys compares (priority,
+/// node, port) exactly.  Without a schedule every rank is 0.  With
+/// key_base[v] = rank · span + v + 1, a port event's key is key_base[node]
+/// plus its flat port, a node-level event's key_base[node] + offset(node)
+/// - 1.
 struct Event {
   std::uint64_t key = 0;
   Message payload = kSilence;
-  port::NodeId node = 0;  ///< the node the event happens at
-  Port port = 0;          ///< its local port; 0 for node-level events
+  port::NodeId node = 0;   ///< the node the event happens at
+  std::uint32_t flat = 0;  ///< its flat port; unused by node-level events
   Round round = 0;
   EventKind kind = EventKind::kPayload;
 };
@@ -304,44 +308,13 @@ struct AsyncWorkspace {
   std::vector<char> have;
   std::vector<Round> partner_halt;  ///< per flat port: partner's halt round
   std::vector<std::uint64_t> delays;
-  std::vector<std::uint64_t> key_base;  ///< per node: rank · span + offset + v
+  std::vector<std::uint64_t> key_base;  ///< per node: rank · span + v + 1
   std::vector<char> demoted;
   std::vector<std::pair<std::uint64_t, port::NodeId>> by_priority;
   std::vector<Message> stage;           ///< send-stage scratch
   std::vector<std::uint64_t> round_messages;
-  bool in_use = false;
-};
 
-/// The per-thread workspace, or null when this thread is already inside a
-/// run: a NodeProgram that starts a nested run from receive() must not
-/// clobber the buffers its own caller is reading from.
-AsyncWorkspace* acquire_workspace() {
-  thread_local AsyncWorkspace workspace;
-  if (workspace.in_use) return nullptr;
-  workspace.in_use = true;
-  return &workspace;
-}
-
-/// RAII over acquire_workspace(): returns the pooled workspace, or owns a
-/// private one for a nested run.
-class WorkspaceLease {
- public:
-  WorkspaceLease()
-      : pooled_(acquire_workspace()),
-        private_(pooled_ ? nullptr : std::make_unique<AsyncWorkspace>()) {}
-  ~WorkspaceLease() {
-    if (pooled_) pooled_->in_use = false;
-  }
-  WorkspaceLease(const WorkspaceLease&) = delete;
-  WorkspaceLease& operator=(const WorkspaceLease&) = delete;
-
-  [[nodiscard]] AsyncWorkspace& operator*() const noexcept {
-    return pooled_ ? *pooled_ : *private_;
-  }
-
- private:
-  AsyncWorkspace* pooled_;
-  std::unique_ptr<AsyncWorkspace> private_;
+  void end_run(bool /*pooled*/) noexcept {}  // nothing to account
 };
 
 }  // namespace
@@ -413,7 +386,7 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
   const std::uint64_t timeout = effective_round_timeout(options_);
   const std::size_t total_ports = plan.total_ports();
 
-  const WorkspaceLease lease;
+  const WorkspaceLease<AsyncWorkspace> lease;
   AsyncWorkspace& ws = *lease;
 
   // The delay matrix: one latency per directed link, fixed for the run.
@@ -446,7 +419,7 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
              "run_asynchronous: event keys overflow 64 bits");
   std::vector<std::uint64_t>& key_base = ws.key_base;
   key_base.resize(n);
-  for (std::size_t v = 0; v < n; ++v) key_base[v] = plan.offset(v) + v;
+  for (std::size_t v = 0; v < n; ++v) key_base[v] = v + 1;
   std::vector<char>& demoted = ws.demoted;
   demoted.assign(n, 0);
   if (prioritized) {
@@ -492,10 +465,20 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
   round_messages.assign(1, 0);  // [round] -> non-silence sends
   Round max_fired = 0;
 
-  const auto push = [&](std::uint64_t time, EventKind kind, port::PortRef at,
-                        Round round, const Message& payload = kSilence) {
-    timeline.push(time, {key_base[at.node] + at.port, payload, at.node,
-                         at.port, round, kind});
+  // Schedules an event at the partner of flat port q: the other end of
+  // the link q sends on.
+  const auto push_to_partner = [&](std::uint64_t time, EventKind kind,
+                                   std::size_t q, Round round,
+                                   const Message& payload = kSilence) {
+    const port::NodeId node = plan.partner_node(q);
+    const std::size_t flat = plan.partner_flat(q);
+    timeline.push(time, {key_base[node] + flat, payload, node,
+                         static_cast<std::uint32_t>(flat), round, kind});
+  };
+  const auto push_at_node = [&](std::uint64_t time, EventKind kind,
+                                port::NodeId node, Round round) {
+    timeline.push(time, {key_base[node] + plan.offset(node) - 1, kSilence,
+                         node, 0, round, kind});
   };
 
   /// Extra latency a sender's transmissions suffer: demote_ticks once the
@@ -515,8 +498,8 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
     const std::size_t off = plan.offset(v);
     for (Port i = 1; i <= deg; ++i) {
       const std::size_t q = off + i - 1;
-      push(now + delays[q] + send_penalty(v), EventKind::kHaltNotice,
-           plan.partner_ref(q), h);
+      push_to_partner(now + delays[q] + send_penalty(v),
+                      EventKind::kHaltNotice, q, h);
     }
   };
 
@@ -549,12 +532,11 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
         ++out.async.lost;
         continue;
       }
-      const port::PortRef to = plan.partner_ref(q);
       const std::uint64_t arrival = now + delays[q] + send_penalty(v);
-      push(arrival, EventKind::kPayload, to, r, m);
+      push_to_partner(arrival, EventKind::kPayload, q, r, m);
       if (faults.duplicate > 0.0 &&
           draw01(seed, q, r, /*salt=*/2) < faults.duplicate) {
-        push(arrival + delays[q], EventKind::kPayload, to, r, m);
+        push_to_partner(arrival + delays[q], EventKind::kPayload, q, r, m);
         out.fault_log.push_back({now, FaultKind::kDuplicate,
                                  static_cast<port::NodeId>(v), i, r});
         ++out.async.duplicated;
@@ -563,8 +545,8 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
     if (synchronized) {
       s.acks_got = 0;
     } else {
-      push(now + timeout, EventKind::kDeadline,
-           {static_cast<port::NodeId>(v), 0}, r);
+      push_at_node(now + timeout, EventKind::kDeadline,
+                   static_cast<port::NodeId>(v), r);
     }
   };
 
@@ -639,7 +621,7 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
     try_fire(v, 0);  // degree-0 nodes have no inputs to wait for
   }
   for (const CrashEvent& crash : faults.crashes) {
-    push(crash.time, EventKind::kCrash, {crash.node, 0}, 0);
+    push_at_node(crash.time, EventKind::kCrash, crash.node, 0);
   }
 
   // --- The event loop: strictly ordered, single-threaded, deterministic.
@@ -653,8 +635,7 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
       // is a pure function of (options, schedule) — the replay contract.
       if (next_change < change_points.size() &&
           out.async.events >= change_points[next_change]) {
-        key_base[e.node] = (n + next_change) * span + plan.offset(e.node) +
-                           e.node;
+        key_base[e.node] = (n + next_change) * span + e.node + 1;
         demoted[e.node] = 1;
         ++next_change;
       }
@@ -665,13 +646,12 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
             ++out.async.stale;
             break;
           }
-          const std::size_t q = plan.offset(e.node) + e.port - 1;
+          const std::size_t q = e.flat;
           if (synchronized) {
             // Transport-level acknowledgement: receipt is confirmed whether
             // or not the algorithm layer still listens, over the reverse
             // direction of the same link.
-            push(now + delays[q], EventKind::kAck, plan.partner_ref(q),
-                 e.round);
+            push_to_partner(now + delays[q], EventKind::kAck, q, e.round);
           }
           if (s.halt_round != kNoHalt) break;  // halted: payload ignored
           if (e.round < s.round) {
@@ -701,7 +681,7 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
         }
         case EventKind::kHaltNotice: {
           if (s.crashed) break;
-          partner_halt[plan.offset(e.node) + e.port - 1] = e.round;
+          partner_halt[e.flat] = e.round;
           if (s.halt_round == kNoHalt) try_fire(e.node, now);
           break;
         }

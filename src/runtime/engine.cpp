@@ -7,6 +7,7 @@
 #include <optional>
 #include <sstream>
 
+#include "runtime/workspace.hpp"
 #include "util/error.hpp"
 
 namespace eds::runtime {
@@ -23,38 +24,45 @@ void check_plan_ports(std::uint64_t total_ports) {
 ExecutionPlan::ExecutionPlan(const port::PortGraph& g)
     : build_id_(g.build_id()) {
   check_plan_ports(g.num_ports());
-  degrees_ = g.degree_sequence();
-  partner_ref_ = g.partner_table();
   constructed_.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t n = degrees_.size();
-  offsets_.resize(n);
-  std::size_t total = 0;
+  const auto& degrees = g.degree_sequence();
+  const auto& partners = g.partner_table();
+  const std::size_t n = degrees.size();
+  offsets_.resize(n + 1);
+  std::uint32_t total = 0;
   for (std::size_t v = 0; v < n; ++v) {
     offsets_[v] = total;
-    total += degrees_[v];
+    total += degrees[v];
   }
+  offsets_[n] = total;
   partner_flat_.resize(total);
+  partner_node_.resize(total);
   for (std::size_t q = 0; q < total; ++q) {
-    const auto dst = partner_ref_[q];
-    partner_flat_[q] =
-        static_cast<std::uint32_t>(offsets_[dst.node] + dst.port - 1);
+    const auto dst = partners[q];
+    partner_node_[q] = dst.node;
+    partner_flat_[q] = offsets_[dst.node] + dst.port - 1;
   }
 }
 
 bool ExecutionPlan::matches(const port::PortGraph& g) const {
   // Equal non-zero build ids mean g is the source graph or a copy of it.
-  // Otherwise two contiguous scans: the flat degree sequence and the flat
-  // involution table are exactly what the constructor consumed.
+  // Otherwise the degree sequence, then the involution port by port.
   if (build_id_ != 0 && build_id_ == g.build_id()) return true;
-  return degrees_ == g.degree_sequence() &&
-         partner_ref_ == g.partner_table();
+  const auto& degrees = g.degree_sequence();
+  const auto& partners = g.partner_table();
+  if (degrees.size() != num_nodes()) return false;
+  for (std::size_t v = 0; v < degrees.size(); ++v) {
+    if (degrees[v] != degree(v)) return false;
+  }
+  for (std::size_t q = 0; q < partners.size(); ++q) {
+    if (!(partners[q] == partner_ref(q))) return false;
+  }
+  return true;
 }
 
 std::unique_ptr<ExecutionPolicy> make_policy(const ExecOptions& exec) {
-  if (exec.threads == 1) return std::make_unique<SequentialPolicy>();
-  return std::make_unique<ParallelPolicy>(exec.threads);
+  return std::make_unique<ExecutionPolicy>(exec.threads);
 }
-
 
 namespace {
 
@@ -273,28 +281,9 @@ std::atomic<std::uint64_t> g_ws_reuses{0};
 std::atomic<std::uint64_t> g_ws_growths{0};
 std::atomic<std::uint64_t> g_ws_bytes{0};
 
-std::atomic<bool> g_stage_profile{false};
-/// Bumped whenever the profiling flag may have changed
-/// (engine_stage_profiling and engine_stage_stats_reset both bump it), so
-/// every lane's cached sample is invalidated and re-read on its next run.
-std::atomic<std::uint64_t> g_profile_epoch{1};
 std::atomic<std::uint64_t> g_round_ns{0};
-std::atomic<std::uint64_t> g_profiled_rounds{0};
+std::atomic<std::uint64_t> g_rounds{0};
 std::atomic<std::uint64_t> g_dispatched{0};
-
-/// Per-run sample of the profiling flag, cached per lane behind the epoch
-/// counter: one relaxed epoch load per run on the steady path, a flag
-/// re-sample only after a toggle or a stats reset.
-bool stage_profiling_sample() noexcept {
-  thread_local std::uint64_t seen_epoch = 0;
-  thread_local bool cached = false;
-  const auto epoch = g_profile_epoch.load(std::memory_order_acquire);
-  if (epoch != seen_epoch) {
-    cached = g_stage_profile.load(std::memory_order_relaxed);
-    seen_epoch = epoch;
-  }
-  return cached;
-}
 
 /// The pooled message transport: every buffer the round loop writes lives
 /// here and is resized (capacity retained) at the start of each run instead
@@ -321,7 +310,6 @@ struct EngineWorkspace {
   /// each outbox, and the calendar's near ring of kRingSlots slots.
   std::vector<std::uint64_t> bits;
   std::vector<std::uint64_t> calendar;  // the far heap: due << 32 | node
-  bool in_use = false;       // re-entrancy guard (see acquire below)
   std::size_t bytes = 0;     // last accounted footprint
 
   EngineWorkspace() = default;
@@ -397,9 +385,16 @@ struct EngineWorkspace {
     bits.assign((3 + Calendar::kRingSlots) * words, 0);
   }
 
-  /// Updates the pooled-bytes gauge to `now`, the footprint at the end of
-  /// a run.
-  void account(std::size_t now) noexcept {
+  /// The end-of-run accounting (WorkspaceLease calls it on release).
+  /// Counts the run as a growth when any pooled buffer's capacity grew in
+  /// it — capacities never shrink, so that is a footprint above the last
+  /// run's — and as a reuse otherwise; a lane's pooled workspace also
+  /// moves the pooled-bytes gauge to its new footprint.
+  void end_run(bool pooled) noexcept {
+    const std::size_t now = footprint();
+    (now > bytes ? g_ws_growths : g_ws_reuses)
+        .fetch_add(1, std::memory_order_relaxed);
+    if (!pooled) return;
     if (now >= bytes) {
       g_ws_bytes.fetch_add(now - bytes, std::memory_order_relaxed);
     } else {
@@ -407,49 +402,6 @@ struct EngineWorkspace {
     }
     bytes = now;
   }
-};
-
-/// The per-thread workspace, or null when the thread is already inside a
-/// run (a NodeProgram that recursively calls run_synchronous must not
-/// clobber its own caller's buffers — the recursive run falls back to a
-/// private workspace).
-EngineWorkspace* acquire_workspace() {
-  thread_local EngineWorkspace workspace;
-  if (workspace.in_use) return nullptr;
-  workspace.in_use = true;
-  return &workspace;
-}
-
-/// RAII over acquire_workspace(): releases the lane workspace (updating the
-/// byte accounting) or owns the recursive-fallback workspace outright.
-/// Counts the run as a growth when any pooled buffer's capacity grew in
-/// it — capacities never shrink, so that is a footprint above the last
-/// run's — and as a reuse otherwise.
-class WorkspaceLease {
- public:
-  WorkspaceLease()
-      : pooled_(acquire_workspace()),
-        fallback_(pooled_ ? nullptr : std::make_unique<EngineWorkspace>()) {}
-  ~WorkspaceLease() {
-    EngineWorkspace& ws = **this;
-    const std::size_t now = ws.footprint();
-    (now > ws.bytes ? g_ws_growths : g_ws_reuses)
-        .fetch_add(1, std::memory_order_relaxed);
-    if (pooled_) {
-      pooled_->account(now);
-      pooled_->in_use = false;
-    }
-  }
-  WorkspaceLease(const WorkspaceLease&) = delete;
-  WorkspaceLease& operator=(const WorkspaceLease&) = delete;
-
-  [[nodiscard]] EngineWorkspace& operator*() const noexcept {
-    return pooled_ ? *pooled_ : *fallback_;
-  }
-
- private:
-  EngineWorkspace* pooled_;
-  std::unique_ptr<EngineWorkspace> fallback_;
 };
 
 }  // namespace
@@ -462,26 +414,12 @@ EngineAllocStats engine_alloc_stats() noexcept {
   return stats;
 }
 
-void engine_stage_profiling(bool enabled) noexcept {
-  g_stage_profile.store(enabled, std::memory_order_relaxed);
-  g_profile_epoch.fetch_add(1, std::memory_order_release);
-}
-
 EngineStageStats engine_stage_stats() noexcept {
   EngineStageStats stats;
   stats.round_ns = g_round_ns.load(std::memory_order_relaxed);
-  stats.profiled_rounds = g_profiled_rounds.load(std::memory_order_relaxed);
+  stats.rounds = g_rounds.load(std::memory_order_relaxed);
   stats.dispatched = g_dispatched.load(std::memory_order_relaxed);
   return stats;
-}
-
-void engine_stage_stats_reset() noexcept {
-  g_round_ns.store(0, std::memory_order_relaxed);
-  g_profiled_rounds.store(0, std::memory_order_relaxed);
-  g_dispatched.store(0, std::memory_order_relaxed);
-  // Invalidate every lane's cached flag sample: a toggle that raced the
-  // previous measurement window is picked up by the very next run.
-  g_profile_epoch.fetch_add(1, std::memory_order_release);
 }
 
 RunResult run_plan(const ExecutionPlan& plan,
@@ -504,7 +442,7 @@ RunResult run_plan(const ExecutionPlan& plan,
 
   const unsigned lanes = std::max(1u, policy.lanes());
   const std::size_t total_ports = plan.total_ports();
-  const WorkspaceLease lease;
+  const WorkspaceLease<EngineWorkspace> lease;
   EngineWorkspace& ws = *lease;
   ws.prepare(plan, programs, lanes);
   Message* cur = ws.outbox[0].data();  // holds round r's messages
@@ -530,15 +468,6 @@ RunResult run_plan(const ExecutionPlan& plan,
   std::vector<ShardScratch>& scratch = ws.scratch;
   std::vector<std::size_t>& bounds = ws.bounds;
 
-  // Stage profiling: the flag is sampled once per run (epoch-cached per
-  // lane), so a disabled run takes no timestamps at all.  A profiled run
-  // runs the same fused loop and takes one timestamp per dispatched round,
-  // after the barrier and the merge.
-  const bool profile = stage_profiling_sample();
-  using ProfileClock = std::chrono::steady_clock;
-  ProfileClock::time_point stamp;
-  if (profile) stamp = ProfileClock::now();
-  std::uint64_t round_ns = 0;
   std::uint64_t dispatched = 0;
 
   // Whether this round's senders mark their receivers' wake bits.  Until
@@ -580,7 +509,7 @@ RunResult run_plan(const ExecutionPlan& plan,
       set_bit(sent_nxt, v);
       for (Port i = 0; i < deg; ++i) {
         if (!seg[i].is_silence()) {
-          set_bit(wake, plan.partner_ref(off + i).node);
+          set_bit(wake, plan.partner_node(off + i));
         }
       }
     }
@@ -741,7 +670,9 @@ RunResult run_plan(const ExecutionPlan& plan,
 
   // Initial exchange: round 1's sends land in `cur` before the loop, so
   // every later round can fuse "receive round r" and "send round r + 1"
-  // behind one barrier.
+  // behind one barrier.  The round loop's time runs from here to the end
+  // of its last round.
+  const auto started = std::chrono::steady_clock::now();
   if (!list.empty()) {
     const std::size_t shards =
         for_each_listed([&](ShardScratch& sc, std::uint32_t v) {
@@ -801,13 +732,6 @@ RunResult run_plan(const ExecutionPlan& plan,
 
     if (options.collect_trace) {
       result.trace.push_back({round, pending, n - live});
-    }
-    if (profile) {
-      const auto now = ProfileClock::now();
-      round_ns += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(now - stamp)
-              .count());
-      stamp = now;
     }
 
     if (live == 0) break;
@@ -880,11 +804,14 @@ RunResult run_plan(const ExecutionPlan& plan,
     std::swap(sent_cur, sent_nxt);
   }
 
-  if (profile) {
-    g_round_ns.fetch_add(round_ns, std::memory_order_relaxed);
-    g_profiled_rounds.fetch_add(round, std::memory_order_relaxed);
-    g_dispatched.fetch_add(dispatched, std::memory_order_relaxed);
-  }
+  g_round_ns.fetch_add(
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - started)
+              .count()),
+      std::memory_order_relaxed);
+  g_rounds.fetch_add(round, std::memory_order_relaxed);
+  g_dispatched.fetch_add(dispatched, std::memory_order_relaxed);
 
   stats.rounds = round;
   result.selected.assign(total_ports, 0);

@@ -1,15 +1,16 @@
-// The execution engine: a compiled per-graph plan plus pluggable policies
-// that decide *how* the synchronous rounds are driven.
+// The execution engine: a compiled per-graph plan plus the policy that
+// decides *how* the synchronous rounds are driven.
 //
 // The paper's algorithms are local — O(1) or O(∆²) rounds — so essentially
 // all wall-clock time in this reproduction is simulator overhead, not
 // algorithm logic.  This layer attacks that overhead twice over:
 //
-//  * ExecutionPlan precomputes everything the round loop needs as flat
-//    arrays (degrees, port offsets, the involution as flat indices), so the
-//    inner loops never pay PortGraph's bounds-checked lookups.
+//  * ExecutionPlan precomputes everything the round loop needs as three
+//    flat uint32 tables (port offsets, the involution as flat indices, and
+//    the node owning each partner port), so the inner loops never pay
+//    PortGraph's bounds-checked lookups.
 //
-//  * Policies schedule each round over a *dispatch list*: the nodes that
+//  * The policy schedules each round over a *dispatch list*: the nodes that
 //    are due by their wake hint (NodeProgram::wake_hint) or have a
 //    non-silence message waiting, in ascending node order.  Halted and
 //    sleeping nodes cost nothing, and a round with nothing to do is
@@ -19,8 +20,8 @@
 //    live node is due every round, so the list keeps every live node, no
 //    wake bit is set and no sparse state is set up — a program without
 //    hints runs that way to the end.
-//    SequentialPolicy runs the shards inline; ParallelPolicy spreads them
-//    across a thread pool.  Shard boundaries equalize *port* counts, not
+//    ExecutionPolicy spreads the shards across a thread pool; a one-lane
+//    pool runs them inline.  Shard boundaries equalize *port* counts, not
 //    node counts (balanced_shard_bounds), so power-law degree sequences
 //    cannot starve all lanes but one.
 //
@@ -43,7 +44,7 @@
 //    array-of-structs: struct-of-arrays splits, of the whole message or of
 //    the tag alone, measured as net costs — see ARCHITECTURE.md.)
 //
-// Hard guarantee, enforced by differential tests: every policy produces
+// Hard guarantee, enforced by differential tests: every lane count produces
 // bit-identical RunResults — outputs, stats, trace, and message-log order —
 // identical to dispatching every node every round, as long as every wake
 // hint is correct (never late).
@@ -82,51 +83,62 @@ void check_plan_ports(std::uint64_t total_ports);
 /// constructor performs no validation of its own and relies on the
 /// PortGraph invariants (PortGraphBuilder::build and read_port_graph both
 /// verify the involution before a graph exists).
+///
+/// A port-numbered graph is a degree sequence plus one involution, and the
+/// plan stores each once, as uint32 tables (check_plan_ports bounds every
+/// flat index): the n + 1 port offsets, the involution over flat port
+/// indices, and the node that owns each partner port.  Degrees and (node,
+/// port) partners are derived from them.
 class ExecutionPlan {
  public:
   explicit ExecutionPlan(const port::PortGraph& g);
 
   [[nodiscard]] std::size_t num_nodes() const noexcept {
-    return degrees_.size();
+    return offsets_.size() - 1;
   }
   [[nodiscard]] std::size_t total_ports() const noexcept {
     return partner_flat_.size();
   }
   /// Degree of node v (unchecked).
   [[nodiscard]] Port degree(std::size_t v) const noexcept {
-    return degrees_[v];
+    return offsets_[v + 1] - offsets_[v];
   }
   /// Flat index of port (v, 1); port (v, i) lives at offset(v) + i - 1.
   [[nodiscard]] std::size_t offset(std::size_t v) const noexcept {
     return offsets_[v];
   }
-  /// Flat index of the involution partner of flat port q (unchecked).
-  /// Stored as uint32 — the table is swept once per round by the receive
-  /// gather, so halving its bytes is a straight hot-loop bandwidth win
-  /// (check_plan_ports rejects graphs whose indices would not fit).
+  /// Flat index of the involution partner of flat port q (unchecked).  The
+  /// receive gather sweeps this table once per round.
   [[nodiscard]] std::size_t partner_flat(std::size_t q) const noexcept {
     return partner_flat_[q];
   }
-  /// The involution partner of flat port q as a (node, port) pair.
+  /// The node that owns flat port q's partner (unchecked): the receiver a
+  /// message sent on q wakes.
+  [[nodiscard]] port::NodeId partner_node(std::size_t q) const noexcept {
+    return partner_node_[q];
+  }
+  /// The involution partner of flat port q as a (node, port) pair, derived
+  /// from the two tables above (the message logs name ports this way).
   [[nodiscard]] port::PortRef partner_ref(std::size_t q) const noexcept {
-    return partner_ref_[q];
+    const port::NodeId u = partner_node_[q];
+    return {u, static_cast<Port>(partner_flat_[q] - offsets_[u] + 1)};
   }
 
   /// True when this plan was compiled from a graph with exactly the same
   /// structure as `g` (degree sequence and involution).  A graph carrying
   /// the non-zero build id of the graph this plan was compiled from (the
   /// same graph, or a copy of it) matches in O(1); any other graph is
-  /// compared table by table.  This is the PlanCache's collision guard: a
+  /// compared port by port.  This is the PlanCache's collision guard: a
   /// 64-bit structural hash narrows the candidates, matches() proves the
   /// identification.
   [[nodiscard]] bool matches(const port::PortGraph& g) const;
 
-  /// Heap footprint of the flat arrays, for cache accounting.
+  /// Heap footprint of the flat arrays, for cache accounting:
+  /// (n + 1 + 2 · total_ports) · 4 bytes.
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return degrees_.capacity() * sizeof(Port) +
-           offsets_.capacity() * sizeof(std::size_t) +
-           partner_flat_.capacity() * sizeof(std::uint32_t) +
-           partner_ref_.capacity() * sizeof(port::PortRef);
+    return (offsets_.capacity() + partner_flat_.capacity() +
+            partner_node_.capacity()) *
+           sizeof(std::uint32_t);
   }
 
   /// Process-wide count of plan compilations (the graph-converting
@@ -139,53 +151,29 @@ class ExecutionPlan {
  private:
   static inline std::atomic<std::uint64_t> constructed_{0};
 
-  std::vector<Port> degrees_;
-  std::vector<std::size_t> offsets_;        // prefix sums of degrees
-  std::vector<std::uint32_t> partner_flat_; // involution over flat indices
-  std::vector<port::PortRef> partner_ref_;  // involution as (node, port)
-  std::uint64_t build_id_ = 0;              // the source graph's build id
+  std::vector<std::uint32_t> offsets_;       // n + 1 prefix sums of degrees
+  std::vector<std::uint32_t> partner_flat_;  // involution over flat indices
+  std::vector<std::uint32_t> partner_node_;  // owner of each partner port
+  std::uint64_t build_id_ = 0;               // the source graph's build id
 };
 
-/// How the per-round stages are scheduled.  A policy is reusable across
-/// runs but not safe for concurrent use by multiple runs.
+/// How the per-round stages are scheduled: each round's shards run on a
+/// persistent thread pool, one barrier per stage.  A one-lane pool runs
+/// every shard inline on the caller.  A policy is reusable across runs but
+/// not safe for concurrent use by multiple runs.
 class ExecutionPolicy {
  public:
-  virtual ~ExecutionPolicy() = default;
+  /// `threads` as in ExecOptions (0 = hardware lanes).
+  explicit ExecutionPolicy(unsigned threads) : pool_(threads) {}
 
   /// Number of lanes the stages are sharded across (1 = sequential).
-  [[nodiscard]] virtual unsigned lanes() const noexcept = 0;
+  [[nodiscard]] unsigned lanes() const noexcept { return pool_.lanes(); }
 
   /// Executes fn(s) for every shard s in [0, shards) and returns when all
   /// calls have finished (the once-per-round barrier).  `fn` must not
   /// throw.
-  virtual void for_each_shard(
-      std::size_t shards, const std::function<void(std::size_t)>& fn) = 0;
-};
-
-/// The seed semantics, stage by stage on one thread — over the dispatch
-/// list.
-class SequentialPolicy final : public ExecutionPolicy {
- public:
-  [[nodiscard]] unsigned lanes() const noexcept override { return 1; }
-  void for_each_shard(
-      std::size_t shards,
-      const std::function<void(std::size_t)>& fn) override {
-    for (std::size_t s = 0; s < shards; ++s) fn(s);
-  }
-};
-
-/// Shards each round's dispatch list across a persistent thread pool with
-/// a barrier per stage.  `threads` as in ExecOptions (0 = hardware lanes).
-class ParallelPolicy final : public ExecutionPolicy {
- public:
-  explicit ParallelPolicy(unsigned threads = 0) : pool_(threads) {}
-
-  [[nodiscard]] unsigned lanes() const noexcept override {
-    return pool_.lanes();
-  }
-  void for_each_shard(
-      std::size_t shards,
-      const std::function<void(std::size_t)>& fn) override {
+  void for_each_shard(std::size_t shards,
+                      const std::function<void(std::size_t)>& fn) {
     pool_.run(shards, fn);
   }
 
@@ -193,8 +181,7 @@ class ParallelPolicy final : public ExecutionPolicy {
   ThreadPool pool_;
 };
 
-/// The policy ExecOptions selects: SequentialPolicy for threads == 1,
-/// ParallelPolicy otherwise.
+/// The policy ExecOptions selects: ExecOptions::threads lanes.
 [[nodiscard]] std::unique_ptr<ExecutionPolicy> make_policy(
     const ExecOptions& exec);
 
@@ -242,38 +229,23 @@ struct EngineAllocStats {
 /// Snapshot of the pooled-transport counters.
 [[nodiscard]] EngineAllocStats engine_alloc_stats() noexcept;
 
-/// Round-loop wall time and dispatch count, accumulated by run_plan while
-/// profiling is enabled (process-wide, monotonic).  A profiled run runs the
-/// same fused round loop as any other and takes one timestamp per
-/// dispatched round, after the barrier and the shard merge: `round_ns`
-/// sums the time from the initial exchange to the last round's stamp,
-/// `profiled_rounds` the rounds it covers (skipped rounds included), and
-/// `dispatched` the node dispatches (receive plus send) the rounds made —
-/// Σ_v halt_round(v) for a program without wake hints, less for one with
-/// them.  bench_micro_runtime exports the deltas per benchmark.
+/// Round-loop wall time, rounds and node dispatches, accumulated by every
+/// run_plan (process-wide, monotonic).  A run takes two timestamps, one
+/// before the initial exchange and one after the last round: `round_ns`
+/// sums the time between them, `rounds` the rounds the runs covered
+/// (skipped rounds included), and `dispatched` the node dispatches
+/// (receive plus send) they made — Σ_v halt_round(v) for a program without
+/// wake hints, less for one with them.  A run that throws adds nothing.
+/// bench_micro_runtime exports the deltas per benchmark.
 struct EngineStageStats {
-  std::uint64_t round_ns = 0;          ///< round-loop wall time
-  std::uint64_t profiled_rounds = 0;   ///< rounds timed while enabled
-  std::uint64_t dispatched = 0;        ///< node dispatches while enabled
+  std::uint64_t round_ns = 0;    ///< round-loop wall time
+  std::uint64_t rounds = 0;      ///< rounds run
+  std::uint64_t dispatched = 0;  ///< node dispatches
 
   [[nodiscard]] bool operator==(const EngineStageStats&) const = default;
 };
 
-/// Toggles stage profiling (default off).  The hot loop samples the flag
-/// once per run (through a per-thread epoch cache), so enabling it mid-run
-/// affects the *next* run; when off, the round loop takes no timestamps at
-/// all.
-void engine_stage_profiling(bool enabled) noexcept;
-
-/// Snapshot of the stage-timing counters.
+/// Snapshot of the stage counters.
 [[nodiscard]] EngineStageStats engine_stage_stats() noexcept;
-
-/// Zeroes the stage-timing counters.  They are process-wide and cumulative
-/// across runs, so per-run (or per-mode, e.g. sync vs async) attribution
-/// needs a reset between measurements; callers that prefer deltas can keep
-/// snapshotting instead.  The reset also invalidates every lane's cached
-/// sample of the profiling flag, so a toggle followed by a reset is picked
-/// up by the very next run on any thread.
-void engine_stage_stats_reset() noexcept;
 
 }  // namespace eds::runtime

@@ -11,10 +11,10 @@
 //
 // The actual round loop lives in the engine layer (runtime/engine.hpp):
 // run_synchronous compiles the graph into an ExecutionPlan and executes it
-// under the policy selected by RunOptions::exec — SequentialPolicy by
-// default, ParallelPolicy when more than one thread is requested.  Every
-// policy produces bit-identical RunResults (outputs, stats, trace, message
-// log order); the choice only affects wall-clock time.
+// under an ExecutionPolicy with RunOptions::exec's lane count — one lane,
+// run inline on the caller, by default.  Every lane count produces
+// bit-identical RunResults (outputs, stats, trace, message log order); the
+// choice only affects wall-clock time.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +40,10 @@ class PlanCache;
 struct ExecOptions {
   /// Lanes to shard each round's fused gather/receive/send pass over
   /// (contiguous ranges of the round's dispatch list balanced by port
-  /// count, one barrier per round): 1 = SequentialPolicy (default),
-  /// >1 = ParallelPolicy with that many lanes, 0 = ParallelPolicy with one
-  /// lane per hardware thread.  At the batch level (`algo::run_batch`) this is instead the
-  /// number of concurrent jobs.
+  /// count, one barrier per round): 1 = inline on the caller (default),
+  /// >1 = that many pool lanes, 0 = one lane per hardware thread.  At the
+  /// batch level (`algo::run_batch`) this is instead the number of
+  /// concurrent jobs.
   unsigned threads = 1;
 
   /// When set, the ExecutionPlan is fetched from (and shared through) this

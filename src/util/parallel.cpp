@@ -22,6 +22,7 @@ ThreadPool::ThreadPool(unsigned threads) {
 }
 
 ThreadPool::~ThreadPool() {
+  if (workers_.empty()) return;  // one lane: no worker to stop
   {
     const std::lock_guard lock(mutex_);
     shutdown_ = true;

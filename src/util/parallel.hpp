@@ -1,7 +1,7 @@
 // A minimal fork-join thread pool.
 //
 // Both parallel execution layers of the runtime are built on this one
-// primitive: ParallelPolicy shards the nodes of a single round across lanes,
+// primitive: ExecutionPolicy shards the nodes of a single round across lanes,
 // and BatchRunner fans independent (graph, program, options) jobs across
 // them.  The pool is deliberately tiny — persistent workers, one blocking
 // run() that executes fn(0..tasks-1) with dynamic load balancing — because

@@ -4,6 +4,9 @@
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cli/cli.hpp"
 #include "graph/io.hpp"
@@ -148,6 +151,23 @@ TEST(Cli, LowerBoundOddAndErrors) {
             std::string::npos);
 }
 
+TEST(Cli, LowerBoundRejectsInstancesTooLargeForText) {
+  // Checked from the size formula before anything is built: 5794 and 323
+  // are the smallest degrees of each parity past 2^26 ports.
+  const std::vector<std::pair<std::string, std::string>> cases{
+      {"5794", "67135078 ports"},
+      {"323", "67500540 ports"},
+      {"4294967295", "2^64 or more ports"}};
+  for (const auto& [degree, ports] : cases) {
+    const auto run = invoke({"lower-bound", degree});
+    EXPECT_EQ(run.code, 1) << degree;
+    EXPECT_TRUE(run.out.empty()) << degree;
+    EXPECT_NE(run.err.find("lower-bound: d = " + degree), std::string::npos)
+        << run.err;
+    EXPECT_NE(run.err.find(ports), std::string::npos) << run.err;
+  }
+}
+
 TEST(Cli, RunPortgraphOnLowerBoundInstance) {
   const auto lb = invoke({"lower-bound", "6"});
   ASSERT_EQ(lb.code, 0);
@@ -178,6 +198,14 @@ TEST(Cli, ViewsOnLowerBoundInstance) {
   ASSERT_EQ(run.code, 0) << run.err;
   // Theorem 1 instance: all nodes are view-equivalent.
   EXPECT_NE(run.out.find("classes: 1"), std::string::npos);
+}
+
+TEST(Cli, ViewsStopRefiningAtTheFixpoint) {
+  const auto lb = invoke({"lower-bound", "2"});
+  ASSERT_EQ(lb.code, 0);
+  const auto run = invoke({"views", "--radius", "4000000000"}, lb.out);
+  ASSERT_EQ(run.code, 0) << run.err;
+  EXPECT_EQ(run.out, invoke({"views"}, lb.out).out);
 }
 
 TEST(Cli, Table1IsTight) {

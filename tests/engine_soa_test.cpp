@@ -3,9 +3,10 @@
 // policy-free seed oracle: bit-identity across lane counts on the degree
 // distributions that stress lane balancing hardest, stale outbox bytes
 // from an earlier run, byte-level accounting for the pooled buffers, and
-// the profiling-flag epoch cache.
+// nested runs, which must not share their caller's pooled workspace.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -82,20 +83,6 @@ TEST(EngineSoa, StarMultigraphDifferentialAcrossLaneCounts) {
   degrees[0] = 96;
   const auto g = port::random_port_graph(degrees, rng);
   expect_lane_counts_match(g, EchoFactory(6), "star-multigraph");
-}
-
-TEST(EngineSoa, ProfiledRunsStayBitIdentical) {
-  // Stage profiling adds one timestamp per round to the fused loop; the
-  // differential bar applies to profiled runs unchanged.
-  auto rng = test::make_rng(0x50A4);
-  const auto pg =
-      port::with_random_ports(graph::random_power_law(200, 2.3, rng), rng);
-  engine_stage_profiling(true);
-  expect_lane_counts_match(pg.ports(), EchoFactory(5), "profiled power-law");
-  engine_stage_profiling(false);
-  const auto stats = engine_stage_stats();
-  EXPECT_GT(stats.profiled_rounds, 0u);
-  EXPECT_GT(stats.round_ns, 0u);
 }
 
 /// Halts in start() on an odd degree; otherwise, for `rounds` rounds,
@@ -350,27 +337,86 @@ TEST(EngineSoa, WorkspaceReturnsEveryPooledByteOnTeardown) {
       << "a dead lane left pooled transport bytes in the gauge";
 }
 
-TEST(EngineSoa, StatsResetResamplesProfilingFlag) {
-  // Regression for the epoch cache: a lane that sampled "profiling off"
-  // must pick up a later toggle even when the only intervening global
-  // operation is a stats reset (the reset bumps the epoch too, so
-  // back-to-back measurement windows in one process work on every lane).
-  const auto pg = port::with_canonical_ports(graph::cycle(12));
-  engine_stage_profiling(false);
-  (void)run_synchronous(pg.ports(), EchoFactory(3));  // caches "off"
+/// The run every NestingRelay starts from inside receive(), and what it
+/// must produce: the same run made at top level.
+struct NestedRun {
+  const port::PortGraph* graph = nullptr;
+  RunResult expected;
+  std::atomic<int> runs{0};
+  std::atomic<int> mismatches{0};
+};
 
-  engine_stage_profiling(true);
-  engine_stage_stats_reset();
-  const auto result = run_synchronous(pg.ports(), EchoFactory(3));
-  engine_stage_profiling(false);
-  EXPECT_EQ(engine_stage_stats().profiled_rounds, result.stats.rounds)
-      << "the run after the reset still used the stale cached flag";
+RunOptions traced() {
+  RunOptions options;
+  options.collect_trace = true;
+  options.collect_messages = true;
+  return options;
+}
 
-  engine_stage_stats_reset();
-  EXPECT_EQ(engine_stage_stats().profiled_rounds, 0u);
-  (void)run_synchronous(pg.ports(), EchoFactory(3));
-  EXPECT_EQ(engine_stage_stats().profiled_rounds, 0u)
-      << "profiling off must stick after a reset as well";
+/// A relay whose receive() first runs a whole nested synchronous run on
+/// the same thread, then relays the round's inputs.  Had the nested run
+/// reused the lane's pooled workspace that the outer run is using, it
+/// would have rewritten the outer run's dispatch list, halt flags and
+/// outboxes, and its larger graph would have moved them.
+class NestingRelay final : public NodeProgram {
+ public:
+  NestingRelay(Round base, NestedRun& nested)
+      : relay_(base), nested_(nested) {}
+  void start(port::Port degree) override { relay_.start(degree); }
+  void send(Round round, std::span<Message> out) override {
+    relay_.send(round, out);
+  }
+  void receive(Round round, std::span<const Message> in) override {
+    const RunResult got =
+        run_synchronous(*nested_.graph, test::RelayFactory(2), traced());
+    ++nested_.runs;
+    if (!(got == nested_.expected)) ++nested_.mismatches;
+    relay_.receive(round, in);
+  }
+  [[nodiscard]] bool halted() const override { return relay_.halted(); }
+  void output(OutputSink& out) const override { relay_.output(out); }
+
+ private:
+  test::RelayProgram relay_;
+  NestedRun& nested_;
+};
+
+class NestingRelayFactory final : public ProgramFactory {
+ public:
+  NestingRelayFactory(Round base, NestedRun& nested)
+      : base_(base), nested_(nested) {}
+  [[nodiscard]] std::unique_ptr<NodeProgram> create() const override {
+    return std::make_unique<NestingRelay>(base_, nested_);
+  }
+  [[nodiscard]] std::string name() const override { return "nesting-relay"; }
+
+ private:
+  Round base_;
+  NestedRun& nested_;
+};
+
+TEST(EngineWorkspace, NestedRunsGetAPrivateWorkspace) {
+  // The nested graph is larger than the outer one in nodes, ports and
+  // degree, so a nested run on the outer run's workspace would grow (and
+  // reallocate) every buffer the outer run holds pointers into.
+  auto rng = test::make_rng(0x1EA5F);
+  const auto outer = port::random_port_graph({3, 2, 4, 1, 0, 2}, rng, 0.3);
+  const auto inner = test::random_ported_regular(64, 6, rng);
+  NestedRun nested;
+  nested.graph = &inner.ports();
+  nested.expected =
+      run_synchronous(inner.ports(), test::RelayFactory(2), traced());
+  const NestingRelayFactory nesting(3, nested);
+  for (const unsigned threads : test::policy_thread_counts()) {
+    RunOptions options = traced();
+    options.exec.threads = threads;
+    const RunResult plain =
+        run_synchronous(outer, test::RelayFactory(3), options);
+    EXPECT_TRUE(run_synchronous(outer, nesting, options) == plain)
+        << "threads=" << threads;
+  }
+  EXPECT_GT(nested.runs.load(), 0);
+  EXPECT_EQ(nested.mismatches.load(), 0);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// The execution engine's hard guarantee: every policy (sequential worklist,
-// parallel sharded rounds, batch pool) produces bit-identical RunResults —
+// The execution engine's hard guarantee: every lane count (inline or
+// sharded rounds, batch pool) produces bit-identical RunResults —
 // outputs, stats, trace, and message-log order — and matches the seed
 // semantics, reimplemented here as a policy-free oracle.
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "algo/odd_regular.hpp"
 #include "algo/port_one.hpp"
 #include "graph/generators.hpp"
+#include "lb/lower_bounds.hpp"
 #include "port/ported_graph.hpp"
 #include "port/random_port_graph.hpp"
 #include "runtime/batch.hpp"
@@ -284,11 +285,9 @@ TEST(Engine, LateHintsDivergeFromTheSeedOracle) {
 double dispatch_share(const PortGraph& g, const ProgramFactory& factory) {
   RunOptions options;
   options.collect_trace = true;
-  engine_stage_profiling(true);
   const auto before = engine_stage_stats().dispatched;
   const auto result = run_synchronous(g, factory, options);
   const auto dispatched = engine_stage_stats().dispatched - before;
-  engine_stage_profiling(false);
 
   std::size_t halted = 0;  // nodes that halt in start() run no round
   for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -452,42 +451,24 @@ TEST(Engine, FirstSparseRunOnALaneCountsAsAGrowth) {
   fresh_lane.join();
 }
 
-TEST(Engine, StageProfilingCountsRoundsAndStaysOffByDefault) {
+TEST(Engine, StageStatsCountEveryRun) {
+  // No toggle: every run, at every lane count, adds its rounds, its
+  // dispatches and a positive round-loop time to the process-wide
+  // counters.  Echo has no wake hint, so it dispatches every node in
+  // every round: 16 nodes x 6 rounds.
   const auto pg = port::with_canonical_ports(graph::cycle(16));
-  const auto before = engine_stage_stats();
-  engine_stage_profiling(true);
-  const auto result = run_synchronous(pg.ports(), EchoFactory(6));
-  engine_stage_profiling(false);
-  const auto after = engine_stage_stats();
-  EXPECT_EQ(after.profiled_rounds - before.profiled_rounds,
-            result.stats.rounds);
-  EXPECT_GT(after.round_ns, before.round_ns);
-
-  // With profiling off again, runs leave the counters untouched.
-  (void)run_synchronous(pg.ports(), EchoFactory(6));
-  EXPECT_TRUE(engine_stage_stats() == after);
-}
-
-TEST(Engine, StageStatsResetZeroesCumulativeCounters) {
-  // The counters are process-cumulative; per-run (or per-mode) attribution
-  // needs a reset between measurements.
-  const auto pg = port::with_canonical_ports(graph::cycle(8));
-  engine_stage_profiling(true);
-  (void)run_synchronous(pg.ports(), EchoFactory(4));
-  engine_stage_profiling(false);
-  EXPECT_GT(engine_stage_stats().profiled_rounds, 0u);
-
-  engine_stage_stats_reset();
-  const auto zeroed = engine_stage_stats();
-  EXPECT_EQ(zeroed.round_ns, 0u);
-  EXPECT_EQ(zeroed.profiled_rounds, 0u);
-
-  // The counters keep working after a reset.
-  engine_stage_profiling(true);
-  const auto result = run_synchronous(pg.ports(), EchoFactory(4));
-  engine_stage_profiling(false);
-  EXPECT_EQ(engine_stage_stats().profiled_rounds, result.stats.rounds);
-  EXPECT_GT(engine_stage_stats().round_ns, 0u);
+  for (const unsigned threads : policy_thread_counts()) {
+    RunOptions options;
+    options.exec.threads = threads;
+    const auto before = engine_stage_stats();
+    const auto result = run_synchronous(pg.ports(), EchoFactory(6), options);
+    const auto after = engine_stage_stats();
+    EXPECT_EQ(after.rounds - before.rounds, result.stats.rounds)
+        << "threads=" << threads;
+    EXPECT_EQ(after.dispatched - before.dispatched, 16u * 6u)
+        << "threads=" << threads;
+    EXPECT_GT(after.round_ns, before.round_ns) << "threads=" << threads;
+  }
 }
 
 TEST(Engine, WorklistSkipsHaltedNodes) {
@@ -576,24 +557,35 @@ TEST(Engine, RoundLimitThrowsUnderEveryPolicy) {
 
 TEST(ExecutionPlan, MirrorsTheGraph) {
   auto rng = test::make_rng(0xE63);
-  std::vector<Port> degrees{3, 0, 2, 5, 1, 4};
-  const auto g = port::random_port_graph(degrees, rng);
-  const ExecutionPlan plan(g);
-  ASSERT_EQ(plan.num_nodes(), g.num_nodes());
-  ASSERT_EQ(plan.total_ports(), g.num_ports());
-  std::size_t off = 0;
-  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_EQ(plan.degree(v), g.degree(static_cast<port::NodeId>(v)));
-    EXPECT_EQ(plan.offset(v), off);
-    off += plan.degree(v);
-    for (Port i = 1; i <= plan.degree(v); ++i) {
-      const auto q = plan.offset(v) + i - 1;
-      const auto dst = g.partner(static_cast<port::NodeId>(v), i);
-      EXPECT_TRUE(plan.partner_ref(q) == dst);
-      EXPECT_EQ(plan.partner_flat(q), plan.offset(dst.node) + dst.port - 1);
-      // Involution: following the partner index twice returns home.
-      EXPECT_EQ(plan.partner_flat(plan.partner_flat(q)), q);
+  std::vector<PortGraph> graphs;
+  graphs.push_back(port::random_port_graph({3, 0, 2, 5, 1, 4}, rng));
+  // Directed loops (fixed points of the involution) and, in the covering
+  // bases of the lower bounds, ports paired on one node.
+  graphs.push_back(port::random_port_graph({3, 0, 2, 5, 1, 4}, rng, 0.3));
+  graphs.push_back(lb::even_lower_bound(4).covering_base);
+  graphs.push_back(lb::odd_lower_bound(3).covering_base);
+  graphs.emplace_back();
+  for (const auto& g : graphs) {
+    const ExecutionPlan plan(g);
+    ASSERT_EQ(plan.num_nodes(), g.num_nodes());
+    ASSERT_EQ(plan.total_ports(), g.num_ports());
+    std::size_t off = 0;
+    for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
+      EXPECT_EQ(plan.degree(v), g.degree(v));
+      EXPECT_EQ(plan.offset(v), off);
+      EXPECT_EQ(plan.offset(v), g.offset(v));
+      off += plan.degree(v);
+      for (Port i = 1; i <= plan.degree(v); ++i) {
+        const auto q = plan.offset(v) + i - 1;
+        const auto dst = g.partner(v, i);
+        EXPECT_TRUE(plan.partner_ref(q) == dst);
+        EXPECT_EQ(plan.partner_node(q), dst.node);
+        EXPECT_EQ(plan.partner_flat(q), g.offset(dst.node) + dst.port - 1);
+        // Involution: following the partner index twice returns home.
+        EXPECT_EQ(plan.partner_flat(plan.partner_flat(q)), q);
+      }
     }
+    EXPECT_EQ(off, plan.total_ports());
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "algo/driver.hpp"
 #include "analysis/ratio.hpp"
 #include "analysis/verify.hpp"
@@ -7,6 +10,7 @@
 #include "lb/lower_bounds.hpp"
 #include "port/covering.hpp"
 #include "runtime/outputs.hpp"
+#include "util/text.hpp"
 
 namespace eds::lb {
 namespace {
@@ -139,6 +143,24 @@ TEST(ForcedRatio, MatchesTable1) {
   EXPECT_EQ(forced_ratio_regular(5), Fraction(3));
   EXPECT_EQ(forced_ratio_regular(6), Fraction(11, 3));
   EXPECT_THROW((void)forced_ratio_regular(0), InvalidArgument);
+}
+
+TEST(LowerBounds, PortCountFormulasMatchTheConstructions) {
+  for (port::Port d = 2; d <= 10; ++d) {
+    const auto inst = d % 2 == 0 ? even_lower_bound(d) : odd_lower_bound(d);
+    const auto ports =
+        d % 2 == 0 ? even_lower_bound_ports(d) : odd_lower_bound_ports(d);
+    EXPECT_EQ(ports, inst.ported.ports().num_ports()) << "d=" << d;
+  }
+  // The largest degrees whose instances a text port graph can hold.
+  EXPECT_LE(even_lower_bound_ports(5792), kMaxTextPorts);
+  EXPECT_GT(even_lower_bound_ports(5794), kMaxTextPorts);
+  EXPECT_LE(odd_lower_bound_ports(321), kMaxTextPorts);
+  EXPECT_GT(odd_lower_bound_ports(323), kMaxTextPorts);
+  // Counts past 64 bits saturate instead of wrapping.
+  constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(even_lower_bound_ports(4294967294u), kMax);
+  EXPECT_EQ(odd_lower_bound_ports(4294967295u), kMax);
 }
 
 TEST(LowerBounds, BoundedDegreeAlgorithmAlsoRespectsItsBoundHere) {

@@ -397,13 +397,17 @@ TEST(ExecutionPlan, MemoryBytesCountsTheFlatArraysExactly) {
   for (const auto& g :
        {test::random_ported_regular(64, 4, rng).ports(),
         port::random_port_graph({3, 0, 2, 5, 1, 4}, rng, 0.3), PortGraph{}}) {
+    // Three uint32 tables: n + 1 offsets, and per port the flat partner
+    // and the partner's node.
     const ExecutionPlan plan(g);
     const std::size_t n = g.num_nodes();
     const std::size_t ports = g.num_ports();
-    EXPECT_EQ(plan.memory_bytes(),
-              n * (sizeof(Port) + sizeof(std::size_t)) +
-                  ports * (sizeof(std::uint32_t) + sizeof(port::PortRef)));
+    EXPECT_EQ(plan.memory_bytes(), (n + 1 + 2 * ports) * 4);
   }
+  // A 4-regular plan: 9 B per port plus 4 B.
+  Rng regular_rng(44);
+  const auto regular = test::random_ported_regular(256, 4, regular_rng);
+  EXPECT_EQ(ExecutionPlan(regular.ports()).memory_bytes(), 9 * 1024 + 4);
 }
 
 TEST(ExecutionPlan, RejectsPortCountsBeyondThirtyTwoBits) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "algo/driver.hpp"
 #include "factor/two_factor.hpp"
 #include "graph/generators.hpp"
@@ -75,6 +77,23 @@ TEST(Views, EqualViewsForceEqualOutputs) {
             << "nodes " << v << "," << u << " share a view but diverged";
       }
     }
+  }
+}
+
+TEST(Views, RefinementStopsAtItsFixpoint) {
+  // A radius far past the fixpoint returns the fixpoint's classes without
+  // refining four billion times.
+  std::vector<PortGraph> graphs;
+  for (const Port d : {2u, 3u, 4u}) {
+    graphs.push_back(d % 2 == 0 ? lb::even_lower_bound(d).ported.ports()
+                                : lb::odd_lower_bound(d).ported.ports());
+  }
+  graphs.push_back(test::figure2_graph_h().ports());
+  graphs.push_back(test::figure2_multigraph_m());
+  for (const auto& g : graphs) {
+    const auto far = view_classes(g, 4'000'000'000);
+    EXPECT_EQ(far, view_classes(g, g.num_nodes() + 1));
+    EXPECT_EQ(far, stable_view_classes(g));
   }
 }
 
