@@ -1,15 +1,17 @@
 // google-benchmark: simulator throughput — rounds/sec and full-algorithm
-// wall time across n and d, plus the engine's parallel-policy and batch
-// scaling points, plan-cache effectiveness and allocation pressure.
+// wall time across n and d, plus the engine's multi-lane and batch
+// scaling points, plan-cache counters and allocation pressure.
 //
 // Machine-readable output (the BENCH_runtime.json perf trajectory): every
 // benchmark exports `n` and `rounds` counters (plus cache/allocation
 // counters where relevant), so
 //   bench_micro_runtime --benchmark_format=json
 // piped through tools/bench_json.py yields records of
-// {name, n, rounds, ns_per_op, counters}.  CI runs this once per push in
-// Release, uploads the JSON as an artifact, and posts the delta against the
-// committed snapshot via `tools/bench_json.py --compare`.
+// {name, n, rounds, ns_per_op, counters}.  CI runs this on every push in
+// Release with --benchmark_repetitions=5 (a record's ns_per_op is the
+// median, with its min and max), uploads the JSON as an artifact, and
+// posts the delta against the committed snapshot via
+// `tools/bench_json.py --compare`.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -348,9 +350,10 @@ BENCHMARK(BM_BatchSweep)->Arg(1)->Arg(2)->Arg(8)->UseRealTime();
 
 void BM_PlanCacheSweep(benchmark::State& state) {
   // The --repeat workload: `jobs` batch runs on ONE 4-regular instance
-  // (n = 1024).  With the shared cache the plan is compiled once per
-  // process lifetime and every subsequent job is a hit — plan_misses stays
-  // at 1 however many iterations the timer takes.
+  // (n = 1024) through a shared cache.  A plan is a view of the graph's
+  // tables, so the cache saves no work; it counts the structure once, and
+  // every later job is a hit — plan_misses stays at 1 however many
+  // iterations the timer takes.
   const auto jobs = static_cast<std::size_t>(state.range(0));
   eds::Rng rng(7);
   const auto pg = eds::port::with_random_ports(
@@ -369,7 +372,7 @@ void BM_PlanCacheSweep(benchmark::State& state) {
   const auto stats = cache.stats();
   state.counters["n"] = 1024.0;
   state.counters["rounds"] = static_cast<double>(rounds);
-  // plan_misses is timer-independent (the one compile, however many
+  // plan_misses is timer-independent (the one structure, however many
   // iterations ran); hits are normalized per iteration (~jobs) so the
   // exported counters are comparable across machines and --benchmark_min_time.
   state.counters["plan_hits"] = benchmark::Counter(

@@ -69,7 +69,7 @@ runtime::Round BoundedDegreeProgram::wake_hint(runtime::Round round) const {
   const auto d = static_cast<runtime::Round>(delta_);
   const runtime::Round phase2 = 2 + d * d;              // last phase-I round
   const runtime::Round m_status = phase2 + 2 * d * (d - 1) + 1;
-  runtime::Round next = schedule_length(delta_);
+  auto next = static_cast<runtime::Round>(schedule_length(delta_));
   // consider(s): I send into round s, in the dispatch of round s − 1.
   const auto consider = [&](runtime::Round sends) {
     if (sends - 1 > round) next = std::min(next, sends - 1);

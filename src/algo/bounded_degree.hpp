@@ -84,10 +84,11 @@ class BoundedDegreeProgram final : public runtime::NodeProgram {
     return max_degree % 2 == 1 ? max_degree : max_degree + 1;
   }
 
-  /// Total schedule length for the (normalised) parameter.
-  [[nodiscard]] static runtime::Round schedule_length(port::Port max_degree) {
-    const auto d = static_cast<runtime::Round>(normalised_delta(max_degree));
-    return 3 + 3 * d * d;  // 2 + d² + 2d(d−1) + 1 + 2d
+  /// Total schedule length for the (normalised) parameter, in 64 bits:
+  /// 3 + 3∆'² = 2 + ∆'² + 2∆'(∆' − 1) + 1 + 2∆', which passes a Round for
+  /// ∆' > 37,837 (BoundedDegreeFactory rejects those).
+  [[nodiscard]] static std::uint64_t schedule_length(port::Port max_degree) {
+    return quadratic_schedule(3, normalised_delta(max_degree));
   }
 
  private:
@@ -137,10 +138,15 @@ class BoundedDegreeProgram final : public runtime::NodeProgram {
 
 class BoundedDegreeFactory final : public runtime::ProgramFactory {
  public:
+  /// Throws InvalidArgument when the schedule of `max_degree` does not fit
+  /// a Round (max degree above 37,837).
   explicit BoundedDegreeFactory(
       port::Port max_degree,
       std::shared_ptr<BoundedPhaseStats> sink = nullptr)
-      : max_degree_(max_degree), sink_(std::move(sink)) {}
+      : max_degree_(max_degree), sink_(std::move(sink)) {
+    check_schedule("bounded-degree: max degree " + std::to_string(max_degree),
+                   BoundedDegreeProgram::schedule_length(max_degree));
+  }
   [[nodiscard]] std::unique_ptr<runtime::NodeProgram> create() const override {
     return std::make_unique<BoundedDegreeProgram>(max_degree_, sink_);
   }

@@ -1,10 +1,22 @@
 #include "algo/common.hpp"
 
+#include <limits>
 #include <memory>
 
 #include "util/error.hpp"
 
 namespace eds::algo {
+
+void check_schedule(const std::string& who, std::uint64_t rounds) {
+  constexpr Round kMax = std::numeric_limits<Round>::max();
+  if (rounds > kMax) {
+    throw InvalidArgument(who + " needs a schedule of " +
+                          (rounds == UINT64_MAX ? "at least " : "") +
+                          std::to_string(rounds) +
+                          " rounds; a run counts at most " +
+                          std::to_string(kMax));
+  }
+}
 
 void PortBlock::assign(Port degree) {
   release();

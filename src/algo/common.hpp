@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory_resource>
 #include <span>
+#include <string>
 
 #include "runtime/message.hpp"
 #include "runtime/program.hpp"
@@ -30,6 +31,21 @@ enum Tag : std::int32_t {
   kTagAccept = 6,   ///< proposal accepted
   kTagReject = 7,   ///< proposal rejected
 };
+
+/// k · (d² + 1), the shape of the quadratic schedules (A(∆) runs
+/// 3 + 3∆'² rounds, odd-regular 2 + 2d²), in 64 bits and saturating at
+/// 2^64 − 1: the exact length of every accepted parameter, and one that a
+/// Round cannot hold for every other.
+[[nodiscard]] constexpr std::uint64_t quadratic_schedule(std::uint64_t k,
+                                                         Port d) noexcept {
+  const std::uint64_t dd1 = std::uint64_t{d} * d + 1;  // < 2^64 for d < 2^32
+  return dd1 > UINT64_MAX / k ? UINT64_MAX : k * dd1;
+}
+
+/// Throws InvalidArgument, naming `who` (the algorithm and its parameter)
+/// and the length, when a schedule of `rounds` rounds does not fit a Round:
+/// a wrapped length would halt every node early, with a wrong result.
+void check_schedule(const std::string& who, std::uint64_t rounds);
 
 /// Bits of PortSlot::flags.
 enum PortFlag : std::uint8_t {

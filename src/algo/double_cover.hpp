@@ -104,11 +104,14 @@ class DoubleCoverProgram final : public runtime::NodeProgram {
   /// by the dispatch that receives the reply to the previous one, and
   /// every reply by the dispatch that receives the proposal.
   [[nodiscard]] runtime::Round wake_hint(runtime::Round round) const override {
-    return std::max(round + 1, schedule_length(max_degree_));
+    return std::max(round + 1,
+                    static_cast<runtime::Round>(schedule_length(max_degree_)));
   }
 
-  [[nodiscard]] static runtime::Round schedule_length(port::Port max_degree) {
-    return 2 * DoubleCoverEngine::slots_for(max_degree);
+  /// Total schedule length, in 64 bits: 2∆, which passes a Round for
+  /// ∆ ≥ 2^31 (DoubleCoverFactory rejects those).
+  [[nodiscard]] static std::uint64_t schedule_length(port::Port max_degree) {
+    return 2 * std::uint64_t{DoubleCoverEngine::slots_for(max_degree)};
   }
 
  private:
@@ -120,8 +123,13 @@ class DoubleCoverProgram final : public runtime::NodeProgram {
 
 class DoubleCoverFactory final : public runtime::ProgramFactory {
  public:
+  /// Throws InvalidArgument when the schedule of `max_degree` does not fit
+  /// a Round (max degree 2^31 or more).
   explicit DoubleCoverFactory(port::Port max_degree)
-      : max_degree_(max_degree) {}
+      : max_degree_(max_degree) {
+    check_schedule("double-cover: max degree " + std::to_string(max_degree),
+                   DoubleCoverProgram::schedule_length(max_degree));
+  }
   [[nodiscard]] std::unique_ptr<runtime::NodeProgram> create() const override {
     return std::make_unique<DoubleCoverProgram>(max_degree_);
   }

@@ -9,7 +9,6 @@
 #include "algo/odd_regular.hpp"
 #include "algo/port_one.hpp"
 #include "runtime/batch.hpp"
-#include "runtime/plan_cache.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
@@ -121,9 +120,6 @@ EdsOutcome run_algorithm(const port::PortedGraph& pg, Algorithm algorithm,
   const auto factory = make_factory(algorithm, param);
   runtime::RunOptions options;
   options.exec = exec;
-  if (options.exec.plan_cache == nullptr) {
-    options.exec.plan_cache = &runtime::PlanCache::global();
-  }
   const auto result = runtime::run_synchronous(pg.ports(), *factory, options);
   EdsOutcome outcome;
   outcome.solution = runtime::validated_edge_set(pg, result);
@@ -135,7 +131,7 @@ namespace {
 
 /// The shared front half of run_batch / run_batch_streaming: factories are
 /// built up front (and kept alive for the whole batch) and every job is
-/// pointed at the plan cache.
+/// pointed at the plan cache, if any.
 struct PreparedBatch {
   std::vector<std::unique_ptr<runtime::ProgramFactory>> factories;
   std::vector<runtime::BatchJob> jobs;
@@ -143,7 +139,6 @@ struct PreparedBatch {
 
 PreparedBatch prepare_batch(const std::vector<BatchItem>& items,
                             runtime::PlanCache* plan_cache) {
-  if (plan_cache == nullptr) plan_cache = &runtime::PlanCache::global();
   PreparedBatch batch;
   batch.factories.reserve(items.size());
   batch.jobs.reserve(items.size());

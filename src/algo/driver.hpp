@@ -65,9 +65,8 @@ struct EdsOutcome {
 /// `param` defaults (0) resolve from the graph: d-regular degree for
 /// kOddRegular, max degree for kBoundedDegree / kDoubleCover.  `exec`
 /// selects the engine policy (ExecOptions{.threads = N}); the solution is
-/// identical for every policy.  When `exec.plan_cache` is null the
-/// process-wide `runtime::PlanCache::global()` is used, so repeated runs
-/// on one graph compile its ExecutionPlan once.
+/// identical for every policy.  `exec.plan_cache`, when set, counts the
+/// run's structure (a hit or a miss); null runs on a plan of its own.
 [[nodiscard]] EdsOutcome run_algorithm(const port::PortedGraph& pg,
                                        Algorithm algorithm,
                                        port::Port param = 0,
@@ -84,9 +83,9 @@ struct BatchItem {
 /// Runs every item concurrently over a BatchRunner pool with `threads`
 /// workers (0 = one per hardware thread) and returns the validated outcomes
 /// in item order — deterministically identical for every thread count.
-/// Plans are shared through `plan_cache` (null = PlanCache::global()), so
-/// repeated items on one graph compile a single ExecutionPlan.  The pool
-/// outlives the call: the next batch of the same width reuses its lanes
+/// `plan_cache`, when set, counts the distinct structures the items ran on
+/// (one miss per structure, a hit per repeat); null counts nothing.  The
+/// pool outlives the call: the next batch of the same width reuses its lanes
 /// (threads and pooled workspaces) unless another batch is holding them.
 [[nodiscard]] std::vector<EdsOutcome> run_batch(
     const std::vector<BatchItem>& items, unsigned threads = 0,

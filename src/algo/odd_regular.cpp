@@ -130,7 +130,7 @@ runtime::Round OddRegularProgram::wake_hint(runtime::Round round) const {
   // before every remove step, so the remove steps (those still in D)
   // matter only once no add step is left.
   const auto next_step = [&](runtime::Round base, bool in_d_only) {
-    runtime::Round next = schedule_length(d_);
+    auto next = static_cast<runtime::Round>(schedule_length(d_));
     const auto consider = [&](port::Port i, port::Port j, port::Port mine) {
       const auto sends = base + static_cast<runtime::Round>(
                                     pair_position(d_, order_, i, j));

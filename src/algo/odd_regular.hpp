@@ -77,9 +77,11 @@ class OddRegularProgram final : public runtime::NodeProgram {
   /// that message.  O(d) per call.
   [[nodiscard]] runtime::Round wake_hint(runtime::Round round) const override;
 
-  /// Total rounds the schedule takes for parameter d.
-  [[nodiscard]] static runtime::Round schedule_length(port::Port d) {
-    return 2 + 2 * static_cast<runtime::Round>(d) * d;
+  /// Total rounds the schedule takes for parameter d, in 64 bits:
+  /// 2 + 2d², which passes a Round for d > 46,340 (OddRegularFactory
+  /// rejects those).
+  [[nodiscard]] static std::uint64_t schedule_length(port::Port d) {
+    return quadratic_schedule(2, d);
   }
 
  private:
@@ -105,9 +107,14 @@ class OddRegularProgram final : public runtime::NodeProgram {
 
 class OddRegularFactory final : public runtime::ProgramFactory {
  public:
+  /// Throws InvalidArgument when the schedule of `d` does not fit a Round
+  /// (d above 46,340).
   explicit OddRegularFactory(port::Port d,
                              PairOrder order = PairOrder::kLexicographic)
-      : d_(d), order_(order) {}
+      : d_(d), order_(order) {
+    check_schedule("odd-regular: d " + std::to_string(d),
+                   OddRegularProgram::schedule_length(d));
+  }
   [[nodiscard]] std::unique_ptr<runtime::NodeProgram> create() const override {
     return std::make_unique<OddRegularProgram>(d_, order_);
   }

@@ -174,8 +174,9 @@ void usage(std::ostream& out) {
          "      random port-numbered multigraphs: loops, parallel edges);\n"
          "      grid/torus round n to a square side, caterpillar grows a\n"
          "      2-leg spine, powerlaw samples P(deg) ~ deg^-2.5;\n"
-         "      --repeat R runs each instance R times (the shared plan is\n"
-         "      compiled once per instance and reused via the plan cache);\n"
+         "      --repeat R runs each instance R times (the plan cache\n"
+         "      counts each instance's structure once); a sweep runs at\n"
+         "      most 65536 jobs (sizes x R);\n"
          "      --ndjson streams one JSON object per job as results arrive\n"
          "      (in job order, no full-batch barrier) plus a summary line\n"
          "      with the plan-cache counters; every object carries\n"
@@ -547,6 +548,12 @@ int cmd_sweep_replay(const Args& args, std::ostream& out, std::ostream& err) {
 /// The `"schema"` field every `--ndjson` object carries.
 constexpr int kNdjsonSchema = 2;
 
+/// Most jobs (sizes × repeats) one sweep runs.  A job's bookkeeping is
+/// about 350 B (its BatchJob, its result slot, its item and factory), so
+/// this bounds a sweep's job list near 23 MB before anything is generated
+/// or reserved.
+constexpr std::size_t kMaxSweepJobs = std::size_t{1} << 16;
+
 constexpr std::string_view kSweepFamilies[] = {
     "path", "cycle", "regular", "grid", "torus", "caterpillar", "powerlaw",
     "portgraph"};
@@ -555,7 +562,7 @@ constexpr std::string_view kSweepFamilies[] = {
 struct SweepConfig {
   std::string family;
   std::vector<std::size_t> sizes;  ///< --min..--max, doubling or by --step
-  std::size_t d = 3;
+  port::Port d = 3;
   unsigned threads = 0;
   std::size_t repeat = 1;
   bool ndjson = false;
@@ -668,7 +675,7 @@ std::optional<SweepConfig> parse_sweep(const Args& args, std::ostream& err) {
   const auto min_n = args.get_uint<std::size_t>("min", 8);
   const auto max_n = args.get_uint<std::size_t>("max", 128);
   const auto step = args.get_uint<std::size_t>("step", 0);
-  cfg.d = args.get_uint<std::size_t>("d", 3);
+  cfg.d = args.get_uint<port::Port>("d", 3);
   cfg.threads = args.get_uint<unsigned>("threads", 0);
   cfg.repeat = args.get_uint<std::size_t>("repeat", 1);
   cfg.ndjson = args.has("ndjson");
@@ -681,12 +688,23 @@ std::optional<SweepConfig> parse_sweep(const Args& args, std::ostream& err) {
     return std::nullopt;
   }
   if (!parse_sweep_model(args, cfg, err)) return std::nullopt;
-  // Sizes: doubling from --min by default, arithmetic with --step S.
+  // Sizes: doubling from --min by default, arithmetic with --step S.  The
+  // job count sizes × repeats stays within kMaxSweepJobs.
   for (std::size_t n = min_n;;) {
+    if (cfg.sizes.size() == kMaxSweepJobs) {
+      err << "sweep: --min/--max/--step give more than " << kMaxSweepJobs
+          << " sizes (at most " << kMaxSweepJobs << " jobs per sweep)\n";
+      return std::nullopt;
+    }
     cfg.sizes.push_back(n);
     const std::size_t next = step == 0 ? n * 2 : n + step;
     if (next <= n || next > max_n) break;
     n = next;
+  }
+  if (cfg.repeat > kMaxSweepJobs / cfg.sizes.size()) {
+    err << "sweep: --repeat " << cfg.repeat << " over " << cfg.sizes.size()
+        << " size(s) exceeds " << kMaxSweepJobs << " jobs per sweep\n";
+    return std::nullopt;
   }
   cfg.algo_name = args.get("algorithm", "auto");
   if (cfg.algo_name != "auto") {
@@ -743,7 +761,7 @@ SweepInstances generate_instances(const SweepConfig& cfg) {
   for (const auto n : cfg.sizes) {
     if (cfg.family == "portgraph") {
       set.multigraphs.push_back(port::random_port_graph(
-          std::vector<port::Port>(n, static_cast<port::Port>(cfg.d)), rng));
+          std::vector<port::Port>(n, cfg.d), rng));
     } else {
       set.graphs.push_back(
           port::with_random_ports(family_graph(cfg, n, rng), rng));
@@ -782,9 +800,8 @@ std::vector<SweepTarget> resolve_targets(const SweepConfig& cfg,
   std::vector<SweepTarget> targets(cfg.sizes.size());
   if (cfg.family == "portgraph") {
     const auto algorithm = portgraph_algorithm(cfg);
-    const auto param = cfg.param != 0 ? cfg.param
-                                      : static_cast<port::Port>(
-                                            std::max<std::size_t>(cfg.d, 1));
+    const auto param =
+        cfg.param != 0 ? cfg.param : std::max<port::Port>(cfg.d, 1);
     for (std::size_t k = 0; k < targets.size(); ++k) {
       targets[k] = {cfg.sizes[k], &set.multigraphs[k], nullptr, algorithm,
                     param, algo::make_factory(algorithm, param)};

@@ -1,8 +1,6 @@
 #include "port/port_graph.hpp"
 
-#include <atomic>
 #include <map>
-#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -10,32 +8,57 @@
 
 namespace eds::port {
 
-PortGraph::PortGraph(PortGraph&& other) noexcept {
-  *this = std::move(other);
+void check_port_count(std::uint64_t total_ports) {
+  if (total_ports > kMaxPorts) {
+    throw InvalidArgument(
+        "PortGraph: the graph has " + std::to_string(total_ports) +
+        " ports; flat port indices are 32-bit, so at most " +
+        std::to_string(kMaxPorts) + " are supported");
+  }
 }
 
+const std::shared_ptr<const PortGraph::Tables>& PortGraph::empty_tables() {
+  static const std::shared_ptr<const Tables> empty = [] {
+    auto t = std::make_shared<Tables>();
+    t->hash = hash_structure(*t);
+    return std::shared_ptr<const Tables>(std::move(t));
+  }();
+  return empty;
+}
+
+PortGraph::PortGraph() noexcept : tables_(empty_tables()) {}
+
+std::size_t PortGraph::flat_index(std::span<const std::uint32_t> offsets,
+                                  NodeId v, Port i) {
+  if (v >= offsets.size() - 1 || i < 1 || i > offsets[v + 1] - offsets[v]) {
+    throw InvalidArgument("PortGraph: port reference out of range");
+  }
+  return offsets[v] + (i - 1);
+}
+
+PortGraph::PortGraph(PortGraph&& other) noexcept
+    : tables_(std::exchange(other.tables_, empty_tables())) {}
+
 PortGraph& PortGraph::operator=(PortGraph&& other) noexcept {
-  // The source is left a valid empty graph, hash and build id included.
-  degrees_ = std::exchange(other.degrees_, {});
-  offsets_ = std::exchange(other.offsets_, {});
-  partner_ = std::exchange(other.partner_, {});
-  hash_ = std::exchange(other.hash_, hash_structure({}, {}));
-  build_id_ = std::exchange(other.build_id_, 0);
+  // The source is left a valid empty graph, hash included.
+  tables_ = std::exchange(other.tables_, empty_tables());
   return *this;
 }
 
-std::uint64_t PortGraph::hash_structure(std::span<const Port> degrees,
-                                        std::span<const PortRef> partner) {
+std::uint64_t PortGraph::hash_structure(const Tables& t) {
   std::uint64_t state = 0x9e3779b97f4a7c15ULL;
   auto mix = [&state](std::uint64_t value) {
     state ^= value + 0x9e3779b97f4a7c15ULL + (state << 6) + (state >> 2);
     std::uint64_t sm = state;
     state = splitmix64(sm);
   };
-  mix(degrees.size());
-  for (const auto deg : degrees) mix(deg);
-  for (const auto& dst : partner) {
-    mix((static_cast<std::uint64_t>(dst.node) << 32) | dst.port);
+  const std::size_t n = t.offsets.size() - 1;
+  mix(n);
+  for (std::size_t v = 0; v < n; ++v) mix(t.offsets[v + 1] - t.offsets[v]);
+  for (std::size_t q = 0; q < t.partner_flat.size(); ++q) {
+    const std::uint32_t u = t.partner_node[q];
+    const Port port = t.partner_flat[q] - t.offsets[u] + 1;
+    mix((static_cast<std::uint64_t>(u) << 32) | port);
   }
   return state;
 }
@@ -44,9 +67,9 @@ std::vector<PortEdge> PortGraph::port_edges() const {
   std::vector<PortEdge> out;
   out.reserve(num_ports() / 2 + 1);
   for (NodeId v = 0; v < num_nodes(); ++v) {
-    for (Port i = 1; i <= degrees_[v]; ++i) {
+    for (Port i = 1; i <= degree(v); ++i) {
       const PortRef here{v, i};
-      const PortRef there = partner(here);
+      const PortRef there = partner_ref(offset(v) + i - 1);
       if (there == here) {
         out.push_back({here, here, /*directed_loop=*/true});
       } else if (std::pair(v, i) < std::pair(there.node, there.port)) {
@@ -70,17 +93,18 @@ bool PortGraph::is_simple() const {
 }
 
 void PortGraph::validate() const {
+  const auto& t = *tables_;
   for (NodeId v = 0; v < num_nodes(); ++v) {
-    for (Port i = 1; i <= degrees_[v]; ++i) {
-      const PortRef there = partner(v, i);
-      if (there.node >= num_nodes() || there.port < 1 ||
-          there.port > degrees_[there.node]) {
+    for (Port i = 1; i <= degree(v); ++i) {
+      const std::size_t q = offset(v) + i - 1;
+      const std::uint32_t u = t.partner_node[q];
+      const std::uint32_t p = t.partner_flat[q];
+      if (u >= num_nodes() || p < t.offsets[u] || p >= t.offsets[u + 1]) {
         std::ostringstream os;
         os << "PortGraph: p(" << v << "," << i << ") points out of range";
         throw InvalidStructure(os.str());
       }
-      const PortRef back = partner(there);
-      if (!(back == PortRef{v, i})) {
+      if (t.partner_flat[p] != q) {
         std::ostringstream os;
         os << "PortGraph: involution violated at node " << v << " port " << i;
         throw InvalidStructure(os.str());
@@ -101,19 +125,17 @@ std::string PortGraph::summary() const {
 }
 
 PortGraphBuilder::PortGraphBuilder(std::vector<Port> degrees) {
-  g_.degrees_ = std::move(degrees);
-  g_.offsets_.resize(g_.degrees_.size());
-  std::size_t total = 0;
-  for (std::size_t v = 0; v < g_.degrees_.size(); ++v) {
-    g_.offsets_[v] = total;
-    total += g_.degrees_[v];
+  std::uint64_t total = 0;
+  for (const Port d : degrees) total += d;
+  check_port_count(total);
+  tables_ = std::make_shared<PortGraph::Tables>();
+  auto& t = *tables_;
+  t.offsets.resize(degrees.size() + 1);
+  for (std::size_t v = 0; v < degrees.size(); ++v) {
+    t.offsets[v + 1] = t.offsets[v] + degrees[v];
   }
-  g_.partner_.resize(total);
-  assigned_.assign(total, false);
-}
-
-std::size_t PortGraphBuilder::flat_index(PortRef r) const {
-  return g_.flat_index(r.node, r.port);
+  t.partner_flat.assign(total, kUnassigned);
+  t.partner_node.resize(total);
 }
 
 PortGraphBuilder& PortGraphBuilder::connect(PortRef a, PortRef b) {
@@ -121,27 +143,30 @@ PortGraphBuilder& PortGraphBuilder::connect(PortRef a, PortRef b) {
     throw InvalidArgument(
         "PortGraphBuilder::connect: use fix() for a directed loop");
   }
-  const std::size_t ia = flat_index(a);
-  const std::size_t ib = flat_index(b);
-  if (assigned_[ia] || assigned_[ib]) {
+  auto& t = *tables_;
+  const std::size_t ia = PortGraph::flat_index(t.offsets, a.node, a.port);
+  const std::size_t ib = PortGraph::flat_index(t.offsets, b.node, b.port);
+  if (t.partner_flat[ia] != kUnassigned || t.partner_flat[ib] != kUnassigned) {
     std::ostringstream os;
     os << "PortGraphBuilder: port already connected: (" << a.node << ","
        << a.port << ") or (" << b.node << "," << b.port << ")";
     throw InvalidStructure(os.str());
   }
-  g_.partner_[ia] = b;
-  g_.partner_[ib] = a;
-  assigned_[ia] = assigned_[ib] = true;
+  t.partner_flat[ia] = static_cast<std::uint32_t>(ib);
+  t.partner_node[ia] = b.node;
+  t.partner_flat[ib] = static_cast<std::uint32_t>(ia);
+  t.partner_node[ib] = a.node;
   return *this;
 }
 
 PortGraphBuilder& PortGraphBuilder::fix(PortRef a) {
-  const std::size_t ia = flat_index(a);
-  if (assigned_[ia]) {
+  auto& t = *tables_;
+  const std::size_t ia = PortGraph::flat_index(t.offsets, a.node, a.port);
+  if (t.partner_flat[ia] != kUnassigned) {
     throw InvalidStructure("PortGraphBuilder::fix: port already connected");
   }
-  g_.partner_[ia] = a;
-  assigned_[ia] = true;
+  t.partner_flat[ia] = static_cast<std::uint32_t>(ia);
+  t.partner_node[ia] = a.node;
   return *this;
 }
 
@@ -150,20 +175,21 @@ PortGraph PortGraphBuilder::build() {
     throw InvalidArgument(
         "PortGraphBuilder::build: the graph was already built");
   }
-  for (std::size_t idx = 0; idx < assigned_.size(); ++idx) {
-    if (!assigned_[idx]) {
+  auto& t = *tables_;
+  for (std::size_t idx = 0; idx < t.partner_flat.size(); ++idx) {
+    if (t.partner_flat[idx] == kUnassigned) {
       std::ostringstream os;
       os << "PortGraphBuilder::build: unassigned port (flat index " << idx
          << ")";
       throw InvalidStructure(os.str());
     }
   }
-  g_.validate();
-  g_.hash_ = PortGraph::hash_structure(g_.degrees_, g_.partner_);
-  static std::atomic<std::uint64_t> last_build_id{0};
-  g_.build_id_ = last_build_id.fetch_add(1, std::memory_order_relaxed) + 1;
+  t.hash = PortGraph::hash_structure(t);
+  PortGraph g;
+  g.tables_ = std::move(tables_);
+  g.validate();
   built_ = true;
-  return std::move(g_);
+  return g;
 }
 
 }  // namespace eds::port

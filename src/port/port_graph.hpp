@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -44,77 +45,111 @@ struct PortEdge {
   }
 };
 
-/// An immutable port-numbered (multi)graph: degrees plus the involution p.
+/// Largest port count a PortGraph can hold: flat port indices are stored
+/// as uint32, and 0xFFFFFFFF is never one (the builder marks unassigned
+/// ports with it).
+inline constexpr std::uint64_t kMaxPorts = 0xFFFFFFFFULL;
+
+/// Throws InvalidArgument when a graph of `total_ports` ports is too large
+/// for a PortGraph (more than kMaxPorts), so flat indices can never wrap.
+/// PortGraphBuilder's constructor calls it before allocating any table.
+void check_port_count(std::uint64_t total_ports);
+
+/// An immutable port-numbered (multi)graph: a degree sequence plus the
+/// involution p, stored once as three uint32 tables over flat port indices
+/// (the ports of node v are offset(v) .. offset(v + 1) - 1, port (v, i) at
+/// offset(v) + i - 1):
+///   offsets       n + 1 prefix sums of the degrees;
+///   partner_flat  the involution: the flat index of p(q) for each port q;
+///   partner_node  the node that owns p(q), for each port q.
+/// Degrees and (node, port) partners are derived from them.  The engine
+/// reads the same tables (runtime::ExecutionPlan is a view of them).
 ///
-/// The structural hash (see structural_hash()) and a process-unique build id
-/// (see build_id()) are stamped once, when PortGraphBuilder::build()
-/// produces the graph, and travel with it through copies and moves; a
-/// moved-from graph is left empty, with the empty hash and build id 0.
+/// PortGraphBuilder::build() writes the tables and the structural hash
+/// into one immutable block that every copy of the graph shares, so a
+/// copy costs a reference count and two graphs with the same block are
+/// the same structure.  A moved-from graph is left a valid empty graph,
+/// with the empty hash.
 class PortGraph {
  public:
-  PortGraph() = default;
+  PortGraph() noexcept;
   PortGraph(const PortGraph&) = default;
   PortGraph& operator=(const PortGraph&) = default;
   PortGraph(PortGraph&& other) noexcept;
   PortGraph& operator=(PortGraph&& other) noexcept;
 
   [[nodiscard]] std::size_t num_nodes() const noexcept {
-    return degrees_.size();
+    return tables_->offsets.size() - 1;
   }
 
   /// Total number of ports, i.e. the sum of degrees.
   [[nodiscard]] std::size_t num_ports() const noexcept {
-    return partner_.size();
+    return tables_->partner_flat.size();
   }
 
   [[nodiscard]] Port degree(NodeId v) const {
-    if (v >= degrees_.size()) {
+    if (v >= num_nodes()) {
       throw InvalidArgument("PortGraph::degree: node out of range");
     }
-    return degrees_[v];
+    return tables_->offsets[v + 1] - tables_->offsets[v];
   }
 
   /// The involution: p(v, i).  Ports are 1-based.
   [[nodiscard]] PortRef partner(NodeId v, Port i) const {
-    return partner_[flat_index(v, i)];
+    return partner_ref(flat_index(tables_->offsets, v, i));
   }
   [[nodiscard]] PortRef partner(PortRef r) const {
     return partner(r.node, r.port);
   }
 
-  /// The degree sequence as a flat array (d(v) = degree_sequence()[v]).
-  /// Hot-path view for the engine layer: plan compilation, structural
-  /// hashing and cache verification scan these contiguously instead of
-  /// paying a bounds-checked lookup per port.
-  [[nodiscard]] const std::vector<Port>& degree_sequence() const noexcept {
-    return degrees_;
-  }
-
-  /// The involution as a flat array indexed by flat port index (ports of
-  /// node v start at offset(v)); companion of degree_sequence().
-  [[nodiscard]] const std::vector<PortRef>& partner_table() const noexcept {
-    return partner_;
+  /// The involution partner of flat port q as a (node, port) pair
+  /// (unchecked: q must be a port).
+  [[nodiscard]] PortRef partner_ref(std::size_t q) const noexcept {
+    const NodeId u = tables_->partner_node[q];
+    return {u, tables_->partner_flat[q] - tables_->offsets[u] + 1};
   }
 
   /// Flat index of port (v, 1), i.e. Σ_{u<v} d(u); port (v, i) has flat
   /// index offset(v) + i - 1.  Unchecked: v must be a node.
   [[nodiscard]] std::size_t offset(NodeId v) const noexcept {
-    return offsets_[v];
+    return tables_->offsets[v];
+  }
+
+  /// The tables themselves, for hot paths that index flat ports:
+  /// offsets() has num_nodes() + 1 entries, the other two num_ports().
+  [[nodiscard]] std::span<const std::uint32_t> offsets() const noexcept {
+    return tables_->offsets;
+  }
+  [[nodiscard]] std::span<const std::uint32_t> partner_flat() const noexcept {
+    return tables_->partner_flat;
+  }
+  [[nodiscard]] std::span<const std::uint32_t> partner_node() const noexcept {
+    return tables_->partner_node;
   }
 
   /// A 64-bit hash of the structure (node count, degree sequence, flat
   /// involution), computed once at build().  Equal structures hash equal;
   /// collisions are possible, so a cache must still compare the tables.
   [[nodiscard]] std::uint64_t structural_hash() const noexcept {
-    return hash_;
+    return tables_->hash;
   }
 
-  /// The id PortGraphBuilder::build() stamped on this graph: unique per
-  /// build in this process and never 0, kept by copies (which share the
-  /// structure, since a PortGraph never changes after build), 0 for a
-  /// default-constructed or moved-from graph.  Equal non-zero ids therefore
-  /// prove equal structures — the PlanCache's O(1) hit path.
-  [[nodiscard]] std::uint64_t build_id() const noexcept { return build_id_; }
+  /// Heap footprint of the three tables: (n + 1 + 2 · ports) · 4 bytes.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
+    return (tables_->offsets.capacity() + tables_->partner_flat.capacity() +
+            tables_->partner_node.capacity()) *
+           sizeof(std::uint32_t);
+  }
+
+  /// Same structure (degree sequence and involution): O(1) when the two
+  /// graphs share their tables (one is a copy of the other), else the
+  /// offsets and the flat involution are compared.
+  [[nodiscard]] friend bool operator==(const PortGraph& a,
+                                       const PortGraph& b) noexcept {
+    return a.tables_ == b.tables_ ||
+           (a.tables_->offsets == b.tables_->offsets &&
+            a.tables_->partner_flat == b.tables_->partner_flat);
+  }
 
   /// All structural edges: one entry per unordered port pair {(v,i),(u,j)}
   /// with p(v,i) = (u,j), plus one entry per fixed point (directed loop).
@@ -134,27 +169,30 @@ class PortGraph {
  private:
   friend class PortGraphBuilder;
   /// Test seam, defined only by the plan-cache tests: forges a structural
-  /// hash collision or a build id, which no real pair of graphs can be made
-  /// to produce.
+  /// hash collision, which no real pair of graphs can be made to produce.
   friend struct PortGraphTestAccess;
 
-  [[nodiscard]] std::size_t flat_index(NodeId v, Port i) const {
-    if (v >= degrees_.size() || i < 1 || i > degrees_[v]) {
-      throw InvalidArgument("PortGraph: port reference out of range");
-    }
-    return offsets_[v] + (i - 1);
-  }
+  struct Tables {
+    std::vector<std::uint32_t> offsets{0};
+    std::vector<std::uint32_t> partner_flat;
+    std::vector<std::uint32_t> partner_node;
+    std::uint64_t hash = 0;
+  };
+
+  /// The block of the empty graph, shared by every default-constructed
+  /// and moved-from graph.
+  [[nodiscard]] static const std::shared_ptr<const Tables>& empty_tables();
+
+  /// Flat index of port (v, i) under `offsets`; throws InvalidArgument
+  /// when (v, i) is not a port.
+  [[nodiscard]] static std::size_t flat_index(
+      std::span<const std::uint32_t> offsets, NodeId v, Port i);
 
   /// The hash walk: splitmix64 mixing over the node count, the degree
   /// sequence, then the involution as (node << 32 | port) per flat port.
-  [[nodiscard]] static std::uint64_t hash_structure(
-      std::span<const Port> degrees, std::span<const PortRef> partner);
+  [[nodiscard]] static std::uint64_t hash_structure(const Tables& t);
 
-  std::vector<Port> degrees_;
-  std::vector<std::size_t> offsets_;  // prefix sums of degrees
-  std::vector<PortRef> partner_;      // involution, indexed by flat port index
-  std::uint64_t hash_ = hash_structure({}, {});
-  std::uint64_t build_id_ = 0;
+  std::shared_ptr<const Tables> tables_;
 };
 
 /// Incremental construction of a PortGraph.  Every port must be assigned
@@ -163,7 +201,9 @@ class PortGraph {
 /// directed loop).  build() validates completeness and the involution.
 class PortGraphBuilder {
  public:
-  /// Degrees per node; degrees[v] = d(v).
+  /// Degrees per node; degrees[v] = d(v).  Throws InvalidArgument
+  /// (check_port_count) before allocating any table when the degrees sum
+  /// to more than kMaxPorts.
   explicit PortGraphBuilder(std::vector<Port> degrees);
 
   /// Declares p(a) = b and p(b) = a; a and b must be distinct ports.
@@ -172,16 +212,16 @@ class PortGraphBuilder {
   /// Declares the fixed point p(a) = a (a directed loop).
   PortGraphBuilder& fix(PortRef a);
 
-  /// Validates that every port was assigned, hashes the structure, stamps a
-  /// fresh build id and moves the graph out; the builder is spent
-  /// afterwards (a second build() throws InvalidArgument).
+  /// Validates that every port was assigned, hashes the structure and
+  /// moves the graph out; the builder is spent afterwards (a second
+  /// build() throws InvalidArgument).
   [[nodiscard]] PortGraph build();
 
  private:
-  [[nodiscard]] std::size_t flat_index(PortRef r) const;
+  /// Marks a port no connect() or fix() has assigned yet.
+  static constexpr std::uint32_t kUnassigned = 0xFFFFFFFFU;
 
-  PortGraph g_;
-  std::vector<bool> assigned_;
+  std::shared_ptr<PortGraph::Tables> tables_;
   bool built_ = false;
 };
 

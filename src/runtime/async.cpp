@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -740,9 +739,7 @@ AsyncResult run_asynchronous(const port::PortGraph& g,
   ProgramArena arena(g.num_nodes());
   const auto programs =
       create_programs(factory, g.num_nodes(), arena, "run_asynchronous");
-  std::shared_ptr<const ExecutionPlan> shared;
-  std::optional<ExecutionPlan> local;
-  const ExecutionPlan& plan = resolve_plan(g, options.exec, shared, local);
+  const ExecutionPlan plan = resolve_plan(g, options.exec);
   const AsyncPolicy policy(async);
   return policy.run(plan, programs, options, factory.name());
 }

@@ -1,6 +1,7 @@
 #include "runtime/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <functional>
@@ -12,56 +13,8 @@
 
 namespace eds::runtime {
 
-void check_plan_ports(std::uint64_t total_ports) {
-  if (total_ports > kMaxPlanPorts) {
-    throw InvalidArgument(
-        "ExecutionPlan: the graph has " + std::to_string(total_ports) +
-        " ports; flat port indices are 32-bit, so at most " +
-        std::to_string(kMaxPlanPorts) + " are supported");
-  }
-}
-
-ExecutionPlan::ExecutionPlan(const port::PortGraph& g)
-    : build_id_(g.build_id()) {
-  check_plan_ports(g.num_ports());
-  constructed_.fetch_add(1, std::memory_order_relaxed);
-  const auto& degrees = g.degree_sequence();
-  const auto& partners = g.partner_table();
-  const std::size_t n = degrees.size();
-  offsets_.resize(n + 1);
-  std::uint32_t total = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    offsets_[v] = total;
-    total += degrees[v];
-  }
-  offsets_[n] = total;
-  partner_flat_.resize(total);
-  partner_node_.resize(total);
-  for (std::size_t q = 0; q < total; ++q) {
-    const auto dst = partners[q];
-    partner_node_[q] = dst.node;
-    partner_flat_[q] = offsets_[dst.node] + dst.port - 1;
-  }
-}
-
-bool ExecutionPlan::matches(const port::PortGraph& g) const {
-  // Equal non-zero build ids mean g is the source graph or a copy of it.
-  // Otherwise the degree sequence, then the involution port by port.
-  if (build_id_ != 0 && build_id_ == g.build_id()) return true;
-  const auto& degrees = g.degree_sequence();
-  const auto& partners = g.partner_table();
-  if (degrees.size() != num_nodes()) return false;
-  for (std::size_t v = 0; v < degrees.size(); ++v) {
-    if (degrees[v] != degree(v)) return false;
-  }
-  for (std::size_t q = 0; q < partners.size(); ++q) {
-    if (!(partners[q] == partner_ref(q))) return false;
-  }
-  return true;
-}
-
-std::unique_ptr<ExecutionPolicy> make_policy(const ExecOptions& exec) {
-  return std::make_unique<ExecutionPolicy>(exec.threads);
+std::unique_ptr<ThreadPool> make_policy(const ExecOptions& exec) {
+  return std::make_unique<ThreadPool>(exec.threads);
 }
 
 namespace {
@@ -425,14 +378,14 @@ EngineStageStats engine_stage_stats() noexcept {
 RunResult run_plan(const ExecutionPlan& plan,
                    std::vector<std::unique_ptr<NodeProgram>>& programs,
                    const RunOptions& options, const std::string& name,
-                   ExecutionPolicy& policy) {
-  return run_plan(plan, borrow_programs(programs), options, name, policy);
+                   ThreadPool& pool) {
+  return run_plan(plan, borrow_programs(programs), options, name, pool);
 }
 
 RunResult run_plan(const ExecutionPlan& plan,
                    std::span<NodeProgram* const> programs,
                    const RunOptions& options, const std::string& name,
-                   ExecutionPolicy& policy) {
+                   ThreadPool& pool) {
   if (options.max_rounds == 0) {
     throw InvalidArgument(
         "run_synchronous: RunOptions::max_rounds must be positive");
@@ -440,7 +393,7 @@ RunResult run_plan(const ExecutionPlan& plan,
   const std::size_t n = plan.num_nodes();
   EDS_ENSURE(programs.size() == n, "run_plan: one program per node required");
 
-  const unsigned lanes = std::max(1u, policy.lanes());
+  const unsigned lanes = std::max(1u, pool.lanes());
   const std::size_t total_ports = plan.total_ports();
   const WorkspaceLease<EngineWorkspace> lease;
   EngineWorkspace& ws = *lease;
@@ -613,7 +566,7 @@ RunResult run_plan(const ExecutionPlan& plan,
     shared = shards > 1;
     shard_bounds(shards);
     for (std::size_t s = 0; s < shards; ++s) scratch[s].reset();
-    policy.for_each_shard(shards, [&](std::size_t s) {
+    pool.run(shards, [&](std::size_t s) {
       ShardScratch& sc = scratch[s];
       try {
         for (std::size_t idx = bounds[s]; idx < bounds[s + 1]; ++idx) {

@@ -1,16 +1,16 @@
-// The execution engine: a compiled per-graph plan plus the policy that
-// decides *how* the synchronous rounds are driven.
+// The execution engine: a per-graph plan (a view of the port graph's own
+// tables) plus the lanes that drive the synchronous rounds.
 //
 // The paper's algorithms are local — O(1) or O(∆²) rounds — so essentially
 // all wall-clock time in this reproduction is simulator overhead, not
 // algorithm logic.  This layer attacks that overhead twice over:
 //
-//  * ExecutionPlan precomputes everything the round loop needs as three
-//    flat uint32 tables (port offsets, the involution as flat indices, and
-//    the node owning each partner port), so the inner loops never pay
-//    PortGraph's bounds-checked lookups.
+//  * ExecutionPlan hands the round loop the graph's own three flat uint32
+//    tables (port offsets, the involution as flat indices, and the node
+//    owning each partner port) as raw pointers, so the inner loops never
+//    pay PortGraph's bounds-checked lookups.
 //
-//  * The policy schedules each round over a *dispatch list*: the nodes that
+//  * run_plan schedules each round over a *dispatch list*: the nodes that
 //    are due by their wake hint (NodeProgram::wake_hint) or have a
 //    non-silence message waiting, in ascending node order.  Halted and
 //    sleeping nodes cost nothing, and a round with nothing to do is
@@ -20,10 +20,10 @@
 //    live node is due every round, so the list keeps every live node, no
 //    wake bit is set and no sparse state is set up — a program without
 //    hints runs that way to the end.
-//    ExecutionPolicy spreads the shards across a thread pool; a one-lane
-//    pool runs them inline.  Shard boundaries equalize *port* counts, not
-//    node counts (balanced_shard_bounds), so power-law degree sequences
-//    cannot starve all lanes but one.
+//    A ThreadPool (make_policy) spreads the shards across its lanes; a
+//    one-lane pool runs them inline.  Shard boundaries equalize *port*
+//    counts, not node counts (balanced_shard_bounds), so power-law degree
+//    sequences cannot starve all lanes but one.
 //
 //  * Message transport is sender-indexed and double-buffered: each buffer
 //    holds one round's messages at their *senders'* flat ports (programs
@@ -53,10 +53,8 @@
 // the full double-buffer determinism argument.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,36 +66,31 @@
 
 namespace eds::runtime {
 
-/// Largest port count an ExecutionPlan can index: flat partner indices are
-/// stored as uint32.
-inline constexpr std::uint64_t kMaxPlanPorts = 0xFFFFFFFFULL;
-
-/// Throws InvalidArgument when a graph of `total_ports` ports is too large
-/// for an ExecutionPlan (more than kMaxPlanPorts), so flat indices can never
-/// wrap.  ExecutionPlan's constructor calls it before allocating anything.
-void check_plan_ports(std::uint64_t total_ports);
-
-/// Immutable, flat-array view of a PortGraph, precomputed once per run (or
-/// shared across many runs on the same graph).  All accessors are unchecked
-/// hot-path lookups; apart from the port-count bound (check_plan_ports) the
-/// constructor performs no validation of its own and relies on the
-/// PortGraph invariants (PortGraphBuilder::build and read_port_graph both
-/// verify the involution before a graph exists).
-///
-/// A port-numbered graph is a degree sequence plus one involution, and the
-/// plan stores each once, as uint32 tables (check_plan_ports bounds every
-/// flat index): the n + 1 port offsets, the involution over flat port
-/// indices, and the node that owns each partner port.  Degrees and (node,
-/// port) partners are derived from them.
+/// The round loop's view of a PortGraph: a copy of the graph, which shares
+/// its tables (so constructing a plan allocates nothing and copies no
+/// table), plus raw pointers to the three uint32 tables the loop reads.
+/// All accessors are unchecked hot-path lookups; the plan performs no
+/// validation of its own and relies on the PortGraph invariants
+/// (PortGraphBuilder::build and read_port_graph both verify the
+/// involution, and check_port_count bounds every flat index, before a
+/// graph exists).
 class ExecutionPlan {
  public:
-  explicit ExecutionPlan(const port::PortGraph& g);
+  explicit ExecutionPlan(const port::PortGraph& g) noexcept
+      : graph_(g),
+        offsets_(graph_.offsets().data()),
+        partner_flat_(graph_.partner_flat().data()),
+        partner_node_(graph_.partner_node().data()) {}
+  // A copy shares the graph's tables, so the pointers stay valid; there
+  // is no move, which would leave them pointing past an empty graph.
+  ExecutionPlan(const ExecutionPlan&) = default;
+  ExecutionPlan& operator=(const ExecutionPlan&) = default;
 
   [[nodiscard]] std::size_t num_nodes() const noexcept {
-    return offsets_.size() - 1;
+    return graph_.num_nodes();
   }
   [[nodiscard]] std::size_t total_ports() const noexcept {
-    return partner_flat_.size();
+    return graph_.num_ports();
   }
   /// Degree of node v (unchecked).
   [[nodiscard]] Port degree(std::size_t v) const noexcept {
@@ -117,79 +110,37 @@ class ExecutionPlan {
   [[nodiscard]] port::NodeId partner_node(std::size_t q) const noexcept {
     return partner_node_[q];
   }
-  /// The involution partner of flat port q as a (node, port) pair, derived
-  /// from the two tables above (the message logs name ports this way).
+  /// The involution partner of flat port q as a (node, port) pair (the
+  /// message logs name ports this way).
   [[nodiscard]] port::PortRef partner_ref(std::size_t q) const noexcept {
-    const port::NodeId u = partner_node_[q];
-    return {u, static_cast<Port>(partner_flat_[q] - offsets_[u] + 1)};
+    return graph_.partner_ref(q);
   }
 
-  /// True when this plan was compiled from a graph with exactly the same
-  /// structure as `g` (degree sequence and involution).  A graph carrying
-  /// the non-zero build id of the graph this plan was compiled from (the
-  /// same graph, or a copy of it) matches in O(1); any other graph is
-  /// compared port by port.  This is the PlanCache's collision guard: a
-  /// 64-bit structural hash narrows the candidates, matches() proves the
-  /// identification.
-  [[nodiscard]] bool matches(const port::PortGraph& g) const;
-
-  /// Heap footprint of the flat arrays, for cache accounting:
-  /// (n + 1 + 2 · total_ports) · 4 bytes.
-  [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return (offsets_.capacity() + partner_flat_.capacity() +
-            partner_node_.capacity()) *
-           sizeof(std::uint32_t);
-  }
-
-  /// Process-wide count of plan compilations (the graph-converting
-  /// constructor only).  Tests assert cache effectiveness through deltas
-  /// of this counter: a 1000-job sweep over one graph must raise it by 1.
-  [[nodiscard]] static std::uint64_t constructed_count() noexcept {
-    return constructed_.load(std::memory_order_relaxed);
+  /// True when `g` has exactly the structure of this plan's graph: O(1)
+  /// for that graph or a copy of it, which share its tables; any other
+  /// graph is compared table by table (PortGraph::operator==).
+  [[nodiscard]] bool matches(const port::PortGraph& g) const noexcept {
+    return graph_ == g;
   }
 
  private:
-  static inline std::atomic<std::uint64_t> constructed_{0};
-
-  std::vector<std::uint32_t> offsets_;       // n + 1 prefix sums of degrees
-  std::vector<std::uint32_t> partner_flat_;  // involution over flat indices
-  std::vector<std::uint32_t> partner_node_;  // owner of each partner port
-  std::uint64_t build_id_ = 0;               // the source graph's build id
+  port::PortGraph graph_;
+  const std::uint32_t* offsets_;
+  const std::uint32_t* partner_flat_;
+  const std::uint32_t* partner_node_;
 };
 
-/// How the per-round stages are scheduled: each round's shards run on a
-/// persistent thread pool, one barrier per stage.  A one-lane pool runs
-/// every shard inline on the caller.  A policy is reusable across runs but
-/// not safe for concurrent use by multiple runs.
-class ExecutionPolicy {
- public:
-  /// `threads` as in ExecOptions (0 = hardware lanes).
-  explicit ExecutionPolicy(unsigned threads) : pool_(threads) {}
-
-  /// Number of lanes the stages are sharded across (1 = sequential).
-  [[nodiscard]] unsigned lanes() const noexcept { return pool_.lanes(); }
-
-  /// Executes fn(s) for every shard s in [0, shards) and returns when all
-  /// calls have finished (the once-per-round barrier).  `fn` must not
-  /// throw.
-  void for_each_shard(std::size_t shards,
-                      const std::function<void(std::size_t)>& fn) {
-    pool_.run(shards, fn);
-  }
-
- private:
-  ThreadPool pool_;
-};
-
-/// The policy ExecOptions selects: ExecOptions::threads lanes.
-[[nodiscard]] std::unique_ptr<ExecutionPolicy> make_policy(
-    const ExecOptions& exec);
+/// The thread pool ExecOptions selects: ExecOptions::threads lanes.  Each
+/// round's shards run on it, one barrier per stage; a one-lane pool runs
+/// every shard inline on the caller.  Reusable across runs, but not safe
+/// for concurrent use by multiple runs.
+[[nodiscard]] std::unique_ptr<ThreadPool> make_policy(const ExecOptions& exec);
 
 /// Drives `programs` (one per node, already constructed, not yet started)
-/// over the plan's graph until every node halts, scheduling stages with
-/// `policy`, then collects every node's output into the result's flat
+/// over the plan's graph until every node halts, scheduling stages on
+/// `pool`, then collects every node's output into the result's flat
 /// selection mask.  This is the engine core under run_synchronous; call it
-/// directly to reuse a plan or a policy (and its thread pool) across runs.
+/// directly to reuse a plan or a thread pool across runs.
 /// The programs stay owned by the caller (e.g. a ProgramArena).
 ///
 /// Message transport is pooled: both outbox buffers, the dispatch list,
@@ -203,15 +154,13 @@ class ExecutionPolicy {
 [[nodiscard]] RunResult run_plan(const ExecutionPlan& plan,
                                  std::span<NodeProgram* const> programs,
                                  const RunOptions& options,
-                                 const std::string& name,
-                                 ExecutionPolicy& policy);
+                                 const std::string& name, ThreadPool& pool);
 
 /// run_plan over caller-owned heap programs.
 [[nodiscard]] RunResult run_plan(
     const ExecutionPlan& plan,
     std::vector<std::unique_ptr<NodeProgram>>& programs,
-    const RunOptions& options, const std::string& name,
-    ExecutionPolicy& policy);
+    const RunOptions& options, const std::string& name, ThreadPool& pool);
 
 /// Allocation-pressure counters for the pooled message transport
 /// (process-wide, monotonic except `workspace_bytes`).  A healthy steady

@@ -30,17 +30,15 @@ void sweep_selection(const port::PortGraph& g, const RunResult& result,
                      OnOneSided&& on_one_sided) {
   check_mask(g, result, who);
   const std::uint8_t* const sel = result.selected.data();
-  const auto& degrees = g.degree_sequence();
-  const auto& partner = g.partner_table();
-  for (port::NodeId v = 0; v < degrees.size(); ++v) {
-    const std::size_t off = g.offset(v);
-    for (Port i = 1; i <= degrees[v]; ++i) {
-      const std::size_t q = off + i - 1;
+  const auto offsets = g.offsets();
+  const auto partner = g.partner_flat();
+  for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (std::size_t q = offsets[v]; q < offsets[v + 1]; ++q) {
       if (sel[q] == 0) continue;
-      const port::PortRef there = partner[q];
-      const std::size_t p = g.offset(there.node) + there.port - 1;
+      const std::size_t p = partner[q];
       if (sel[p] == 0) {
-        on_one_sided(v, i, there);
+        on_one_sided(v, static_cast<Port>(q - offsets[v] + 1),
+                     g.partner_ref(q));
       } else if (q <= p) {
         on_edge(q);
       }

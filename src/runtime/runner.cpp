@@ -1,6 +1,5 @@
 #include "runtime/runner.hpp"
 
-#include <optional>
 #include <sstream>
 
 #include "runtime/async.hpp"
@@ -44,11 +43,9 @@ RunResult run_synchronous(const port::PortGraph& g,
   ProgramArena arena(g.num_nodes());
   const auto programs =
       create_programs(factory, g.num_nodes(), arena, "run_synchronous");
-  std::shared_ptr<const ExecutionPlan> shared;
-  std::optional<ExecutionPlan> local;
-  const ExecutionPlan& plan = resolve_plan(g, options.exec, shared, local);
-  const auto policy = make_policy(options.exec);
-  return run_plan(plan, programs, options, factory.name(), *policy);
+  const auto pool = make_policy(options.exec);
+  return run_plan(resolve_plan(g, options.exec), programs, options,
+                  factory.name(), *pool);
 }
 
 RunResult run_synchronous_programs(
@@ -64,16 +61,14 @@ RunResult run_synchronous_programs(
       throw InvalidArgument("run_synchronous_programs: null program");
     }
   }
-  std::shared_ptr<const ExecutionPlan> shared;
-  std::optional<ExecutionPlan> local;
-  const ExecutionPlan& plan = resolve_plan(g, options.exec, shared, local);
+  const ExecutionPlan plan = resolve_plan(g, options.exec);
   if (options.exec.async) {
     return AsyncPolicy(*options.exec.async)
         .run(plan, programs, options, name)
         .run;
   }
-  const auto policy = make_policy(options.exec);
-  return run_plan(plan, programs, options, name, *policy);
+  const auto pool = make_policy(options.exec);
+  return run_plan(plan, programs, options, name, *pool);
 }
 
 }  // namespace eds::runtime

@@ -10,9 +10,9 @@
 // that do not halt would otherwise loop forever).
 //
 // The actual round loop lives in the engine layer (runtime/engine.hpp):
-// run_synchronous compiles the graph into an ExecutionPlan and executes it
-// under an ExecutionPolicy with RunOptions::exec's lane count — one lane,
-// run inline on the caller, by default.  Every lane count produces
+// run_synchronous views the graph as an ExecutionPlan and executes it on a
+// ThreadPool of RunOptions::exec's lane count — one lane, run inline on the
+// caller, by default.  Every lane count produces
 // bit-identical RunResults (outputs, stats, trace, message log order); the
 // choice only affects wall-clock time.
 #pragma once
@@ -46,12 +46,11 @@ struct ExecOptions {
   /// concurrent jobs.
   unsigned threads = 1;
 
-  /// When set, the ExecutionPlan is fetched from (and shared through) this
-  /// cache instead of being compiled per run; null compiles a fresh plan.
-  /// `algo::run_algorithm` / `run_batch` default a null pointer to
-  /// `PlanCache::global()` — pass a cache explicitly to isolate or
-  /// observe its counters.  Plans are immutable, so sharing is invisible
-  /// except in wall-clock time and the cache's statistics.
+  /// When set, the run's ExecutionPlan comes from this cache, which counts
+  /// the distinct structures its runs used (its hits and misses); null
+  /// gives the run a plan of its own.  A plan is an O(1) view of the
+  /// graph's tables either way, so the choice is invisible except in the
+  /// cache's statistics.
   PlanCache* plan_cache = nullptr;
 
   /// When set, run_synchronous routes the run through the event-driven
@@ -77,7 +76,8 @@ struct RunOptions {
   /// (for transcripts and debugging; memory grows with traffic).
   bool collect_messages = false;
 
-  /// Execution policy (thread count); does not affect results.
+  /// Lanes, plan cache and execution model; only the model can affect
+  /// results.
   ExecOptions exec;
 };
 

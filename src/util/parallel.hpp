@@ -1,9 +1,9 @@
 // A minimal fork-join thread pool.
 //
 // Both parallel execution layers of the runtime are built on this one
-// primitive: ExecutionPolicy shards the nodes of a single round across lanes,
-// and BatchRunner fans independent (graph, program, options) jobs across
-// them.  The pool is deliberately tiny — persistent workers, one blocking
+// primitive: run_plan shards the nodes of a single round across its lanes
+// (make_policy builds the pool), and BatchRunner fans independent (graph,
+// program, options) jobs across them.  The pool is deliberately tiny — persistent workers, one blocking
 // run() that executes fn(0..tasks-1) with dynamic load balancing — because
 // everything determinism-sensitive (merge order, result order) is handled by
 // the callers, which always combine per-task results in task-index order.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "algo/bounded_degree.hpp"
 #include "algo/driver.hpp"
 #include "analysis/ratio.hpp"
@@ -8,6 +10,7 @@
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "port/ported_graph.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "test_util.hpp"
 
@@ -124,6 +127,43 @@ TEST(BoundedDegree, ScheduleLengthIsQuadratic) {
   EXPECT_EQ(BoundedDegreeProgram::schedule_length(3), 30u);
   EXPECT_EQ(BoundedDegreeProgram::schedule_length(5), 78u);
   EXPECT_EQ(BoundedDegreeProgram::schedule_length(7), 150u);
+}
+
+/// The message of the InvalidArgument `make` throws ("" when it does not).
+template <class Make>
+std::string rejection(Make&& make) {
+  try {
+    (void)make();
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(BoundedDegree, FactoryRejectsSchedulesBeyondARound) {
+  // 3 + 3∆'² in 64 bits: ∆' = 37,837 is the largest odd parameter whose
+  // schedule fits a Round; 37,838 normalises to 37,839, which does not.
+  EXPECT_EQ(BoundedDegreeProgram::schedule_length(37837), 4294915710u);
+  EXPECT_NO_THROW(BoundedDegreeFactory(37837));
+  EXPECT_NO_THROW(BoundedDegreeFactory(37836));
+  EXPECT_EQ(BoundedDegreeProgram::schedule_length(37838), 4295369766u);
+  const std::string message =
+      rejection([] { return BoundedDegreeFactory(37838); });
+  EXPECT_NE(message.find("max degree 37838"), std::string::npos) << message;
+  EXPECT_NE(message.find("4295369766 rounds"), std::string::npos) << message;
+  EXPECT_NE(rejection([] { return BoundedDegreeFactory(4294967295); }), "");
+  EXPECT_NE(rejection([] {
+              return make_factory(Algorithm::kBoundedDegree, 4294967295);
+            }),
+            "");
+}
+
+TEST(BoundedDegree, RunAlgorithmRejectsAWrappingParameter) {
+  // The schedule once wrapped to 6 rounds: a non-dominating set, no error.
+  const auto pg = port::with_canonical_ports(graph::cycle(8));
+  EXPECT_THROW(
+      (void)run_algorithm(pg, Algorithm::kBoundedDegree, 4294967295),
+      InvalidArgument);
 }
 
 TEST(BoundedDegree, RoundsIndependentOfN) {

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "algo/double_cover.hpp"
 #include "algo/driver.hpp"
 #include "analysis/verify.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "port/ported_graph.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "test_util.hpp"
 
@@ -79,6 +82,30 @@ TEST(DoubleCover, CycleSelectsAlternatingStructure) {
 TEST(DoubleCover, ScheduleIsLinearInDelta) {
   EXPECT_EQ(DoubleCoverProgram::schedule_length(4), 8u);
   EXPECT_EQ(DoubleCoverProgram::schedule_length(7), 14u);
+}
+
+/// The message of the InvalidArgument `make` throws ("" when it does not).
+template <class Make>
+std::string rejection(Make&& make) {
+  try {
+    (void)make();
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(DoubleCover, FactoryRejectsSchedulesBeyondARound) {
+  // 2∆ in 64 bits: ∆ = 2^31 − 1 is the largest whose schedule fits.
+  EXPECT_EQ(DoubleCoverProgram::schedule_length(2147483647), 4294967294u);
+  EXPECT_NO_THROW(DoubleCoverFactory(2147483647));
+  EXPECT_EQ(DoubleCoverProgram::schedule_length(2147483648), 4294967296u);
+  const std::string message =
+      rejection([] { return DoubleCoverFactory(2147483648); });
+  EXPECT_NE(message.find("max degree 2147483648"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("4294967296 rounds"), std::string::npos) << message;
+  EXPECT_NE(rejection([] { return DoubleCoverFactory(4294967295); }), "");
 }
 
 TEST(DoubleCover, RoundsMatchSchedule) {

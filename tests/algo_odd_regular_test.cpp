@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "algo/driver.hpp"
 #include "algo/odd_regular.hpp"
@@ -11,6 +12,7 @@
 #include "lb/lower_bounds.hpp"
 #include "port/ported_graph.hpp"
 #include "runtime/outputs.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "test_util.hpp"
 
@@ -107,6 +109,29 @@ TEST(OddRegular, ScheduleLengthIsQuadratic) {
   EXPECT_EQ(OddRegularProgram::schedule_length(3), 20u);
   EXPECT_EQ(OddRegularProgram::schedule_length(5), 52u);
   EXPECT_EQ(OddRegularProgram::schedule_length(7), 100u);
+}
+
+/// The message of the InvalidArgument `make` throws ("" when it does not).
+template <class Make>
+std::string rejection(Make&& make) {
+  try {
+    (void)make();
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(OddRegular, FactoryRejectsSchedulesBeyondARound) {
+  // 2 + 2d² in 64 bits: d = 46,340 is the largest whose schedule fits.
+  EXPECT_EQ(OddRegularProgram::schedule_length(46340), 4294791202u);
+  EXPECT_NO_THROW(OddRegularFactory(46340));
+  EXPECT_EQ(OddRegularProgram::schedule_length(46341), 4294976564u);
+  const std::string message =
+      rejection([] { return OddRegularFactory(46341); });
+  EXPECT_NE(message.find("d 46341"), std::string::npos) << message;
+  EXPECT_NE(message.find("4294976564 rounds"), std::string::npos) << message;
+  EXPECT_NE(rejection([] { return OddRegularFactory(4294967295); }), "");
 }
 
 TEST(OddRegular, RoundsMatchSchedule) {

@@ -1,6 +1,7 @@
 // Heap allocations per run: the multi-round programs keep their per-port
 // state in one block per node, taken from the run's program arena, so a
-// run's allocation count does not grow with the number of nodes.
+// run's allocation count does not grow with the number of nodes; a run's
+// plan is a view of the graph's own tables, so it allocates nothing.
 //
 // This suite replaces the global operator new with a counting one, which
 // is why it is its own executable (every *_test.cpp is).  The counter
@@ -13,17 +14,27 @@
 #include <cstdlib>
 #include <new>
 
+#include "algo/bounded_degree.hpp"
 #include "algo/driver.hpp"
+#include "port/port_graph.hpp"
+#include "runtime/engine.hpp"
 #include "runtime/plan_cache.hpp"
+#include "runtime/runner.hpp"
 #include "util/rng.hpp"
 #include "test_util.hpp"
 
 namespace {
 
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::size_t> g_largest{0};  // largest request since reset
 
 void* counted_alloc(std::size_t size, std::size_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  std::size_t largest = g_largest.load(std::memory_order_relaxed);
+  while (size > largest &&
+         !g_largest.compare_exchange_weak(largest, size,
+                                          std::memory_order_relaxed)) {
+  }
   if (size == 0) size = 1;
   void* p = align <= alignof(std::max_align_t)
                 ? std::malloc(size)
@@ -101,6 +112,47 @@ TEST(Alloc, MultiRoundProgramsMakeNoPerNodeAllocations) {
         << c.label << ": " << at_small << " allocations at n = 1024, "
         << at_large << " at n = 4096";
   }
+}
+
+TEST(Alloc, PlansAreViewsThatAllocateNothing) {
+  // A run without a cache views the graph's tables exactly as a run on a
+  // warm cache does: the same allocations, and a plan costs none.
+  Rng rng(0xA110D);
+  const auto pg = test::random_ported_regular(4096, 4, rng);
+  const BoundedDegreeFactory factory(4);
+  runtime::PlanCache cache;
+  runtime::RunOptions cached;
+  cached.exec.plan_cache = &cache;
+  const runtime::RunOptions uncached;
+  (void)runtime::run_synchronous(pg.ports(), factory, cached);  // warm up
+  const auto count = [&](const runtime::RunOptions& options) {
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    const auto result = runtime::run_synchronous(pg.ports(), factory, options);
+    const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(result.stats.rounds, 78u);
+    return after - before;
+  };
+  const std::size_t with_cache = count(cached);
+  const std::size_t without = count(uncached);
+  EXPECT_EQ(without, with_cache);
+  EXPECT_EQ(cache.stats().misses, 1u);
+
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const runtime::ExecutionPlan plan(pg.ports());
+  const runtime::ExecutionPlan copy = plan;
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
+  EXPECT_TRUE(copy.matches(pg.ports()));
+}
+
+TEST(Alloc, BuilderRejectsOversizedDegreesBeforeAllocating) {
+  // 2^32 ports: each table would take 16 GB.  The degree sum is checked
+  // first, so nothing near a table's size is ever requested; the largest
+  // request is the error message.
+  std::vector<port::Port> degrees{0xFFFFFFFF, 1};
+  g_largest.store(0, std::memory_order_relaxed);
+  EXPECT_THROW((void)port::PortGraphBuilder(std::move(degrees)),
+               InvalidArgument);
+  EXPECT_LT(g_largest.load(std::memory_order_relaxed), 4096u);
 }
 
 }  // namespace

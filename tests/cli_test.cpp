@@ -499,6 +499,80 @@ TEST(Cli, SweepErrors) {
   EXPECT_NE(shards.err.find("--threads"), std::string::npos) << shards.err;
 }
 
+TEST(Cli, SweepRejectsSchedulesThatOverflowARound) {
+  // 3 + 3∆'² and 2∆ once wrapped in 32 bits: A(4294967295) ran a 6-round
+  // schedule to a non-dominating row, double-cover(2^31) a 1-round one.
+  for (const auto& [algorithm, param] :
+       {std::pair<std::string, std::string>{"bounded-degree", "4294967295"},
+        {"double-cover", "2147483648"}}) {
+    const auto run = invoke({"sweep", "cycle", "--min", "8", "--max", "8",
+                             "--algorithm", algorithm, "--param", param});
+    EXPECT_NE(run.code, 0) << algorithm;
+    EXPECT_EQ(run.out.find('|'), std::string::npos) << run.out;
+    EXPECT_EQ(run.out.find("feasible"), std::string::npos) << run.out;
+    EXPECT_NE(run.err.find(algorithm + ": max degree " + param),
+              std::string::npos)
+        << run.err;
+    EXPECT_NE(run.err.find("schedule"), std::string::npos) << run.err;
+  }
+  // The largest accepted parameters run (to the round cap, on an 8-cycle).
+  const auto largest =
+      invoke({"sweep", "cycle", "--min", "8", "--max", "8", "--algorithm",
+              "bounded-degree", "--param", "37837"});
+  EXPECT_EQ(largest.err.find("schedule"), std::string::npos) << largest.err;
+}
+
+TEST(Cli, SweepRejectsARepeatCountThatOverflowsTheJobList) {
+  // sizes × repeat once reached vector::reserve unchecked, which leaked
+  // std::length_error as "sweep: vector::reserve".
+  const auto run = invoke({"sweep", "cycle", "--min", "8", "--max", "8",
+                           "--repeat", "18446744073709551615"});
+  EXPECT_EQ(run.code, 2);
+  EXPECT_TRUE(run.out.empty()) << run.out;
+  EXPECT_NE(run.err.find("--repeat"), std::string::npos) << run.err;
+  EXPECT_EQ(run.err.find("vector"), std::string::npos) << run.err;
+}
+
+TEST(Cli, SweepRejectsADegreeBeyondAPort) {
+  // --d 2^32 + 1 once narrowed to 1: degree-1 multigraphs under a header
+  // that said d=4294967297.
+  const auto run = invoke(
+      {"sweep", "portgraph", "--min", "8", "--max", "8", "--d", "4294967297"});
+  EXPECT_EQ(run.code, 2);
+  EXPECT_TRUE(run.out.empty()) << run.out;
+  EXPECT_NE(run.err.find("--d"), std::string::npos) << run.err;
+  // The widest degree parses, and the builder rejects the 8 · (2^32 − 1)
+  // ports it would need before allocating any table.
+  const auto widest = invoke({"sweep", "portgraph", "--min", "8", "--max",
+                              "8", "--d", "4294967295"});
+  EXPECT_EQ(widest.code, 1);
+  EXPECT_NE(widest.err.find("34359738360 ports"), std::string::npos)
+      << widest.err;
+}
+
+TEST(Cli, SweepRejectsASizeRangeBeyondTheJobCap) {
+  // --step 1 up to 2^64 − 1 once added sizes until memory ran out.
+  const auto run = invoke({"sweep", "cycle", "--min", "1", "--max",
+                           "18446744073709551615", "--step", "1"});
+  EXPECT_EQ(run.code, 2);
+  EXPECT_TRUE(run.out.empty()) << run.out;
+  EXPECT_NE(run.err.find("--step"), std::string::npos) << run.err;
+}
+
+TEST(Cli, SweepRejectsMoreJobsThanTheCap) {
+  const auto run = invoke(
+      {"sweep", "cycle", "--min", "8", "--max", "8", "--repeat", "65537"});
+  EXPECT_EQ(run.code, 2);
+  EXPECT_TRUE(run.out.empty()) << run.out;
+  EXPECT_NE(run.err.find("--repeat 65537"), std::string::npos) << run.err;
+  EXPECT_NE(run.err.find("65536"), std::string::npos) << run.err;
+  // Two sizes halve the repeats that fit.
+  EXPECT_EQ(invoke({"sweep", "cycle", "--min", "8", "--max", "16",
+                    "--repeat", "32769"})
+                .code,
+            2);
+}
+
 /// The value of `"key":` in a one-line JSON object ("" when absent).
 /// Good enough for the flat objects the sweep emits — no nesting, no
 /// escaped strings in the fields under test.

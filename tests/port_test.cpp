@@ -363,6 +363,17 @@ TEST(PortGraph, DegreeOutOfRangeThrows) {
   EXPECT_THROW((void)m.partner(0, 9), InvalidArgument);
 }
 
+TEST(PortGraph, RejectsPortCountsBeyondThirtyTwoBits) {
+  EXPECT_NO_THROW(check_port_count(0));
+  EXPECT_NO_THROW(check_port_count(kMaxPorts));
+  EXPECT_THROW(check_port_count(kMaxPorts + 1), InvalidArgument);
+  EXPECT_THROW(check_port_count(std::uint64_t{1} << 40), Error);
+  // The builder checks the degree sum before it allocates any table
+  // (tests/alloc_test.cpp counts that it allocates none).
+  EXPECT_THROW((void)PortGraphBuilder({0xFFFFFFFF, 1}), InvalidArgument);
+  EXPECT_NO_THROW((void)PortGraphBuilder({0, 0, 0}).build());
+}
+
 TEST(PortGraphBuilder, BuildMovesTheGraphOutOnce) {
   PortGraphBuilder b({1, 1});
   b.connect({0, 1}, {1, 1});

@@ -6,27 +6,35 @@ Convert mode (default) reads `--benchmark_format=json` reports (files
 given as arguments, merged in order, or stdin) and writes one record per
 benchmark:
 
-    {"name": ..., "n": ..., "rounds": ..., "ns_per_op": ..., "counters": {...}}
+    {"name": ..., "n": ..., "rounds": ..., "ns_per_op": ...,
+     "ns_per_op_min": ..., "ns_per_op_max": ..., "repetitions": ...,
+     "counters": {...}}
 
 plus a `context` block (host, date, threads; taken from the first report)
-so the perf trajectory is comparable across CI runs.  `n`/`rounds` come
-from the benchmark's exported counters and are null for benchmarks that
-don't export them; every *other* user counter (plan_hits, ws_growths,
-lanes, ...) lands in `counters`; `ns_per_op` is wall time per iteration
-in nanoseconds.
+so the perf trajectory is comparable across CI runs.  A benchmark run with
+`--benchmark_repetitions=R` folds its R runs into its one record:
+`ns_per_op` is the median wall time per iteration in nanoseconds, and
+`ns_per_op_min`/`ns_per_op_max` the spread.  `n`/`rounds` come from the
+benchmark's exported counters and are null for benchmarks that don't
+export them; every *other* user counter (plan_hits, ws_growths, lanes,
+...) lands in `counters`, each the median over the repetitions.  The
+library's own aggregate rows (mean, median, stddev) are skipped.
 
 Compare mode diffs two converted files per benchmark and per counter, and
-fails (exit 2) when wall time regresses beyond the threshold:
+fails (exit 2) when the median wall time regresses beyond the threshold,
+so one slow repetition cannot fail the gate and one fast one cannot hide
+a regression:
 
     tools/bench_json.py --compare old.json new.json [--threshold 0.10]
 
 Usage:
-    bench/bench_micro_runtime --benchmark_format=json | tools/bench_json.py \
-        > BENCH_runtime.json
+    bench/bench_micro_runtime --benchmark_format=json \
+        --benchmark_repetitions=5 | tools/bench_json.py > BENCH_runtime.json
     tools/bench_json.py runtime.json async.json > BENCH_runtime.json
 """
 import argparse
 import json
+import statistics
 import sys
 
 UNIT_TO_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
@@ -46,22 +54,30 @@ BUILTIN_FIELDS = {
 
 
 def convert(report: dict) -> dict:
-    records = []
+    runs = {}  # run name -> its repetitions, in report order
     for bench in report.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
-        scale = UNIT_TO_NS.get(bench.get("time_unit", "ns"), 1.0)
-        counters = {
-            key: value
-            for key, value in bench.items()
-            if isinstance(value, (int, float)) and not isinstance(value, bool)
-            and key not in BUILTIN_FIELDS and key not in ("n", "rounds")
-        }
+        runs.setdefault(bench.get("run_name", bench["name"]), []).append(bench)
+    records = []
+    for name, reps in runs.items():
+        times = [b["real_time"] * UNIT_TO_NS.get(b.get("time_unit", "ns"), 1.0)
+                 for b in reps]
+        keys = {key for bench in reps for key, value in bench.items()
+                if isinstance(value, (int, float))
+                and not isinstance(value, bool) and key not in BUILTIN_FIELDS}
+        counters = {key: statistics.median(b[key] for b in reps if key in b)
+                    for key in sorted(keys)}
+        n = counters.pop("n", None)
+        rounds = counters.pop("rounds", None)
         records.append({
-            "name": bench["name"],
-            "n": int(bench["n"]) if "n" in bench else None,
-            "rounds": int(bench["rounds"]) if "rounds" in bench else None,
-            "ns_per_op": bench["real_time"] * scale,
+            "name": name,
+            "n": int(n) if n is not None else None,
+            "rounds": int(rounds) if rounds is not None else None,
+            "ns_per_op": statistics.median(times),
+            "ns_per_op_min": min(times),
+            "ns_per_op_max": max(times),
+            "repetitions": len(reps),
             "counters": counters,
         })
     context = report.get("context", {})
