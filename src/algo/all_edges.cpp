@@ -1,3 +1,16 @@
 #include "algo/all_edges.hpp"
 
-// Header-only implementation; this translation unit anchors the vtable.
+#include "runtime/stage.hpp"
+
+namespace eds::algo {
+
+runtime::RunResult AllEdgesFactory::run(const runtime::ExecutionPlan& plan,
+                                        const runtime::RunOptions& options,
+                                        ThreadPool& pool) const {
+  runtime::ProgramArena arena(plan.num_nodes());
+  return runtime::run_block(
+      plan, arena.emplace_block<AllEdgesProgram>(plan.num_nodes()), options,
+      name(), pool);
+}
+
+}  // namespace eds::algo

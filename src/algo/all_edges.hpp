@@ -36,6 +36,9 @@ class AllEdgesFactory final : public runtime::ProgramFactory {
   void create_all(std::size_t n, runtime::ProgramArena& arena) const override {
     arena.emplace<AllEdgesProgram>(n);
   }
+  [[nodiscard]] runtime::RunResult run(const runtime::ExecutionPlan& plan,
+                                       const runtime::RunOptions& options,
+                                       ThreadPool& pool) const override;
   [[nodiscard]] std::string name() const override { return "all-edges"; }
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "runtime/stage.hpp"
 #include "util/error.hpp"
 
 namespace eds::algo {
@@ -265,6 +266,17 @@ void BoundedDegreeProgram::output(runtime::OutputSink& out) const {
   for (const port::Port p : engine_.p_ports()) {
     if (p != 0) out.select(p);
   }
+}
+
+runtime::RunResult BoundedDegreeFactory::run(
+    const runtime::ExecutionPlan& plan, const runtime::RunOptions& options,
+    ThreadPool& pool) const {
+  runtime::ProgramArena arena(plan.num_nodes());
+  return runtime::run_block(
+      plan,
+      arena.emplace_block<BoundedDegreeProgram>(
+          plan.num_nodes(), max_degree_, sink_, arena.resource()),
+      options, name(), pool);
 }
 
 }  // namespace eds::algo

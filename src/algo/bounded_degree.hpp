@@ -154,6 +154,9 @@ class BoundedDegreeFactory final : public runtime::ProgramFactory {
     arena.emplace<BoundedDegreeProgram>(n, max_degree_, sink_,
                                         arena.resource());
   }
+  [[nodiscard]] runtime::RunResult run(const runtime::ExecutionPlan& plan,
+                                       const runtime::RunOptions& options,
+                                       ThreadPool& pool) const override;
   [[nodiscard]] std::string name() const override {
     return "bounded-degree(delta=" + std::to_string(max_degree_) + ")";
   }

@@ -1,7 +1,6 @@
 #include "algo/common.hpp"
 
 #include <limits>
-#include <memory>
 
 #include "util/error.hpp"
 
@@ -16,22 +15,6 @@ void check_schedule(const std::string& who, std::uint64_t rounds) {
                           " rounds; a run counts at most " +
                           std::to_string(kMax));
   }
-}
-
-void PortBlock::assign(Port degree) {
-  release();
-  if (degree == 0) return;
-  auto* data = static_cast<PortSlot*>(
-      memory_->allocate(degree * sizeof(PortSlot), alignof(PortSlot)));
-  std::uninitialized_value_construct_n(data, degree);
-  slots_ = {data, degree};
-}
-
-void PortBlock::release() noexcept {
-  if (slots_.empty()) return;
-  memory_->deallocate(slots_.data(), slots_.size() * sizeof(PortSlot),
-                      alignof(PortSlot));
-  slots_ = {};
 }
 
 Port distinguishable_port(std::span<const PortSlot> ports) {

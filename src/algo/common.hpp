@@ -8,9 +8,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <memory_resource>
 #include <span>
 #include <string>
+#include <type_traits>
 
 #include "runtime/message.hpp"
 #include "runtime/program.hpp"
@@ -62,33 +64,52 @@ struct PortSlot {
   std::uint8_t flags = 0;  ///< PortFlag bits
 };
 
-/// A node's per-port state: one block of `degree` slots, taken in
+/// A node's per-port state: one block of `degree` values of T, taken in
 /// start(degree) from the memory resource the program was built with (the
-/// run's ProgramArena::resource() under create_all, the heap under
-/// create()) and given back when the program is destroyed.  Indexed
-/// through std::span, so _GLIBCXX_ASSERTIONS catches an index past the
-/// block; ASan cannot, since neighbouring nodes' blocks share one arena
+/// run's ProgramArena::resource() under create_all and the typed run, the
+/// heap under create()) and given back when the program is destroyed.
+/// Indexed through std::span, so _GLIBCXX_ASSERTIONS catches an index past
+/// the block; ASan cannot, since neighbouring nodes' blocks share one arena
 /// chunk.
-class PortBlock {
+template <class T>
+class PortArray {
+  static_assert(std::is_trivially_destructible_v<T>,
+                "a port block is released without destroying its values");
+
  public:
-  explicit PortBlock(std::pmr::memory_resource* memory) noexcept
+  explicit PortArray(std::pmr::memory_resource* memory) noexcept
       : memory_(memory) {}
-  ~PortBlock() { release(); }
-  PortBlock(const PortBlock&) = delete;
-  PortBlock& operator=(const PortBlock&) = delete;
+  ~PortArray() { release(); }
+  PortArray(const PortArray&) = delete;
+  PortArray& operator=(const PortArray&) = delete;
 
-  /// Replaces the block with `degree` zeroed slots.
-  void assign(Port degree);
+  /// Replaces the block with `degree` value-initialized (zeroed) values.
+  void assign(Port degree) {
+    release();
+    if (degree == 0) return;
+    auto* data =
+        static_cast<T*>(memory_->allocate(degree * sizeof(T), alignof(T)));
+    std::uninitialized_value_construct_n(data, degree);
+    slots_ = {data, degree};
+  }
 
-  /// The slots; slots()[i - 1] is port i.
-  [[nodiscard]] std::span<PortSlot> slots() const noexcept { return slots_; }
+  /// The values; slots()[i - 1] is port i's.
+  [[nodiscard]] std::span<T> slots() const noexcept { return slots_; }
 
  private:
-  void release() noexcept;
+  void release() noexcept {
+    if (slots_.empty()) return;
+    memory_->deallocate(slots_.data(), slots_.size() * sizeof(T),
+                        alignof(T));
+    slots_ = {};
+  }
 
   std::pmr::memory_resource* memory_;
-  std::span<PortSlot> slots_;
+  std::span<T> slots_;
 };
+
+/// What A(∆), odd-regular and double-cover keep per port.
+using PortBlock = PortArray<PortSlot>;
 
 /// The distinguishable-neighbour port for a node whose port i leads to
 /// remote port r_i = ports[i - 1].remote_port: the lowest port whose label

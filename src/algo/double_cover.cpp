@@ -1,5 +1,6 @@
 #include "algo/double_cover.hpp"
 
+#include "runtime/stage.hpp"
 #include "util/error.hpp"
 
 namespace eds::algo {
@@ -126,6 +127,17 @@ void DoubleCoverProgram::output(runtime::OutputSink& out) const {
   for (const port::Port p : engine_.p_ports()) {
     if (p != 0) out.select(p);
   }
+}
+
+runtime::RunResult DoubleCoverFactory::run(
+    const runtime::ExecutionPlan& plan, const runtime::RunOptions& options,
+    ThreadPool& pool) const {
+  runtime::ProgramArena arena(plan.num_nodes());
+  return runtime::run_block(
+      plan,
+      arena.emplace_block<DoubleCoverProgram>(plan.num_nodes(), max_degree_,
+                                              arena.resource()),
+      options, name(), pool);
 }
 
 }  // namespace eds::algo

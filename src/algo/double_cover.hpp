@@ -136,6 +136,9 @@ class DoubleCoverFactory final : public runtime::ProgramFactory {
   void create_all(std::size_t n, runtime::ProgramArena& arena) const override {
     arena.emplace<DoubleCoverProgram>(n, max_degree_, arena.resource());
   }
+  [[nodiscard]] runtime::RunResult run(const runtime::ExecutionPlan& plan,
+                                       const runtime::RunOptions& options,
+                                       ThreadPool& pool) const override;
   [[nodiscard]] std::string name() const override {
     return "double-cover-2-matching(max_deg=" + std::to_string(max_degree_) +
            ")";

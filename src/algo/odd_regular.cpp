@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "runtime/stage.hpp"
 #include "util/error.hpp"
 
 namespace eds::algo {
@@ -247,6 +248,17 @@ void OddRegularProgram::output(runtime::OutputSink& out) const {
   for (port::Port p = 1; p <= view_.degree(); ++p) {
     if (in_d(p)) out.select(p);
   }
+}
+
+runtime::RunResult OddRegularFactory::run(
+    const runtime::ExecutionPlan& plan, const runtime::RunOptions& options,
+    ThreadPool& pool) const {
+  runtime::ProgramArena arena(plan.num_nodes());
+  return runtime::run_block(
+      plan,
+      arena.emplace_block<OddRegularProgram>(plan.num_nodes(), d_, order_,
+                                             arena.resource()),
+      options, name(), pool);
 }
 
 }  // namespace eds::algo

@@ -8,8 +8,8 @@
 // every edge; |D| <= |V| = 2|E|/d and |E| <= (2d−1)|D*| give the ratio.
 #pragma once
 
+#include <cstdint>
 #include <memory_resource>
-#include <vector>
 
 #include "algo/common.hpp"
 #include "runtime/program.hpp"
@@ -18,10 +18,11 @@ namespace eds::algo {
 
 class PortOneProgram final : public runtime::NodeProgram {
  public:
-  PortOneProgram() = default;
-  /// Keeps the output list in `memory` (a ProgramArena's resource).
-  explicit PortOneProgram(std::pmr::memory_resource* memory)
-      : output_(memory) {}
+  /// Keeps one selection flag per port in `memory` (a ProgramArena's
+  /// resource under create_all and the typed run).
+  explicit PortOneProgram(
+      std::pmr::memory_resource* memory = std::pmr::new_delete_resource())
+      : selected_(memory) {}
 
   void start(port::Port degree) override;
   void send(runtime::Round round, std::span<runtime::Message> out) override;
@@ -29,13 +30,17 @@ class PortOneProgram final : public runtime::NodeProgram {
                std::span<const runtime::Message> in) override;
   [[nodiscard]] bool halted() const override { return halted_; }
   void output(runtime::OutputSink& out) const override {
-    for (const port::Port i : output_) out.select(i);
+    out.select_flags(selected_.slots());
   }
 
  private:
-  port::Port degree_ = 0;
+  [[nodiscard]] port::Port degree() const noexcept {
+    return static_cast<port::Port>(selected_.slots().size());
+  }
+
+  // selected_[i - 1] is 1 when port i is in X(v): i = 1 or remote port 1.
+  PortArray<std::uint8_t> selected_;
   bool halted_ = false;
-  std::pmr::vector<port::Port> output_;
 };
 
 class PortOneFactory final : public runtime::ProgramFactory {
@@ -46,6 +51,9 @@ class PortOneFactory final : public runtime::ProgramFactory {
   void create_all(std::size_t n, runtime::ProgramArena& arena) const override {
     arena.emplace<PortOneProgram>(n, arena.resource());
   }
+  [[nodiscard]] runtime::RunResult run(const runtime::ExecutionPlan& plan,
+                                       const runtime::RunOptions& options,
+                                       ThreadPool& pool) const override;
   [[nodiscard]] std::string name() const override { return "port-one"; }
 };
 

@@ -1179,6 +1179,8 @@ int sweep_jobs(const SweepConfig& cfg, const std::vector<SweepTarget>& targets,
 
 /// A synchronous simple-graph sweep through algo::run_batch_streaming,
 /// which validates every outcome; exit 1 when any row is infeasible.
+/// Every instance's factory is built once before the header, so a
+/// parameter a factory rejects fails the sweep before anything is printed.
 int sweep_validated(const SweepConfig& cfg, const SweepInstances& set,
                     std::ostream& out) {
   runtime::PlanCache plan_cache;
@@ -1186,6 +1188,9 @@ int sweep_validated(const SweepConfig& cfg, const SweepInstances& set,
   items.reserve(set.graphs.size() * cfg.repeat);
   for (const auto& pg : set.graphs) {
     const auto choice = choose_algorithm(cfg, pg.graph());
+    (void)algo::make_factory(
+        choice.algorithm,
+        algo::resolved_param(pg, choice.algorithm, choice.param));
     for (std::size_t r = 0; r < cfg.repeat; ++r) {
       items.push_back({&pg, choice.algorithm, choice.param});
     }

@@ -105,6 +105,15 @@ class ExecutionPlan {
   [[nodiscard]] std::size_t partner_flat(std::size_t q) const noexcept {
     return partner_flat_[q];
   }
+  /// The offset table (num_nodes() + 1 entries, offset(v) at index v) and
+  /// the involution (partner_flat(q) at index q) as raw pointers, for
+  /// loops that keep them in locals.
+  [[nodiscard]] const std::uint32_t* offsets_data() const noexcept {
+    return offsets_;
+  }
+  [[nodiscard]] const std::uint32_t* partner_flat_data() const noexcept {
+    return partner_flat_;
+  }
   /// The node that owns flat port q's partner (unchecked): the receiver a
   /// message sent on q wakes.
   [[nodiscard]] port::NodeId partner_node(std::size_t q) const noexcept {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "runtime/engine.hpp"
 #include "util/error.hpp"
 
 namespace eds::runtime {
@@ -24,27 +25,33 @@ void OutputSink::fail(bool duplicate) const {
 }
 
 ProgramArena::ProgramArena(std::size_t n)
-    : memory_(std::max<std::size_t>(n, 1) * kArenaBytesPerNode) {
-  programs_.reserve(n);
-}
+    : nodes_(n), memory_(std::max<std::size_t>(n, 1) * kArenaBytesPerNode) {}
 
 ProgramArena::~ProgramArena() {
   // Arena-built programs are destroyed in place (their memory goes with
   // memory_); adopted ones are freed by owned_.
   for (auto block = blocks_.rbegin(); block != blocks_.rend(); ++block) {
-    for (std::size_t k = block->count; k-- > 0;) {
-      programs_[block->first + k]->~NodeProgram();
-    }
+    block->destroy(block->first, block->count);
   }
 }
 
 void ProgramArena::adopt(std::unique_ptr<NodeProgram> program) {
+  if (programs_.empty()) programs_.reserve(nodes_);
   programs_.push_back(program.get());
   if (program) owned_.push_back(std::move(program));
 }
 
 void ProgramFactory::create_all(std::size_t n, ProgramArena& arena) const {
   for (std::size_t v = 0; v < n; ++v) arena.adopt(create());
+}
+
+RunResult ProgramFactory::run(const ExecutionPlan& plan,
+                              const RunOptions& options,
+                              ThreadPool& pool) const {
+  ProgramArena arena(plan.num_nodes());
+  const auto programs =
+      create_programs(*this, plan.num_nodes(), arena, "run_synchronous");
+  return run_plan(plan, programs, options, name(), pool);
 }
 
 std::span<NodeProgram* const> create_programs(const ProgramFactory& factory,

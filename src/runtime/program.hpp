@@ -18,6 +18,12 @@
 // run can take its memory from the arena's monotonic resource.  Outputs go
 // through an OutputSink straight into the run's flat per-port mask
 // (RunResult::selected), so no per-node output container exists.
+//
+// A factory performs a whole synchronous run through ProgramFactory::run.
+// The default builds the programs with create_all and runs the round loop
+// over them as NodeProgram*; the built-in factories override it to run
+// their own instantiation of the same loop over one block of their final
+// program type, where every program call is direct (runtime/stage.hpp).
 #pragma once
 
 #include <cstddef>
@@ -33,7 +39,15 @@
 #include "port/port_graph.hpp"
 #include "runtime/message.hpp"
 
+namespace eds {
+class ThreadPool;
+}  // namespace eds
+
 namespace eds::runtime {
+
+class ExecutionPlan;
+struct RunOptions;
+struct RunResult;
 
 using port::Port;
 
@@ -56,6 +70,20 @@ class OutputSink {
     std::uint8_t& slot = segment_[i - 1];
     if (slot != 0) fail(/*duplicate=*/true);
     slot = 1;
+  }
+
+  /// Puts every port i with flags[i - 1] != 0 into X(v), with no branch per
+  /// port.  Throws ExecutionError when `flags` is longer than the degree or
+  /// names a port already selected.
+  void select_flags(std::span<const std::uint8_t> flags) {
+    if (flags.size() > segment_.size()) fail(/*duplicate=*/false);
+    std::uint8_t repeated = 0;
+    for (std::size_t i = 0; i < flags.size(); ++i) {
+      const auto bit = static_cast<std::uint8_t>(flags[i] != 0);
+      repeated |= static_cast<std::uint8_t>(segment_[i] & bit);
+      segment_[i] |= bit;
+    }
+    if (repeated != 0) fail(/*duplicate=*/true);
   }
 
  private:
@@ -107,12 +135,14 @@ class NodeProgram {
 };
 
 /// Owns the programs of one run.  Factories construct programs in
-/// contiguous blocks (emplace) or hand over heap programs (adopt);
-/// programs() lists them in node order.  resource() is a monotonic memory
-/// resource for per-node state that lives as long as the run: nothing is
-/// freed before the arena is destroyed, so take a block of fixed size once
-/// (in start(degree)) and rewrite it in place; state that is reallocated
-/// round after round belongs on the heap instead.
+/// contiguous blocks (emplace, emplace_block) or hand over heap programs
+/// (adopt); programs() lists the emplaced and adopted ones in node order.
+/// resource() is a monotonic memory resource for per-node state that lives
+/// as long as the run: nothing is freed before the arena is destroyed, so
+/// take a block of fixed size once (in start(degree)) and rewrite it in
+/// place; state that is reallocated round after round belongs on the heap
+/// instead.  Every block is destroyed through its own program type, in
+/// reverse order of construction.
 class ProgramArena {
  public:
   /// Sized for a run over `n` nodes.
@@ -128,20 +158,36 @@ class ProgramArena {
     static_assert(std::is_base_of_v<NodeProgram, P>);
     if (count == 0) return;
     programs_.reserve(programs_.size() + count);  // push_back cannot throw
+    for (P& program : emplace_block<P>(count, args...)) {
+      programs_.push_back(&program);
+    }
+  }
+
+  /// Constructs `count` programs P(args...) in one contiguous block and
+  /// returns it, without listing them in programs(): the block a typed run
+  /// (run_block in runtime/stage.hpp) hands the round loop.  If a
+  /// constructor throws, the programs built before it are destroyed with
+  /// the arena.
+  template <class P, class... Args>
+  std::span<P> emplace_block(std::size_t count, const Args&... args) {
+    static_assert(std::is_base_of_v<NodeProgram, P>);
+    if (count == 0) return {};
     auto* block = static_cast<P*>(memory_.allocate(count * sizeof(P),
                                                    alignof(P)));
-    blocks_.push_back({programs_.size(), 0});
+    blocks_.push_back({block, 0, &destroy_block<P>});
     for (std::size_t k = 0; k < count; ++k) {
-      programs_.push_back(::new (static_cast<void*>(block + k)) P(args...));
+      ::new (static_cast<void*>(block + k)) P(args...);
       ++blocks_.back().count;
     }
+    return {block, count};
   }
 
   /// Appends a heap program and takes ownership of it.  A null program is
   /// appended as null; the engines reject it.
   void adopt(std::unique_ptr<NodeProgram> program);
 
-  /// The programs, in the order they were added (node order).
+  /// The emplaced and adopted programs, in the order they were added (node
+  /// order).
   [[nodiscard]] std::span<NodeProgram* const> programs() const noexcept {
     return programs_;
   }
@@ -153,13 +199,22 @@ class ProgramArena {
 
  private:
   struct Block {
-    std::size_t first = 0;  // index of the block's first program
-    std::size_t count = 0;  // programs constructed so far
+    void* first = nullptr;   // the block's first program
+    std::size_t count = 0;   // programs constructed so far
+    void (*destroy)(void* first, std::size_t count) noexcept = nullptr;
   };
 
+  /// Destroys `count` programs of type P from `first` on, last first.
+  template <class P>
+  static void destroy_block(void* first, std::size_t count) noexcept {
+    P* const programs = static_cast<P*>(first);
+    for (std::size_t k = count; k-- > 0;) programs[k].~P();
+  }
+
+  std::size_t nodes_;  // the run's node count: adopt() reserves for it
   std::pmr::monotonic_buffer_resource memory_;
   std::vector<NodeProgram*> programs_;
-  std::vector<Block> blocks_;  // arena-constructed ranges of programs_
+  std::vector<Block> blocks_;  // arena-constructed blocks, in order
   std::vector<std::unique_ptr<NodeProgram>> owned_;  // adopted programs
 };
 
@@ -174,6 +229,17 @@ class ProgramFactory {
   /// results; an override must build the same programs create() would, so
   /// both paths give bit-identical runs.
   virtual void create_all(std::size_t n, ProgramArena& arena) const;
+
+  /// Performs one synchronous run of this factory's programs over `plan`,
+  /// scheduling its stages on `pool` (run_synchronous's engine path).  The
+  /// default builds the programs with create_all into a ProgramArena and
+  /// runs run_plan over them.  An override must give a bit-identical
+  /// RunResult, and throw what the default would; the built-in factories
+  /// run their own typed instantiation of run_plan's round loop
+  /// (run_block in runtime/stage.hpp).
+  [[nodiscard]] virtual RunResult run(const ExecutionPlan& plan,
+                                      const RunOptions& options,
+                                      ThreadPool& pool) const;
 
   /// Short human-readable algorithm name (for tables and traces).
   [[nodiscard]] virtual std::string name() const = 0;

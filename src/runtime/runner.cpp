@@ -40,12 +40,9 @@ RunResult run_synchronous(const port::PortGraph& g,
     // event-driven engine (see runtime/async.hpp for the full result).
     return run_asynchronous(g, factory, options, *options.exec.async).run;
   }
-  ProgramArena arena(g.num_nodes());
-  const auto programs =
-      create_programs(factory, g.num_nodes(), arena, "run_synchronous");
+  const ExecutionPlan plan = resolve_plan(g, options.exec);
   const auto pool = make_policy(options.exec);
-  return run_plan(resolve_plan(g, options.exec), programs, options,
-                  factory.name(), *pool);
+  return factory.run(plan, options, *pool);
 }
 
 RunResult run_synchronous_programs(

@@ -140,9 +140,11 @@ struct RunResult {
 /// instead of printing an empty transcript.
 [[nodiscard]] std::string format_transcript(const RunResult& result);
 
-/// Runs `factory`'s program on every node of `g` until all halt.  The
-/// programs are built through ProgramFactory::create_all into one
-/// ProgramArena, which lives for the duration of the call.
+/// Runs `factory`'s program on every node of `g` until all halt, through
+/// ProgramFactory::run: by default the programs are built through
+/// ProgramFactory::create_all into one ProgramArena, which lives for the
+/// duration of the call, and run over NodeProgram*; the built-in factories
+/// run their own typed instantiation of the round loop instead.
 [[nodiscard]] RunResult run_synchronous(const port::PortGraph& g,
                                         const ProgramFactory& factory,
                                         const RunOptions& options = {});

@@ -114,6 +114,35 @@ TEST(Alloc, MultiRoundProgramsMakeNoPerNodeAllocations) {
   }
 }
 
+TEST(Alloc, TypedRunsMakeAFixedHandfulOfAllocations) {
+  // A built-in factory's run on a warm lane (its pooled workspace already
+  // sized for the graph) allocates exactly:
+  //  * the one-lane ThreadPool make_policy builds;
+  //  * the program arena's buffer: one chunk for port-one's block and its
+  //    per-port flags, two for A(4)'s block and its port blocks;
+  //  * the arena's record of the typed block;
+  //  * the result's selection mask;
+  //  * for A(4), the name "bounded-degree(delta=4)", past the short-string
+  //    buffer, that the round-cap error would quote.
+  // Nothing is allocated per node, and no NodeProgram* list is built.
+  struct Case {
+    std::unique_ptr<runtime::ProgramFactory> factory;
+    std::size_t allocations;
+  };
+  Case cases[] = {{make_factory(Algorithm::kPortOne), 4},
+                  {make_factory(Algorithm::kBoundedDegree, 4), 6}};
+  Rng rng(0xA110E);
+  const auto pg = test::random_ported_regular(4096, 4, rng);
+  for (const Case& c : cases) {
+    (void)runtime::run_synchronous(pg.ports(), *c.factory);  // warm up
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    const auto result = runtime::run_synchronous(pg.ports(), *c.factory);
+    const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, c.allocations) << c.factory->name();
+    EXPECT_EQ(result.selected.size(), pg.ports().num_ports());
+  }
+}
+
 TEST(Alloc, PlansAreViewsThatAllocateNothing) {
   // A run without a cache views the graph's tables exactly as a run on a
   // warm cache does: the same allocations, and a plan costs none.

@@ -522,6 +522,24 @@ TEST(Cli, SweepRejectsSchedulesThatOverflowARound) {
   EXPECT_EQ(largest.err.find("schedule"), std::string::npos) << largest.err;
 }
 
+TEST(Cli, SweepPrintsNothingWhenAFactoryRejectsItsParameter) {
+  // The validated sweep once printed its `sweep: family=...` header before
+  // the batch built the factories, leaving a header for jobs that never
+  // ran ahead of the error.
+  for (const bool ndjson : {false, true}) {
+    std::vector<std::string> args{"sweep",       "cycle",          "--min",
+                                  "8",           "--max",          "8",
+                                  "--algorithm", "bounded-degree", "--param",
+                                  "37838"};
+    if (ndjson) args.emplace_back("--ndjson");
+    const auto run = invoke(args);
+    EXPECT_EQ(run.code, 1) << "ndjson=" << ndjson;
+    EXPECT_EQ(run.out, "") << "ndjson=" << ndjson;
+    EXPECT_NE(run.err.find("max degree 37838"), std::string::npos)
+        << run.err;
+  }
+}
+
 TEST(Cli, SweepRejectsARepeatCountThatOverflowsTheJobList) {
   // sizes × repeat once reached vector::reserve unchecked, which leaked
   // std::length_error as "sweep: vector::reserve".
