@@ -350,10 +350,10 @@ BENCHMARK(BM_BatchSweep)->Arg(1)->Arg(2)->Arg(8)->UseRealTime();
 
 void BM_PlanCacheSweep(benchmark::State& state) {
   // The --repeat workload: `jobs` batch runs on ONE 4-regular instance
-  // (n = 1024) through a shared cache.  A plan is a view of the graph's
-  // tables, so the cache saves no work; it counts the structure once, and
-  // every later job is a hit — plan_misses stays at 1 however many
-  // iterations the timer takes.
+  // (n = 1024) through a shared cache.  The runs read the graph itself,
+  // so the cache saves no work; it counts the structure once, and every
+  // later job is a hit — plan_misses stays at 1 however many iterations
+  // the timer takes.
   const auto jobs = static_cast<std::size_t>(state.range(0));
   eds::Rng rng(7);
   const auto pg = eds::port::with_random_ports(

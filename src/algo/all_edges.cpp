@@ -4,13 +4,13 @@
 
 namespace eds::algo {
 
-runtime::RunResult AllEdgesFactory::run(const runtime::ExecutionPlan& plan,
+runtime::RunResult AllEdgesFactory::run(const port::PortGraph& g,
                                         const runtime::RunOptions& options,
                                         ThreadPool& pool) const {
-  runtime::ProgramArena arena(plan.num_nodes());
+  runtime::ProgramArena arena(g.num_nodes());
   return runtime::run_block(
-      plan, arena.emplace_block<AllEdgesProgram>(plan.num_nodes()), options,
-      name(), pool);
+      g, arena.emplace_block<AllEdgesProgram>(g.num_nodes()), options, name(),
+      pool);
 }
 
 }  // namespace eds::algo

@@ -36,7 +36,7 @@ class AllEdgesFactory final : public runtime::ProgramFactory {
   void create_all(std::size_t n, runtime::ProgramArena& arena) const override {
     arena.emplace<AllEdgesProgram>(n);
   }
-  [[nodiscard]] runtime::RunResult run(const runtime::ExecutionPlan& plan,
+  [[nodiscard]] runtime::RunResult run(const port::PortGraph& g,
                                        const runtime::RunOptions& options,
                                        ThreadPool& pool) const override;
   [[nodiscard]] std::string name() const override { return "all-edges"; }

@@ -269,13 +269,13 @@ void BoundedDegreeProgram::output(runtime::OutputSink& out) const {
 }
 
 runtime::RunResult BoundedDegreeFactory::run(
-    const runtime::ExecutionPlan& plan, const runtime::RunOptions& options,
+    const port::PortGraph& g, const runtime::RunOptions& options,
     ThreadPool& pool) const {
-  runtime::ProgramArena arena(plan.num_nodes());
+  runtime::ProgramArena arena(g.num_nodes());
   return runtime::run_block(
-      plan,
-      arena.emplace_block<BoundedDegreeProgram>(
-          plan.num_nodes(), max_degree_, sink_, arena.resource()),
+      g,
+      arena.emplace_block<BoundedDegreeProgram>(g.num_nodes(), max_degree_,
+                                                sink_, arena.resource()),
       options, name(), pool);
 }
 

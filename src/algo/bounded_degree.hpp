@@ -154,7 +154,7 @@ class BoundedDegreeFactory final : public runtime::ProgramFactory {
     arena.emplace<BoundedDegreeProgram>(n, max_degree_, sink_,
                                         arena.resource());
   }
-  [[nodiscard]] runtime::RunResult run(const runtime::ExecutionPlan& plan,
+  [[nodiscard]] runtime::RunResult run(const port::PortGraph& g,
                                        const runtime::RunOptions& options,
                                        ThreadPool& pool) const override;
   [[nodiscard]] std::string name() const override {

@@ -164,7 +164,7 @@ BoundedDegreeTrace central_bounded_degree(const port::PortedGraph& pg,
     for (graph::NodeId v = 0; v < n; ++v) {
       if (g.degree(v) != i || m_covered[v]) continue;
       for (port::Port p = 1; p <= g.degree(v); ++p) {
-        const auto u = g.edge(pg.edge_at(v, p)).other(v);
+        const auto u = pg.ports().partner(v, p).node;
         if (g.degree(u) < i) eligible[v].push_back(p);
       }
     }
@@ -184,7 +184,7 @@ BoundedDegreeTrace central_bounded_degree(const port::PortedGraph& pg,
   for (graph::NodeId v = 0; v < n; ++v) {
     if (m_covered[v]) continue;
     for (port::Port p = 1; p <= g.degree(v); ++p) {
-      const auto u = g.edge(pg.edge_at(v, p)).other(v);
+      const auto u = pg.ports().partner(v, p).node;
       if (!m_covered[u]) eligible[v].push_back(p);
     }
   }

@@ -130,12 +130,12 @@ void DoubleCoverProgram::output(runtime::OutputSink& out) const {
 }
 
 runtime::RunResult DoubleCoverFactory::run(
-    const runtime::ExecutionPlan& plan, const runtime::RunOptions& options,
+    const port::PortGraph& g, const runtime::RunOptions& options,
     ThreadPool& pool) const {
-  runtime::ProgramArena arena(plan.num_nodes());
+  runtime::ProgramArena arena(g.num_nodes());
   return runtime::run_block(
-      plan,
-      arena.emplace_block<DoubleCoverProgram>(plan.num_nodes(), max_degree_,
+      g,
+      arena.emplace_block<DoubleCoverProgram>(g.num_nodes(), max_degree_,
                                               arena.resource()),
       options, name(), pool);
 }

@@ -136,7 +136,7 @@ class DoubleCoverFactory final : public runtime::ProgramFactory {
   void create_all(std::size_t n, runtime::ProgramArena& arena) const override {
     arena.emplace<DoubleCoverProgram>(n, max_degree_, arena.resource());
   }
-  [[nodiscard]] runtime::RunResult run(const runtime::ExecutionPlan& plan,
+  [[nodiscard]] runtime::RunResult run(const port::PortGraph& g,
                                        const runtime::RunOptions& options,
                                        ThreadPool& pool) const override;
   [[nodiscard]] std::string name() const override {

@@ -1,5 +1,7 @@
 #include "algo/driver.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <mutex>
 #include <utility>
 
@@ -82,6 +84,22 @@ std::unique_ptr<runtime::ProgramFactory> make_factory(Algorithm algorithm,
   throw InvalidArgument("make_factory: unknown algorithm");
 }
 
+runtime::Round round_cap(Algorithm algorithm, port::Port param) {
+  // All-edges halts in start() and port-one after one round.
+  const std::uint64_t schedule =
+      algorithm == Algorithm::kOddRegular
+          ? OddRegularProgram::schedule_length(param)
+      : algorithm == Algorithm::kBoundedDegree
+          ? BoundedDegreeProgram::schedule_length(param)
+      : algorithm == Algorithm::kDoubleCover
+          ? DoubleCoverProgram::schedule_length(param)
+          : 0;
+  // The factories reject a schedule past a Round; clamp, never wrap.
+  return static_cast<runtime::Round>(std::clamp<std::uint64_t>(
+      schedule, runtime::RunOptions{}.max_rounds,
+      std::numeric_limits<runtime::Round>::max()));
+}
+
 namespace {
 
 /// Resolves the `param == 0` default from the graph (d-regular degree for
@@ -119,6 +137,7 @@ EdsOutcome run_algorithm(const port::PortedGraph& pg, Algorithm algorithm,
   param = resolve_param(pg, algorithm, param);
   const auto factory = make_factory(algorithm, param);
   runtime::RunOptions options;
+  options.max_rounds = round_cap(algorithm, param);
   options.exec = exec;
   const auto result = runtime::run_synchronous(pg.ports(), *factory, options);
   EdsOutcome outcome;
@@ -149,6 +168,7 @@ PreparedBatch prepare_batch(const std::vector<BatchItem>& items,
     const auto param = resolve_param(*item.graph, item.algorithm, item.param);
     batch.factories.push_back(make_factory(item.algorithm, param));
     runtime::RunOptions options;
+    options.max_rounds = round_cap(item.algorithm, param);
     options.exec.plan_cache = plan_cache;
     batch.jobs.push_back(
         {&item.graph->ports(), batch.factories.back().get(), options});

@@ -51,6 +51,12 @@ struct EdsOutcome {
 [[nodiscard]] std::unique_ptr<runtime::ProgramFactory> make_factory(
     Algorithm algorithm, port::Port param = 0);
 
+/// The round cap of `algorithm` with the resolved `param`: the larger of
+/// the RunOptions default and the exact schedule length, so A(∆) from max
+/// degree 182 on still completes.  The library and edsim give it to every
+/// built-in run whose RunOptions they build.
+[[nodiscard]] runtime::Round round_cap(Algorithm algorithm, port::Port param);
+
 /// Resolves the `param == 0` default from the graph, exactly as
 /// run_algorithm does internally: the d-regular degree for kOddRegular
 /// (throws InvalidArgument when the graph is not regular), the max degree
@@ -66,7 +72,8 @@ struct EdsOutcome {
 /// kOddRegular, max degree for kBoundedDegree / kDoubleCover.  `exec`
 /// selects the engine policy (ExecOptions{.threads = N}); the solution is
 /// identical for every policy.  `exec.plan_cache`, when set, counts the
-/// run's structure (a hit or a miss); null runs on a plan of its own.
+/// run's structure (a hit or a miss); null counts nothing.  The run's round
+/// cap is round_cap(algorithm, param).
 [[nodiscard]] EdsOutcome run_algorithm(const port::PortedGraph& pg,
                                        Algorithm algorithm,
                                        port::Port param = 0,

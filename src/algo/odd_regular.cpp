@@ -251,12 +251,12 @@ void OddRegularProgram::output(runtime::OutputSink& out) const {
 }
 
 runtime::RunResult OddRegularFactory::run(
-    const runtime::ExecutionPlan& plan, const runtime::RunOptions& options,
+    const port::PortGraph& g, const runtime::RunOptions& options,
     ThreadPool& pool) const {
-  runtime::ProgramArena arena(plan.num_nodes());
+  runtime::ProgramArena arena(g.num_nodes());
   return runtime::run_block(
-      plan,
-      arena.emplace_block<OddRegularProgram>(plan.num_nodes(), d_, order_,
+      g,
+      arena.emplace_block<OddRegularProgram>(g.num_nodes(), d_, order_,
                                              arena.resource()),
       options, name(), pool);
 }

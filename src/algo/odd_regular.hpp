@@ -121,7 +121,7 @@ class OddRegularFactory final : public runtime::ProgramFactory {
   void create_all(std::size_t n, runtime::ProgramArena& arena) const override {
     arena.emplace<OddRegularProgram>(n, d_, order_, arena.resource());
   }
-  [[nodiscard]] runtime::RunResult run(const runtime::ExecutionPlan& plan,
+  [[nodiscard]] runtime::RunResult run(const port::PortGraph& g,
                                        const runtime::RunOptions& options,
                                        ThreadPool& pool) const override;
   [[nodiscard]] std::string name() const override {

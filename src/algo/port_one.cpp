@@ -27,13 +27,12 @@ void PortOneProgram::receive(runtime::Round,
   halted_ = true;
 }
 
-runtime::RunResult PortOneFactory::run(const runtime::ExecutionPlan& plan,
+runtime::RunResult PortOneFactory::run(const port::PortGraph& g,
                                        const runtime::RunOptions& options,
                                        ThreadPool& pool) const {
-  runtime::ProgramArena arena(plan.num_nodes());
+  runtime::ProgramArena arena(g.num_nodes());
   return runtime::run_block(
-      plan, arena.emplace_block<PortOneProgram>(plan.num_nodes(),
-                                                arena.resource()),
+      g, arena.emplace_block<PortOneProgram>(g.num_nodes(), arena.resource()),
       options, name(), pool);
 }
 

@@ -51,7 +51,7 @@ class PortOneFactory final : public runtime::ProgramFactory {
   void create_all(std::size_t n, runtime::ProgramArena& arena) const override {
     arena.emplace<PortOneProgram>(n, arena.resource());
   }
-  [[nodiscard]] runtime::RunResult run(const runtime::ExecutionPlan& plan,
+  [[nodiscard]] runtime::RunResult run(const port::PortGraph& g,
                                        const runtime::RunOptions& options,
                                        ThreadPool& pool) const override;
   [[nodiscard]] std::string name() const override { return "port-one"; }

@@ -424,6 +424,7 @@ int cmd_run_portgraph(const Args& args, std::istream& in, std::ostream& out,
     }
     const auto factory = algo::make_factory(*parsed, param);
     runtime::RunOptions options;
+    options.max_rounds = algo::round_cap(*parsed, param);
     options.collect_messages = args.has("trace");
     options.exec.threads = args.get_uint<unsigned>("threads", 1);
     const auto result = runtime::run_synchronous(g, *factory, options);
@@ -485,9 +486,10 @@ int cmd_sweep_replay(const Args& args, std::ostream& out, std::ostream& err) {
     err << "sweep: replay graph: " << e.what() << '\n';
     return 2;
   }
-  const auto factory =
-      algo::make_factory(*algorithm, static_cast<port::Port>(replay.param));
+  const auto param = static_cast<port::Port>(replay.param);
+  const auto factory = algo::make_factory(*algorithm, param);
   runtime::RunOptions options;
+  options.max_rounds = algo::round_cap(*algorithm, param);
   options.collect_messages = true;
   runtime::AsyncResult result;
   try {
@@ -1087,6 +1089,7 @@ int sweep_adversary(const SweepConfig& cfg,
   run_opts.exec.plan_cache = &plan_cache;
   std::size_t job = 0;
   for (const auto& t : targets) {
+    run_opts.max_rounds = algo::round_cap(t.algorithm, t.param);
     // The exact solver is exponential in m; only small simple graphs get
     // the optimum/ratio columns (multigraphs have no exact solver).
     std::optional<std::size_t> optimum;
@@ -1145,6 +1148,7 @@ int sweep_jobs(const SweepConfig& cfg, const std::vector<SweepTarget>& targets,
   for (const auto& t : targets) {
     for (std::size_t r = 0; r < cfg.repeat; ++r) {
       runtime::RunOptions options;
+      options.max_rounds = algo::round_cap(t.algorithm, t.param);
       options.exec.plan_cache = &plan_cache;
       if (cfg.async_model) {
         options.exec.async =

@@ -31,7 +31,8 @@ SimpleGraph cycle(std::size_t n) {
 
 SimpleGraph complete(std::size_t n) {
   if (n < 1) throw InvalidArgument("complete: need n >= 1");
-  GraphBuilder b(n);
+  GraphBuilder b(n);  // n fits a NodeId, so n(n - 1) / 2 fits 64 bits
+  check_edge_count(std::uint64_t{n} * (n - 1) / 2, "complete");
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) b.add_edge(nid(i), nid(j));
   }

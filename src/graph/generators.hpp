@@ -22,7 +22,9 @@ namespace eds::graph {
 /// Cycle with n nodes; n >= 3.
 [[nodiscard]] SimpleGraph cycle(std::size_t n);
 
-/// Complete graph K_n; n >= 1.
+/// Complete graph K_n; n >= 1.  Throws InvalidArgument before building
+/// anything when its n(n − 1)/2 edges do not fit 32-bit edge ids (from
+/// n = 92,683).
 [[nodiscard]] SimpleGraph complete(std::size_t n);
 
 /// Complete bipartite graph K_{a,b}; left nodes 0..a-1, right a..a+b-1.

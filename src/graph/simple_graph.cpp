@@ -20,12 +20,20 @@ void check_node_count(std::size_t n, const char* who) {
 
 }  // namespace
 
+void check_edge_count(std::uint64_t m, const char* who) {
+  if (m > std::numeric_limits<EdgeId>::max()) {
+    throw InvalidArgument(std::string(who) + ": " + std::to_string(m) +
+                          " edges exceed the EdgeId range");
+  }
+}
+
 SimpleGraph::SimpleGraph(std::size_t n) {
   check_node_count(n, "SimpleGraph");
   first_.assign(n + 1, 0);
 }
 
 SimpleGraph SimpleGraph::from_edges(std::size_t n, std::vector<Edge> edges) {
+  check_edge_count(edges.size(), "SimpleGraph");
   SimpleGraph g(n);
   for (std::size_t k = 0; k < edges.size(); ++k) {
     Edge& e = edges[k];
@@ -102,13 +110,15 @@ std::optional<EdgeId> SimpleGraph::find_edge(NodeId u, NodeId v) const {
   if (u >= num_nodes() || v >= num_nodes()) {
     throw InvalidArgument("SimpleGraph::find_edge: node out of range");
   }
-  // Search the smaller adjacency list.
+  // Search the smaller adjacency list; it is sorted by neighbour.
   const NodeId probe = degree(u) <= degree(v) ? u : v;
   const NodeId target = probe == u ? v : u;
-  for (const auto& inc : incidences(probe)) {
-    if (inc.neighbour == target) return inc.edge;
-  }
-  return std::nullopt;
+  const auto list = incidences(probe);
+  const auto it = std::lower_bound(
+      list.begin(), list.end(), target,
+      [](const Incidence& inc, NodeId x) { return inc.neighbour < x; });
+  if (it == list.end() || it->neighbour != target) return std::nullopt;
+  return it->edge;
 }
 
 std::string SimpleGraph::summary() const {

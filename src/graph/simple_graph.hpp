@@ -50,6 +50,11 @@ struct Incidence {
   [[nodiscard]] bool operator==(const Incidence&) const = default;
 };
 
+/// Throws InvalidArgument, naming `who` and `m`, when `m` edges are more
+/// than the largest EdgeId (ids run 0 .. m − 1).  SimpleGraph::from_edges
+/// calls it before sizing anything, a generator before its edge list.
+void check_edge_count(std::uint64_t m, const char* who);
+
 /// An immutable simple undirected graph (no loops, no parallel edges).
 /// Adjacency is stored as CSR: one flat incidence array, node v's list at
 /// [first_[v], first_[v + 1]).
@@ -61,7 +66,8 @@ class SimpleGraph {
 
   /// Builds a graph from an edge list.  Endpoints are normalised (u <= v);
   /// loops and duplicate edges are rejected with InvalidStructure, and an
-  /// `n` above the largest NodeId with InvalidArgument.
+  /// `n` above the largest NodeId or more edges than check_edge_count
+  /// allows with InvalidArgument.
   /// Edge ids equal positions in `edges` (after normalisation).
   [[nodiscard]] static SimpleGraph from_edges(std::size_t n,
                                               std::vector<Edge> edges);
@@ -95,7 +101,8 @@ class SimpleGraph {
   /// True when every node has degree exactly `d`.
   [[nodiscard]] bool is_regular(std::size_t d) const noexcept;
 
-  /// The edge id joining u and v, if present.
+  /// The edge id joining u and v, if present: a binary search of the
+  /// smaller of the two adjacency lists.
   [[nodiscard]] std::optional<EdgeId> find_edge(NodeId u, NodeId v) const;
 
   /// True when u and v are joined by an edge.

@@ -208,10 +208,8 @@ LowerBoundInstance odd_lower_bound(Port d) {
       auto& slots = order[gv];
       slots.resize(dd);
       for (Port i = 1; i <= static_cast<Port>(2 * k); ++i) {
-        const auto le = local_ported.edge_at(nid(lv), i);
-        const auto& lge = local_ported.graph().edge(le);
-        const auto ge = g.find_edge(nid(l * comp_size + lge.u),
-                                    nid(l * comp_size + lge.v));
+        const auto lu = local_ported.ports().partner(nid(lv), i).node;
+        const auto ge = g.find_edge(gv, nid(l * comp_size + lu));
         EDS_ENSURE(ge.has_value(), "odd_lower_bound: lost component edge");
         slots[i - 1] = *ge;
       }

@@ -62,8 +62,8 @@ void check_port_count(std::uint64_t total_ports);
 ///   offsets       n + 1 prefix sums of the degrees;
 ///   partner_flat  the involution: the flat index of p(q) for each port q;
 ///   partner_node  the node that owns p(q), for each port q.
-/// Degrees and (node, port) partners are derived from them.  The engine
-/// reads the same tables (runtime::ExecutionPlan is a view of them).
+/// Degrees and (node, port) partners are derived from them.  Both engines
+/// run on these tables, through raw pointers taken once per run.
 ///
 /// PortGraphBuilder::build() writes the tables and the structural hash
 /// into one immutable block that every copy of the graph shares, so a

@@ -24,7 +24,6 @@ PortedGraph::PortedGraph(
   std::vector<Port> port_at_u(m, 0);
   std::vector<Port> port_at_v(m, 0);
   std::vector<Port> degrees(n);
-  edge_at_port_.reserve(2 * m);
   for (NodeId v = 0; v < n; ++v) {
     const auto& order = order_per_node[v];
     bool ok = order.size() == graph_.degree(v);
@@ -43,7 +42,6 @@ PortedGraph::PortedGraph(
       throw InvalidStructure(os.str());
     }
     degrees[v] = static_cast<Port>(order.size());
-    edge_at_port_.insert(edge_at_port_.end(), order.begin(), order.end());
   }
 
   PortGraphBuilder builder(std::move(degrees));
@@ -67,18 +65,23 @@ EdgeId PortedGraph::edge_at(NodeId v, Port i) const {
   if (v >= ports_.num_nodes() || i < 1 || i > ports_.degree(v)) {
     throw InvalidArgument("PortedGraph::edge_at: port out of range");
   }
-  return edge_at_port_[ports_.offset(v) + i - 1];
+  // The graph is simple, so the neighbour names exactly one edge.
+  return *graph_.find_edge(v, ports_.partner(v, i).node);
 }
 
 Port PortedGraph::port_of(NodeId v, EdgeId e) const {
   if (v >= ports_.num_nodes()) {
     throw InvalidArgument("PortedGraph::port_of: node out of range");
   }
-  const auto* first = edge_at_port_.data() + ports_.offset(v);
-  for (Port k = 0; k < ports_.degree(v); ++k) {
-    if (first[k] == e) return k + 1;
+  if (e >= edge_ports_.size()) {
+    throw InvalidArgument("PortedGraph::port_of: edge out of range");
   }
-  throw InvalidArgument("PortedGraph::port_of: node is not an endpoint");
+  const auto& edge = graph_.edge(e);
+  if (edge.u != v && edge.v != v) {
+    throw InvalidArgument("PortedGraph::port_of: node is not an endpoint");
+  }
+  return static_cast<Port>(edge_ports_[e][edge.u == v ? 0 : 1] -
+                           ports_.offset(v) + 1);
 }
 
 Port PortedGraph::port_towards(NodeId v, NodeId u) const {

@@ -1,5 +1,5 @@
-// A simple graph together with a port numbering, plus the cross-maps that
-// let us translate between the distributed world (node, port) and the
+// A simple graph together with a port numbering, plus the cross-map that
+// lets us translate between the distributed world (node, port) and the
 // centralised world (edge id).
 //
 // All distributed executions in this library run on a PortedGraph (or a bare
@@ -20,7 +20,8 @@ namespace eds::port {
 using graph::EdgeId;
 using graph::SimpleGraph;
 
-/// A simple graph with a port numbering and bidirectional port<->edge maps.
+/// A simple graph with a port numbering and one edge -> port table; the
+/// port -> edge direction is derived from the involution.
 class PortedGraph {
  public:
   /// Builds from a graph and, for each node, its incident edge ids in port
@@ -34,15 +35,11 @@ class PortedGraph {
   [[nodiscard]] const SimpleGraph& graph() const noexcept { return graph_; }
   [[nodiscard]] const PortGraph& ports() const noexcept { return ports_; }
 
-  /// The edge connected to port i of node v.
+  /// The edge connected to port i of node v, derived from the involution:
+  /// the edge to the partner node.  Throws InvalidArgument for a non-port.
   [[nodiscard]] EdgeId edge_at(NodeId v, Port i) const;
 
-  /// The edge connected to flat port q (see PortGraph::offset); unchecked.
-  [[nodiscard]] EdgeId edge_at_flat(std::size_t q) const noexcept {
-    return edge_at_port_[q];
-  }
-
-  /// The inverse map, indexed by edge id: the flat ports (see
+  /// The edge -> port map, indexed by edge id: the flat ports (see
   /// PortGraph::offset) of edge e at its `u` and `v` ends, in that order.
   /// One contiguous table, so per-edge sweeps over a selection mask need
   /// no involution lookup.
@@ -51,7 +48,8 @@ class PortedGraph {
     return edge_ports_;
   }
 
-  /// The port of node v on edge e; throws if v is not an endpoint of e.
+  /// The port of node v on edge e, in O(1); throws InvalidArgument unless
+  /// v is an endpoint of edge e.
   [[nodiscard]] Port port_of(NodeId v, EdgeId e) const;
 
   /// The paper's l_G(v, u): the port of v on the edge {v, u}.
@@ -60,7 +58,6 @@ class PortedGraph {
  private:
   SimpleGraph graph_;
   PortGraph ports_;
-  std::vector<EdgeId> edge_at_port_;  // flat port index -> edge id
   std::vector<std::array<std::uint32_t, 2>> edge_ports_;  // edge -> ports
 };
 

@@ -320,18 +320,18 @@ struct AsyncWorkspace {
 
 AsyncPolicy::AsyncPolicy(AsyncOptions options) : options_(std::move(options)) {}
 
-AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
+AsyncResult AsyncPolicy::run(const port::PortGraph& g,
                              std::vector<std::unique_ptr<NodeProgram>>& programs,
                              const RunOptions& options,
                              const std::string& name) const {
-  return run(plan, borrow_programs(programs), options, name);
+  return run(g, borrow_programs(programs), options, name);
 }
 
-AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
+AsyncResult AsyncPolicy::run(const port::PortGraph& g,
                              std::span<NodeProgram* const> programs,
                              const RunOptions& options,
                              const std::string& name) const {
-  const std::size_t n = plan.num_nodes();
+  const std::size_t n = g.num_nodes();
   if (options.max_rounds == 0) {
     throw InvalidArgument(
         "run_asynchronous: RunOptions::max_rounds must be positive");
@@ -367,7 +367,7 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
         "prio_seed (there is no priority lane to demote from)");
   }
   for (const DelayOverride& o : sched.delay_overrides) {
-    if (o.port >= plan.total_ports()) {
+    if (o.port >= g.num_ports()) {
       throw InvalidArgument(
           "run_asynchronous: Schedule delay override names an out-of-range "
           "flat port");
@@ -383,7 +383,14 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
   const bool synchronized = options_.synchronizer;
   const std::uint64_t seed = options_.seed;
   const std::uint64_t timeout = effective_round_timeout(options_);
-  const std::size_t total_ports = plan.total_ports();
+  const std::size_t total_ports = g.num_ports();
+  // The graph's tables, read through unchecked pointers by every event.
+  const std::uint32_t* const offsets = g.offsets().data();
+  const std::uint32_t* const partner_flat = g.partner_flat().data();
+  const std::uint32_t* const partner_node = g.partner_node().data();
+  const auto degree = [offsets](std::size_t v) -> Port {
+    return offsets[v + 1] - offsets[v];
+  };
 
   const WorkspaceLease<AsyncWorkspace> lease;
   AsyncWorkspace& ws = *lease;
@@ -469,14 +476,14 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
   const auto push_to_partner = [&](std::uint64_t time, EventKind kind,
                                    std::size_t q, Round round,
                                    const Message& payload = kSilence) {
-    const port::NodeId node = plan.partner_node(q);
-    const std::size_t flat = plan.partner_flat(q);
+    const port::NodeId node = partner_node[q];
+    const std::size_t flat = partner_flat[q];
     timeline.push(time, {key_base[node] + flat, payload, node,
                          static_cast<std::uint32_t>(flat), round, kind});
   };
   const auto push_at_node = [&](std::uint64_t time, EventKind kind,
                                 port::NodeId node, Round round) {
-    timeline.push(time, {key_base[node] + plan.offset(node) - 1, kSilence,
+    timeline.push(time, {key_base[node] + offsets[node] - 1, kSilence,
                          node, 0, round, kind});
   };
 
@@ -493,8 +500,8 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
 
   const auto schedule_halt_notices = [&](std::size_t v, Round h,
                                          std::uint64_t now) {
-    const Port deg = plan.degree(v);
-    const std::size_t off = plan.offset(v);
+    const Port deg = degree(v);
+    const std::size_t off = offsets[v];
     for (Port i = 1; i <= deg; ++i) {
       const std::size_t q = off + i - 1;
       push_to_partner(now + delays[q] + send_penalty(v),
@@ -504,8 +511,8 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
 
   const auto send_round = [&](std::size_t v, Round r, std::uint64_t now) {
     NodeState& s = st[v];
-    const Port deg = plan.degree(v);
-    const std::size_t off = plan.offset(v);
+    const Port deg = degree(v);
+    const std::size_t off = offsets[v];
     stats.ports_served += deg;
     stage.assign(deg, kSilence);
     programs[v]->send(r, std::span<Message>(stage.data(), deg));
@@ -522,7 +529,7 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
         // the only recording point that keeps the transcript bit-identical.
         if (options.collect_messages) {
           result.message_log.push_back(
-              {r, {static_cast<port::NodeId>(v), i}, plan.partner_ref(q), m});
+              {r, {static_cast<port::NodeId>(v), i}, g.partner_ref(q), m});
         }
       }
       if (faults.loss > 0.0 && draw01(seed, q, r, /*salt=*/1) < faults.loss) {
@@ -555,9 +562,9 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
   // max_rounds, mirroring the synchronous engine.
   const auto fire = [&](std::size_t v, std::uint64_t now) {
     NodeState& s = st[v];
-    const Port deg = plan.degree(v);
+    const Port deg = degree(v);
     const Round r = s.round;
-    const std::size_t first = slot(r, plan.offset(v));
+    const std::size_t first = slot(r, offsets[v]);
     const Message* inputs = ws.slots.data() + first;
     programs[v]->receive(r, std::span<const Message>(inputs, deg));
     std::fill_n(ws.slots.begin() + first, deg, kSilence);
@@ -586,10 +593,10 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
   // exactly as in the synchronous engine).
   const auto inputs_ready = [&](std::size_t v) {
     const Round r = st[v].round;
-    const std::size_t off = plan.offset(v);
+    const std::size_t off = offsets[v];
     const char* got = ws.have.data() + slot(r, off);
     const Round* halts = partner_halt.data() + off;
-    const Port deg = plan.degree(v);
+    const Port deg = degree(v);
     for (Port i = 0; i < deg; ++i) {
       if (!got[i] && halts[i] >= r) return false;
     }
@@ -598,7 +605,7 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
 
   const auto try_fire = [&](std::size_t v, std::uint64_t now) {
     NodeState& s = st[v];
-    const Port deg = plan.degree(v);
+    const Port deg = degree(v);
     while (s.running()) {
       if (synchronized && s.acks_got < deg) break;
       if (!inputs_ready(v)) break;
@@ -609,7 +616,7 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
   // --- Initialisation: start every program, let round 1 leave the gates.
   for (std::size_t v = 0; v < n; ++v) {
     NodeState& s = st[v];
-    programs[v]->start(plan.degree(v));
+    programs[v]->start(degree(v));
     if (programs[v]->halted()) {
       s.halt_round = 0;
       schedule_halt_notices(v, 0, 0);
@@ -725,7 +732,7 @@ AsyncResult AsyncPolicy::run(const ExecutionPlan& plan,
   result.selected.assign(total_ports, 0);
   for (std::size_t v = 0; v < n; ++v) {
     if (st[v].halt_round == kNoHalt) continue;  // crashed: empty output
-    OutputSink sink({result.selected.data() + plan.offset(v), plan.degree(v)},
+    OutputSink sink({result.selected.data() + offsets[v], degree(v)},
                     "run_asynchronous");
     programs[v]->output(sink);
   }
@@ -739,9 +746,9 @@ AsyncResult run_asynchronous(const port::PortGraph& g,
   ProgramArena arena(g.num_nodes());
   const auto programs =
       create_programs(factory, g.num_nodes(), arena, "run_asynchronous");
-  const ExecutionPlan plan = resolve_plan(g, options.exec);
+  if (PlanCache* cache = options.exec.plan_cache) (void)cache->get(g);
   const AsyncPolicy policy(async);
-  return policy.run(plan, programs, options, factory.name());
+  return policy.run(g, programs, options, factory.name());
 }
 
 }  // namespace eds::runtime

@@ -72,7 +72,6 @@
 #include <string>
 #include <vector>
 
-#include "runtime/engine.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/runner.hpp"
 
@@ -109,7 +108,7 @@ struct AsyncResult {
 };
 
 /// The event-driven execution policy.  Stateless apart from its options;
-/// safe to share across threads and reuse across plans.
+/// safe to share across threads and reuse across graphs.
 class AsyncPolicy {
  public:
   explicit AsyncPolicy(AsyncOptions options);
@@ -118,20 +117,20 @@ class AsyncPolicy {
     return options_;
   }
 
-  /// Executes `programs` (one per plan node) under the event loop.  Throws
+  /// Executes `programs` (one per node of `g`) under the event loop.  Throws
   /// InvalidArgument for inconsistent options (synchronizer with a non-empty
   /// FaultPlan, probabilities outside [0, 1], crash of an out-of-range
   /// node, zero max_rounds, a tick-valued input above kMaxTicks) and
   /// ExecutionError when a node exceeds RunOptions::max_rounds, mirroring
   /// the synchronous engine's contract.
-  [[nodiscard]] AsyncResult run(const ExecutionPlan& plan,
+  [[nodiscard]] AsyncResult run(const port::PortGraph& g,
                                 std::span<NodeProgram* const> programs,
                                 const RunOptions& options,
                                 const std::string& name) const;
 
   /// run() over caller-owned heap programs.
   [[nodiscard]] AsyncResult run(
-      const ExecutionPlan& plan,
+      const port::PortGraph& g,
       std::vector<std::unique_ptr<NodeProgram>>& programs,
       const RunOptions& options, const std::string& name) const;
 

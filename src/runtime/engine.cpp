@@ -203,10 +203,10 @@ void EngineWorkspace::silence(std::size_t off, Port deg) noexcept {
   std::fill_n(outbox[1].data() + off, deg, kSilence);
 }
 
-void EngineWorkspace::prepare(const ExecutionPlan& plan, unsigned lanes) {
-  const std::size_t n = plan.num_nodes();
-  outbox[0].fit(plan.total_ports());
-  outbox[1].fit(plan.total_ports());
+void EngineWorkspace::prepare(const port::PortGraph& g, unsigned lanes) {
+  const std::size_t n = g.num_nodes();
+  outbox[0].fit(g.num_ports());
+  outbox[1].fit(g.num_ports());
   halted.assign(n, 0);
   list.clear();
   list.reserve(n);
@@ -231,17 +231,20 @@ void EngineWorkspace::end_run(bool pooled) noexcept {
   bytes = now;
 }
 
-Stage::Stage(const ExecutionPlan& plan, const RunOptions& options,
+Stage::Stage(const port::PortGraph& g, const RunOptions& options,
              const std::string& name, ThreadPool& pool)
-    : plan_(plan),
+    : graph_(g),
+      offsets_(g.offsets().data()),
+      partner_flat_(g.partner_flat().data()),
+      partner_node_(g.partner_node().data()),
       options_(checked(options)),
       name_(name),
       pool_(pool),
       ws_(*lease_),
-      n_(plan.num_nodes()),
+      n_(g.num_nodes()),
       lanes_(std::max(1u, pool.lanes())),
       wake_words_((n_ + 63) / 64) {
-  ws_.prepare(plan, lanes_);
+  ws_.prepare(g, lanes_);
   cur_ = ws_.outbox[0].data();
   nxt_ = ws_.outbox[1].data();
   result_.messages_collected = options.collect_messages;
@@ -250,7 +253,7 @@ Stage::Stage(const ExecutionPlan& plan, const RunOptions& options,
 void Stage::halt_at_start(std::uint32_t v) {
   // Degree-0 nodes (or trivial algorithms) may halt immediately.
   ws_.halted[v] = 1;
-  ws_.silence(plan_.offset(v), plan_.degree(v));
+  ws_.silence(offsets_[v], degree(v));
 }
 
 void Stage::begin() {
@@ -269,12 +272,12 @@ RoundView Stage::shard() {
   balanced_shard_bounds(
       list.size(), shards,
       [&](std::size_t idx) {
-        return static_cast<std::uint64_t>(plan_.degree(list[idx]));
+        return static_cast<std::uint64_t>(degree(list[idx]));
       },
       ws_.bounds);
   for (std::size_t s = 0; s < shards; ++s) ws_.scratch[s].reset();
-  return {plan_.offsets_data(),
-          plan_.partner_flat_data(),
+  return {offsets_,
+          partner_flat_,
           list.data(),
           ws_.bounds.data(),
           shards,
@@ -327,15 +330,15 @@ void Stage::set_bit(std::uint64_t* bits, std::uint32_t v) const {
 
 void Stage::note_traffic(ShardScratch& sc, std::uint32_t v, Round r,
                          const Message* seg) const {
-  const Port deg = plan_.degree(v);
-  const std::size_t off = plan_.offset(v);
+  const Port deg = degree(v);
+  const std::size_t off = offsets_[v];
   if (options_.collect_messages) {
     for (Port i = 0; i < deg; ++i) {
       if (!seg[i].is_silence()) {
         sc.log.push_back({r,
                           {static_cast<port::NodeId>(v),
                            static_cast<Port>(i + 1)},
-                          plan_.partner_ref(off + i),
+                          graph_.partner_ref(off + i),
                           seg[i]});
       }
     }
@@ -343,7 +346,7 @@ void Stage::note_traffic(ShardScratch& sc, std::uint32_t v, Round r,
   if (marking_) {
     set_bit(sent_nxt_, v);
     for (Port i = 0; i < deg; ++i) {
-      if (!seg[i].is_silence()) set_bit(wake_, plan_.partner_node(off + i));
+      if (!seg[i].is_silence()) set_bit(wake_, partner_node_[off + i]);
     }
   }
 }
@@ -412,7 +415,7 @@ void Stage::end_round(std::size_t shards) {
     sent_next += merge_shard(scratch[s]);
     if (live_ == 0) continue;
     for (const std::uint32_t v : scratch[s].newly_halted) {
-      ws_.silence(plan_.offset(v), plan_.degree(v));
+      ws_.silence(offsets_[v], degree(v));
     }
   }
 
@@ -466,7 +469,7 @@ void Stage::end_round(std::size_t shards) {
   calendar_->take_due(next, wake_);
   for (std::size_t w = 0; w < wake_words_; ++w) {
     for_each_bit(sent_cur_[w] & ~wake_[w], w, [&](std::uint32_t v) {
-      std::fill_n(cur_ + plan_.offset(v), plan_.degree(v), kSilence);
+      std::fill_n(cur_ + offsets_[v], degree(v), kSilence);
     });
     sent_cur_[w] = 0;
   }
@@ -525,20 +528,20 @@ EngineStageStats engine_stage_stats() noexcept {
   return stats;
 }
 
-RunResult run_plan(const ExecutionPlan& plan,
+RunResult run_plan(const port::PortGraph& g,
                    std::vector<std::unique_ptr<NodeProgram>>& programs,
                    const RunOptions& options, const std::string& name,
                    ThreadPool& pool) {
-  return run_plan(plan, borrow_programs(programs), options, name, pool);
+  return run_plan(g, borrow_programs(programs), options, name, pool);
 }
 
-RunResult run_plan(const ExecutionPlan& plan,
+RunResult run_plan(const port::PortGraph& g,
                    std::span<NodeProgram* const> programs,
                    const RunOptions& options, const std::string& name,
                    ThreadPool& pool) {
-  EDS_ENSURE(programs.size() == plan.num_nodes(),
+  EDS_ENSURE(programs.size() == g.num_nodes(),
              "run_plan: one program per node required");
-  return detail::run_rounds(plan, detail::VirtualAccess{programs.data()},
+  return detail::run_rounds(g, detail::VirtualAccess{programs.data()},
                             options, name, pool);
 }
 

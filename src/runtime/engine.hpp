@@ -1,13 +1,13 @@
-// The execution engine: a per-graph plan (a view of the port graph's own
-// tables) plus the lanes that drive the synchronous rounds.
+// The execution engine: the lanes that drive the synchronous rounds over a
+// port graph's own tables.
 //
 // The paper's algorithms are local — O(1) or O(∆²) rounds — so essentially
 // all wall-clock time in this reproduction is simulator overhead, not
 // algorithm logic.  This layer attacks that overhead twice over:
 //
-//  * ExecutionPlan hands the round loop the graph's own three flat uint32
-//    tables (port offsets, the involution as flat indices, and the node
-//    owning each partner port) as raw pointers, so the inner loops never
+//  * The round loop takes the graph's three flat uint32 tables (port
+//    offsets, the involution as flat indices, and the node owning each
+//    partner port) as raw pointers once per run, so the inner loops never
 //    pay PortGraph's bounds-checked lookups.
 //
 //  * run_plan schedules each round over a *dispatch list*: the nodes that
@@ -66,78 +66,10 @@
 
 namespace eds::runtime {
 
-/// The round loop's view of a PortGraph: a copy of the graph, which shares
-/// its tables (so constructing a plan allocates nothing and copies no
-/// table), plus raw pointers to the three uint32 tables the loop reads.
-/// All accessors are unchecked hot-path lookups; the plan performs no
-/// validation of its own and relies on the PortGraph invariants
-/// (PortGraphBuilder::build and read_port_graph both verify the
-/// involution, and check_port_count bounds every flat index, before a
-/// graph exists).
-class ExecutionPlan {
- public:
-  explicit ExecutionPlan(const port::PortGraph& g) noexcept
-      : graph_(g),
-        offsets_(graph_.offsets().data()),
-        partner_flat_(graph_.partner_flat().data()),
-        partner_node_(graph_.partner_node().data()) {}
-  // A copy shares the graph's tables, so the pointers stay valid; there
-  // is no move, which would leave them pointing past an empty graph.
-  ExecutionPlan(const ExecutionPlan&) = default;
-  ExecutionPlan& operator=(const ExecutionPlan&) = default;
-
-  [[nodiscard]] std::size_t num_nodes() const noexcept {
-    return graph_.num_nodes();
-  }
-  [[nodiscard]] std::size_t total_ports() const noexcept {
-    return graph_.num_ports();
-  }
-  /// Degree of node v (unchecked).
-  [[nodiscard]] Port degree(std::size_t v) const noexcept {
-    return offsets_[v + 1] - offsets_[v];
-  }
-  /// Flat index of port (v, 1); port (v, i) lives at offset(v) + i - 1.
-  [[nodiscard]] std::size_t offset(std::size_t v) const noexcept {
-    return offsets_[v];
-  }
-  /// Flat index of the involution partner of flat port q (unchecked).  The
-  /// receive gather sweeps this table once per round.
-  [[nodiscard]] std::size_t partner_flat(std::size_t q) const noexcept {
-    return partner_flat_[q];
-  }
-  /// The offset table (num_nodes() + 1 entries, offset(v) at index v) and
-  /// the involution (partner_flat(q) at index q) as raw pointers, for
-  /// loops that keep them in locals.
-  [[nodiscard]] const std::uint32_t* offsets_data() const noexcept {
-    return offsets_;
-  }
-  [[nodiscard]] const std::uint32_t* partner_flat_data() const noexcept {
-    return partner_flat_;
-  }
-  /// The node that owns flat port q's partner (unchecked): the receiver a
-  /// message sent on q wakes.
-  [[nodiscard]] port::NodeId partner_node(std::size_t q) const noexcept {
-    return partner_node_[q];
-  }
-  /// The involution partner of flat port q as a (node, port) pair (the
-  /// message logs name ports this way).
-  [[nodiscard]] port::PortRef partner_ref(std::size_t q) const noexcept {
-    return graph_.partner_ref(q);
-  }
-
-  /// True when `g` has exactly the structure of this plan's graph: O(1)
-  /// for that graph or a copy of it, which share its tables; any other
-  /// graph is compared table by table (PortGraph::operator==).
-  [[nodiscard]] bool matches(const port::PortGraph& g) const noexcept {
-    return graph_ == g;
-  }
-
- private:
-  port::PortGraph graph_;
-  const std::uint32_t* offsets_;
-  const std::uint32_t* partner_flat_;
-  const std::uint32_t* partner_node_;
-};
+/// The name edsbench's traced replay gives the graph it runs (PlanCache::get
+/// hands it one): the engines run on the port graph's own tables, so the
+/// plan is the graph.  Nothing in the library uses the name.
+using ExecutionPlan = port::PortGraph;
 
 /// The thread pool ExecOptions selects: ExecOptions::threads lanes.  Each
 /// round's shards run on it, one barrier per stage; a one-lane pool runs
@@ -146,11 +78,11 @@ class ExecutionPlan {
 [[nodiscard]] std::unique_ptr<ThreadPool> make_policy(const ExecOptions& exec);
 
 /// Drives `programs` (one per node, already constructed, not yet started)
-/// over the plan's graph until every node halts, scheduling stages on
-/// `pool`, then collects every node's output into the result's flat
-/// selection mask.  This is the engine core under run_synchronous; call it
-/// directly to reuse a plan or a thread pool across runs.
-/// The programs stay owned by the caller (e.g. a ProgramArena).
+/// over `g` until every node halts, scheduling stages on `pool`, then
+/// collects every node's output into the result's flat selection mask.
+/// This is the engine core under run_synchronous; call it directly to
+/// reuse a thread pool across runs.  The programs stay owned by the caller
+/// (e.g. a ProgramArena).
 ///
 /// Message transport is pooled: both outbox buffers, the dispatch list,
 /// the wake state and the per-shard scratch all live in a per-thread
@@ -158,16 +90,16 @@ class ExecutionPlan {
 /// (not reallocated, and the outboxes not even reset) across runs, so
 /// repeated executions on one lane perform no per-run buffer allocation
 /// once the workspace has grown to the largest graph seen.  The double
-/// buffer costs a second total_ports-sized Message array of pooled bytes —
+/// buffer costs a second port-count-sized Message array of pooled bytes —
 /// the price of running each round behind a single barrier.
-[[nodiscard]] RunResult run_plan(const ExecutionPlan& plan,
+[[nodiscard]] RunResult run_plan(const port::PortGraph& g,
                                  std::span<NodeProgram* const> programs,
                                  const RunOptions& options,
                                  const std::string& name, ThreadPool& pool);
 
 /// run_plan over caller-owned heap programs.
 [[nodiscard]] RunResult run_plan(
-    const ExecutionPlan& plan,
+    const port::PortGraph& g,
     std::vector<std::unique_ptr<NodeProgram>>& programs,
     const RunOptions& options, const std::string& name, ThreadPool& pool);
 

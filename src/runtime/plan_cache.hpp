@@ -1,23 +1,23 @@
 // PlanCache: identifies the distinct port-graph structures of a sweep.
 //
-// An ExecutionPlan is a view of its graph's own tables, so building one is
-// O(1) and the cache saves no work; what it still does is count.  Every
-// get() either finds a plan for an identical structure (a hit) or adds one
-// (a miss), so a sweep's `plan-cache: compiled=K hits=H` line and its
-// NDJSON summary report how many distinct structures its jobs ran on.
-// Candidates are keyed by the structural hash stored on the graph (degree
-// sequence + involution, computed once at build) and verified before a hit
-// (ExecutionPlan::matches: O(1) for the graph the plan was made from or a
-// copy of it, table by table for any other graph), so two graphs share an
-// entry only when their port structure is literally identical — a
-// different port numbering of the same underlying graph changes the
-// involution and therefore gets its own entry.
+// The engines run on the port graph itself, so the cache saves no work;
+// what it does is count.  A run whose ExecOptions::plan_cache is set calls
+// get() once on its graph, which either finds an identical structure (a
+// hit) or adds one (a miss), so a sweep's `plan-cache: compiled=K hits=H`
+// line and its NDJSON summary report how many distinct structures its jobs
+// ran on.  Candidates are keyed by the structural hash stored on the graph
+// (degree sequence + involution, computed once at build) and verified
+// before a hit (PortGraph::operator==: O(1) for the graph the entry was
+// made from or a copy of it, table by table for any other graph), so two
+// graphs share an entry only when their port structure is literally
+// identical — a different port numbering of the same underlying graph
+// changes the involution and therefore gets its own entry.
 //
 // A cache lives as long as its owner (one sweep, one batch or one
-// benchmark pass) and holds a plan, and with it the graph's tables, per
-// distinct structure it has seen.  All operations are serialized on an
-// internal mutex, so BatchRunner jobs race get() freely and each
-// structure is counted as a miss exactly once.
+// benchmark pass) and holds a copy of the first graph of each distinct
+// structure it has seen, which shares that graph's tables.  All operations
+// are serialized on an internal mutex, so BatchRunner jobs race get()
+// freely and each structure is counted as a miss exactly once.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +26,6 @@
 #include <unordered_map>
 
 #include "port/port_graph.hpp"
-#include "runtime/engine.hpp"
 
 namespace eds::runtime {
 
@@ -42,9 +41,9 @@ class PlanCache {
     [[nodiscard]] bool operator==(const Stats&) const = default;
   };
 
-  /// The plan for `g`: the one made for an identical structure when there
-  /// is one, else a new one, which is kept.
-  [[nodiscard]] std::shared_ptr<const ExecutionPlan> get(
+  /// The graph kept for `g`'s structure: the one kept for an identical
+  /// structure when there is one, else a copy of `g`, which is kept.
+  [[nodiscard]] std::shared_ptr<const port::PortGraph> get(
       const port::PortGraph& g);
 
   /// Snapshot of the counters.
@@ -52,18 +51,12 @@ class PlanCache {
 
  private:
   // Keyed by structural hash; distinct structures may collide on it, so a
-  // hash can hold several plans, each verified before a hit.
+  // hash can hold several graphs, each verified before a hit.
   mutable std::mutex mutex_;
-  std::unordered_multimap<std::uint64_t, std::shared_ptr<const ExecutionPlan>>
-      plans_;
+  std::unordered_multimap<std::uint64_t, std::shared_ptr<const port::PortGraph>>
+      graphs_;
   Stats stats_;
 };
-
-/// The plan a run of `g` uses: from `exec.plan_cache` when one is set
-/// (which counts the lookup), else a plan of its own.  Every sync and async
-/// entry point resolves its plan here.
-[[nodiscard]] ExecutionPlan resolve_plan(const port::PortGraph& g,
-                                         const ExecOptions& exec);
 
 /// The cache key: the 64-bit structural hash PortGraphBuilder::build()
 /// stored on `g` (degree sequence and flat involution).  Collisions are

@@ -45,13 +45,13 @@ void ProgramFactory::create_all(std::size_t n, ProgramArena& arena) const {
   for (std::size_t v = 0; v < n; ++v) arena.adopt(create());
 }
 
-RunResult ProgramFactory::run(const ExecutionPlan& plan,
+RunResult ProgramFactory::run(const port::PortGraph& g,
                               const RunOptions& options,
                               ThreadPool& pool) const {
-  ProgramArena arena(plan.num_nodes());
+  ProgramArena arena(g.num_nodes());
   const auto programs =
-      create_programs(*this, plan.num_nodes(), arena, "run_synchronous");
-  return run_plan(plan, programs, options, name(), pool);
+      create_programs(*this, g.num_nodes(), arena, "run_synchronous");
+  return run_plan(g, programs, options, name(), pool);
 }
 
 std::span<NodeProgram* const> create_programs(const ProgramFactory& factory,

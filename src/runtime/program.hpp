@@ -45,7 +45,6 @@ class ThreadPool;
 
 namespace eds::runtime {
 
-class ExecutionPlan;
 struct RunOptions;
 struct RunResult;
 
@@ -230,14 +229,14 @@ class ProgramFactory {
   /// both paths give bit-identical runs.
   virtual void create_all(std::size_t n, ProgramArena& arena) const;
 
-  /// Performs one synchronous run of this factory's programs over `plan`,
+  /// Performs one synchronous run of this factory's programs over `g`,
   /// scheduling its stages on `pool` (run_synchronous's engine path).  The
   /// default builds the programs with create_all into a ProgramArena and
   /// runs run_plan over them.  An override must give a bit-identical
   /// RunResult, and throw what the default would; the built-in factories
   /// run their own typed instantiation of run_plan's round loop
   /// (run_block in runtime/stage.hpp).
-  [[nodiscard]] virtual RunResult run(const ExecutionPlan& plan,
+  [[nodiscard]] virtual RunResult run(const port::PortGraph& g,
                                       const RunOptions& options,
                                       ThreadPool& pool) const;
 

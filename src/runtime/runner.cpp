@@ -40,9 +40,10 @@ RunResult run_synchronous(const port::PortGraph& g,
     // event-driven engine (see runtime/async.hpp for the full result).
     return run_asynchronous(g, factory, options, *options.exec.async).run;
   }
-  const ExecutionPlan plan = resolve_plan(g, options.exec);
+  // A plan cache only counts the structure; the run reads g itself.
+  if (PlanCache* cache = options.exec.plan_cache) (void)cache->get(g);
   const auto pool = make_policy(options.exec);
-  return factory.run(plan, options, *pool);
+  return factory.run(g, options, *pool);
 }
 
 RunResult run_synchronous_programs(
@@ -58,14 +59,14 @@ RunResult run_synchronous_programs(
       throw InvalidArgument("run_synchronous_programs: null program");
     }
   }
-  const ExecutionPlan plan = resolve_plan(g, options.exec);
+  if (PlanCache* cache = options.exec.plan_cache) (void)cache->get(g);
   if (options.exec.async) {
     return AsyncPolicy(*options.exec.async)
-        .run(plan, programs, options, name)
+        .run(g, programs, options, name)
         .run;
   }
   const auto pool = make_policy(options.exec);
-  return run_plan(plan, programs, options, name, *pool);
+  return run_plan(g, programs, options, name, *pool);
 }
 
 }  // namespace eds::runtime

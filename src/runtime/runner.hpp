@@ -10,9 +10,9 @@
 // that do not halt would otherwise loop forever).
 //
 // The actual round loop lives in the engine layer (runtime/engine.hpp):
-// run_synchronous views the graph as an ExecutionPlan and executes it on a
-// ThreadPool of RunOptions::exec's lane count — one lane, run inline on the
-// caller, by default.  Every lane count produces
+// run_synchronous runs it on the graph's own tables, on a ThreadPool of
+// RunOptions::exec's lane count — one lane, run inline on the caller, by
+// default.  Every lane count produces
 // bit-identical RunResults (outputs, stats, trace, message log order); the
 // choice only affects wall-clock time.
 #pragma once
@@ -31,8 +31,8 @@ namespace eds::runtime {
 
 class PlanCache;
 
-/// Execution-engine selection (scheduling, plan reuse, and the execution
-/// *model*).  Everything except `async` never affects
+/// Execution-engine selection (scheduling, structure counting, and the
+/// execution *model*).  Everything except `async` never affects
 /// results — every scheduling combination is bit-identical by differential
 /// test.  `async` selects a different semantics on purpose: with the
 /// α-synchronizer it is bit-identical too (that equivalence is itself a
@@ -46,10 +46,10 @@ struct ExecOptions {
   /// concurrent jobs.
   unsigned threads = 1;
 
-  /// When set, the run's ExecutionPlan comes from this cache, which counts
-  /// the distinct structures its runs used (its hits and misses); null
-  /// gives the run a plan of its own.  A plan is an O(1) view of the
-  /// graph's tables either way, so the choice is invisible except in the
+  /// When set, the run counts its graph's structure in this cache (one
+  /// PlanCache::get: a hit or a miss), so the cache reports the distinct
+  /// structures its runs used; null counts nothing.  The run reads the
+  /// graph itself either way, so the choice is invisible except in the
   /// cache's statistics.
   PlanCache* plan_cache = nullptr;
 
@@ -76,8 +76,8 @@ struct RunOptions {
   /// (for transcripts and debugging; memory grows with traffic).
   bool collect_messages = false;
 
-  /// Lanes, plan cache and execution model; only the model can affect
-  /// results.
+  /// Lanes, structure counting and execution model; only the model can
+  /// affect results.
   ExecOptions exec;
 };
 

@@ -216,14 +216,14 @@ struct EngineWorkspace {
   /// run, whichever buffer they gather from.
   void silence(std::size_t off, Port deg) noexcept;
 
-  /// Readies the lane for a run over `plan` with `lanes` shards: sizes
+  /// Readies the lane for a run over `g` with `lanes` shards: sizes
   /// every buffer (growing capacity only when this lane has never seen a
   /// graph this large), clears the halt flags and empties the list.  The
   /// outboxes are NOT reset, they keep the previous run's bytes (or none,
   /// after growing): every segment a receiver reads is written this run by
   /// its owner before it is read, or silenced — at start for a node that
   /// halts in start(), later for one that halts or sleeps.
-  void prepare(const ExecutionPlan& plan, unsigned lanes);
+  void prepare(const port::PortGraph& g, unsigned lanes);
 
   /// Sizes the sparse-round state for a run over `n` nodes, with no hint
   /// filed and no wake, sender or ring bit set.
@@ -238,7 +238,7 @@ struct EngineWorkspace {
 };
 
 /// What a shard loop reads of the current stage, copied into its locals:
-/// the plan's tables, the dispatch list and its shard boundaries, both
+/// the graph's tables, the dispatch list and its shard boundaries, both
 /// buffers, the halt flags and the round's flags.
 struct RoundView {
   const std::uint32_t* offsets;
@@ -259,8 +259,9 @@ struct RoundView {
 /// loops, compiled once for every instantiation.
 class Stage {
  public:
-  /// Checks the options, leases this thread's workspace and sizes it.
-  Stage(const ExecutionPlan& plan, const RunOptions& options,
+  /// Checks the options, leases this thread's workspace and sizes it for
+  /// `g`, whose tables it reads until the run ends.
+  Stage(const port::PortGraph& g, const RunOptions& options,
         const std::string& name, ThreadPool& pool);
   Stage(const Stage&) = delete;
   Stage& operator=(const Stage&) = delete;
@@ -338,8 +339,15 @@ class Stage {
   void collect_woken();
   void set_bit(std::uint64_t* bits, std::uint32_t v) const;
   [[noreturn]] void round_limit() const;
+  [[nodiscard]] Port degree(std::uint32_t v) const noexcept {
+    return offsets_[v + 1] - offsets_[v];
+  }
 
-  const ExecutionPlan& plan_;
+  const port::PortGraph& graph_;
+  // The graph's tables, read through unchecked pointers.
+  const std::uint32_t* const offsets_;
+  const std::uint32_t* const partner_flat_;
+  const std::uint32_t* const partner_node_;
   const RunOptions& options_;
   const std::string& name_;
   ThreadPool& pool_;
@@ -416,16 +424,16 @@ std::uint64_t send_segment(Program& program, Round r, Message* seg,
 }
 
 /// The round loop: drives `programs` (one per node, constructed, not yet
-/// started) over the plan's graph until every node halts, then collects
+/// started) over `g` until every node halts, then collects
 /// every node's output.  See run_plan (runtime/engine.hpp) for the
 /// contract and ARCHITECTURE.md for the determinism argument.
 template <class Access>
-RunResult run_rounds(const ExecutionPlan& plan, const Access programs,
+RunResult run_rounds(const port::PortGraph& g, const Access programs,
                      const RunOptions& options, const std::string& name,
                      ThreadPool& pool) {
-  Stage stage(plan, options, name, pool);
-  const std::size_t n = plan.num_nodes();
-  const std::uint32_t* const offsets = plan.offsets_data();
+  Stage stage(g, options, name, pool);
+  const std::size_t n = g.num_nodes();
+  const std::uint32_t* const offsets = g.offsets().data();
   for (std::size_t v = 0; v < n; ++v) {
     const Port degree = offsets[v + 1] - offsets[v];
     auto& program = programs[v];
@@ -525,7 +533,7 @@ RunResult run_rounds(const ExecutionPlan& plan, const Access programs,
   }
 
   RunResult result = stage.finish();
-  result.selected.assign(plan.total_ports(), 0);
+  result.selected.assign(g.num_ports(), 0);
   std::uint8_t* const selected = result.selected.data();
   for (std::size_t v = 0; v < n; ++v) {
     OutputSink sink({selected + offsets[v], offsets[v + 1] - offsets[v]},
@@ -538,17 +546,17 @@ RunResult run_rounds(const ExecutionPlan& plan, const Access programs,
 }  // namespace detail
 
 /// Runs one block of programs of the final type P (programs[v] on node v,
-/// constructed, not yet started) over `plan`, like run_plan, through the
+/// constructed, not yet started) over `g`, like run_plan, through the
 /// round loop's instantiation for P.  ProgramArena::emplace_block builds
 /// such a block.
 template <class P>
-[[nodiscard]] RunResult run_block(const ExecutionPlan& plan,
+[[nodiscard]] RunResult run_block(const port::PortGraph& g,
                                   std::span<P> programs,
                                   const RunOptions& options,
                                   const std::string& name, ThreadPool& pool) {
-  EDS_ENSURE(programs.size() == plan.num_nodes(),
+  EDS_ENSURE(programs.size() == g.num_nodes(),
              "run_block: one program per node required");
-  return detail::run_rounds(plan, detail::BlockAccess<P>{programs.data()},
+  return detail::run_rounds(g, detail::BlockAccess<P>{programs.data()},
                             options, name, pool);
 }
 

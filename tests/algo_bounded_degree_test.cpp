@@ -166,6 +166,30 @@ TEST(BoundedDegree, RunAlgorithmRejectsAWrappingParameter) {
       InvalidArgument);
 }
 
+TEST(BoundedDegree, RoundCapFollowsASchedulePastTheDefault) {
+  // A(182) normalises to ∆' = 183: 3 + 3 · 183² = 100,470 rounds, past
+  // RunOptions' default cap of 100,000, which once failed every graph of
+  // max degree 182 or more.
+  EXPECT_EQ(round_cap(Algorithm::kBoundedDegree, 182), 100470u);
+  EXPECT_EQ(round_cap(Algorithm::kBoundedDegree, 181), 100000u);
+  EXPECT_EQ(round_cap(Algorithm::kOddRegular, 225), 101252u);
+  EXPECT_EQ(round_cap(Algorithm::kDoubleCover, 4), 100000u);
+  EXPECT_EQ(round_cap(Algorithm::kPortOne, 0), 100000u);
+  const auto star = port::with_canonical_ports(graph::star(182));
+  const auto outcome = run_algorithm(star, Algorithm::kBoundedDegree);
+  EXPECT_EQ(outcome.stats.rounds, 100470u);
+  EXPECT_TRUE(is_edge_dominating_set(star.graph(), outcome.solution));
+  const auto batch =
+      run_batch({{&star, Algorithm::kBoundedDegree, 0}}, 1);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].stats.rounds, 100470u);
+  EXPECT_EQ(batch[0].solution, outcome.solution);
+  // A caller's own RunOptions keep their cap.
+  EXPECT_THROW((void)runtime::run_synchronous(star.ports(),
+                                              BoundedDegreeFactory(182)),
+               ExecutionError);
+}
+
 TEST(BoundedDegree, RoundsIndependentOfN) {
   Rng rng(104);
   runtime::Round rounds[2] = {0, 0};

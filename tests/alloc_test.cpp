@@ -1,7 +1,8 @@
 // Heap allocations per run: the multi-round programs keep their per-port
 // state in one block per node, taken from the run's program arena, so a
-// run's allocation count does not grow with the number of nodes; a run's
-// plan is a view of the graph's own tables, so it allocates nothing.
+// run's allocation count does not grow with the number of nodes; a run
+// reads the graph's own tables, and a copy of a graph shares them, so
+// neither allocates.
 //
 // This suite replaces the global operator new with a counting one, which
 // is why it is its own executable (every *_test.cpp is).  The counter
@@ -16,8 +17,8 @@
 
 #include "algo/bounded_degree.hpp"
 #include "algo/driver.hpp"
+#include "graph/generators.hpp"
 #include "port/port_graph.hpp"
-#include "runtime/engine.hpp"
 #include "runtime/plan_cache.hpp"
 #include "runtime/runner.hpp"
 #include "util/rng.hpp"
@@ -144,8 +145,9 @@ TEST(Alloc, TypedRunsMakeAFixedHandfulOfAllocations) {
 }
 
 TEST(Alloc, PlansAreViewsThatAllocateNothing) {
-  // A run without a cache views the graph's tables exactly as a run on a
-  // warm cache does: the same allocations, and a plan costs none.
+  // A run without a cache reads the graph's tables exactly as a run that
+  // counts its structure in a warm cache does: the same allocations, and
+  // a copy of the graph costs none.
   Rng rng(0xA110D);
   const auto pg = test::random_ported_regular(4096, 4, rng);
   const BoundedDegreeFactory factory(4);
@@ -167,10 +169,11 @@ TEST(Alloc, PlansAreViewsThatAllocateNothing) {
   EXPECT_EQ(cache.stats().misses, 1u);
 
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  const runtime::ExecutionPlan plan(pg.ports());
-  const runtime::ExecutionPlan copy = plan;
+  const port::PortGraph copy = pg.ports();
+  const port::PortGraph second = copy;
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
-  EXPECT_TRUE(copy.matches(pg.ports()));
+  EXPECT_TRUE(second == pg.ports());
+  EXPECT_EQ(second.partner_flat().data(), pg.ports().partner_flat().data());
 }
 
 TEST(Alloc, BuilderRejectsOversizedDegreesBeforeAllocating) {
@@ -181,6 +184,13 @@ TEST(Alloc, BuilderRejectsOversizedDegreesBeforeAllocating) {
   g_largest.store(0, std::memory_order_relaxed);
   EXPECT_THROW((void)port::PortGraphBuilder(std::move(degrees)),
                InvalidArgument);
+  EXPECT_LT(g_largest.load(std::memory_order_relaxed), 4096u);
+}
+
+TEST(Alloc, CompleteRejectsMoreEdgesThanEdgeIdsBeforeAllocating) {
+  // K_92683's edge list would take 34 GB; its size is checked first.
+  g_largest.store(0, std::memory_order_relaxed);
+  EXPECT_THROW((void)graph::complete(92683), InvalidArgument);
   EXPECT_LT(g_largest.load(std::memory_order_relaxed), 4096u);
 }
 

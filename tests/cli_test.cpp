@@ -91,6 +91,13 @@ TEST(Cli, GenerateErrors) {
   EXPECT_NE(invoke({"generate", "bounded", "12", "3", "+4"}).err.find(
                 "bounded M"),
             std::string::npos);
+  // K_92683 has 4,295,022,903 edges, past the EdgeId range; its edge list
+  // once grew until the allocator failed.
+  const auto complete = invoke({"generate", "complete", "92683"});
+  EXPECT_EQ(complete.code, 1);
+  EXPECT_TRUE(complete.out.empty());
+  EXPECT_NE(complete.err.find("4295022903 edges"), std::string::npos)
+      << complete.err;
 }
 
 TEST(Cli, SolvePipelineEndToEnd) {
@@ -515,11 +522,33 @@ TEST(Cli, SweepRejectsSchedulesThatOverflowARound) {
         << run.err;
     EXPECT_NE(run.err.find("schedule"), std::string::npos) << run.err;
   }
-  // The largest accepted parameters run (to the round cap, on an 8-cycle).
+  // The largest accepted parameter runs its whole schedule, the round cap
+  // being the schedule's length; on an 8-cycle every node sleeps through
+  // almost all of its 4,294,915,710 rounds.
   const auto largest =
       invoke({"sweep", "cycle", "--min", "8", "--max", "8", "--algorithm",
               "bounded-degree", "--param", "37837"});
-  EXPECT_EQ(largest.err.find("schedule"), std::string::npos) << largest.err;
+  EXPECT_EQ(largest.code, 0) << largest.err;
+  EXPECT_NE(largest.out.find("4294915710"), std::string::npos) << largest.out;
+}
+
+TEST(Cli, SweepRunsSchedulesPastTheDefaultRoundCap) {
+  // At n = 65536 the power-law graph has max degree 226, so A(∆) runs
+  // 3 + 3 · 227² = 154,590 rounds, past the 100,000 default that once
+  // ended this sweep with exit 1.
+  const auto run = invoke({"sweep", "powerlaw", "--min", "65536", "--max",
+                           "65536", "--threads", "1"});
+  ASSERT_EQ(run.code, 0) << run.err;
+  std::istringstream lines(run.out);
+  std::size_t rows = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("65536 ", 0) == 0) {
+      ++rows;
+      EXPECT_NE(line.find("154590"), std::string::npos) << line;
+      EXPECT_NE(line.find(" yes"), std::string::npos) << line;
+    }
+  }
+  EXPECT_EQ(rows, 1u) << run.out;
 }
 
 TEST(Cli, SweepPrintsNothingWhenAFactoryRejectsItsParameter) {

@@ -17,7 +17,6 @@
 #include "algo/odd_regular.hpp"
 #include "algo/port_one.hpp"
 #include "graph/generators.hpp"
-#include "lb/lower_bounds.hpp"
 #include "port/ported_graph.hpp"
 #include "port/random_port_graph.hpp"
 #include "runtime/batch.hpp"
@@ -552,40 +551,6 @@ TEST(Engine, RoundLimitThrowsUnderEveryPolicy) {
     EXPECT_THROW(
         (void)run_synchronous(pg.ports(), NeverHaltFactory(), options),
         ExecutionError);
-  }
-}
-
-TEST(ExecutionPlan, MirrorsTheGraph) {
-  auto rng = test::make_rng(0xE63);
-  std::vector<PortGraph> graphs;
-  graphs.push_back(port::random_port_graph({3, 0, 2, 5, 1, 4}, rng));
-  // Directed loops (fixed points of the involution) and, in the covering
-  // bases of the lower bounds, ports paired on one node.
-  graphs.push_back(port::random_port_graph({3, 0, 2, 5, 1, 4}, rng, 0.3));
-  graphs.push_back(lb::even_lower_bound(4).covering_base);
-  graphs.push_back(lb::odd_lower_bound(3).covering_base);
-  graphs.emplace_back();
-  for (const auto& g : graphs) {
-    const ExecutionPlan plan(g);
-    ASSERT_EQ(plan.num_nodes(), g.num_nodes());
-    ASSERT_EQ(plan.total_ports(), g.num_ports());
-    std::size_t off = 0;
-    for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
-      EXPECT_EQ(plan.degree(v), g.degree(v));
-      EXPECT_EQ(plan.offset(v), off);
-      EXPECT_EQ(plan.offset(v), g.offset(v));
-      off += plan.degree(v);
-      for (Port i = 1; i <= plan.degree(v); ++i) {
-        const auto q = plan.offset(v) + i - 1;
-        const auto dst = g.partner(v, i);
-        EXPECT_TRUE(plan.partner_ref(q) == dst);
-        EXPECT_EQ(plan.partner_node(q), dst.node);
-        EXPECT_EQ(plan.partner_flat(q), g.offset(dst.node) + dst.port - 1);
-        // Involution: following the partner index twice returns home.
-        EXPECT_EQ(plan.partner_flat(plan.partner_flat(q)), q);
-      }
-    }
-    EXPECT_EQ(off, plan.total_ports());
   }
 }
 

@@ -202,6 +202,18 @@ TEST(Generators, Complete) {
   const auto g = complete(6);
   EXPECT_TRUE(g.is_regular(5));
   EXPECT_EQ(g.num_edges(), 15u);
+  // K_92682 has 4,294,930,221 edges, K_92683 4,295,022,903: past 2^32 - 1
+  // the ids would wrap.  The count is checked before any edge is recorded.
+  EXPECT_NO_THROW(check_edge_count(std::numeric_limits<EdgeId>::max(), "t"));
+  EXPECT_THROW(check_edge_count(std::uint64_t{1} << 32, "t"), InvalidArgument);
+  try {
+    (void)complete(92683);
+    ADD_FAILURE() << "complete(92683) built";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("4295022903 edges"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Generators, CompleteBipartite) {

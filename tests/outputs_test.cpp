@@ -187,8 +187,12 @@ TEST(ValidatedEdgeSet, EdgeSweepMatchesPortSweepAcrossWords) {
       if (rng.chance(0.5)) r.selected[at_u] = r.selected[at_v] = 1;
     }
     graph::EdgeSet want(m);
-    for (std::size_t q = 0; q < g.num_ports(); ++q) {
-      if (r.selected[q] != 0) want.insert(pg.edge_at_flat(q));
+    for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
+      for (Port i = 1; i <= g.degree(v); ++i) {
+        if (r.selected[g.offset(v) + i - 1] != 0) {
+          want.insert(pg.edge_at(v, i));
+        }
+      }
     }
     const auto got = validated_edge_set(pg, r);
     EXPECT_EQ(got, want) << "m=" << m;

@@ -1,7 +1,7 @@
-// PlanCache contract: plans are shared exactly when port structures are
-// identical, concurrent lookups count one miss per structure, and cached
-// plans are bit-identical to fresh ones under every policy — the cache
-// must be invisible except in its own counters.
+// PlanCache contract: entries are shared exactly when port structures are
+// identical, concurrent lookups count one miss per structure, and runs
+// through a cache are bit-identical to runs without one under every
+// policy — the cache must be invisible except in its own counters.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -18,8 +18,8 @@
 #include "port/lift.hpp"
 #include "port/ported_graph.hpp"
 #include "port/random_port_graph.hpp"
+#include "runtime/async.hpp"
 #include "runtime/batch.hpp"
-#include "runtime/engine.hpp"
 #include "runtime/plan_cache.hpp"
 #include "runtime/runner.hpp"
 #include "util/rng.hpp"
@@ -59,8 +59,8 @@ TEST(PlanCache, HitsOnIdenticalStructureMissesOnDifferent) {
   const auto plan_b = cache.get(b.ports());
   EXPECT_NE(plan_a1.get(), plan_b.get())
       << "a different port numbering is a different structure";
-  EXPECT_TRUE(plan_b->matches(b.ports()));
-  EXPECT_FALSE(plan_b->matches(a.ports()));
+  EXPECT_TRUE(*plan_b == b.ports());
+  EXPECT_FALSE(*plan_b == a.ports());
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -92,16 +92,16 @@ TEST(PlanCache, CopiedGraphHitsOnItsSharedTables) {
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
 
-  // The O(1) path is the shared block alone: matches() takes shared
+  // The O(1) path is the shared block alone: operator== takes shared
   // tables without walking them, so a structurally equal graph with
   // tables of its own goes through the compare and still matches, and a
   // different structure never does.
   const PortGraph rebuilt = port::from_port_graph_string(
       port::to_port_graph_string(pg.ports()));
   ASSERT_NE(rebuilt.partner_flat().data(), pg.ports().partner_flat().data());
-  EXPECT_TRUE(plan->matches(rebuilt));
+  EXPECT_TRUE(*plan == rebuilt);
   EXPECT_EQ(cache.get(rebuilt).get(), plan.get());
-  EXPECT_FALSE(plan->matches(test::random_ported_regular(64, 4, rng).ports()));
+  EXPECT_FALSE(*plan == test::random_ported_regular(64, 4, rng).ports());
 }
 
 TEST(PlanCache, CopiesShareTablesAndMovesLeaveAnEmptyGraph) {
@@ -124,19 +124,18 @@ TEST(PlanCache, CopiesShareTablesAndMovesLeaveAnEmptyGraph) {
   EXPECT_EQ(moved.partner_flat().data(), b.ports().partner_flat().data());
   EXPECT_TRUE(copy == PortGraph{});
 
-  // A plan matches every copy of its graph and no other structure; the
-  // empty graph's plan matches only empty graphs.
-  const ExecutionPlan plan(a.ports());
+  // A graph equals every copy of it and every graph of its structure, and
+  // no other structure; the empty graph equals only empty graphs.
+  const PortGraph kept = a.ports();
   moved = a.ports();
-  EXPECT_TRUE(plan.matches(a.ports()));
-  EXPECT_TRUE(plan.matches(PortGraph(a.ports())));
-  EXPECT_TRUE(plan.matches(moved));
-  EXPECT_TRUE(plan.matches(
-      port::with_canonical_ports(graph::cycle(10)).ports()));
-  EXPECT_FALSE(plan.matches(b.ports()));
-  EXPECT_FALSE(plan.matches(PortGraph{}));
-  EXPECT_TRUE(ExecutionPlan(PortGraph{}).matches(copy));
-  EXPECT_FALSE(ExecutionPlan(PortGraph{}).matches(b.ports()));
+  EXPECT_TRUE(kept == a.ports());
+  EXPECT_TRUE(kept == PortGraph(a.ports()));
+  EXPECT_TRUE(kept == moved);
+  EXPECT_TRUE(kept == port::with_canonical_ports(graph::cycle(10)).ports());
+  EXPECT_FALSE(kept == b.ports());
+  EXPECT_FALSE(kept == PortGraph{});
+  EXPECT_TRUE(PortGraph{} == copy);
+  EXPECT_FALSE(PortGraph{} == b.ports());
 }
 
 TEST(PlanCache, ForcedHashCollisionWithADifferentStructureMisses) {
@@ -150,8 +149,8 @@ TEST(PlanCache, ForcedHashCollisionWithADifferentStructureMisses) {
   const auto plan_a = cache.get(a.ports());
   const auto plan_b = cache.get(b);
   EXPECT_NE(plan_a.get(), plan_b.get());
-  EXPECT_TRUE(plan_b->matches(b));
-  EXPECT_FALSE(plan_b->matches(a.ports()));
+  EXPECT_TRUE(*plan_b == b);
+  EXPECT_FALSE(*plan_b == a.ports());
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(cache.stats().hits, 0u);
 
@@ -173,7 +172,7 @@ TEST(PlanCache, ConcurrentLookupsCompileOnePlanPerStructure) {
 
   PlanCache cache;
   std::atomic<int> mismatches{0};
-  std::vector<std::array<const ExecutionPlan*, 3>> seen(8);
+  std::vector<std::array<const PortGraph*, 3>> seen(8);
   std::vector<std::thread> threads;
   threads.reserve(8);
   for (std::size_t t = 0; t < 8; ++t) {
@@ -181,7 +180,7 @@ TEST(PlanCache, ConcurrentLookupsCompileOnePlanPerStructure) {
       for (std::size_t i = 0; i < 32; ++i) {
         const auto& g = *graphs[i % 3];
         const auto plan = cache.get(g);
-        if (!plan->matches(g)) mismatches.fetch_add(1);
+        if (!(*plan == g)) mismatches.fetch_add(1);
         mine[i % 3] = plan.get();
       }
     });
@@ -262,6 +261,50 @@ TEST(PlanCache, CachedPlansAreBitIdenticalToFreshOnesUnderEveryPolicy) {
   EXPECT_GT(cache.stats().hits, 0u);
 }
 
+TEST(PlanCache, RunsReadTheirOwnGraphWhenTheCacheHoldsAnother) {
+  // The cache keeps the first graph of each structure; a later run of an
+  // independently built graph of that structure reads its own graph, so it
+  // equals an uncached run field by field (outputs, stats, trace,
+  // message-log order) at every lane count, sync and async alike.
+  auto rng = test::make_rng(0xCAC4);
+  std::vector<PortGraph> graphs;
+  graphs.push_back(test::random_ported_regular(18, 4, rng).ports());
+  graphs.push_back(port::random_port_graph({3, 0, 2, 5, 1, 4}, rng, 0.3));
+  PlanCache cache;
+  for (const auto& g : graphs) {
+    const PortGraph twin =
+        port::from_port_graph_string(port::to_port_graph_string(g));
+    ASSERT_NE(twin.partner_flat().data(), g.partner_flat().data());
+    (void)cache.get(twin);
+    // Echo runs the NodeProgram* loop, A(5) its typed instantiation.
+    const EchoFactory echo(3);
+    const algo::BoundedDegreeFactory bounded(5);
+    for (const auto* factory :
+         std::initializer_list<const ProgramFactory*>{&echo, &bounded}) {
+      for (const unsigned threads : test::policy_thread_counts()) {
+        RunOptions fresh;
+        fresh.collect_trace = true;
+        fresh.collect_messages = true;
+        fresh.exec.threads = threads;
+        RunOptions cached = fresh;
+        cached.exec.plan_cache = &cache;
+        EXPECT_TRUE(run_synchronous(g, *factory, cached) ==
+                    run_synchronous(g, *factory, fresh))
+            << factory->name() << " threads=" << threads;
+        AsyncOptions async;
+        async.delay = {DelayKind::kUniform, 1, 5};
+        EXPECT_TRUE(run_asynchronous(g, *factory, cached, async) ==
+                    run_asynchronous(g, *factory, fresh, async))
+            << factory->name() << " threads=" << threads;
+      }
+    }
+  }
+  // Every cached run (2 graphs x 2 factories x sync and async) hit the
+  // twin's entry.
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().hits, 8 * test::policy_thread_counts().size());
+}
+
 /// The structural-hash walk, recomputed here independently of the
 /// library: splitmix64-mixed node count, degrees, then (node << 32 | port)
 /// for every flat port's partner.
@@ -318,25 +361,6 @@ TEST(StructuralHash, StoredHashMatchesTheWalkForEveryConstruction) {
   EXPECT_EQ(structural_hash(moved), walk_hash(multigraph));
   EXPECT_EQ(structural_hash(copy), walk_hash(PortGraph{}));
   EXPECT_NE(walk_hash(multigraph), walk_hash(pg.ports()));
-}
-
-TEST(ExecutionPlan, MemoryBytesCountsTheFlatArraysExactly) {
-  Rng rng(43);
-  for (const auto& g :
-       {test::random_ported_regular(64, 4, rng).ports(),
-        port::random_port_graph({3, 0, 2, 5, 1, 4}, rng, 0.3), PortGraph{}}) {
-    // Three uint32 tables: n + 1 offsets, and per port the flat partner
-    // and the partner's node.  The plan reads the graph's own tables.
-    const std::size_t n = g.num_nodes();
-    const std::size_t ports = g.num_ports();
-    EXPECT_EQ(g.memory_bytes(), (n + 1 + 2 * ports) * 4);
-    const ExecutionPlan plan(g);
-    EXPECT_EQ(plan.total_ports(), ports);
-  }
-  // A 4-regular graph: 9 B per port plus 4 B.
-  Rng regular_rng(44);
-  const auto regular = test::random_ported_regular(256, 4, regular_rng);
-  EXPECT_EQ(regular.ports().memory_bytes(), 9 * 1024 + 4);
 }
 
 }  // namespace

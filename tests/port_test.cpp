@@ -2,15 +2,19 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "algo/common.hpp"
+#include "factor/two_factor.hpp"
 #include "graph/generators.hpp"
+#include "lb/lower_bounds.hpp"
 #include "port/covering.hpp"
 #include "port/labels.hpp"
 #include "port/port_graph.hpp"
 #include "port/ported_graph.hpp"
+#include "port/random_port_graph.hpp"
 #include "util/rng.hpp"
 #include "test_util.hpp"
 
@@ -352,6 +356,61 @@ TEST(Covering, IdentityIsACoveringMap) {
   EXPECT_TRUE(is_covering_map(pg.ports(), pg.ports(), id));
 }
 
+TEST(PortGraph, TablesMirrorDegreesAndPartners) {
+  // The engines read offsets(), partner_flat() and partner_node() through
+  // raw pointers in place of degree() and partner().
+  auto rng = test::make_rng(0xE63);
+  std::vector<PortGraph> graphs;
+  graphs.push_back(random_port_graph({3, 0, 2, 5, 1, 4}, rng));
+  // Directed loops (fixed points of the involution) and, in the covering
+  // bases of the lower bounds, ports paired on one node.
+  graphs.push_back(random_port_graph({3, 0, 2, 5, 1, 4}, rng, 0.3));
+  graphs.push_back(lb::even_lower_bound(4).covering_base);
+  graphs.push_back(lb::odd_lower_bound(3).covering_base);
+  graphs.emplace_back();
+  for (const auto& g : graphs) {
+    const auto offsets = g.offsets();
+    const auto partner_flat = g.partner_flat();
+    const auto partner_node = g.partner_node();
+    ASSERT_EQ(offsets.size(), g.num_nodes() + 1);
+    ASSERT_EQ(partner_flat.size(), g.num_ports());
+    ASSERT_EQ(partner_node.size(), g.num_ports());
+    std::size_t off = 0;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      EXPECT_EQ(offsets[v], off);
+      EXPECT_EQ(g.offset(v), off);
+      EXPECT_EQ(offsets[v + 1] - offsets[v], g.degree(v));
+      off += g.degree(v);
+      for (Port i = 1; i <= g.degree(v); ++i) {
+        const auto q = offsets[v] + i - 1;
+        const auto dst = g.partner(v, i);
+        EXPECT_EQ(g.partner_ref(q), dst);
+        EXPECT_EQ(partner_node[q], dst.node);
+        EXPECT_EQ(partner_flat[q], offsets[dst.node] + dst.port - 1);
+        // Involution: following the partner index twice returns home.
+        EXPECT_EQ(partner_flat[partner_flat[q]], q);
+      }
+    }
+    EXPECT_EQ(off, g.num_ports());
+    EXPECT_EQ(offsets.back(), g.num_ports());
+  }
+}
+
+TEST(PortGraph, MemoryBytesCountsTheFlatArraysExactly) {
+  Rng rng(43);
+  for (const auto& g :
+       {test::random_ported_regular(64, 4, rng).ports(),
+        random_port_graph({3, 0, 2, 5, 1, 4}, rng, 0.3), PortGraph{}}) {
+    // Three uint32 tables: n + 1 offsets, and per port the flat partner
+    // and the partner's node.
+    EXPECT_EQ(g.memory_bytes(), (g.num_nodes() + 1 + 2 * g.num_ports()) * 4);
+  }
+  // A 4-regular graph: 9 B per port plus 4 B.
+  Rng regular_rng(44);
+  const auto regular = test::random_ported_regular(256, 4, regular_rng);
+  EXPECT_EQ(regular.ports().memory_bytes(), 9 * 1024 + 4);
+}
+
 TEST(PortGraph, SummaryMentionsLoops) {
   const auto m = figure2_multigraph_m();
   EXPECT_NE(m.summary().find("loops=2"), std::string::npos);
@@ -389,13 +448,52 @@ TEST(PortedGraph, FlatEdgeTableMatchesPerPortLookups) {
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     for (Port i = 1; i <= g.degree(v); ++i) {
       const EdgeId e = pg.edge_at(v, i);
-      EXPECT_EQ(pg.edge_at_flat(g.offset(v) + i - 1), e);
       EXPECT_EQ(pg.port_of(v, e), i);
     }
   }
   EXPECT_THROW((void)pg.edge_at(30, 1), InvalidArgument);
   EXPECT_THROW((void)pg.edge_at(0, 0), InvalidArgument);
   EXPECT_THROW((void)pg.port_of(30, 0), InvalidArgument);
+}
+
+TEST(PortedGraph, EdgeLookupsAgreeOnEveryPort) {
+  // edge_at reads the involution and port_of the edge table: on every
+  // port of every kind of numbering they must invert each other and agree
+  // with the table and with port_towards.
+  Rng rng(29);
+  const std::vector<std::pair<std::string, PortedGraph>> graphs = {
+      {"canonical", with_canonical_ports(graph::petersen())},
+      {"canonical grid", with_canonical_ports(graph::grid(4, 5))},
+      {"random", test::random_ported_bounded(40, 6, 90, rng)},
+      {"factor", factor::with_factor_ports(graph::random_regular(20, 4, rng))},
+      {"figure 2", figure2_graph_h()},
+  };
+  for (const auto& [how, pg] : graphs) {
+    const auto& g = pg.ports();
+    const auto& edges = pg.graph();
+    const auto m = static_cast<EdgeId>(edges.num_edges());
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      for (Port i = 1; i <= g.degree(v); ++i) {
+        const EdgeId e = pg.edge_at(v, i);
+        ASSERT_LT(e, m) << how;
+        const NodeId u = edges.edge(e).other(v);
+        EXPECT_EQ(u, g.partner(v, i).node) << how;
+        EXPECT_EQ(pg.port_of(v, e), i) << how;
+        EXPECT_EQ(pg.edge_port_table()[e][edges.edge(e).u == v ? 0 : 1],
+                  g.offset(v) + i - 1)
+            << how;
+        EXPECT_EQ(pg.port_towards(v, u), i) << how;
+        EXPECT_EQ(pg.port_towards(u, v), g.partner(v, i).port) << how;
+      }
+      EXPECT_THROW((void)pg.port_of(v, m), InvalidArgument) << how;
+      for (EdgeId e = 0; e < m; ++e) {
+        if (edges.edge(e).u != v && edges.edge(e).v != v) {
+          EXPECT_THROW((void)pg.port_of(v, e), InvalidArgument) << how;
+          break;
+        }
+      }
+    }
+  }
 }
 
 TEST(PortedGraph, RejectsRepeatedOrForeignEdges) {

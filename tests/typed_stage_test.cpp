@@ -47,7 +47,7 @@ RunResult virtual_run(const PortGraph& g, const ProgramFactory& factory,
     programs.push_back(factory.create());
   }
   const auto pool = make_policy(options.exec);
-  return run_plan(ExecutionPlan(g), programs, options, factory.name(), *pool);
+  return run_plan(g, programs, options, factory.name(), *pool);
 }
 
 RunOptions traced() {
@@ -252,13 +252,12 @@ class CountingFactory final : public ProgramFactory {
   [[nodiscard]] std::unique_ptr<NodeProgram> create() const override {
     return std::make_unique<CountingProgram>(tally_, fail_degree_);
   }
-  [[nodiscard]] RunResult run(const ExecutionPlan& plan,
-                              const RunOptions& options,
+  [[nodiscard]] RunResult run(const PortGraph& g, const RunOptions& options,
                               ThreadPool& pool) const override {
-    ProgramArena arena(plan.num_nodes());
-    return run_block(plan,
+    ProgramArena arena(g.num_nodes());
+    return run_block(g,
                      arena.emplace_block<CountingProgram>(
-                         plan.num_nodes(), std::ref(tally_), fail_degree_),
+                         g.num_nodes(), std::ref(tally_), fail_degree_),
                      options, name(), pool);
   }
   [[nodiscard]] std::string name() const override { return "counting"; }
