@@ -381,6 +381,30 @@ void BM_PlanCacheSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanCacheSweep)->Arg(64)->Arg(256);
 
+void BM_RunSynchronousPerCall(benchmark::State& state) {
+  // A whole run_synchronous call of port-one (one round) on a 64-node
+  // cycle at `threads` lanes: the run is tiny, so the call's fixed costs
+  // dominate.  After the first call a multi-lane call takes the idle pool
+  // the last one released instead of starting and joining its threads.
+  const auto threads = static_cast<unsigned>(state.range(0));
+  const auto pg = eds::port::with_canonical_ports(eds::graph::cycle(64));
+  const auto factory = eds::algo::make_factory(eds::algo::Algorithm::kPortOne);
+  eds::runtime::RunOptions options;
+  options.exec.threads = threads;
+  (void)eds::runtime::run_synchronous(pg.ports(), *factory, options);
+  std::uint64_t rounds = 0;
+  for (auto _ : state) {
+    const auto result =
+        eds::runtime::run_synchronous(pg.ports(), *factory, options);
+    rounds = result.stats.rounds;
+    benchmark::DoNotOptimize(rounds);
+  }
+  state.counters["n"] = 64.0;
+  state.counters["rounds"] = static_cast<double>(rounds);
+  state.counters["lanes"] = static_cast<double>(threads);
+}
+BENCHMARK(BM_RunSynchronousPerCall)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
 }  // namespace
 
 // Custom main so the benchmark context records whether this binary was

@@ -17,6 +17,8 @@ BoundedDegreeProgram::BoundedDegreeProgram(
     throw InvalidArgument(
         "BoundedDegreeProgram: use AllEdgesProgram for max degree 1");
   }
+  check_schedule("BoundedDegreeProgram: max degree", max_degree,
+                 schedule_length(max_degree));
 }
 
 void BoundedDegreeProgram::start(port::Port degree) {
@@ -65,36 +67,41 @@ BoundedDegreeProgram::Step BoundedDegreeProgram::step_for(
   return {Step::Kind::kPhase3, 0, 0, rr % 2 == 1, false};
 }
 
-runtime::Round BoundedDegreeProgram::wake_hint(runtime::Round round) const {
+runtime::Round BoundedDegreeProgram::next_wake(runtime::Round round) const {
   if (round < 2) return round + 1;  // the claims are not in yet
+  // The schedule fits a Round (the constructor checked it), so every round
+  // below is exact.  I send into round s in the dispatch of round s − 1.
   const auto d = static_cast<runtime::Round>(delta_);
-  const runtime::Round phase2 = 2 + d * d;              // last phase-I round
-  const runtime::Round m_status = phase2 + 2 * d * (d - 1) + 1;
-  auto next = static_cast<runtime::Round>(schedule_length(delta_));
-  // consider(s): I send into round s, in the dispatch of round s − 1.
-  const auto consider = [&](runtime::Round sends) {
-    if (sends - 1 > round) next = std::min(next, sends - 1);
-  };
-  // Phase I step (i, j) is round 2 + (i − 1)∆' + j; I act in the step of
-  // my DN edge and in the step of every edge whose far end claimed me.
-  const auto ports = view_.ports();
-  const port::Port degree = view_.degree();
-  if (const port::Port dn = view_.dn_port(); dn != 0) {
-    consider(2 + (dn - 1) * d + ports[dn - 1].remote_port);
-  }
-  bool smaller_neighbour = false;
-  for (port::Port j = 1; j <= degree; ++j) {
-    const PortSlot& slot = ports[j - 1];
-    if ((slot.flags & kFlagDnClaimed) != 0) {
-      consider(2 + (slot.remote_port - 1) * d + j);
+  const runtime::Round phase2 = 2 + d * d;  // last phase-I round
+  if (round < phase2 - 1) {
+    // Phase I step (i, j) is round 2 + (i − 1)∆' + j; I act in the step
+    // of my DN edge and in the step of every edge whose far end claimed
+    // me, all fixed since round 2.
+    runtime::Round next = phase2;
+    const auto consider = [&](runtime::Round sends) {
+      if (sends - 1 > round) next = std::min(next, sends - 1);
+    };
+    const auto ports = view_.ports();
+    if (const port::Port dn = view_.dn_port(); dn != 0) {
+      consider(2 + (dn - 1) * d + ports[dn - 1].remote_port);
     }
-    smaller_neighbour |= slot.remote_degree < degree;
+    for (port::Port j = 1; j <= ports.size(); ++j) {
+      const PortSlot& slot = ports[j - 1];
+      if ((slot.flags & kFlagDnClaimed) != 0) {
+        consider(2 + (slot.remote_port - 1) * d + j);
+      }
+    }
+    if (next < phase2) return next;
   }
-  if (m_port_ == 0 && smaller_neighbour && degree >= 2) {
-    consider(phase2 + 1 + (degree - 2) * 2 * d);  // my block's start
+  if (m_port_ == 0 && smaller_neighbour_) {
+    // My phase-II block starts in round phase2 + 1 + (degree − 2)·2∆'
+    // (degree >= 2, since a neighbour has a smaller one).
+    const runtime::Round block = phase2 + (view_.degree() - 2) * 2 * d;
+    if (block > round) return block;
   }
-  consider(m_status);
-  return next;
+  const runtime::Round m_status = phase2 + 2 * d * (d - 1) + 1;
+  if (m_status - 1 > round) return m_status - 1;
+  return halt_round();
 }
 
 void BoundedDegreeProgram::send(runtime::Round round,
@@ -192,12 +199,15 @@ void BoundedDegreeProgram::receive(runtime::Round round,
                                    std::span<const runtime::Message> in) {
   const auto step = step_for(round);
   switch (step.kind) {
-    case Step::Kind::kHello:
-      for (port::Port i = 1; i <= view_.degree(); ++i) {
+    case Step::Kind::kHello: {
+      const auto ports = view_.ports();
+      for (port::Port i = 1; i <= ports.size(); ++i) {
         view_.record_hello(i, in[i - 1]);
+        smaller_neighbour_ |= ports[i - 1].remote_degree < ports.size();
       }
       view_.compute_dn();
       break;
+    }
 
     case Step::Kind::kClaim:
       for (port::Port i = 1; i <= view_.degree(); ++i) {
@@ -213,6 +223,7 @@ void BoundedDegreeProgram::receive(runtime::Round round,
         // "If neither u nor v is covered by M, we add e to M."
         if (m_port_ == 0 && their.arg[0] == 0) {
           m_port_ = active_port_;
+          wake_ = 0;  // my phase-II block start is no wake-up any more
         }
         active_port_ = 0;
       }
@@ -246,7 +257,12 @@ void BoundedDegreeProgram::receive(runtime::Round round,
       break;
   }
 
-  if (round >= schedule_length(delta_)) {
+  // The halt round is my last wake-up, so a dispatch before wake_ neither
+  // halts nor moves it.
+  if (round < wake_) return;
+  if (round < halt_round()) {
+    wake_ = next_wake(round);
+  } else {
     halted_ = true;
     if (sink_) {
       const auto p_ports = engine_.p_ports();

@@ -56,9 +56,10 @@ class BoundedDegreeProgram final : public runtime::NodeProgram {
  public:
   /// `max_degree` is the family parameter ∆ >= 2 (for ∆ = 1 use
   /// AllEdgesProgram); it is normalised to the next odd value internally.
-  /// `sink`, when set, receives per-node phase statistics at halt time.
-  /// The port block comes from `memory` (a ProgramArena's resource under
-  /// create_all).
+  /// Throws InvalidArgument when its schedule does not fit a Round, as
+  /// BoundedDegreeFactory does.  `sink`, when set, receives per-node phase
+  /// statistics at halt time.  The port block comes from `memory` (a
+  /// ProgramArena's resource under create_all).
   explicit BoundedDegreeProgram(
       port::Port max_degree,
       std::shared_ptr<BoundedPhaseStats> sink = nullptr,
@@ -77,7 +78,12 @@ class BoundedDegreeProgram final : public runtime::NodeProgram {
   /// exchange and the halt round.  Everything else — accepting, every
   /// later proposal (the dispatch that receives a reply sends it), and
   /// phase III after the M-status exchange — is driven by messages.
-  [[nodiscard]] runtime::Round wake_hint(runtime::Round round) const override;
+  /// A plain read: receive() keeps the value, and computes it anew
+  /// (next_wake) only in the round it names, or when phase I puts my edge
+  /// into M, which drops my phase-II block start.
+  [[nodiscard]] runtime::Round wake_hint(runtime::Round) const override {
+    return wake_;
+  }
 
   /// The normalised (odd) parameter ∆' = 2k+1.
   [[nodiscard]] static port::Port normalised_delta(port::Port max_degree) {
@@ -110,6 +116,17 @@ class BoundedDegreeProgram final : public runtime::NodeProgram {
   };
   [[nodiscard]] Step step_for(runtime::Round round) const;
 
+  /// The wake hint after my dispatch in `round`, from the port block: the
+  /// first of my phase-I steps, my block start, the M-status exchange and
+  /// the halt round that is due after `round`.  The four come in that
+  /// order, so the first one found is the earliest.
+  [[nodiscard]] runtime::Round next_wake(runtime::Round round) const;
+
+  /// schedule_length as a Round, which the constructor checked it fits.
+  [[nodiscard]] runtime::Round halt_round() const noexcept {
+    return static_cast<runtime::Round>(schedule_length(delta_));
+  }
+
   void phase2_send(const Step& step, std::span<runtime::Message> out);
   void phase2_receive(const Step& step, std::span<const runtime::Message> in);
 
@@ -129,10 +146,15 @@ class BoundedDegreeProgram final : public runtime::NodeProgram {
   bool p2_outstanding_ = false;
 
   bool halted_ = false;
+  // A neighbour of smaller degree, from the hellos: I may propose in the
+  // phase-II block of my degree.
+  bool smaller_neighbour_ = false;
   LabelView view_;
   // Phase III, on the edges of H (kFlagEligible, set by the M-status
   // exchange).
   DoubleCoverEngine engine_;
+  // wake_hint's value: 0 (that is, next round) before the first receive.
+  runtime::Round wake_ = 0;
   std::shared_ptr<BoundedPhaseStats> sink_;
 };
 
@@ -144,7 +166,7 @@ class BoundedDegreeFactory final : public runtime::ProgramFactory {
       port::Port max_degree,
       std::shared_ptr<BoundedPhaseStats> sink = nullptr)
       : max_degree_(max_degree), sink_(std::move(sink)) {
-    check_schedule("bounded-degree: max degree " + std::to_string(max_degree),
+    check_schedule("bounded-degree: max degree", max_degree,
                    BoundedDegreeProgram::schedule_length(max_degree));
   }
   [[nodiscard]] std::unique_ptr<runtime::NodeProgram> create() const override {

@@ -6,10 +6,12 @@
 
 namespace eds::algo {
 
-void check_schedule(const std::string& who, std::uint64_t rounds) {
+void check_schedule(const char* who, std::uint64_t param,
+                    std::uint64_t rounds) {
   constexpr Round kMax = std::numeric_limits<Round>::max();
   if (rounds > kMax) {
-    throw InvalidArgument(who + " needs a schedule of " +
+    throw InvalidArgument(std::string(who) + ' ' + std::to_string(param) +
+                          " needs a schedule of " +
                           (rounds == UINT64_MAX ? "at least " : "") +
                           std::to_string(rounds) +
                           " rounds; a run counts at most " +

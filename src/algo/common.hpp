@@ -44,10 +44,15 @@ enum Tag : std::int32_t {
   return dd1 > UINT64_MAX / k ? UINT64_MAX : k * dd1;
 }
 
-/// Throws InvalidArgument, naming `who` (the algorithm and its parameter)
-/// and the length, when a schedule of `rounds` rounds does not fit a Round:
-/// a wrapped length would halt every node early, with a wrong result.
-void check_schedule(const std::string& who, std::uint64_t rounds);
+/// Throws InvalidArgument, naming `who` and `param` (the algorithm and its
+/// parameter, "odd-regular: d" and 7) and the length, when a schedule of
+/// `rounds` rounds does not fit a Round: a wrapped length would halt every
+/// node early, with a wrong result.  The factories check their parameter
+/// with it, and the programs again, so a program built without a factory
+/// does its schedule arithmetic in exact Rounds too; the message is built
+/// only on failure.
+void check_schedule(const char* who, std::uint64_t param,
+                    std::uint64_t rounds);
 
 /// Bits of PortSlot::flags.
 enum PortFlag : std::uint8_t {

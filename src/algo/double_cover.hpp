@@ -127,7 +127,7 @@ class DoubleCoverFactory final : public runtime::ProgramFactory {
   /// a Round (max degree 2^31 or more).
   explicit DoubleCoverFactory(port::Port max_degree)
       : max_degree_(max_degree) {
-    check_schedule("double-cover: max degree " + std::to_string(max_degree),
+    check_schedule("double-cover: max degree", max_degree,
                    DoubleCoverProgram::schedule_length(max_degree));
   }
   [[nodiscard]] std::unique_ptr<runtime::NodeProgram> create() const override {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <mutex>
 #include <utility>
 
 #include "algo/all_edges.hpp"
@@ -176,61 +175,6 @@ PreparedBatch prepare_batch(const std::vector<BatchItem>& items,
   return batch;
 }
 
-/// The runner the last batch released, kept for the next batch of the
-/// same width.  Its lanes keep their threads and pooled workspaces, so
-/// back-to-back batches do not free and regrow every workspace; with a
-/// new pool per batch, how much of that churn the allocator kept resident
-/// changed from one process to the next.
-struct IdleRunner {
-  std::mutex mutex;
-  unsigned lanes = 0;
-  std::unique_ptr<runtime::BatchRunner> runner;
-};
-
-IdleRunner& idle_runner() {
-  static IdleRunner idle;
-  return idle;
-}
-
-/// One batch's runner: the idle one when its width matches and no other
-/// batch holds it, else a new one.  On release it becomes the idle runner
-/// and the one it replaces is joined.
-class RunnerLease {
- public:
-  explicit RunnerLease(unsigned threads) : lanes_(resolve_threads(threads)) {
-    IdleRunner& idle = idle_runner();
-    {
-      const std::lock_guard lock(idle.mutex);
-      if (idle.runner && idle.lanes == lanes_) {
-        runner_ = std::move(idle.runner);
-      }
-    }
-    if (!runner_) runner_ = std::make_unique<runtime::BatchRunner>(lanes_);
-  }
-
-  ~RunnerLease() {
-    IdleRunner& idle = idle_runner();
-    std::unique_ptr<runtime::BatchRunner> retired;
-    {
-      const std::lock_guard lock(idle.mutex);
-      retired = std::exchange(idle.runner, std::move(runner_));
-      idle.lanes = lanes_;
-    }
-    // `retired` joins its lanes here, after the lock is released.
-  }
-
-  RunnerLease(const RunnerLease&) = delete;
-  RunnerLease& operator=(const RunnerLease&) = delete;
-
-  [[nodiscard]] const runtime::BatchRunner* operator->() const noexcept {
-    return runner_.get();
-  }
-
- private:
-  unsigned lanes_;
-  std::unique_ptr<runtime::BatchRunner> runner_;
-};
-
 }  // namespace
 
 std::vector<EdsOutcome> run_batch(const std::vector<BatchItem>& items,
@@ -253,8 +197,13 @@ void run_batch_streaming(
     runtime::PlanCache* plan_cache) {
   const auto batch = prepare_batch(items, plan_cache);
   // `threads` sizes the batch pool; the job-level options stay sequential,
-  // so the two levels of parallelism never multiply.
-  const RunnerLease runner(threads);
+  // so the two levels of parallelism never multiply.  The runner the last
+  // batch released is kept for the next batch of the same width: its lanes
+  // keep their threads and pooled workspaces, so back-to-back batches do
+  // not free and regrow every workspace; with a new pool per batch, how
+  // much of that churn the allocator kept resident changed from one
+  // process to the next.
+  const IdleLease<runtime::BatchRunner> runner(threads);
   runner->run_streaming(
       batch.jobs, [&](std::size_t i, runtime::RunResult&& result) {
         EdsOutcome outcome;

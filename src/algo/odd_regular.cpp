@@ -98,6 +98,7 @@ OddRegularProgram::OddRegularProgram(port::Port d, PairOrder order,
   if (d_ % 2 == 0) {
     throw InvalidArgument("OddRegularProgram: d must be odd");
   }
+  check_schedule("OddRegularProgram: d", d_, schedule_length(d_));
 }
 
 void OddRegularProgram::start(port::Port degree) {
@@ -123,7 +124,7 @@ OddRegularProgram::Step OddRegularProgram::step_for(
   return {Step::Phase::kDone, 0, 0};
 }
 
-runtime::Round OddRegularProgram::wake_hint(runtime::Round round) const {
+runtime::Round OddRegularProgram::next_wake(runtime::Round round) const {
   if (round < 2) return round + 1;  // the claims are not in yet
   const auto dd = static_cast<runtime::Round>(d_) * d_;
   // Step k of a phase is round 3 + k (add) or 3 + d² + k (remove); the
@@ -131,7 +132,7 @@ runtime::Round OddRegularProgram::wake_hint(runtime::Round round) const {
   // before every remove step, so the remove steps (those still in D)
   // matter only once no add step is left.
   const auto next_step = [&](runtime::Round base, bool in_d_only) {
-    auto next = static_cast<runtime::Round>(schedule_length(d_));
+    runtime::Round next = halt_round();
     const auto consider = [&](port::Port i, port::Port j, port::Port mine) {
       const auto sends = base + static_cast<runtime::Round>(
                                     pair_position(d_, order_, i, j));
@@ -198,22 +199,17 @@ void OddRegularProgram::send(runtime::Round round,
 
 void OddRegularProgram::receive(runtime::Round round,
                                 std::span<const runtime::Message> in) {
-  const auto step = step_for(round);
+  const auto dd = static_cast<runtime::Round>(d_) * d_;
   if (round == 1) {
     for (port::Port i = 1; i <= view_.degree(); ++i) {
       view_.record_hello(i, in[i - 1]);
     }
     view_.compute_dn();
-    return;
-  }
-  if (round == 2) {
+  } else if (round == 2) {
     for (port::Port i = 1; i <= view_.degree(); ++i) {
       view_.record_claim(i, in[i - 1]);
     }
-    return;
-  }
-
-  if (step.phase == Step::Phase::kAdd && active_port_ != 0) {
+  } else if (active_port_ != 0 && round <= 2 + dd) {
     const auto& their = in[active_port_ - 1];
     EDS_ENSURE(their.tag == kTagStatus,
                "phase I: expected a status message from the partner");
@@ -225,10 +221,9 @@ void OddRegularProgram::receive(runtime::Round round,
     if (!(d_count_ > 0 && their_covered) && (flags & kFlagInD) == 0) {
       flags |= kFlagInD;
       ++d_count_;
+      wake_ = 0;  // a wake-up past phase I was chosen without this edge
     }
-  }
-
-  if (step.phase == Step::Phase::kRemove && active_port_ != 0) {
+  } else if (active_port_ != 0) {
     const auto& their = in[active_port_ - 1];
     EDS_ENSURE(their.tag == kTagStatus,
                "phase II: expected a status message from the partner");
@@ -238,10 +233,18 @@ void OddRegularProgram::receive(runtime::Round round,
     if (mine && theirs) {
       view_.ports()[active_port_ - 1].flags &= ~kFlagInD;
       --d_count_;
+      wake_ = 0;  // a later step of this edge is no wake-up any more
     }
   }
 
-  if (round >= schedule_length(d_)) halted_ = true;
+  // The halt round is my last wake-up, so a dispatch before wake_ neither
+  // halts nor moves it.
+  if (round < wake_) return;
+  if (round < halt_round()) {
+    wake_ = next_wake(round);
+  } else {
+    halted_ = true;
+  }
 }
 
 void OddRegularProgram::output(runtime::OutputSink& out) const {

@@ -57,8 +57,9 @@ enum class PairOrder {
 class OddRegularProgram final : public runtime::NodeProgram {
  public:
   /// `d` is the family parameter; every node's degree must equal it and it
-  /// must be odd.  The port block comes from `memory` (a ProgramArena's
-  /// resource under create_all).
+  /// must be odd.  Throws InvalidArgument when its schedule does not fit a
+  /// Round, as OddRegularFactory does.  The port block comes from `memory`
+  /// (a ProgramArena's resource under create_all).
   explicit OddRegularProgram(
       port::Port d, PairOrder order = PairOrder::kLexicographic,
       std::pmr::memory_resource* memory = std::pmr::new_delete_resource());
@@ -74,8 +75,12 @@ class OddRegularProgram final : public runtime::NodeProgram {
   /// (those of my DN edge and of the edges whose far end claimed me; in
   /// phase II only the ones still in D), or the halt round.  The partner
   /// of a step sends too, so the dispatch that receives it is driven by
-  /// that message.  O(d) per call.
-  [[nodiscard]] runtime::Round wake_hint(runtime::Round round) const override;
+  /// that message.  A plain read: receive() keeps the value, and computes
+  /// it anew (next_wake, O(d)) only in the round it names, or when an edge
+  /// of mine joins or leaves D.
+  [[nodiscard]] runtime::Round wake_hint(runtime::Round) const override {
+    return wake_;
+  }
 
   /// Total rounds the schedule takes for parameter d, in 64 bits:
   /// 2 + 2d², which passes a Round for d > 46,340 (OddRegularFactory
@@ -93,6 +98,15 @@ class OddRegularProgram final : public runtime::NodeProgram {
   };
   [[nodiscard]] Step step_for(runtime::Round round) const;
 
+  /// The wake hint after my dispatch in `round`, from the port block and
+  /// my D edges.
+  [[nodiscard]] runtime::Round next_wake(runtime::Round round) const;
+
+  /// schedule_length as a Round, which the constructor checked it fits.
+  [[nodiscard]] runtime::Round halt_round() const noexcept {
+    return static_cast<runtime::Round>(schedule_length(d_));
+  }
+
   [[nodiscard]] bool in_d(port::Port p) const {
     return (view_.ports()[p - 1].flags & kFlagInD) != 0;
   }
@@ -102,6 +116,8 @@ class OddRegularProgram final : public runtime::NodeProgram {
   port::Port d_count_ = 0;      // my incident D edges (flagged kFlagInD)
   port::Port active_port_ = 0;  // active port of the current step
   bool halted_ = false;
+  // wake_hint's value: 0 (that is, next round) before the first receive.
+  runtime::Round wake_ = 0;
   LabelView view_;
 };
 
@@ -112,7 +128,7 @@ class OddRegularFactory final : public runtime::ProgramFactory {
   explicit OddRegularFactory(port::Port d,
                              PairOrder order = PairOrder::kLexicographic)
       : d_(d), order_(order) {
-    check_schedule("odd-regular: d " + std::to_string(d),
+    check_schedule("odd-regular: d", d,
                    OddRegularProgram::schedule_length(d));
   }
   [[nodiscard]] std::unique_ptr<runtime::NodeProgram> create() const override {

@@ -758,6 +758,19 @@ graph::SimpleGraph family_graph(const SweepConfig& cfg, std::size_t n,
 }
 
 SweepInstances generate_instances(const SweepConfig& cfg) {
+  // A regular or portgraph instance has n·d ports: the largest must fit a
+  // port graph, checked before anything is generated.
+  const std::uint64_t largest = cfg.sizes.back();
+  if ((cfg.family == "regular" || cfg.family == "portgraph") && cfg.d != 0 &&
+      largest > port::kMaxPorts / cfg.d) {
+    const bool saturated = largest > UINT64_MAX / cfg.d;
+    throw InvalidArgument(
+        cfg.family + " at n = " + std::to_string(largest) + " with --d " +
+        std::to_string(cfg.d) + " has " + (saturated ? "at least " : "") +
+        std::to_string(saturated ? UINT64_MAX : largest * cfg.d) +
+        " ports; a port graph holds at most " +
+        std::to_string(port::kMaxPorts));
+  }
   Rng rng(cfg.seed);
   SweepInstances set;
   for (const auto n : cfg.sizes) {

@@ -316,6 +316,8 @@ void double_edge_swaps(std::size_t n, std::vector<Edge>& edges,
 
 SimpleGraph random_regular(std::size_t n, std::size_t d, Rng& rng) {
   if (d >= n) throw InvalidArgument("random_regular: need d < n");
+  check_node_count(n, "random_regular");
+  check_edge_count(std::uint64_t{n} * d / 2, "random_regular");  // d < n
   if ((n * d) % 2 != 0) {
     throw InvalidArgument("random_regular: n*d must be even");
   }

@@ -84,9 +84,10 @@ namespace eds::graph {
 /// Uniform random labelled tree on n nodes (Prufer-style attachment).
 [[nodiscard]] SimpleGraph random_tree(std::size_t n, Rng& rng);
 
-/// Random d-regular simple graph via the configuration model with rejection.
-/// Requires n*d even, d < n.  Throws InternalError if no simple pairing is
-/// found after many attempts (practically impossible for d << n).
+/// Random d-regular simple graph: a d-regular circulant mixed by
+/// degree-preserving double-edge swaps.  Requires n*d even, d < n.  Throws
+/// InvalidArgument before building anything when n exceeds the NodeId range
+/// or its n·d/2 edges the EdgeId range.
 [[nodiscard]] SimpleGraph random_regular(std::size_t n, std::size_t d,
                                          Rng& rng);
 

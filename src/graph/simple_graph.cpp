@@ -7,18 +7,14 @@
 
 namespace eds::graph {
 
-namespace {
-
 // Nodes are named by NodeId; at SIZE_MAX the n + 1 CSR offsets would also
 // wrap to none.
-void check_node_count(std::size_t n, const char* who) {
+void check_node_count(std::uint64_t n, const char* who) {
   if (n > std::numeric_limits<NodeId>::max()) {
     throw InvalidArgument(std::string(who) + ": " + std::to_string(n) +
                           " nodes exceed the NodeId range");
   }
 }
-
-}  // namespace
 
 void check_edge_count(std::uint64_t m, const char* who) {
   if (m > std::numeric_limits<EdgeId>::max()) {

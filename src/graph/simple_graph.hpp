@@ -50,6 +50,11 @@ struct Incidence {
   [[nodiscard]] bool operator==(const Incidence&) const = default;
 };
 
+/// Throws InvalidArgument, naming `who` and `n`, when `n` nodes are more
+/// than the largest NodeId.  SimpleGraph and GraphBuilder call it before
+/// sizing anything, a generator before its edge list.
+void check_node_count(std::uint64_t n, const char* who);
+
 /// Throws InvalidArgument, naming `who` and `m`, when `m` edges are more
 /// than the largest EdgeId (ids run 0 .. m − 1).  SimpleGraph::from_edges
 /// calls it before sizing anything, a generator before its edge list.

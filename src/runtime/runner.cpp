@@ -5,8 +5,22 @@
 #include "runtime/async.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/plan_cache.hpp"
+#include "util/parallel.hpp"
 
 namespace eds::runtime {
+
+namespace {
+
+/// Calls run(pool) on a pool of `exec.threads` lanes: make_policy's, which
+/// starts no thread, for one lane, else the idle pool of that width.
+template <class Run>
+RunResult on_pool(const ExecOptions& exec, const Run& run) {
+  if (resolve_threads(exec.threads) == 1) return run(*make_policy(exec));
+  const IdleLease<ThreadPool> pool(exec.threads);
+  return run(*pool);
+}
+
+}  // namespace
 
 std::string format_transcript(const RunResult& result) {
   std::ostringstream os;
@@ -42,8 +56,9 @@ RunResult run_synchronous(const port::PortGraph& g,
   }
   // A plan cache only counts the structure; the run reads g itself.
   if (PlanCache* cache = options.exec.plan_cache) (void)cache->get(g);
-  const auto pool = make_policy(options.exec);
-  return factory.run(g, options, *pool);
+  return on_pool(options.exec, [&](ThreadPool& pool) {
+    return factory.run(g, options, pool);
+  });
 }
 
 RunResult run_synchronous_programs(
@@ -65,8 +80,9 @@ RunResult run_synchronous_programs(
         .run(g, programs, options, name)
         .run;
   }
-  const auto pool = make_policy(options.exec);
-  return run_plan(g, programs, options, name, *pool);
+  return on_pool(options.exec, [&](ThreadPool& pool) {
+    return run_plan(g, programs, options, name, pool);
+  });
 }
 
 }  // namespace eds::runtime

@@ -12,7 +12,9 @@
 // The actual round loop lives in the engine layer (runtime/engine.hpp):
 // run_synchronous runs it on the graph's own tables, on a ThreadPool of
 // RunOptions::exec's lane count — one lane, run inline on the caller, by
-// default.  Every lane count produces
+// default.  A wider pool is leased from IdleLease (util/parallel.hpp), so
+// back-to-back calls of one width start their threads once; nested and
+// overlapping calls get pools of their own.  Every lane count produces
 // bit-identical RunResults (outputs, stats, trace, message log order); the
 // choice only affects wall-clock time.
 #pragma once

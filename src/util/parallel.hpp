@@ -2,8 +2,9 @@
 //
 // Both parallel execution layers of the runtime are built on this one
 // primitive: run_plan shards the nodes of a single round across its lanes
-// (make_policy builds the pool), and BatchRunner fans independent (graph,
-// program, options) jobs across them.  The pool is deliberately tiny — persistent workers, one blocking
+// (run_synchronous leases the pool through IdleLease below), and
+// BatchRunner fans independent (graph, program, options) jobs across them.
+// The pool is deliberately tiny — persistent workers, one blocking
 // run() that executes fn(0..tasks-1) with dynamic load balancing — because
 // everything determinism-sensitive (merge order, result order) is handled by
 // the callers, which always combine per-task results in task-index order.
@@ -13,8 +14,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace eds {
@@ -104,6 +107,60 @@ class ThreadPool {
   std::uint64_t generation_ = 0; // bumped per batch so workers don't re-enter
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
+};
+
+/// A T of a given width (a ThreadPool, or anything else built from its lane
+/// count) leased from one process-wide idle slot per type: the T the last
+/// lease released, when its lane count matches and no other lease holds it,
+/// else a new one.  On release the leased T becomes the idle one, and the
+/// one it replaces is destroyed (its threads joined) after the slot's lock
+/// is released.  So back-to-back calls of one width start their threads
+/// once, while nested and concurrent calls get a T of their own.
+template <class T>
+class IdleLease {
+ public:
+  /// `threads` as in resolve_threads().
+  explicit IdleLease(unsigned threads) : lanes_(resolve_threads(threads)) {
+    Slot& idle = slot();
+    {
+      const std::lock_guard lock(idle.mutex);
+      if (idle.object && idle.lanes == lanes_) {
+        object_ = std::move(idle.object);
+      }
+    }
+    if (!object_) object_ = std::make_unique<T>(lanes_);
+  }
+
+  ~IdleLease() {
+    Slot& idle = slot();
+    std::unique_ptr<T> retired;
+    {
+      const std::lock_guard lock(idle.mutex);
+      retired = std::exchange(idle.object, std::move(object_));
+      idle.lanes = lanes_;
+    }
+    // `retired` is destroyed here, after the lock is released.
+  }
+
+  IdleLease(const IdleLease&) = delete;
+  IdleLease& operator=(const IdleLease&) = delete;
+
+  [[nodiscard]] T& operator*() const noexcept { return *object_; }
+  [[nodiscard]] T* operator->() const noexcept { return object_.get(); }
+
+ private:
+  struct Slot {
+    std::mutex mutex;
+    unsigned lanes = 0;
+    std::unique_ptr<T> object;
+  };
+  static Slot& slot() {
+    static Slot idle;
+    return idle;
+  }
+
+  unsigned lanes_;
+  std::unique_ptr<T> object_;
 };
 
 }  // namespace eds

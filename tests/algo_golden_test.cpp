@@ -12,6 +12,7 @@
 // at another round; a deliberate change to an algorithm re-pins the value.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "lb/lower_bounds.hpp"
 #include "port/ported_graph.hpp"
 #include "port/random_port_graph.hpp"
+#include "runtime/engine.hpp"
 #include "runtime/runner.hpp"
 #include "util/rng.hpp"
 #include "test_util.hpp"
@@ -139,6 +141,95 @@ TEST(AlgoGolden, CoveringBasesOfTheLowerBounds) {
                   "odd(3) odd-regular, order " +
                       std::to_string(static_cast<int>(order)));
   }
+}
+
+// Pinned dispatch counts of the hinted programs.  A hint that comes early
+// costs extra dispatches and passes every differential suite, so only a
+// count catches it (a late hint changes results and fails those suites).
+// Each value is the engine_stage_stats().dispatched delta of one run at one
+// lane, taken from the build before A(∆) and odd-regular cached their next
+// wake-up.
+
+/// Runs `factory` on `g` at one lane; returns the run's dispatches and,
+/// when `log` is set, the run's message log in it.
+std::uint64_t dispatches(const port::PortGraph& g,
+                         const runtime::ProgramFactory& factory,
+                         std::vector<runtime::DeliveredMessage>* log = nullptr) {
+  runtime::RunOptions options;
+  options.collect_messages = log != nullptr;
+  const auto before = runtime::engine_stage_stats().dispatched;
+  auto result = runtime::run_synchronous(g, factory, options);
+  const auto after = runtime::engine_stage_stats().dispatched;
+  if (log != nullptr) *log = std::move(result.message_log);
+  return after - before;
+}
+
+TEST(AlgoGolden, WakeHintsPinEveryDispatch) {
+  // A(4) on random 4-regular graphs, n = 64 ... 4096.
+  const std::uint64_t regular[] = {511, 1097, 2183, 4455, 8732, 17594, 35017};
+  Rng rng(0x6020);
+  std::size_t n = 64;
+  for (const std::uint64_t pinned : regular) {
+    const auto pg = test::random_ported_regular(n, 4, rng);
+    EXPECT_EQ(dispatches(pg.ports(), BoundedDegreeFactory(4)), pinned)
+        << "A(4), n = " << n;
+    n *= 2;
+  }
+
+  // A(∆) on a power-law graph whose phase II accepts proposals, so the
+  // phase-II block starts are among the hints.
+  const auto powerlaw = port::with_random_ports(
+      graph::random_power_law(2048, 2.3, rng), rng);
+  std::vector<runtime::DeliveredMessage> log;
+  EXPECT_EQ(dispatches(powerlaw.ports(),
+                       BoundedDegreeFactory(max_degree_param(powerlaw)), &log),
+            15401u);
+  EXPECT_TRUE(std::any_of(log.begin(), log.end(), [](const auto& m) {
+    return m.payload.tag == kTagAccept;
+  })) << "phase II accepted no proposal";
+
+  // Odd-regular at d = 3 and 5 under every pair order.  Its remove phase
+  // must drop D edges: an exchange of two "covered without e" bits there.
+  const std::uint64_t odd[2][3] = {{4321, 4344, 4734}, {4681, 4816, 5060}};
+  const port::Port degrees[] = {3, 5};
+  const PairOrder orders[] = {PairOrder::kLexicographic, PairOrder::kDiagonal,
+                              PairOrder::kReverse};
+  for (int row = 0; row < 2; ++row) {
+    const port::Port d = degrees[row];
+    const auto pg = test::random_ported_regular(512, d, rng);
+    for (int column = 0; column < 3; ++column) {
+      EXPECT_EQ(dispatches(pg.ports(), OddRegularFactory(d, orders[column]),
+                           &log),
+                odd[row][column])
+          << "odd-regular d = " << d << ", order " << column;
+      std::vector<runtime::DeliveredMessage> covered;
+      for (const auto& m : log) {
+        if (m.round > 2 + d * d && m.payload.tag == kTagStatus &&
+            m.payload.arg[0] != 0) {
+          covered.push_back(m);
+        }
+      }
+      const auto drops = std::count_if(
+          covered.begin(), covered.end(), [&covered](const auto& m) {
+            return m.from.node < m.to.node &&
+                   std::any_of(covered.begin(), covered.end(),
+                               [&m](const auto& back) {
+                                 return back.round == m.round &&
+                                        back.from == m.to;
+                               });
+          });
+      EXPECT_GT(drops, 0) << "d = " << d << ": the remove phase dropped "
+                           << "no D edge";
+    }
+  }
+
+  // The covering bases, with loops and directed loops.
+  EXPECT_EQ(dispatches(lb::even_lower_bound(4).covering_base,
+                       BoundedDegreeFactory(4)),
+            8u);
+  EXPECT_EQ(dispatches(lb::odd_lower_bound(3).covering_base,
+                       OddRegularFactory(3)),
+            42u);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "port/port_graph.hpp"
 #include "runtime/plan_cache.hpp"
 #include "runtime/runner.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "test_util.hpp"
 
@@ -192,6 +193,44 @@ TEST(Alloc, CompleteRejectsMoreEdgesThanEdgeIdsBeforeAllocating) {
   g_largest.store(0, std::memory_order_relaxed);
   EXPECT_THROW((void)graph::complete(92683), InvalidArgument);
   EXPECT_LT(g_largest.load(std::memory_order_relaxed), 4096u);
+}
+
+TEST(Alloc, RandomRegularChecksItsSizeBeforeAllocating) {
+  // 3·10⁹ nodes of degree 4 fit NodeIds but make 6·10⁹ edges, and 5·10⁹
+  // nodes do not fit; both are rejected before the circulant is built.
+  Rng rng(0xA1110);
+  for (const std::size_t n : {std::size_t{3000000000}, std::size_t{5000000000}}) {
+    g_largest.store(0, std::memory_order_relaxed);
+    EXPECT_THROW((void)graph::random_regular(n, 4, rng), InvalidArgument)
+        << n;
+    EXPECT_LT(g_largest.load(std::memory_order_relaxed), 4096u) << n;
+  }
+}
+
+TEST(Alloc, MultiLaneRunsReuseTheIdlePool) {
+  // After its first call, run_synchronous at four lanes takes the pool the
+  // last call released, so it allocates exactly what a caller that keeps
+  // its own pool and calls the factory's run does: no pool, no thread.
+  Rng rng(0xA110F);
+  const auto pg = test::random_ported_regular(1024, 4, rng);
+  const BoundedDegreeFactory factory(4);
+  runtime::RunOptions options;
+  options.exec.threads = 4;
+  ThreadPool own(4);
+  const auto allocations = [&](const auto& run) {
+    (void)run();  // warm up
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    const auto result = run();
+    const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(result.stats.rounds, 78u);
+    return after - before;
+  };
+  const std::size_t kept = allocations(
+      [&] { return factory.run(pg.ports(), options, own); });
+  EXPECT_EQ(allocations([&] {
+              return runtime::run_synchronous(pg.ports(), factory, options);
+            }),
+            kept);
 }
 
 }  // namespace

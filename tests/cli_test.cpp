@@ -597,6 +597,39 @@ TEST(Cli, SweepRejectsADegreeBeyondAPort) {
       << widest.err;
 }
 
+TEST(Cli, FixedDegreeFamiliesAreSizedBeforeGeneration) {
+  // Each of these once asked for tens of GB and ended in std::bad_alloc.
+  // random_regular checks its n·d/2 edges before building its circulant,
+  // and a regular or portgraph sweep its n·d ports before generating.
+  const struct {
+    std::vector<std::string> args;
+    std::string count;
+  } cases[] = {
+      {{"generate", "regular", "3000000000", "4"}, "6000000000 edges"},
+      {{"sweep", "regular", "--min", "3000000000", "--max", "3000000000",
+        "--d", "4"},
+       "12000000000 ports"},
+      {{"sweep", "regular", "--min", "2000000000", "--max", "2000000000",
+        "--d", "4"},
+       "8000000000 ports"},
+      {{"sweep", "portgraph", "--min", "2000000000", "--max", "2000000000",
+        "--d", "3"},
+       "6000000000 ports"},
+  };
+  for (const auto& c : cases) {
+    const auto run = invoke(c.args);
+    EXPECT_EQ(run.code, 1) << c.count;
+    EXPECT_TRUE(run.out.empty()) << run.out;
+    EXPECT_NE(run.err.find(c.count), std::string::npos) << run.err;
+  }
+  // The largest size of a range is the one checked.
+  const auto range = invoke({"sweep", "regular", "--min", "8", "--max",
+                             "2147483648", "--d", "2"});
+  EXPECT_EQ(range.code, 1);
+  EXPECT_TRUE(range.out.empty()) << range.out;
+  EXPECT_NE(range.err.find("n = 2147483648"), std::string::npos) << range.err;
+}
+
 TEST(Cli, SweepRejectsASizeRangeBeyondTheJobCap) {
   // --step 1 up to 2^64 − 1 once added sizes until memory ran out.
   const auto run = invoke({"sweep", "cycle", "--min", "1", "--max",

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include "graph/generators.hpp"
 #include "port/ported_graph.hpp"
 #include "runtime/message.hpp"
@@ -17,6 +22,7 @@ using port::PortGraphBuilder;
 
 using test::EchoFactory;
 using test::EchoProgram;
+using test::RelayFactory;
 
 /// Outputs every port, for consistency testing.
 class ClaimAllFactory final : public ProgramFactory {
@@ -393,6 +399,37 @@ TEST(Transcript, SaysSoWhenCollectionWasOff) {
   const auto on = run_synchronous(pg.ports(), EchoFactory(2), options);
   EXPECT_EQ(format_transcript(on).find("without RunOptions::collect_messages"),
             std::string::npos);
+}
+
+TEST(Runner, OverlappingMultiLaneRunsGetPoolsOfTheirOwn) {
+  // run_synchronous keeps the pool a multi-lane call released for the next
+  // call of that width; callers that overlap must never share it, through
+  // either entry point.  ThreadPool::run is not reentrant: a shared pool
+  // loses a shard (a mismatch) or hangs (ctest's timeout).
+  auto rng = test::make_rng(0x9001);
+  const auto pg = test::random_ported_regular(256, 4, rng);
+  const RelayFactory factory(64);  // 64 + 4 rounds, a pool run each
+  const auto expected = run_synchronous(pg.ports(), factory);
+  RunOptions options;
+  options.exec.threads = 2;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&] {
+      for (int k = 0; k < 10; ++k) {
+        std::vector<std::unique_ptr<NodeProgram>> programs;
+        for (port::NodeId v = 0; v < pg.ports().num_nodes(); ++v) {
+          programs.push_back(factory.create());
+        }
+        const auto own = run_synchronous_programs(
+            pg.ports(), std::move(programs), options, factory.name());
+        const auto built = run_synchronous(pg.ports(), factory, options);
+        if (!(own == expected) || !(built == expected)) ++mismatches;
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace
