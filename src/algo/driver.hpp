@@ -61,7 +61,7 @@ struct EdsOutcome {
 /// run_algorithm does internally: the d-regular degree for kOddRegular
 /// (throws InvalidArgument when the graph is not regular), the max degree
 /// for kBoundedDegree / kDoubleCover, `param` unchanged otherwise.  Callers
-/// that build raw runtime::BatchJobs (e.g. the CLI's async sweep) use this
+/// that build raw runtime::BatchJobs (e.g. the CLI's sweeps) use this
 /// to construct the same factory run_algorithm would.
 [[nodiscard]] port::Port resolved_param(const port::PortedGraph& pg,
                                         Algorithm algorithm,

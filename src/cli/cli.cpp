@@ -406,6 +406,16 @@ int cmd_lower_bound(const Args& args, std::ostream& out, std::ostream& err) {
   }
 }
 
+/// Every node's output X(v), one `v: p1 p2 ...` line each.
+void print_outputs(std::ostream& out, const port::PortGraph& g,
+                   const runtime::RunResult& result) {
+  for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
+    out << v << ':';
+    for (const auto p : runtime::selected_ports(g, result, v)) out << ' ' << p;
+    out << '\n';
+  }
+}
+
 int cmd_run_portgraph(const Args& args, std::istream& in, std::ostream& out,
                       std::ostream& err) {
   const auto parsed = algo::algorithm_from_token(args.get("algorithm", ""));
@@ -432,13 +442,7 @@ int cmd_run_portgraph(const Args& args, std::istream& in, std::ostream& out,
     if (args.has("trace")) out << runtime::format_transcript(result);
     out << "nodes: " << g.num_nodes() << "  rounds: " << result.stats.rounds
         << "  selected edges: " << selected << '\n';
-    for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
-      out << v << ':';
-      for (const auto p : runtime::selected_ports(g, result, v)) {
-        out << ' ' << p;
-      }
-      out << '\n';
-    }
+    print_outputs(out, g, result);
     return 0;
   } catch (const Error& e) {
     err << "run-portgraph: " << e.what() << '\n';
@@ -524,13 +528,7 @@ int cmd_sweep_replay(const Args& args, std::ostream& out, std::ostream& err) {
   out << "--- fault log ---\n"
       << runtime::format_fault_log(result.fault_log);
   out << "outputs:\n";
-  for (port::NodeId v = 0; v < g.num_nodes(); ++v) {
-    out << v << ':';
-    for (const auto p : runtime::selected_ports(g, result.run, v)) {
-      out << ' ' << p;
-    }
-    out << '\n';
-  }
+  print_outputs(out, g, result.run);
   if (drift) {
     err << "sweep: replay drifted from its recorded metrics (determinism "
            "regression or a hand-edited file)\n";
@@ -543,9 +541,9 @@ int cmd_sweep_replay(const Args& args, std::ostream& out, std::ostream& err) {
 //
 // cmd_sweep runs in three steps: parse_sweep validates the command line
 // into a SweepConfig (every exit-2 check), generate_instances draws the
-// instances from one Rng, and one of three runners — the batch of raw
-// jobs, the library's validated batch, or the sequential adversary
-// search — feeds the row emitter of its shape and then the summary.
+// instances from one Rng, and one of two runners — the batch of raw jobs
+// or the sequential adversary search — feeds the row emitter of its shape
+// and then the summary.
 
 /// The `"schema"` field every `--ndjson` object carries.
 constexpr int kNdjsonSchema = 2;
@@ -735,6 +733,14 @@ struct SweepInstances {
   std::vector<port::PortedGraph> graphs;
 };
 
+/// The side a grid (at least 2) or torus (at least 3) of requested size n
+/// is rounded to; n stays the *requested* size.
+std::size_t square_side(bool torus, std::size_t n) {
+  return std::max<std::size_t>(
+      torus ? 3 : 2,
+      static_cast<std::size_t>(std::lround(std::sqrt(static_cast<double>(n)))));
+}
+
 graph::SimpleGraph family_graph(const SweepConfig& cfg, std::size_t n,
                                 Rng& rng) {
   const auto& family = cfg.family;
@@ -742,11 +748,8 @@ graph::SimpleGraph family_graph(const SweepConfig& cfg, std::size_t n,
   if (family == "cycle") return graph::cycle(n);
   if (family == "regular") return graph::random_regular(n, cfg.d, rng);
   if (family == "grid" || family == "torus") {
-    // Round the size to a square side; n stays the *requested* size.
     const bool torus = family == "torus";
-    const auto side = std::max<std::size_t>(
-        torus ? 3 : 2, static_cast<std::size_t>(std::lround(
-                           std::sqrt(static_cast<double>(n)))));
+    const auto side = square_side(torus, n);
     return torus ? graph::torus(side, side) : graph::grid(side, side);
   }
   if (family == "caterpillar") {
@@ -757,17 +760,48 @@ graph::SimpleGraph family_graph(const SweepConfig& cfg, std::size_t n,
   return graph::random_power_law(n, 2.5, rng);  // "powerlaw"
 }
 
+/// a · b, or UINT64_MAX when the product does not fit.
+std::uint64_t saturating_product(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t product = 0;
+  return __builtin_mul_overflow(a, b, &product) ? UINT64_MAX : product;
+}
+
+/// The ports of the family's instance of requested size n (twice the
+/// edges of a simple graph), saturating at UINT64_MAX; nullopt for
+/// powerlaw, whose count is known only once its degrees are drawn.
+std::optional<std::uint64_t> family_ports(const SweepConfig& cfg,
+                                          std::uint64_t n) {
+  const auto& family = cfg.family;
+  if (family == "path") return saturating_product(2, n - 1);
+  if (family == "cycle") return saturating_product(2, n);
+  if (family == "regular" || family == "portgraph") {
+    return saturating_product(n, cfg.d);
+  }
+  if (family == "grid" || family == "torus") {
+    const bool torus = family == "torus";
+    const std::uint64_t side = square_side(torus, n);
+    return saturating_product(
+        4, saturating_product(side, torus ? side : side - 1));
+  }
+  if (family == "caterpillar") {
+    const std::uint64_t spine = std::max<std::uint64_t>(1, n / 3);
+    return saturating_product(2, 3 * spine - 1);
+  }
+  return std::nullopt;
+}
+
 SweepInstances generate_instances(const SweepConfig& cfg) {
-  // A regular or portgraph instance has n·d ports: the largest must fit a
-  // port graph, checked before anything is generated.
+  // The largest instance must fit a port graph (every family's port count
+  // grows with n), checked before anything is generated.
   const std::uint64_t largest = cfg.sizes.back();
-  if ((cfg.family == "regular" || cfg.family == "portgraph") && cfg.d != 0 &&
-      largest > port::kMaxPorts / cfg.d) {
-    const bool saturated = largest > UINT64_MAX / cfg.d;
+  const auto ports = family_ports(cfg, largest);
+  if (ports.has_value() && *ports > port::kMaxPorts) {
+    const bool fixed_degree =
+        cfg.family == "regular" || cfg.family == "portgraph";
     throw InvalidArgument(
-        cfg.family + " at n = " + std::to_string(largest) + " with --d " +
-        std::to_string(cfg.d) + " has " + (saturated ? "at least " : "") +
-        std::to_string(saturated ? UINT64_MAX : largest * cfg.d) +
+        cfg.family + " at n = " + std::to_string(largest) +
+        (fixed_degree ? " with --d " + std::to_string(cfg.d) : "") + " has " +
+        (*ports == UINT64_MAX ? "at least " : "") + std::to_string(*ports) +
         " ports; a port graph holds at most " +
         std::to_string(port::kMaxPorts));
   }
@@ -781,6 +815,11 @@ SweepInstances generate_instances(const SweepConfig& cfg) {
       set.graphs.push_back(
           port::with_random_ports(family_graph(cfg, n, rng), rng));
     }
+    const auto& g = cfg.family == "portgraph" ? set.multigraphs.back()
+                                              : set.graphs.back().ports();
+    const auto predicted = family_ports(cfg, n);
+    EDS_ENSURE(!predicted.has_value() || *predicted == g.num_ports(),
+               "family_ports mispredicts " + cfg.family);
   }
   return set;
 }
@@ -791,16 +830,9 @@ algo::Algorithm portgraph_algorithm(const SweepConfig& cfg) {
   return cfg.fixed.value_or(algo::Algorithm::kBoundedDegree);
 }
 
-/// The algorithm --algorithm picks for `g` (parameter not yet resolved).
-algo::Recommendation choose_algorithm(const SweepConfig& cfg,
-                                      const graph::SimpleGraph& g) {
-  if (cfg.fixed) return {*cfg.fixed, cfg.param};
-  return algo::recommended_for(g);
-}
-
-/// One instance as the raw-job and adversary runners see it: the graph
-/// the engine runs on and the factory built exactly as run_algorithm
-/// would (same resolved parameter).
+/// One instance as the runners see it: the graph the engine runs on and
+/// the factory built exactly as run_algorithm would (same resolved
+/// parameter).
 struct SweepTarget {
   std::size_t n = 0;                        ///< requested size: rows' "n"
   const port::PortGraph* ports = nullptr;
@@ -810,6 +842,8 @@ struct SweepTarget {
   std::unique_ptr<const runtime::ProgramFactory> factory;
 };
 
+/// Every instance's target.  The factories are built before any header,
+/// so a parameter one rejects fails the sweep with nothing on stdout.
 std::vector<SweepTarget> resolve_targets(const SweepConfig& cfg,
                                          const SweepInstances& set) {
   std::vector<SweepTarget> targets(cfg.sizes.size());
@@ -825,7 +859,8 @@ std::vector<SweepTarget> resolve_targets(const SweepConfig& cfg,
   }
   for (std::size_t k = 0; k < targets.size(); ++k) {
     const auto& pg = set.graphs[k];
-    const auto choice = choose_algorithm(cfg, pg.graph());
+    const auto choice = cfg.fixed ? algo::Recommendation{*cfg.fixed, cfg.param}
+                                  : algo::recommended_for(pg.graph());
     const auto param = algo::resolved_param(pg, choice.algorithm, choice.param);
     targets[k] = {cfg.sizes[k], &pg.ports(), &pg, choice.algorithm, param,
                   algo::make_factory(choice.algorithm, param)};
@@ -916,69 +951,51 @@ void portgraph_row(SweepSink& sink, std::size_t i, const SweepTarget& t,
   out.flush();
 }
 
-/// A simple-graph row under --model async: degradation (inconsistent or
-/// infeasible) is data, not a failed sweep.
-void async_row(SweepSink& sink, std::size_t i, const SweepTarget& t,
+/// A simple-graph row; returns whether the solution is an edge dominating
+/// set.  Under the synchronous model a one-sided claim throws (from
+/// validated_edge_set) and fails the sweep; under --model async it is a
+/// measured outcome, printed as inconsistent.
+bool graph_row(SweepSink& sink, std::size_t i, const SweepTarget& t,
                const runtime::RunResult& result) {
-  const auto& pg = *t.graph;
-  const auto& g = pg.graph();
-  const auto selected = runtime::consistent_selection_size(pg.ports(), result);
-  std::optional<bool> feasible;
-  if (selected.has_value()) {
-    feasible = analysis::is_edge_dominating_set(
-        g, runtime::validated_edge_set(pg, result));
+  const auto& g = t.graph->graph();
+  const bool async = sink.cfg.async_model;
+  std::optional<graph::EdgeSet> solution;
+  if (!async ||
+      runtime::consistent_selection_size(t.graph->ports(), result)
+          .has_value()) {
+    solution = runtime::validated_edge_set(*t.graph, result);
   }
+  const bool feasible =
+      solution.has_value() && analysis::is_edge_dominating_set(g, *solution);
   if (!sink.cfg.ndjson) {
     sink.table.row({std::to_string(t.n), std::to_string(g.num_edges()),
                     algo::algorithm_name(t.algorithm),
                     std::to_string(result.stats.rounds),
                     std::to_string(result.stats.messages_sent),
-                    selected.has_value() ? std::to_string(*selected) : "-",
-                    !selected.has_value() ? "inconsistent"
-                    : *feasible          ? "yes"
-                                         : "NO"});
-    return;
+                    solution.has_value() ? std::to_string(solution->size())
+                                         : "-",
+                    !solution.has_value() ? "inconsistent"
+                    : feasible            ? "yes"
+                                          : "NO"});
+    return feasible;
   }
   auto& out = sink.out;
   out << "{\"schema\":" << kNdjsonSchema << ",\"index\":" << i
       << ",\"family\":\"" << sink.cfg.family << '"' << ",\"n\":" << t.n
       << ",\"nodes\":" << g.num_nodes() << ",\"edges\":" << g.num_edges()
-      << ",\"algorithm\":\"" << algo::algorithm_name(t.algorithm) << '"'
-      << ",\"model\":\"async\",\"consistent\":"
-      << (selected.has_value() ? "true" : "false")
-      << ",\"rounds\":" << result.stats.rounds
+      << ",\"algorithm\":\"" << algo::algorithm_name(t.algorithm) << '"';
+  if (async) {
+    out << ",\"model\":\"async\",\"consistent\":"
+        << (solution.has_value() ? "true" : "false");
+  }
+  out << ",\"rounds\":" << result.stats.rounds
       << ",\"messages\":" << result.stats.messages_sent;
-  if (selected.has_value()) {
-    out << ",\"solution\":" << *selected << ",\"feasible\":"
-        << (*feasible ? "true" : "false");
+  if (solution.has_value()) {
+    out << ",\"solution\":" << solution->size()
+        << ",\"feasible\":" << (feasible ? "true" : "false");
   }
   out << "}\n";
   out.flush();
-}
-
-/// A simple-graph row under the synchronous model; returns feasibility.
-bool sync_row(SweepSink& sink, std::size_t i, std::size_t n,
-              const algo::BatchItem& item, const algo::EdsOutcome& outcome) {
-  const auto& g = item.graph->graph();
-  const bool feasible = analysis::is_edge_dominating_set(g, outcome.solution);
-  if (!sink.cfg.ndjson) {
-    sink.table.row({std::to_string(n), std::to_string(g.num_edges()),
-                    algo::algorithm_name(item.algorithm),
-                    std::to_string(outcome.stats.rounds),
-                    std::to_string(outcome.stats.messages_sent),
-                    std::to_string(outcome.solution.size()),
-                    feasible ? "yes" : "NO"});
-    return feasible;
-  }
-  sink.out << "{\"schema\":" << kNdjsonSchema << ",\"index\":" << i
-           << ",\"family\":\"" << sink.cfg.family << '"' << ",\"n\":" << n
-           << ",\"nodes\":" << g.num_nodes() << ",\"edges\":" << g.num_edges()
-           << ",\"algorithm\":\"" << algo::algorithm_name(item.algorithm)
-           << '"' << ",\"rounds\":" << outcome.stats.rounds
-           << ",\"messages\":" << outcome.stats.messages_sent
-           << ",\"solution\":" << outcome.solution.size()
-           << ",\"feasible\":" << (feasible ? "true" : "false") << "}\n";
-  sink.out.flush();
   return feasible;
 }
 
@@ -1149,10 +1166,10 @@ int sweep_adversary(const SweepConfig& cfg,
   return 0;
 }
 
-/// The portgraph family and every --model async sweep: raw runtime jobs
-/// instead of algo::BatchItems, because the rows report the engine's
-/// result as measured — under faults a one-sided selection is an
-/// outcome, not an exception.
+/// Every sweep but --adversary: one raw runtime job per (instance,
+/// repeat), streamed through one BatchRunner.  The rows report the
+/// engine's result as measured; a synchronous simple-graph sweep checks
+/// edge domination and exits 1 when a row is infeasible.
 int sweep_jobs(const SweepConfig& cfg, const std::vector<SweepTarget>& targets,
                std::ostream& out) {
   runtime::PlanCache plan_cache;
@@ -1171,14 +1188,16 @@ int sweep_jobs(const SweepConfig& cfg, const std::vector<SweepTarget>& targets,
     }
   }
   const bool multigraphs = cfg.family == "portgraph";
+  const bool verified = !multigraphs && !cfg.async_model;
   SweepSink sink{cfg, out, TextTable("")};
   if (multigraphs) {
     sink.table.header({"n", "ports", "rounds", "messages", "selected"});
   } else {
-    sink.table.header(
-        {"n", "edges", "algorithm", "rounds", "messages", "|D|", "ok"});
+    sink.table.header({"n", "edges", "algorithm", "rounds", "messages", "|D|",
+                       verified ? "feasible" : "ok"});
   }
   sweep_header(sink, jobs.size());
+  bool all_feasible = true;
   // Streaming delivery: rows arrive in job order as their prefix
   // completes; NDJSON mode prints (and flushes) each immediately.
   runtime::BatchRunner(cfg.threads)
@@ -1187,46 +1206,12 @@ int sweep_jobs(const SweepConfig& cfg, const std::vector<SweepTarget>& targets,
         if (multigraphs) {
           portgraph_row(sink, i, t, result);
         } else {
-          async_row(sink, i, t, result);
+          all_feasible = graph_row(sink, i, t, result) && all_feasible;
         }
       });
-  finish_sweep(sink, plan_cache, jobs.size(), std::nullopt);
-  return 0;
-}
-
-/// A synchronous simple-graph sweep through algo::run_batch_streaming,
-/// which validates every outcome; exit 1 when any row is infeasible.
-/// Every instance's factory is built once before the header, so a
-/// parameter a factory rejects fails the sweep before anything is printed.
-int sweep_validated(const SweepConfig& cfg, const SweepInstances& set,
-                    std::ostream& out) {
-  runtime::PlanCache plan_cache;
-  std::vector<algo::BatchItem> items;
-  items.reserve(set.graphs.size() * cfg.repeat);
-  for (const auto& pg : set.graphs) {
-    const auto choice = choose_algorithm(cfg, pg.graph());
-    (void)algo::make_factory(
-        choice.algorithm,
-        algo::resolved_param(pg, choice.algorithm, choice.param));
-    for (std::size_t r = 0; r < cfg.repeat; ++r) {
-      items.push_back({&pg, choice.algorithm, choice.param});
-    }
-  }
-  SweepSink sink{cfg, out, TextTable("")};
-  sink.table.header({"n", "edges", "algorithm", "rounds", "messages", "|D|",
-                     "feasible"});
-  sweep_header(sink, items.size());
-  bool all_feasible = true;
-  algo::run_batch_streaming(
-      items, cfg.threads,
-      [&](std::size_t i, algo::EdsOutcome&& outcome) {
-        const bool feasible =
-            sync_row(sink, i, cfg.sizes[i / cfg.repeat], items[i], outcome);
-        all_feasible = all_feasible && feasible;
-      },
-      &plan_cache);
-  finish_sweep(sink, plan_cache, items.size(), all_feasible);
-  return all_feasible ? 0 : 1;
+  finish_sweep(sink, plan_cache, jobs.size(),
+               verified ? std::optional(all_feasible) : std::nullopt);
+  return verified && !all_feasible ? 1 : 0;
 }
 
 int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
@@ -1235,9 +1220,6 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
   if (!cfg) return 2;
   try {
     const auto set = generate_instances(*cfg);
-    if (cfg->family != "portgraph" && !cfg->async_model) {
-      return sweep_validated(*cfg, set, out);
-    }
     const auto targets = resolve_targets(*cfg, set);
     return cfg->adversary ? sweep_adversary(*cfg, targets, out, err)
                           : sweep_jobs(*cfg, targets, out);

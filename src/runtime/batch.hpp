@@ -56,7 +56,9 @@ class BatchRunner {
   /// Executes every job and returns their results in job order.  Throws
   /// InvalidArgument on a malformed job (null graph/factory) before any
   /// job starts; rethrows the lowest-indexed job failure after the batch
-  /// drains.  Not safe for concurrent run() calls on one BatchRunner.
+  /// drains.  One batch at a time: a call that hands the pool a batch of
+  /// two or more jobs while another call's batch runs there throws
+  /// InternalError (ThreadPool::run).
   [[nodiscard]] std::vector<RunResult> run(
       const std::vector<BatchJob>& jobs) const;
 

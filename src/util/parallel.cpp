@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "util/error.hpp"
+
 namespace eds {
 
 unsigned resolve_threads(unsigned requested) noexcept {
@@ -40,6 +42,9 @@ void ThreadPool::run(std::size_t tasks,
   }
   {
     const std::lock_guard lock(mutex_);
+    if (fn_ != nullptr) {
+      throw InternalError("ThreadPool::run: a batch is already running");
+    }
     fn_ = &fn;
     tasks_ = tasks;
     next_task_ = 0;

@@ -90,7 +90,9 @@ class ThreadPool {
   /// all lanes (the caller participates), and blocks until every call has
   /// returned.  `fn` must be safe to invoke concurrently and must not throw —
   /// callers that can fail capture std::exception_ptr per task themselves.
-  /// Not reentrant: run() must not be called from inside `fn`.
+  /// One batch at a time: a multi-lane run() entered while a batch is
+  /// running (from another thread, or from inside `fn`) throws
+  /// InternalError.
   void run(std::size_t tasks, const std::function<void(std::size_t)>& fn);
 
  private:

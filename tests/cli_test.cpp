@@ -456,6 +456,20 @@ TEST(Cli, SweepOutputsMatchPinnedDigests) {
       {{"portgraph", "--min", "8", "--max", "8", "--d", "3", "--model",
         "async", "--timeout", "3", "--adversary", "pct", "--budget", "4"},
        "0x1F90B0C9F37FFA91"},
+      // Synchronous families and fixed algorithms the rows above miss.
+      {{"path", "--min", "2", "--max", "64"}, "0xC25DF43A317123AB"},
+      {{"torus", "--min", "9", "--max", "100", "--ndjson", "--repeat", "3"},
+       "0xF6DC8F7BA788922C"},
+      {{"cycle", "--min", "8", "--max", "64", "--algorithm", "double-cover"},
+       "0x59AB1CD380CA6280"},
+      {{"cycle", "--min", "8", "--max", "64", "--algorithm", "all-edges",
+        "--ndjson"},
+       "0xC757D157EC2AD4F7"},
+      {{"path", "--min", "8", "--max", "64", "--algorithm", "port-one"},
+       "0x3C93C6A5DBFAF10F"},
+      {{"regular", "--min", "10", "--max", "40", "--d", "3", "--algorithm",
+        "odd-regular", "--param", "3"},
+       "0xFB52807E799B0B3B"},
   };
   for (const auto& [flags, digest] : pinned) {
     for (const char* threads : {"1", "2", "8"}) {
@@ -600,7 +614,9 @@ TEST(Cli, SweepRejectsADegreeBeyondAPort) {
 TEST(Cli, FixedDegreeFamiliesAreSizedBeforeGeneration) {
   // Each of these once asked for tens of GB and ended in std::bad_alloc.
   // random_regular checks its n·d/2 edges before building its circulant,
-  // and a regular or portgraph sweep its n·d ports before generating.
+  // and a sweep its largest instance's ports before generating: n·d for
+  // regular and portgraph, twice the edges of the other families but
+  // powerlaw (never run these at a tree without the check).
   const struct {
     std::vector<std::string> args;
     std::string count;
@@ -615,6 +631,17 @@ TEST(Cli, FixedDegreeFamiliesAreSizedBeforeGeneration) {
       {{"sweep", "portgraph", "--min", "2000000000", "--max", "2000000000",
         "--d", "3"},
        "6000000000 ports"},
+      {{"sweep", "path", "--min", "3000000000", "--max", "3000000000"},
+       "5999999998 ports"},
+      {{"sweep", "cycle", "--min", "2200000000", "--max", "2200000000"},
+       "4400000000 ports"},
+      {{"sweep", "grid", "--min", "2200000000", "--max", "2200000000"},
+       "8799753248 ports"},
+      {{"sweep", "torus", "--min", "1100000000", "--max", "1100000000"},
+       "4399934224 ports"},
+      {{"sweep", "caterpillar", "--min", "3000000000", "--max",
+        "3000000000"},
+       "5999999998 ports"},
   };
   for (const auto& c : cases) {
     const auto run = invoke(c.args);

@@ -404,8 +404,8 @@ TEST(Transcript, SaysSoWhenCollectionWasOff) {
 TEST(Runner, OverlappingMultiLaneRunsGetPoolsOfTheirOwn) {
   // run_synchronous keeps the pool a multi-lane call released for the next
   // call of that width; callers that overlap must never share it, through
-  // either entry point.  ThreadPool::run is not reentrant: a shared pool
-  // loses a shard (a mismatch) or hangs (ctest's timeout).
+  // either entry point.  ThreadPool::run takes one batch at a time: a
+  // shared pool throws InternalError in the second caller.
   auto rng = test::make_rng(0x9001);
   const auto pg = test::random_ported_regular(256, 4, rng);
   const RelayFactory factory(64);  // 64 + 4 rounds, a pool run each

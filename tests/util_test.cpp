@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <set>
 #include <sstream>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "util/error.hpp"
 #include "util/fraction.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -287,6 +290,46 @@ TEST(Ensure, MessageContainsContext) {
     EXPECT_NE(std::string(e.what()).find("the message"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("1 == 2"), std::string::npos);
   }
+}
+
+TEST(ThreadPool, ASecondCallerThrowsWhileABatchRuns) {
+  // A second run() once overwrote the running batch's state, and both
+  // callers then waited forever.  Task 0 stays open until the second
+  // caller has returned.
+  ThreadPool pool(2);
+  bool threw = false;
+  pool.run(2, [&](std::size_t i) {
+    if (i != 0) return;
+    std::thread([&] {
+      try {
+        pool.run(2, [](std::size_t) {});
+      } catch (const InternalError&) {
+        threw = true;
+      }
+    }).join();
+  });
+  EXPECT_TRUE(threw);
+  std::atomic<int> calls{0};
+  pool.run(4, [&](std::size_t) { ++calls; });
+  EXPECT_EQ(calls.load(), 4) << "the pool no longer runs a normal batch";
+}
+
+TEST(ThreadPool, ARunFromInsideATaskThrowsOnEveryLane) {
+  // Each task waits for the other, so both lanes are inside the batch
+  // when they call run() on their own pool.
+  ThreadPool pool(2);
+  std::atomic<int> arrived{0};
+  std::atomic<int> threw{0};
+  pool.run(2, [&](std::size_t) {
+    ++arrived;
+    while (arrived.load() < 2) std::this_thread::yield();
+    try {
+      pool.run(2, [](std::size_t) {});
+    } catch (const InternalError&) {
+      ++threw;
+    }
+  });
+  EXPECT_EQ(threw.load(), 2);
 }
 
 }  // namespace
