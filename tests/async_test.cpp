@@ -687,6 +687,42 @@ TEST(AsyncGolden, SynchronizedEventOrderIsPinned) {
   EXPECT_EQ(hex(d.value()), "0x3A7B53A2C5A51240");
 }
 
+TEST(AsyncGolden, SynchronizedRunsAtScaleArePinned) {
+  // The pins above stop at 12 nodes.  These runs reach the sizes and delay
+  // spreads of the benchmark, where thousands of payloads and acks share a
+  // tick, and cover change points that fall mid-run as well as ones the run
+  // never reaches.
+  RunOptions options;
+  options.collect_trace = true;
+  options.collect_messages = true;
+  Rng rng(0x601DE6);
+  Digest d;
+  for (const std::size_t n : {16, 64, 256}) {
+    const auto pg = test::random_ported_regular(n, 4, rng);
+    for (const Algorithm alg : {Algorithm::kBoundedDegree, Algorithm::kPortOne,
+                                Algorithm::kDoubleCover}) {
+      const auto factory = algo::make_factory(alg, 4);
+      for (const char* delay : {"fixed:1", "fixed:3", "uniform:1:2",
+                                "uniform:1:9", "geometric:3"}) {
+        for (int schedule = 0; schedule < 3; ++schedule) {
+          AsyncOptions async;
+          async.delay = parse_delay_model(delay);
+          async.seed = rng.next_u64();
+          if (schedule > 0) async.schedule.prio_seed = rng.next_u64() | 1;
+          if (schedule == 2) {
+            async.schedule.demote_ticks = 5;
+            async.schedule.change_points = {n, 10 * n, 100 * n};
+          }
+          add_options(d, async);
+          add_result(d, pg.ports(),
+                     run_asynchronous(pg.ports(), *factory, options, async));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(hex(d.value()), "0xF9B4A98FCF2D058D");
+}
+
 TEST(AsyncGolden, AdversarySearchesAndShrinksArePinned) {
   // One search per strategy plus the shrink of its headline witness, on the
   // BENCHMARKS.md attack fixture and on a lossy variant of it.
