@@ -7,6 +7,13 @@
 
 namespace eds::algo {
 
+namespace {
+
+/// The algorithm a missing handshake message names (expect_message).
+constexpr const char* kWho = "bounded-degree";
+
+}  // namespace
+
 BoundedDegreeProgram::BoundedDegreeProgram(
     port::Port max_degree, std::shared_ptr<BoundedPhaseStats> sink,
     std::pmr::memory_resource* memory)
@@ -177,14 +184,15 @@ void BoundedDegreeProgram::phase2_send(const Step& step,
 }
 
 void BoundedDegreeProgram::phase2_receive(
-    const Step& step, std::span<const runtime::Message> in) {
+    runtime::Round round, const Step& step,
+    std::span<const runtime::Message> in) {
   if (!step.respond_half) {
     p2_proposals_ = flag_proposals(view_.ports(), in);
   } else {
     if (p2_outstanding_) {
       const auto& reply = in[p2_target_ - 1];
-      EDS_ENSURE(reply.tag == kTagAccept || reply.tag == kTagReject,
-                 "phase II: proposal received no response");
+      expect_message(reply.tag == kTagAccept || reply.tag == kTagReject,
+                     kWho, "phase-II proposal response", p2_target_, round);
       if (reply.tag == kTagAccept) {
         m_port_ = p2_target_;  // my proposal was accepted: edge joins M
       } else {
@@ -202,7 +210,7 @@ void BoundedDegreeProgram::receive(runtime::Round round,
     case Step::Kind::kHello: {
       const auto ports = view_.ports();
       for (port::Port i = 1; i <= ports.size(); ++i) {
-        view_.record_hello(i, in[i - 1]);
+        view_.record_hello(i, in[i - 1], kWho, round);
         smaller_neighbour_ |= ports[i - 1].remote_degree < ports.size();
       }
       view_.compute_dn();
@@ -218,8 +226,8 @@ void BoundedDegreeProgram::receive(runtime::Round round,
     case Step::Kind::kPhase1:
       if (active_port_ != 0) {
         const auto& their = in[active_port_ - 1];
-        EDS_ENSURE(their.tag == kTagStatus,
-                   "phase I: expected a status message from the partner");
+        expect_message(their.tag == kTagStatus, kWho, "phase-I status",
+                       active_port_, round);
         // "If neither u nor v is covered by M, we add e to M."
         if (m_port_ == 0 && their.arg[0] == 0) {
           m_port_ = active_port_;
@@ -230,7 +238,7 @@ void BoundedDegreeProgram::receive(runtime::Round round,
       break;
 
     case Step::Kind::kPhase2:
-      phase2_receive(step, in);
+      phase2_receive(round, step, in);
       break;
 
     case Step::Kind::kMStatus: {
@@ -238,8 +246,8 @@ void BoundedDegreeProgram::receive(runtime::Round round,
       // final now.
       const auto ports = view_.ports();
       for (port::Port i = 1; i <= ports.size(); ++i) {
-        EDS_ENSURE(in[i - 1].tag == kTagMStatus,
-                   "expected an M-coverage broadcast");
+        expect_message(in[i - 1].tag == kTagMStatus, kWho, "M-status", i,
+                       round);
         if (m_port_ == 0 && in[i - 1].arg[0] == 0) {
           ports[i - 1].flags |= kFlagEligible;
         }
@@ -252,7 +260,7 @@ void BoundedDegreeProgram::receive(runtime::Round round,
       if (!step.respond_half) {
         engine_.receive_propose(view_.ports(), in);
       } else {
-        engine_.receive_respond(view_.ports(), in);
+        engine_.receive_respond(view_.ports(), in, kWho, round);
       }
       break;
   }

@@ -128,7 +128,8 @@ class BoundedDegreeProgram final : public runtime::NodeProgram {
   }
 
   void phase2_send(const Step& step, std::span<runtime::Message> out);
-  void phase2_receive(const Step& step, std::span<const runtime::Message> in);
+  void phase2_receive(runtime::Round round, const Step& step,
+                      std::span<const runtime::Message> in);
 
   /// Phase II: my first port >= `from` to a neighbour of smaller degree,
   /// or 0.

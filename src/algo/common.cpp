@@ -19,6 +19,13 @@ void check_schedule(const char* who, std::uint64_t param,
   }
 }
 
+void throw_missing_message(const char* who, const char* what, Port port,
+                           Round round) {
+  throw ExecutionError(std::string(who) + ": round " + std::to_string(round) +
+                       ": no " + what + " message on port " +
+                       std::to_string(port));
+}
+
 Port distinguishable_port(std::span<const PortSlot> ports) {
   const auto degree = static_cast<Port>(ports.size());
   for (Port i = 1; i <= degree; ++i) {
@@ -30,8 +37,9 @@ Port distinguishable_port(std::span<const PortSlot> ports) {
   return 0;
 }
 
-void LabelView::record_hello(Port i, const Message& m) {
-  EDS_ENSURE(m.tag == kTagHello, "LabelView: expected hello message");
+void LabelView::record_hello(Port i, const Message& m, const char* who,
+                             Round round) {
+  expect_message(m.tag == kTagHello, who, "hello", i, round);
   PortSlot& slot = ports()[i - 1];
   slot.remote_port = static_cast<Port>(m.arg[0]);
   slot.remote_degree = static_cast<Port>(m.arg[1]);

@@ -54,6 +54,18 @@ enum Tag : std::int32_t {
 void check_schedule(const char* who, std::uint64_t param,
                     std::uint64_t rounds);
 
+/// expect_message throws ExecutionError unless `received`: a handshake
+/// step of algorithm `who` expected a `what` message ("phase-I status") on
+/// port `port` in `round`.  Under the synchronous model every expected
+/// message arrives; off it, a lost message, a crashed partner or a round
+/// timeout leaves the port silent.
+[[noreturn]] void throw_missing_message(const char* who, const char* what,
+                                        Port port, Round round);
+inline void expect_message(bool received, const char* who, const char* what,
+                           Port port, Round round) {
+  if (!received) throw_missing_message(who, what, port, round);
+}
+
 /// Bits of PortSlot::flags.
 enum PortFlag : std::uint8_t {
   kFlagDnClaimed = 1,  ///< the neighbour behind the port declared me its DN
@@ -150,8 +162,9 @@ class LabelView {
     return (ports()[i - 1].flags & kFlagDnClaimed) != 0;
   }
 
-  /// Record the hello message received from port i.
-  void record_hello(Port i, const Message& m);
+  /// Record the hello message received from port i in `round` of
+  /// algorithm `who` (expect_message).
+  void record_hello(Port i, const Message& m, const char* who, Round round);
 
   /// Record the (possible) DN claim received from port i.
   void record_claim(Port i, const Message& m);

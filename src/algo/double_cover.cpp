@@ -7,6 +7,9 @@ namespace eds::algo {
 
 namespace {
 
+/// The algorithm a missing handshake message names (expect_message).
+constexpr const char* kWho = "double-cover";
+
 /// The first eligible port >= `from`, or 0.
 port::Port next_eligible(std::span<const PortSlot> ports, port::Port from) {
   for (port::Port p = from; p <= ports.size(); ++p) {
@@ -72,11 +75,12 @@ void DoubleCoverEngine::send_respond(std::span<const PortSlot> ports,
 }
 
 void DoubleCoverEngine::receive_respond(std::span<const PortSlot> ports,
-                                        std::span<const runtime::Message> in) {
+                                        std::span<const runtime::Message> in,
+                                        const char* who, runtime::Round round) {
   if (!proposal_outstanding_) return;
   const auto& reply = in[cursor_ - 1];
-  EDS_ENSURE(reply.tag == kTagAccept || reply.tag == kTagReject,
-             "DoubleCoverEngine: proposal received no response");
+  expect_message(reply.tag == kTagAccept || reply.tag == kTagReject, who,
+                 "proposal response", cursor_, round);
   if (reply.tag == kTagAccept) {
     accepted_out_ = cursor_;
   } else {
@@ -118,7 +122,7 @@ void DoubleCoverProgram::receive(runtime::Round round,
   if (round % 2 == 1) {
     engine_.receive_propose(ports_.slots(), in);
   } else {
-    engine_.receive_respond(ports_.slots(), in);
+    engine_.receive_respond(ports_.slots(), in, kWho, round);
   }
   if (round >= schedule_length(max_degree_)) halted_ = true;
 }

@@ -64,9 +64,11 @@ class DoubleCoverEngine {
   void send_respond(std::span<const PortSlot> ports,
                     std::span<runtime::Message> out);
 
-  /// Round 2s, receive side: learn the fate of my outstanding proposal.
+  /// Round 2s, receive side: learn the fate of my outstanding proposal;
+  /// `who` and `round` name a missing response (expect_message).
   void receive_respond(std::span<const PortSlot> ports,
-                       std::span<const runtime::Message> in);
+                       std::span<const runtime::Message> in, const char* who,
+                       runtime::Round round);
 
   /// Ports of my P edges, 0 for none: the proposal I accepted, then my
   /// proposal that was accepted unless it is the same port (the neighbour

@@ -8,6 +8,13 @@
 
 namespace eds::algo {
 
+namespace {
+
+/// The algorithm a missing handshake message names (expect_message).
+constexpr const char* kWho = "odd-regular";
+
+}  // namespace
+
 std::vector<std::pair<port::Port, port::Port>> pair_schedule(port::Port d,
                                                              PairOrder order) {
   std::vector<std::pair<port::Port, port::Port>> pairs;
@@ -202,7 +209,7 @@ void OddRegularProgram::receive(runtime::Round round,
   const auto dd = static_cast<runtime::Round>(d_) * d_;
   if (round == 1) {
     for (port::Port i = 1; i <= view_.degree(); ++i) {
-      view_.record_hello(i, in[i - 1]);
+      view_.record_hello(i, in[i - 1], kWho, round);
     }
     view_.compute_dn();
   } else if (round == 2) {
@@ -211,8 +218,8 @@ void OddRegularProgram::receive(runtime::Round round,
     }
   } else if (active_port_ != 0 && round <= 2 + dd) {
     const auto& their = in[active_port_ - 1];
-    EDS_ENSURE(their.tag == kTagStatus,
-               "phase I: expected a status message from the partner");
+    expect_message(their.tag == kTagStatus, kWho, "phase-I status",
+                   active_port_, round);
     const bool their_covered = their.arg[0] != 0;
     // "If both endpoints of e are already covered by D, we ignore e,
     //  otherwise we add e to D."  An edge whose endpoints claimed each
@@ -225,8 +232,8 @@ void OddRegularProgram::receive(runtime::Round round,
     }
   } else if (active_port_ != 0) {
     const auto& their = in[active_port_ - 1];
-    EDS_ENSURE(their.tag == kTagStatus,
-               "phase II: expected a status message from the partner");
+    expect_message(their.tag == kTagStatus, kWho, "phase-II status",
+                   active_port_, round);
     const bool mine = d_count_ >= 2;
     const bool theirs = their.arg[0] != 0;
     // "If both endpoints of e are covered by D \ {e}, remove e from D."

@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "algo/bounded_degree.hpp"
 #include "algo/driver.hpp"
 #include "analysis/ratio.hpp"
 #include "analysis/verify.hpp"
@@ -842,8 +843,44 @@ struct SweepTarget {
   std::unique_ptr<const runtime::ProgramFactory> factory;
 };
 
-/// Every instance's target.  The factories are built before any header,
-/// so a parameter one rejects fails the sweep with nothing on stdout.
+/// Throws InvalidArgument, naming --param, when target t's parameter does
+/// not fit its instance, whose largest degree is `max_degree` (every
+/// node's when `regular`): the degree check each program's start() makes,
+/// run before the header instead of inside the instance's first job.  A
+/// parameter resolved from the graph always fits.
+void check_param_fits(const SweepConfig& cfg, const SweepTarget& t,
+                      std::size_t max_degree, bool regular) {
+  std::string need;
+  switch (t.algorithm) {
+    case algo::Algorithm::kOddRegular:
+      if (regular && max_degree == t.param) return;
+      need = "every node at degree " + std::to_string(t.param);
+      break;
+    case algo::Algorithm::kBoundedDegree:
+    case algo::Algorithm::kDoubleCover: {
+      const port::Port cap =
+          t.algorithm == algo::Algorithm::kBoundedDegree
+              ? algo::BoundedDegreeProgram::normalised_delta(t.param)
+              : t.param;
+      if (max_degree <= cap) return;
+      need = "max degree at most " + std::to_string(cap);
+      break;
+    }
+    default:
+      return;
+  }
+  throw InvalidArgument(
+      "--param " + std::to_string(t.param) + " does not fit " + cfg.family +
+      " at n = " + std::to_string(t.n) + " (" +
+      (regular ? std::to_string(max_degree) + "-regular"
+               : "max degree " + std::to_string(max_degree)) +
+      "): " + algo::algorithm_token(t.algorithm) + " needs " + need);
+}
+
+/// Every instance's target.  The factories are built, and the parameter
+/// checked against each instance, before any header, so a parameter that
+/// a factory rejects or an instance does not fit fails the sweep with
+/// nothing on stdout.
 std::vector<SweepTarget> resolve_targets(const SweepConfig& cfg,
                                          const SweepInstances& set) {
   std::vector<SweepTarget> targets(cfg.sizes.size());
@@ -854,6 +891,7 @@ std::vector<SweepTarget> resolve_targets(const SweepConfig& cfg,
     for (std::size_t k = 0; k < targets.size(); ++k) {
       targets[k] = {cfg.sizes[k], &set.multigraphs[k], nullptr, algorithm,
                     param, algo::make_factory(algorithm, param)};
+      check_param_fits(cfg, targets[k], cfg.d, /*regular=*/true);
     }
     return targets;
   }
@@ -864,6 +902,9 @@ std::vector<SweepTarget> resolve_targets(const SweepConfig& cfg,
     const auto param = algo::resolved_param(pg, choice.algorithm, choice.param);
     targets[k] = {cfg.sizes[k], &pg.ports(), &pg, choice.algorithm, param,
                   algo::make_factory(choice.algorithm, param)};
+    const auto max_degree = pg.graph().max_degree();
+    check_param_fits(cfg, targets[k], max_degree,
+                     pg.graph().is_regular(max_degree));
   }
   return targets;
 }

@@ -46,11 +46,12 @@ std::uint64_t sample_delay(const DelayModel& model, std::uint64_t seed,
 }
 
 enum class EventKind : std::uint8_t {
-  kPayload,     ///< an algorithm message arriving at a flat port
-  kAck,         ///< a transport acknowledgement returning to the sender
-  kHaltNotice,  ///< "my side of this link halted after round `round`"
-  kCrash,       ///< scheduled node crash from the FaultPlan
-  kDeadline,    ///< round timeout (free-running mode only)
+  kPayload,       ///< an algorithm message arriving at a flat port
+  kAckedPayload,  ///< a synchronized one whose ack the receiver schedules
+  kAck,           ///< a transport acknowledgement returning to the sender
+  kHaltNotice,    ///< "my side of this link halted after round `round`"
+  kCrash,         ///< scheduled node crash from the FaultPlan
+  kDeadline,      ///< round timeout (free-running mode only)
 };
 
 /// One timeline entry, 40 bytes.  Its time is the tick of the bucket that
@@ -307,6 +308,7 @@ struct AsyncWorkspace {
   std::vector<char> have;
   std::vector<Round> partner_halt;  ///< per flat port: partner's halt round
   std::vector<std::uint64_t> delays;
+  std::vector<std::uint32_t> last_ack;  ///< per node: flat port of its last ack
   std::vector<std::uint64_t> key_base;  ///< per node: rank · span + v + 1
   std::vector<char> demoted;
   std::vector<std::pair<std::uint64_t, port::NodeId>> by_priority;
@@ -405,6 +407,35 @@ AsyncResult AsyncPolicy::run(const port::PortGraph& g,
   }
   for (const DelayOverride& o : sched.delay_overrides) {
     delays[o.port] = o.ticks;
+  }
+
+  // Under the α-synchronizer only the ack that pops last in a node's
+  // round can complete its wait; every other one just raises acks_got.
+  // The ack of flat port q arrives at the send tick + the sender's send
+  // penalty + delays[q] + delays[partner_flat[q]], all fixed once the
+  // payload leaves, and same-tick acks of one node pop in port order.  So
+  // the last is on the port with the longest round trip, the highest such
+  // port on a tie: last_ack[v], the same port every round.  Only that
+  // payload goes out as a kAckedPayload, whose receiver schedules its ack.
+  // The payload pop counts every other ack at once, at least a tick
+  // before the last one pops, and until then the sender reads acks_got <
+  // degree either way, so every pop that changes state keeps its (time,
+  // key, seq) place and every counter ends the same.  While a change point
+  // is still ahead at send time, every payload is a kAckedPayload: the pop
+  // count places change points, and a demotion re-keys later acks.
+  std::vector<std::uint32_t>& last_ack = ws.last_ack;
+  if (synchronized) {
+    last_ack.resize(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      std::uint64_t longest = 0;
+      for (std::uint32_t q = offsets[v]; q < offsets[v + 1]; ++q) {
+        const std::uint64_t trip = delays[q] + delays[partner_flat[q]];
+        if (trip >= longest) {
+          longest = trip;
+          last_ack[v] = q;
+        }
+      }
+    }
   }
 
   // PCT priority lane: initial priorities hash off prio_seed; crossing
@@ -517,6 +548,7 @@ AsyncResult AsyncPolicy::run(const port::PortGraph& g,
     stage.assign(deg, kSilence);
     programs[v]->send(r, std::span<Message>(stage.data(), deg));
     if (round_messages.size() <= r) round_messages.resize(r + 1, 0);
+    const bool every_ack = next_change < change_points.size();
     for (Port i = 1; i <= deg; ++i) {
       const std::size_t q = off + i - 1;
       const Message& m = stage[i - 1];
@@ -539,7 +571,11 @@ AsyncResult AsyncPolicy::run(const port::PortGraph& g,
         continue;
       }
       const std::uint64_t arrival = now + delays[q] + send_penalty(v);
-      push_to_partner(arrival, EventKind::kPayload, q, r, m);
+      push_to_partner(arrival,
+                      synchronized && (every_ack || q == last_ack[v])
+                          ? EventKind::kAckedPayload
+                          : EventKind::kPayload,
+                      q, r, m);
       if (faults.duplicate > 0.0 &&
           draw01(seed, q, r, /*salt=*/2) < faults.duplicate) {
         push_to_partner(arrival + delays[q], EventKind::kPayload, q, r, m);
@@ -647,7 +683,8 @@ AsyncResult AsyncPolicy::run(const port::PortGraph& g,
       }
       NodeState& s = st[e.node];
       switch (e.kind) {
-        case EventKind::kPayload: {
+        case EventKind::kPayload:
+        case EventKind::kAckedPayload: {
           if (s.crashed) {
             ++out.async.stale;
             break;
@@ -656,8 +693,15 @@ AsyncResult AsyncPolicy::run(const port::PortGraph& g,
           if (synchronized) {
             // Transport-level acknowledgement: receipt is confirmed whether
             // or not the algorithm layer still listens, over the reverse
-            // direction of the same link.
-            push_to_partner(now + delays[q], EventKind::kAck, q, e.round);
+            // direction of the same link.  An ack that cannot complete its
+            // sender's wait is counted here instead of popping later.
+            if (e.kind == EventKind::kAckedPayload) {
+              push_to_partner(now + delays[q], EventKind::kAck, q, e.round);
+            } else {
+              ++out.async.events;
+              ++out.async.acks;
+              ++st[partner_node[q]].acks_got;
+            }
           }
           if (s.halt_round != kNoHalt) break;  // halted: payload ignored
           if (e.round < s.round) {

@@ -15,7 +15,11 @@
 //    message sequence of the synchronous execution — outputs, stats, trace
 //    and (order-normalized) message log are bit-identical to the round
 //    engine for every delay matrix.  This is the differential oracle: any
-//    divergence is an engine bug, not an algorithm property.
+//    divergence is an engine bug, not an algorithm property.  Only the ack
+//    that completes a node's round is a timeline event; any other ack just
+//    raises its sender's count, so the receiver counts it when its payload
+//    arrives, which moves no pop that changes state.  While a PCT change
+//    point is still ahead, every ack is scheduled (async.cpp says why).
 //
 //  * Free-running (synchronizer off).  No acknowledgements: a node waits at
 //    most AsyncOptions::round_timeout ticks for a round's inputs, then
@@ -87,7 +91,9 @@ struct AsyncStats {
   std::uint64_t duplicated = 0;    ///< transmissions delivered twice
   std::uint64_t stale = 0;         ///< late/duplicate arrivals discarded
   std::uint64_t timeouts = 0;      ///< rounds fired with inputs missing
-  std::uint64_t events = 0;        ///< timeline pops (the change-point axis)
+  /// Timeline pops plus the acks counted without one (the change-point
+  /// axis: no ack is counted that way while a change point is ahead).
+  std::uint64_t events = 0;
 
   [[nodiscard]] bool operator==(const AsyncStats&) const = default;
 };

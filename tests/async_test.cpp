@@ -23,6 +23,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -93,8 +94,9 @@ void sort_by_sender(std::vector<DeliveredMessage>& log) {
 /// asynchronous run under `async`.  The synchronous message log arrives in
 /// (round, sender) order already; the async one arrives in delivery order
 /// and is normalized to the same key (unique per message, so the
-/// comparison is still exact).  Returns success for use in fuzz loops;
-/// emits EXPECT failures either way.
+/// comparison is still exact).  The async run's counters must also obey
+/// the synchronizer's counting identities.  Returns success for use in
+/// fuzz loops; emits EXPECT failures either way.
 [[nodiscard]] bool expect_async_matches_sync(const PortGraph& g,
                                              const ProgramFactory& factory,
                                              const AsyncOptions& async,
@@ -138,10 +140,26 @@ void sort_by_sender(std::vector<DeliveredMessage>& log) {
                   << sync.stats.rounds << ", messages "
                   << a.run.stats.messages_sent << " vs "
                   << sync.stats.messages_sent << ")";
+  // The synchronizer's counting identities: every served port is one
+  // payload and one ack, every port carries one halt notice, and nothing
+  // is lost, duplicated, stale or timed out.  An ack the engine counts
+  // without scheduling it still counts as an event.
+  const AsyncStats& s = a.async;
+  const std::uint64_t served = a.run.stats.ports_served;
+  const bool counted = s.acks == served &&
+                       s.events == 2 * served + g.num_ports() &&
+                       s.stale == 0 && s.lost == 0 && s.duplicated == 0 &&
+                       s.timeouts == 0;
+  EXPECT_TRUE(counted) << context << ": acks " << s.acks << ", events "
+                       << s.events << " for " << served
+                       << " served ports and " << g.num_ports()
+                       << " ports; stale " << s.stale << ", lost " << s.lost
+                       << ", duplicated " << s.duplicated << ", timeouts "
+                       << s.timeouts;
   // Fault-free synchronized runs must also satisfy endpoint consistency
   // (the shared harness; vacuous for outputs-free programs like echo).
   test::check_eds_invariants(g, a.run, context);
-  return ok;
+  return ok && counted;
 }
 
 TEST(AsyncOracle, PaperFixturesAllAlgorithms) {
@@ -667,7 +685,7 @@ TEST(AsyncGolden, FreeRunningEventOrderIsPinned) {
     add_options(d, c.async);
     add_run(d, c.graph, *c.factory, options, c.async);
   }
-  EXPECT_EQ(hex(d.value()), "0x2D0F68294C05C212");
+  EXPECT_EQ(hex(d.value()), "0x35652FA4E412E741");
 }
 
 TEST(AsyncGolden, SynchronizedEventOrderIsPinned) {
@@ -721,6 +739,53 @@ TEST(AsyncGolden, SynchronizedRunsAtScaleArePinned) {
     }
   }
   EXPECT_EQ(hex(d.value()), "0xF9B4A98FCF2D058D");
+}
+
+TEST(AsyncOracle, CountedAcksMatchEveryAckScheduled) {
+  // The engine counts an ack without scheduling it only once no change
+  // point is ahead, and a change point the run never reaches demotes
+  // nobody: with one, a run keeps every ack on the timeline.  Without it,
+  // the same run must produce the same AsyncResult, raw message-log order
+  // and every counter included.
+  RunOptions options;
+  options.max_rounds = 500;
+  options.collect_trace = true;
+  options.collect_messages = true;
+  const auto outcome = [&](const PortGraph& g, const ProgramFactory& factory,
+                           const AsyncOptions& async) {
+    try {
+      return std::optional(run_asynchronous(g, factory, options, async));
+    } catch (const ExecutionError&) {
+      return std::optional<AsyncResult>();
+    }
+  };
+  const auto expect_same = [&](const PortGraph& g,
+                               const ProgramFactory& factory,
+                               AsyncOptions async, const std::string& what) {
+    async.schedule.change_points.clear();
+    AsyncOptions every = async;
+    every.schedule.change_points = {std::numeric_limits<std::uint64_t>::max()};
+    EXPECT_TRUE(outcome(g, factory, async) == outcome(g, factory, every))
+        << what;
+  };
+  Rng rng(0xAC4ED);
+  for (int i = 0; i < 500; ++i) {
+    GoldenCase c = golden_case(rng, /*synchronizer=*/true);
+    c.async.schedule.prio_seed |= 1;
+    expect_same(c.graph, *c.factory, c.async, "case " + std::to_string(i));
+  }
+  for (const std::size_t n : {64, 256}) {
+    const auto pg = test::random_ported_regular(n, 4, rng);
+    const auto factory = algo::make_factory(Algorithm::kBoundedDegree, 4);
+    for (const char* delay : {"fixed:1", "uniform:1:2", "uniform:1:9"}) {
+      AsyncOptions async;
+      async.delay = parse_delay_model(delay);
+      async.seed = rng.next_u64();
+      async.schedule.prio_seed = rng.next_u64() | 1;
+      expect_same(pg.ports(), *factory, async,
+                  "n=" + std::to_string(n) + " " + delay);
+    }
+  }
 }
 
 TEST(AsyncGolden, AdversarySearchesAndShrinksArePinned) {
@@ -935,8 +1000,8 @@ TEST(AsyncFaults, CrashedRunsVerifyOnSurvivingSubgraph) {
 TEST(AsyncFaults, ProtocolAlgorithmsDetectFaultInducedSilence) {
   // The paper's handshake protocols assume lock-step delivery; a crashed
   // neighbour feeds them silence where a structured message is expected.
-  // They must fail loudly (their internal invariant checks fire) rather
-  // than emit a garbage selection.
+  // They must fail loudly (an ExecutionError naming the missing message,
+  // pinned per program below) rather than emit a garbage selection.
   Rng rng(0xC4A5F1E1);
   const auto pg = test::random_ported_bounded(20, 4, 30, rng);
 
@@ -949,7 +1014,45 @@ TEST(AsyncFaults, ProtocolAlgorithmsDetectFaultInducedSilence) {
 
   const auto factory = algo::make_factory(Algorithm::kBoundedDegree, 4);
   EXPECT_THROW((void)run_asynchronous(pg.ports(), *factory, {}, async),
-               Error);
+               ExecutionError);
+}
+
+TEST(AsyncFaults, FaultInducedSilenceIsAnExecutionError) {
+  // A silent port is the fault plan's doing, not a library bug: each
+  // handshake program reports it as an ExecutionError naming itself, the
+  // round and the port, never as an InternalError.  With every message
+  // lost, A(∆) and odd-regular miss their round-1 hellos and double-cover
+  // its first proposal's response in round 2.
+  Rng rng(0x51137);
+  const auto bounded = test::random_ported_bounded(20, 4, 30, rng);
+  const auto cubic = test::random_ported_regular(20, 3, rng);
+  struct Case {
+    const port::PortedGraph* g;
+    Algorithm alg;
+    Port param;
+    const char* expected;
+  };
+  for (const Case& c :
+       {Case{&bounded, Algorithm::kBoundedDegree, 4,
+             "bounded-degree: round 1: no hello message on port "},
+        Case{&cubic, Algorithm::kOddRegular, 3,
+             "odd-regular: round 1: no hello message on port "},
+        Case{&bounded, Algorithm::kDoubleCover, 4,
+             "double-cover: round 2: no proposal response message on "
+             "port "}}) {
+    AsyncOptions async;
+    async.synchronizer = false;
+    async.delay = {DelayKind::kFixed, 2, 2};
+    async.seed = 0x5EED;
+    async.faults.loss = 1.0;
+    const auto factory = algo::make_factory(c.alg, c.param);
+    try {
+      (void)run_asynchronous(c.g->ports(), *factory, {}, async);
+      ADD_FAILURE() << c.expected << ": the run did not throw";
+    } catch (const ExecutionError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(c.expected, 0), 0u) << e.what();
+    }
+  }
 }
 
 TEST(AsyncFaults, DuplicatedDeliveryIsIdempotent) {

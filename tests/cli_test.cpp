@@ -583,6 +583,25 @@ TEST(Cli, SweepPrintsNothingWhenAFactoryRejectsItsParameter) {
   }
 }
 
+TEST(Cli, SweepRejectsAParamThatDoesNotFitAnInstance) {
+  // A parameter that the factory accepts but an instance does not fit
+  // (odd-regular on another degree, a max degree past A(∆)'s or
+  // double-cover's) once failed inside the first job on that instance,
+  // after the header and, in NDJSON, after the rows before it.
+  for (const auto& args : std::vector<std::vector<std::string>>{
+           {"sweep", "regular", "--min", "8", "--max", "16", "--d", "3",
+            "--algorithm", "odd-regular", "--param", "5"},
+           {"sweep", "powerlaw", "--min", "8", "--max", "64", "--algorithm",
+            "bounded-degree", "--param", "3", "--ndjson"},
+           {"sweep", "cycle", "--min", "8", "--max", "16", "--algorithm",
+            "double-cover", "--param", "1"}}) {
+    const auto run = invoke(args);
+    EXPECT_EQ(run.code, 1) << args[1];
+    EXPECT_EQ(run.out, "") << args[1];
+    EXPECT_NE(run.err.find("--param"), std::string::npos) << run.err;
+  }
+}
+
 TEST(Cli, SweepRejectsARepeatCountThatOverflowsTheJobList) {
   // sizes × repeat once reached vector::reserve unchecked, which leaked
   // std::length_error as "sweep: vector::reserve".
