@@ -820,6 +820,27 @@ TEST(Cli, SweepModelAsyncFaultyIsDeterministicAcrossThreadCounts) {
   EXPECT_EQ(a.out, b.out);
 }
 
+TEST(Cli, SweepFaultSilenceIsNotAnInternalError) {
+  // A crashed neighbour never says hello: the handshake program names the
+  // missing message (an ExecutionError), where it once reported
+  // "internal invariant violated".
+  for (const auto& family :
+       std::vector<std::vector<std::string>>{{"caterpillar"},
+                                             {"portgraph", "--d", "3"}}) {
+    std::vector<std::string> args{"sweep"};
+    args.insert(args.end(), family.begin(), family.end());
+    args.insert(args.end(), {"--min", "12", "--max", "48", "--model", "async",
+                             "--crash", "2", "--dup", "0.1", "--loss", "0.05",
+                             "--seed", "4"});
+    const auto run = invoke(args);
+    EXPECT_EQ(run.err.find("internal invariant violated"), std::string::npos)
+        << run.err;
+    EXPECT_NE((run.out + run.err).find("no hello message on port"),
+              std::string::npos)
+        << family[0] << ": " << run.err;
+  }
+}
+
 TEST(Cli, SweepModelAsyncRejections) {
   const auto fails = [](std::vector<std::string> extra) {
     std::vector<std::string> args{"sweep", "cycle", "--min", "8", "--max",
